@@ -33,12 +33,6 @@ fleet_spec mega_fleet() {
     return spec;
 }
 
-std::string bench_temp(const std::string& name) {
-    const char* base = std::getenv("TMPDIR");
-    return std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
-           "/" + name;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -67,7 +61,7 @@ int main(int argc, char** argv) {
                                {chaos_site::snapshot_rename, 1}};
     recovery.shards = 4;
     recovery.workers = 8;
-    recovery.work_dir = bench_temp("gb_chaos_bench");
+    recovery.work_dir = bench::temp_path("gb_chaos_bench");
     recovery.probe = probe;
     recovery_report report;
     baseline.time("recovery_check",

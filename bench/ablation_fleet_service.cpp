@@ -26,12 +26,6 @@ fleet_spec mega_fleet() {
     return spec;
 }
 
-std::string bench_temp(const std::string& name) {
-    const char* base = std::getenv("TMPDIR");
-    return std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
-           "/" + name;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -45,7 +39,7 @@ int main(int argc, char** argv) {
         "every node, campaign and restart");
 
     const fleet_spec spec = mega_fleet();
-    const std::string journal_path = bench_temp("gb_fleet_bench.journal");
+    const std::string journal_path = bench::temp_path("gb_fleet_bench.journal");
     std::remove(journal_path.c_str());
 
     // The service's sink needs one shard per engine worker (the reporter's

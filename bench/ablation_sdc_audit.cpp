@@ -17,10 +17,8 @@
 // bits -- drift there is a correctness bug, not a perf question -- and
 // publishes the wall medians that price quorum redundancy and auditing.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "bench_util.hpp"
@@ -38,19 +36,6 @@ fleet_spec mega_fleet() {
     fleet_spec spec;
     spec.nodes = 100000;
     return spec;
-}
-
-std::string bench_temp(const std::string& name) {
-    const char* base = std::getenv("TMPDIR");
-    return std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
-           "/" + name;
-}
-
-std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
 }
 
 struct serve_result {
@@ -88,7 +73,7 @@ int main(int argc, char** argv) {
                            const std::vector<std::int64_t>& sweeps,
                            int quorum, std::uint64_t audit_stride,
                            const char* sdc_spec) {
-        const std::string journal_path = bench_temp(name + ".journal");
+        const std::string journal_path = bench::temp_path(name + ".journal");
         std::remove(journal_path.c_str());
         std::optional<sdc_plan> sdc;
         if (sdc_spec != nullptr) {
@@ -113,7 +98,7 @@ int main(int argc, char** argv) {
             (void)service.run_campaign(sweep);
         }
         serve_result result;
-        result.journal = slurp(journal_path);
+        result.journal = read_file(journal_path).value_or("");
         result.snapshot = service.state_snapshot();
         result.injected = service.sdc_injected();
         result.detected = service.sdc_detected();

@@ -18,6 +18,7 @@
 #include "harness/trace/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
+#include "util/wire.hpp"
 
 namespace gb::bench {
 
@@ -31,6 +32,13 @@ inline void banner(const std::string& experiment,
 
 inline void note(const std::string& text) {
     std::cout << "NOTE: " << text << '\n';
+}
+
+/// `name` under $TMPDIR (default /tmp), for a bench's scratch files.
+inline std::string temp_path(const std::string& name) {
+    const char* base = std::getenv("TMPDIR");
+    return std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
+           "/" + name;
 }
 
 /// Optional `--metrics <path>` reporting for bench binaries: the flag is
@@ -96,12 +104,7 @@ public:
 
     /// Fold a value into the campaign-content hash (FNV-1a over the
     /// little-endian bytes).
-    void fold(std::uint64_t value) {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash_ ^= (value >> (8 * byte)) & 0xffU;
-            hash_ *= 1099511628211ULL;
-        }
-    }
+    void fold(std::uint64_t value) { hash_ = fnv1a_word(hash_, value); }
 
     /// Record an exact content metric (compared at zero tolerance).
     void counter(const std::string& name, std::uint64_t value) {
@@ -167,7 +170,7 @@ public:
 private:
     std::string name_;
     std::optional<std::string> dir_;
-    std::uint64_t hash_ = 14695981039346656037ULL; ///< FNV-1a offset basis
+    std::uint64_t hash_ = fnv1a_basis;
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, std::vector<double>> samples_;
 };

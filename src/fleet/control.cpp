@@ -2,20 +2,15 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
+
+#include "util/wire.hpp"
 
 namespace gb::fleet {
 
 control_read read_control(const std::string& path) {
     control_read result;
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-        return result;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string bytes = buffer.str();
+    const std::string bytes = read_file(path).value_or("");
     result.bytes = bytes.size();
     if (bytes.empty()) {
         return result;

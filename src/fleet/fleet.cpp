@@ -5,23 +5,9 @@
 
 #include "harness/execution_engine.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb::fleet {
-
-namespace {
-
-/// FNV-1a over the little-endian bytes of one 64-bit word.
-std::uint64_t fnv1a_fold(std::uint64_t hash, std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xffU;
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
-constexpr std::uint64_t fnv_offset_basis = 14695981039346656037ULL;
-
-} // namespace
 
 fleet_node make_node(const fleet_spec& spec, std::uint64_t id) {
     if (!spec.explicit_nodes.empty()) {
@@ -62,13 +48,12 @@ double bin_voltage_mv(const fleet_spec& spec, double requirement_mv) {
 }
 
 std::uint64_t probe_content(const cohort_key& key, std::int64_t sweep_mv) {
-    std::uint64_t hash = fnv_offset_basis;
-    hash = fnv1a_fold(hash, static_cast<std::uint64_t>(key.corner));
-    hash = fnv1a_fold(hash, key.workload_class);
-    hash = fnv1a_fold(hash, key.operating_point);
-    hash = fnv1a_fold(hash, key.variant);
-    hash = fnv1a_fold(hash, static_cast<std::uint64_t>(sweep_mv));
-    return hash;
+    std::uint64_t hash = fnv1a_basis;
+    hash = fnv1a_word(hash, static_cast<std::uint64_t>(key.corner));
+    hash = fnv1a_word(hash, key.workload_class);
+    hash = fnv1a_word(hash, key.operating_point);
+    hash = fnv1a_word(hash, key.variant);
+    return fnv1a_word(hash, static_cast<std::uint64_t>(sweep_mv));
 }
 
 } // namespace gb::fleet

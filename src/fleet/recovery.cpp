@@ -1,24 +1,13 @@
 #include "fleet/recovery.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb::fleet {
 
 namespace {
-
-std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-        return {};
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
 
 /// First byte offset where the two strings differ (or the shorter length).
 std::size_t first_divergence(const std::string& a, const std::string& b) {
@@ -142,17 +131,21 @@ recovery_report run_recovery_check(const recovery_check_config& config) {
     }
     report.fired = chaos.fired();
 
-    const std::string golden_journal_bytes = slurp(golden_journal);
-    const std::string chaos_journal_bytes = slurp(chaos_journal);
+    const std::string golden_journal_bytes =
+        read_file(golden_journal).value_or("");
+    const std::string chaos_journal_bytes =
+        read_file(chaos_journal).value_or("");
     report.journal_match = golden_journal_bytes == chaos_journal_bytes;
-    const std::string golden_state_bytes = slurp(golden_state);
-    const std::string chaos_state_bytes = slurp(chaos_state);
+    const std::string golden_state_bytes =
+        read_file(golden_state).value_or("");
+    const std::string chaos_state_bytes =
+        read_file(chaos_state).value_or("");
     report.snapshot_match = golden_state_bytes == chaos_state_bytes;
     std::string golden_timeline_bytes;
     std::string chaos_timeline_bytes;
     if (config.timeline) {
-        golden_timeline_bytes = slurp(golden_timeline);
-        chaos_timeline_bytes = slurp(chaos_timeline);
+        golden_timeline_bytes = read_file(golden_timeline).value_or("");
+        chaos_timeline_bytes = read_file(chaos_timeline).value_or("");
         report.timeline_match =
             golden_timeline_bytes == chaos_timeline_bytes;
     }

@@ -1,9 +1,7 @@
 #include "fleet/service.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -17,6 +15,7 @@
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb::fleet {
 
@@ -26,21 +25,6 @@ namespace {
 /// task quantum so `gbreport utilization` on a fleet trace reproduces the
 /// plan.
 constexpr std::uint64_t probe_cost_ticks = 100;
-
-std::string format_double(double value) {
-    char buffer[64];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    GB_ENSURES(ec == std::errc{});
-    return {buffer, end};
-}
-
-std::string format_hex(std::uint64_t value) {
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
 
 bool corner_from_string(std::string_view text, process_corner& corner) {
     if (text == to_string(process_corner::ttt)) {
@@ -53,65 +37,6 @@ bool corner_from_string(std::string_view text, process_corner& corner) {
         return false;
     }
     return true;
-}
-
-/// `key=value` field accessor over a tokenized payload; false when the
-/// field is missing.
-bool field_value(const std::vector<std::string_view>& tokens,
-                 std::string_view key, std::string_view& value) {
-    for (const std::string_view token : tokens) {
-        if (token.size() > key.size() && token[key.size()] == '=' &&
-            token.substr(0, key.size()) == key) {
-            value = token.substr(key.size() + 1);
-            return true;
-        }
-    }
-    return false;
-}
-
-template <typename Integer>
-bool parse_integer(std::string_view text, Integer& out, int base = 10) {
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out, base);
-    return ec == std::errc{} && end == text.data() + text.size();
-}
-
-bool parse_real(std::string_view text, double& out) {
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    return ec == std::errc{} && end == text.data() + text.size();
-}
-
-/// Atomic file publish via sibling-temp + rename, the status.cpp
-/// discipline, for arbitrary snapshot bytes.  The two snapshot chaos
-/// seams live here: a torn temp write (the rename never happens, readers
-/// keep the previous snapshot) and a kill between the finished temp and
-/// the rename.
-bool publish_bytes(const std::string& path, const std::string& bytes,
-                   chaos_plan* chaos) {
-    const std::string temp = path + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            return false;
-        }
-        if (chaos != nullptr) {
-            if (const auto tear = chaos->on_snapshot_temp(bytes.size())) {
-                out << std::string_view(bytes).substr(
-                    0, static_cast<std::size_t>(tear->keep));
-                out.flush();
-                chaos->kill(tear->site);
-            }
-        }
-        out << bytes;
-        if (!out.flush()) {
-            return false;
-        }
-    }
-    if (chaos != nullptr && chaos->on_snapshot_rename()) {
-        chaos->kill(chaos_site::snapshot_rename);
-    }
-    return std::rename(temp.c_str(), path.c_str()) == 0;
 }
 
 /// Fault-draw key for re-plan round `round` of a probe: round 0 draws
@@ -194,68 +119,12 @@ std::string format_probe_payload(const cohort_key& key,
     return line;
 }
 
-std::string format_rigs(const std::vector<std::uint32_t>& rigs) {
-    std::string text;
-    for (const std::uint32_t rig : rigs) {
-        if (!text.empty()) {
-            text += ':';
-        }
-        text += std::to_string(rig);
-    }
-    return text;
-}
-
-std::vector<std::string_view> tokenize(std::string_view payload) {
-    std::vector<std::string_view> tokens;
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-        const std::size_t space = payload.find(' ', pos);
-        const std::size_t end =
-            space == std::string_view::npos ? payload.size() : space;
-        if (end > pos) {
-            tokens.push_back(payload.substr(pos, end - pos));
-        }
-        pos = end + 1;
-    }
-    return tokens;
-}
-
-bool parse_rigs(std::string_view text, std::vector<std::uint32_t>& rigs) {
-    rigs.clear();
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t colon = text.find(':', pos);
-        const std::size_t end =
-            colon == std::string_view::npos ? text.size() : colon;
-        std::uint32_t rig = 0;
-        if (!parse_integer(text.substr(pos, end - pos), rig)) {
-            return false;
-        }
-        rigs.push_back(rig);
-        if (colon == std::string_view::npos) {
-            return true;
-        }
-        pos = colon + 1;
-    }
-    return false;
-}
-
 } // namespace
 
 bool parse_probe_line(std::string_view payload, cohort_key& key,
                       std::int64_t& sweep_mv, std::uint64_t& content,
                       probe_result& result, probe_ledger& ledger) {
-    std::vector<std::string_view> tokens;
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-        const std::size_t space = payload.find(' ', pos);
-        const std::size_t end =
-            space == std::string_view::npos ? payload.size() : space;
-        if (end > pos) {
-            tokens.push_back(payload.substr(pos, end - pos));
-        }
-        pos = end + 1;
-    }
+    const std::vector<std::string_view> tokens = split_fields(payload);
     if (tokens.empty() || tokens.front() != "probe") {
         return false;
     }
@@ -263,23 +132,23 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
     if (!(field_value(tokens, "corner", value) &&
           corner_from_string(value, key.corner) &&
           field_value(tokens, "class", value) &&
-          parse_integer(value, key.workload_class) &&
+          parse_int(value, key.workload_class) &&
           field_value(tokens, "op", value) &&
-          parse_integer(value, key.operating_point) &&
+          parse_int(value, key.operating_point) &&
           field_value(tokens, "variant", value) &&
-          parse_integer(value, key.variant) &&
+          parse_int(value, key.variant) &&
           field_value(tokens, "sweep", value) &&
-          parse_integer(value, sweep_mv) &&
+          parse_int(value, sweep_mv) &&
           field_value(tokens, "content", value) &&
-          parse_integer(value, content, 16) &&
+          parse_int(value, content, 16) &&
           field_value(tokens, "req", value) &&
-          parse_real(value, result.requirement_mv) &&
+          parse_double(value, result.requirement_mv) &&
           field_value(tokens, "pnom", value) &&
-          parse_real(value, result.power_nominal_w) &&
+          parse_double(value, result.power_nominal_w) &&
           field_value(tokens, "ppt", value) &&
-          parse_real(value, result.power_point_w) &&
+          parse_double(value, result.power_point_w) &&
           field_value(tokens, "bucket", value) &&
-          parse_integer(value, result.bucket))) {
+          parse_int(value, result.bucket))) {
         return false;
     }
     // The ledger fields are optional on the wire (pre-ledger journals
@@ -289,7 +158,7 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
                                   std::uint64_t& out) {
         std::string_view text;
         return !field_value(tokens, field, text) ||
-               parse_integer(text, out);
+               parse_int(text, out);
     };
     std::string_view down_text;
     return optional_u64("retries", ledger.retries) &&
@@ -298,7 +167,7 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
            optional_u64("pwr", ledger.power_switch_failures) &&
            optional_u64("xhst", ledger.exhausted_rounds) &&
            (!field_value(tokens, "down", down_text) ||
-            parse_real(down_text, ledger.downtime_s));
+            parse_double(down_text, ledger.downtime_s));
 }
 
 bool parse_probe_line(std::string_view payload, cohort_key& key,
@@ -344,11 +213,15 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
     reputation.blacklist_threshold =
         std::max<std::uint64_t>(1, config_.integrity.blacklist_threshold);
     reputation_ = rig_reputation(reputation);
-    if (!config_.state_path.empty()) {
-        // A crash between the snapshot temp write and its rename leaves a
-        // stale `.tmp` sibling; it is dead bytes, never to be renamed.
-        std::error_code ec;
-        std::filesystem::remove(config_.state_path + ".tmp", ec);
+    // A crash between a publish_atomic temp write and its rename (state,
+    // timeline, or a repair rewrite of the journal) leaves a stale `.tmp`
+    // sibling: dead bytes, never to be renamed.
+    for (const std::string& path : {config_.state_path, config_.timeline_path,
+                                    config_.journal_path}) {
+        if (!path.empty()) {
+            std::error_code ec;
+            std::filesystem::remove(path + ".tmp", ec);
+        }
     }
     if (config_.timeline != nullptr) {
         // The engine exists even rule-free so the timeline artifact's
@@ -356,15 +229,7 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
         // warm so replayed `alert` records restore its firing state.
         alerts_ = std::make_unique<alert_engine>(config_.alerts);
     }
-    if (!config_.timeline_path.empty()) {
-        std::error_code ec;
-        std::filesystem::remove(config_.timeline_path + ".tmp", ec);
-    }
     if (!config_.journal_path.empty()) {
-        // A crash between a repair rewrite's temp and its rename leaves a
-        // stale `.tmp` sibling -- dead bytes, never to be renamed.
-        std::error_code ec;
-        std::filesystem::remove(config_.journal_path + ".tmp", ec);
         warm_cache_from_journal();
         journal_ = std::make_unique<campaign_journal>(config_.journal_path);
         if (config_.chaos != nullptr) {
@@ -447,14 +312,11 @@ std::uint64_t fleet_service::degraded_cohorts() const {
 }
 
 void fleet_service::warm_cache_from_journal() {
-    std::ifstream in(config_.journal_path, std::ios::binary);
-    if (!in.is_open()) {
+    const std::optional<std::string> read = read_file(config_.journal_path);
+    if (!read) {
         return; // first boot: nothing to restore
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string bytes = buffer.str();
-    in.close();
+    const std::string& bytes = *read;
 
     const auto reject = [this](std::size_t lineno,
                                const std::string& reason) {
@@ -519,11 +381,11 @@ void fleet_service::warm_cache_from_journal() {
             0, first_space == std::string_view::npos ? payload.size()
                                                      : first_space);
         if (kind == "tline" || kind == "alert" || kind == "tseal") {
-            const std::vector<std::string_view> tokens = tokenize(payload);
+            const std::vector<std::string_view> tokens = split_fields(payload);
             std::string_view value;
             std::uint64_t record_epoch = 0;
             if (!field_value(tokens, "epoch", value) ||
-                !parse_integer(value, record_epoch)) {
+                !parse_int(value, record_epoch)) {
                 reject(lineno, "unparseable observatory record");
             }
             if (sealed_epochs_.contains(record_epoch)) {
@@ -535,9 +397,9 @@ void fleet_service::warm_cache_from_journal() {
                 double sample = 0.0;
                 if (!field_value(tokens, "series", series) ||
                     series.empty() || !field_value(tokens, "tick", value) ||
-                    !parse_integer(value, tick) ||
+                    !parse_int(value, tick) ||
                     !field_value(tokens, "value", value) ||
-                    !parse_real(value, sample)) {
+                    !parse_double(value, sample)) {
                     reject(lineno, "unparseable timeline record");
                 }
                 ++warm_tline_counts_[record_epoch];
@@ -556,9 +418,9 @@ void fleet_service::warm_cache_from_journal() {
                     !field_value(tokens, "state", state) ||
                     (state != "firing" && state != "resolved") ||
                     !field_value(tokens, "tick", value) ||
-                    !parse_integer(value, event.tick) ||
+                    !parse_int(value, event.tick) ||
                     !field_value(tokens, "value", value) ||
-                    !parse_real(value, event.value)) {
+                    !parse_double(value, event.value)) {
                     reject(lineno, "unparseable alert record");
                 }
                 event.rule = std::string(rule);
@@ -575,9 +437,9 @@ void fleet_service::warm_cache_from_journal() {
                 std::uint64_t sealed_samples = 0;
                 std::uint64_t sealed_events = 0;
                 if (!field_value(tokens, "samples", value) ||
-                    !parse_integer(value, sealed_samples) ||
+                    !parse_int(value, sealed_samples) ||
                     !field_value(tokens, "events", value) ||
-                    !parse_integer(value, sealed_events)) {
+                    !parse_int(value, sealed_events)) {
                     reject(lineno, "unparseable epoch seal");
                 }
                 if (sealed_samples != warm_tline_counts_[record_epoch] ||
@@ -611,8 +473,7 @@ void fleet_service::warm_cache_from_journal() {
             }
             const std::string_view base = payload.substr(0, chain_at);
             std::uint64_t recorded = 0;
-            if (!parse_integer(payload.substr(chain_at + 7), recorded,
-                               16)) {
+            if (!parse_int(payload.substr(chain_at + 7), recorded, 16)) {
                 reject(lineno, "unparseable chain hash");
             }
             const std::uint64_t expected = chain_next(chain_, base);
@@ -633,10 +494,10 @@ void fleet_service::warm_cache_from_journal() {
         }
         std::vector<std::uint32_t> rigs;
         if (config_.integrity.enabled()) {
-            const std::vector<std::string_view> tokens = tokenize(payload);
+            const std::vector<std::string_view> tokens = split_fields(payload);
             std::string_view rigs_text;
             if (field_value(tokens, "rigs", rigs_text) &&
-                !parse_rigs(rigs_text, rigs)) {
+                !parse_list(rigs_text, ':', rigs)) {
                 reject(lineno, "unparseable rigs provenance");
             }
         }
@@ -691,9 +552,9 @@ void fleet_service::append_probe_line(const cohort_key& key,
     if (rigs != nullptr) {
         // Defended wire: vouching rigs, then the chain link LAST so it
         // covers everything before it (including the provenance).
-        line += " rigs=" + format_rigs(*rigs);
+        line += " rigs=" + format_list(*rigs, ':');
         chain_ = chain_next(chain_, line);
-        line += " chain=" + format_chain(chain_);
+        line += " chain=" + format_hex(chain_);
     }
     journal_->append(journal_serial_++, line);
     if (config_.integrity.enabled()) {
@@ -952,27 +813,16 @@ void fleet_service::rewrite_journal() {
             line = format_probe_payload(entry.key, entry.sweep_mv,
                                         entry.content, entry.result,
                                         entry.ledger);
-            line += " rigs=" + format_rigs(entry.rigs);
+            line += " rigs=" + format_list(entry.rigs, ':');
             chain = chain_next(chain, line);
-            line += " chain=" + format_chain(chain);
+            line += " chain=" + format_hex(chain);
         } else {
             line = ref.payload;
         }
         bytes += "task=" + std::to_string(serial++) + " " + line + "\n";
     }
     GB_ENSURES(probe_cursor == journal_entries_.size());
-    const std::string temp = config_.journal_path + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            return;
-        }
-        out << bytes;
-        if (!out.flush()) {
-            return;
-        }
-    }
-    if (std::rename(temp.c_str(), config_.journal_path.c_str()) != 0) {
+    if (!publish_atomic(config_.journal_path, bytes)) {
         return; // keep appending to the old (still-linked) journal
     }
     chain_ = chain;
@@ -1618,7 +1468,8 @@ std::string fleet_service::state_snapshot() const {
               << ",\"rules\":" << alerts_->rules().size() << ",\"firing\":[";
         bool first_label = true;
         for (const std::string& label : alerts_->firing()) {
-            fleet << (first_label ? "" : ",") << '"' << label << '"';
+            fleet << (first_label ? "" : ",") << '"' << json_escape(label)
+                  << '"';
             first_label = false;
         }
         fleet << "],\"events\":" << alerts_->events().size() << '}';
@@ -1633,8 +1484,8 @@ bool fleet_service::publish_state() const {
     if (config_.state_path.empty()) {
         return false;
     }
-    return publish_bytes(config_.state_path, state_snapshot(),
-                         config_.chaos);
+    return publish_atomic(config_.state_path, state_snapshot(),
+                          config_.chaos);
 }
 
 std::string fleet_service::timeline_snapshot() const {
@@ -1650,8 +1501,8 @@ bool fleet_service::publish_timeline() const {
     if (config_.timeline == nullptr || config_.timeline_path.empty()) {
         return false;
     }
-    return publish_bytes(config_.timeline_path, timeline_snapshot(),
-                         config_.chaos);
+    return publish_atomic(config_.timeline_path, timeline_snapshot(),
+                          config_.chaos);
 }
 
 operating_point_supervisor& fleet_service::supervisor_for(

@@ -1,6 +1,5 @@
 #include "harness/chaos/chaos.hpp"
 
-#include <charconv>
 #include <unistd.h>
 
 #include "harness/execution_engine.hpp"
@@ -51,8 +50,7 @@ chaos_crash::chaos_crash(chaos_site site)
       site_(site) {}
 
 chaos_plan::chaos_plan(chaos_plan_config config)
-    : config_(std::move(config)),
-      fired_flags_(config_.triggers.size(), false) {
+    : config_(std::move(config)), latch_(config_.triggers.size()) {
     for (const chaos_trigger& trigger : config_.triggers) {
         GB_EXPECTS(trigger.at >= 1);
     }
@@ -73,113 +71,59 @@ std::uint64_t chaos_plan::derive_keep(std::uint64_t hit, std::uint64_t size,
     return draw % size;
 }
 
+std::optional<chaos_trigger> chaos_plan::fire(chaos_site site,
+                                              std::uint64_t written,
+                                              std::uint64_t size) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::uint64_t hit = ++hits_[site_index(site)];
+    const auto fired = latch_.fire([&](std::size_t t) {
+        const chaos_trigger& trigger = config_.triggers[t];
+        if (trigger.site != site) {
+            return false;
+        }
+        return site == chaos_site::journal_append
+                   ? written < trigger.at && written + size >= trigger.at
+                   : hit == trigger.at;
+    });
+    if (!fired) {
+        return std::nullopt;
+    }
+    return config_.triggers[*fired];
+}
+
+std::optional<chaos_tear> chaos_plan::tear(chaos_site site,
+                                           std::uint64_t written,
+                                           std::uint64_t size) {
+    const std::optional<chaos_trigger> trigger = fire(site, written, size);
+    if (!trigger) {
+        return std::nullopt;
+    }
+    return chaos_tear{site, derive_keep(trigger->at, size, trigger->keep)};
+}
+
 std::optional<chaos_tear> chaos_plan::on_journal_append(std::uint64_t written,
                                                         std::uint64_t size) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++hits_[site_index(chaos_site::journal_append)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (fired_flags_[t] ||
-            trigger.site != chaos_site::journal_append) {
-            continue;
-        }
-        // Fire on the append whose bytes carry the cumulative count past
-        // the trigger's byte threshold.
-        if (written >= trigger.at || written + size < trigger.at) {
-            continue;
-        }
-        fired_flags_[t] = true;
-        ++fired_count_;
-        return chaos_tear{chaos_site::journal_append,
-                          derive_keep(trigger.at, size, trigger.keep)};
-    }
-    return std::nullopt;
+    return tear(chaos_site::journal_append, written, size);
 }
 
 std::optional<chaos_tear> chaos_plan::on_snapshot_temp(std::uint64_t size) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::snapshot_temp)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (fired_flags_[t] || trigger.site != chaos_site::snapshot_temp ||
-            hit != trigger.at) {
-            continue;
-        }
-        fired_flags_[t] = true;
-        ++fired_count_;
-        return chaos_tear{chaos_site::snapshot_temp,
-                          derive_keep(hit, size, trigger.keep)};
-    }
-    return std::nullopt;
+    return tear(chaos_site::snapshot_temp, 0, size);
 }
 
 bool chaos_plan::on_snapshot_rename() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::snapshot_rename)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (!fired_flags_[t] &&
-            trigger.site == chaos_site::snapshot_rename &&
-            hit == trigger.at) {
-            fired_flags_[t] = true;
-            ++fired_count_;
-            return true;
-        }
-    }
-    return false;
+    return fire(chaos_site::snapshot_rename).has_value();
 }
 
 bool chaos_plan::on_control_command() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::control_command)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (!fired_flags_[t] &&
-            trigger.site == chaos_site::control_command &&
-            hit == trigger.at) {
-            fired_flags_[t] = true;
-            ++fired_count_;
-            return true;
-        }
-    }
-    return false;
+    return fire(chaos_site::control_command).has_value();
 }
 
 bool chaos_plan::on_cache_warm_line() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit = ++hits_[site_index(chaos_site::cache_warm)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (!fired_flags_[t] && trigger.site == chaos_site::cache_warm &&
-            hit == trigger.at) {
-            fired_flags_[t] = true;
-            ++fired_count_;
-            return true;
-        }
-    }
-    return false;
+    return fire(chaos_site::cache_warm).has_value();
 }
 
 std::optional<chaos_tear> chaos_plan::on_timeline_append(std::uint64_t size) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::timeline_append)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (fired_flags_[t] ||
-            trigger.site != chaos_site::timeline_append ||
-            hit != trigger.at) {
-            continue;
-        }
-        fired_flags_[t] = true;
-        ++fired_count_;
-        return chaos_tear{chaos_site::timeline_append,
-                          derive_keep(hit, size, trigger.keep)};
-    }
-    return std::nullopt;
+    return tear(chaos_site::timeline_append, 0, size);
 }
 
 void chaos_plan::kill(chaos_site site) const {
@@ -193,71 +137,23 @@ void chaos_plan::kill(chaos_site site) const {
 
 std::uint64_t chaos_plan::fired() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return fired_count_;
+    return latch_.count();
 }
 
 bool parse_chaos_spec(std::string_view spec, chaos_plan_config& config,
                       std::string& error) {
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::size_t end =
-            comma == std::string_view::npos ? spec.size() : comma;
-        const std::string_view token = spec.substr(pos, end - pos);
-        pos = end + 1;
-        if (token.empty()) {
-            if (comma == std::string_view::npos) {
-                break;
-            }
-            error = "empty chaos trigger in spec '" + std::string(spec) +
-                    "'";
-            return false;
-        }
-        const std::size_t at_sep = token.find('@');
-        if (at_sep == std::string_view::npos || at_sep == 0) {
-            error = "chaos trigger '" + std::string(token) +
-                    "' wants site@at[/keep]";
-            return false;
-        }
-        chaos_trigger trigger;
-        if (!chaos_site_from_string(token.substr(0, at_sep),
-                                    trigger.site)) {
-            error = "chaos trigger '" + std::string(token) +
-                    "': unknown chaos site '" +
-                    std::string(token.substr(0, at_sep)) + "'";
-            return false;
-        }
-        std::string_view numbers = token.substr(at_sep + 1);
-        std::string_view keep_text;
-        const std::size_t slash = numbers.find('/');
-        if (slash != std::string_view::npos) {
-            keep_text = numbers.substr(slash + 1);
-            numbers = numbers.substr(0, slash);
-        }
-        const auto parse_u64 = [](std::string_view text,
-                                  std::uint64_t& out) {
-            const auto [ptr, ec] = std::from_chars(
-                text.data(), text.data() + text.size(), out);
-            return ec == std::errc{} &&
-                   ptr == text.data() + text.size();
-        };
-        if (!parse_u64(numbers, trigger.at) || trigger.at == 0) {
-            error = "chaos trigger '" + std::string(token) +
-                    "' wants a positive integer after '@'";
-            return false;
-        }
-        if (!keep_text.empty() &&
-            !parse_u64(keep_text, trigger.keep)) {
-            error = "chaos trigger '" + std::string(token) +
-                    "' wants an integer torn length after '/'";
-            return false;
-        }
-        config.triggers.push_back(trigger);
-        if (comma == std::string_view::npos) {
-            break;
-        }
-    }
-    return true;
+    chaos_trigger trigger;
+    return parse_trigger_spec(
+        spec, {"chaos", "keep", "an integer torn length"},
+        [&](std::string_view site) {
+            return chaos_site_from_string(site, trigger.site);
+        },
+        [&](const trigger_token& token) {
+            trigger.at = token.at;
+            trigger.keep = token.param.value_or(chaos_trigger::keep_auto);
+            config.triggers.push_back(trigger);
+        },
+        error);
 }
 
 double replan_backoff_s(double base_s, int round) {

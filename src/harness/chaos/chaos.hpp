@@ -42,6 +42,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/wire.hpp"
+
 namespace gb {
 
 /// A named persistence seam a kill-point can arm.
@@ -139,15 +141,24 @@ public:
     [[nodiscard]] const chaos_plan_config& config() const { return config_; }
 
 private:
+    /// Count a hit of `site` and fire its first unfired matching trigger:
+    /// `journal_append` on the append of `size` bytes on top of `written`
+    /// that reaches the byte threshold, every other site on its `at`-th
+    /// hit.
+    std::optional<chaos_trigger> fire(chaos_site site,
+                                      std::uint64_t written = 0,
+                                      std::uint64_t size = 0);
+    /// `fire`, then the torn length of the `size`-byte payload.
+    std::optional<chaos_tear> tear(chaos_site site, std::uint64_t written,
+                                   std::uint64_t size);
     [[nodiscard]] std::uint64_t derive_keep(std::uint64_t hit,
                                             std::uint64_t size,
                                             std::uint64_t keep) const;
 
     chaos_plan_config config_;
     mutable std::mutex mutex_;
-    std::vector<bool> fired_flags_;
+    trigger_latch latch_;
     std::uint64_t hits_[6] = {0, 0, 0, 0, 0, 0}; ///< per-site seam hits
-    std::uint64_t fired_count_ = 0;
 };
 
 /// Parse a CLI chaos spec: comma-separated `site@at[/keep]` triggers,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -20,6 +19,7 @@
 #include "util/contracts.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -138,10 +138,7 @@ int resolve_worker_count(int requested) {
         if (const char* env = std::getenv("GB_JOBS")) {
             const std::string_view text(env);
             int parsed = 0;
-            const auto [ptr, ec] = std::from_chars(
-                text.data(), text.data() + text.size(), parsed);
-            if (ec == std::errc{} && ptr == text.data() + text.size() &&
-                parsed > 0) {
+            if (parse_int(text, parsed) && parsed > 0) {
                 requested = parsed;
             } else {
                 log_warn("ignoring GB_JOBS='", text,

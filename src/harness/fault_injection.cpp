@@ -1,7 +1,6 @@
 #include "harness/fault_injection.hpp"
 
 #include <bit>
-#include <charconv>
 #include <cmath>
 
 #include "harness/execution_engine.hpp"
@@ -156,8 +155,7 @@ bool sdc_site_from_string(std::string_view text, sdc_site& site) {
 }
 
 sdc_plan::sdc_plan(sdc_plan_config config)
-    : config_(std::move(config)),
-      fired_flags_(config_.triggers.size(), false) {
+    : config_(std::move(config)), latch_(config_.triggers.size()) {
     for (const sdc_trigger& trigger : config_.triggers) {
         GB_EXPECTS(trigger.at >= 1);
     }
@@ -166,25 +164,22 @@ sdc_plan::sdc_plan(sdc_plan_config config)
 std::optional<sdc_corruption> sdc_plan::on_execution() {
     std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t hit = ++opportunities_;
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const sdc_trigger& trigger = config_.triggers[t];
-        if (fired_flags_[t] || hit != trigger.at) {
-            continue;
-        }
-        fired_flags_[t] = true;
-        ++injected_;
-        std::uint64_t param = trigger.param;
-        if (param == sdc_trigger::param_auto) {
-            param = derive_task_seed(config_.seed ^ sdc_domain, hit);
-        }
-        return sdc_corruption{trigger.site, param};
+    const auto fired = latch_.fire(
+        [&](std::size_t t) { return config_.triggers[t].at == hit; });
+    if (!fired) {
+        return std::nullopt;
     }
-    return std::nullopt;
+    const sdc_trigger& trigger = config_.triggers[*fired];
+    std::uint64_t param = trigger.param;
+    if (param == sdc_trigger::param_auto) {
+        param = derive_task_seed(config_.seed ^ sdc_domain, hit);
+    }
+    return sdc_corruption{trigger.site, param};
 }
 
 std::uint64_t sdc_plan::injected() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return injected_;
+    return latch_.count();
 }
 
 double sdc_plan::corrupt_vmin(double value_mv, std::uint64_t param) {
@@ -212,63 +207,18 @@ double sdc_plan::corrupt_power(double watts, std::uint64_t param) {
 
 bool parse_sdc_spec(std::string_view spec, sdc_plan_config& config,
                     std::string& error) {
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::size_t end =
-            comma == std::string_view::npos ? spec.size() : comma;
-        const std::string_view token = spec.substr(pos, end - pos);
-        pos = end + 1;
-        if (token.empty()) {
-            if (comma == std::string_view::npos) {
-                break;
-            }
-            error = "empty sdc trigger in spec '" + std::string(spec) + "'";
-            return false;
-        }
-        const std::size_t at_sep = token.find('@');
-        if (at_sep == std::string_view::npos || at_sep == 0) {
-            error = "sdc trigger '" + std::string(token) +
-                    "' wants site@at[/param]";
-            return false;
-        }
-        sdc_trigger trigger;
-        if (!sdc_site_from_string(token.substr(0, at_sep), trigger.site)) {
-            error = "sdc trigger '" + std::string(token) +
-                    "': unknown sdc site '" +
-                    std::string(token.substr(0, at_sep)) + "'";
-            return false;
-        }
-        std::string_view numbers = token.substr(at_sep + 1);
-        std::string_view param_text;
-        const std::size_t slash = numbers.find('/');
-        if (slash != std::string_view::npos) {
-            param_text = numbers.substr(slash + 1);
-            numbers = numbers.substr(0, slash);
-        }
-        const auto parse_u64 = [](std::string_view text,
-                                  std::uint64_t& out) {
-            const auto [ptr, ec] = std::from_chars(
-                text.data(), text.data() + text.size(), out);
-            return ec == std::errc{} && ptr == text.data() + text.size();
-        };
-        if (!parse_u64(numbers, trigger.at) || trigger.at == 0) {
-            error = "sdc trigger '" + std::string(token) +
-                    "' wants a positive integer after '@'";
-            return false;
-        }
-        if (!param_text.empty() &&
-            !parse_u64(param_text, trigger.param)) {
-            error = "sdc trigger '" + std::string(token) +
-                    "' wants an integer parameter after '/'";
-            return false;
-        }
-        config.triggers.push_back(trigger);
-        if (comma == std::string_view::npos) {
-            break;
-        }
-    }
-    return true;
+    sdc_trigger trigger;
+    return parse_trigger_spec(
+        spec, {"sdc", "param", "an integer parameter"},
+        [&](std::string_view site) {
+            return sdc_site_from_string(site, trigger.site);
+        },
+        [&](const trigger_token& token) {
+            trigger.at = token.at;
+            trigger.param = token.param.value_or(sdc_trigger::param_auto);
+            config.triggers.push_back(trigger);
+        },
+        error);
 }
 
 } // namespace gb

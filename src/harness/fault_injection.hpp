@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "util/units.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -194,9 +195,8 @@ public:
 private:
     sdc_plan_config config_;
     mutable std::mutex mutex_;
-    std::vector<bool> fired_flags_;
+    trigger_latch latch_;
     std::uint64_t opportunities_ = 0;
-    std::uint64_t injected_ = 0;
 };
 
 /// Parse a CLI SDC spec: comma-separated `site@at[/param]` triggers, e.g.

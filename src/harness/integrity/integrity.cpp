@@ -1,7 +1,5 @@
 #include "harness/integrity/integrity.hpp"
 
-#include <cstdio>
-
 #include "harness/execution_engine.hpp"
 #include "util/contracts.hpp"
 
@@ -9,35 +7,14 @@ namespace gb {
 
 namespace {
 
-constexpr std::uint64_t fnv_prime = 1099511628211ULL;
-
 // Domain separator so rig assignment never aliases the fault, chaos or
 // task-seed streams derived from the same campaign seed.
 constexpr std::uint64_t rig_domain = 0x7269672d61736e74ULL;
 
-std::uint64_t fnv1a_byte(std::uint64_t hash, unsigned char byte) {
-    return (hash ^ byte) * fnv_prime;
-}
-
 } // namespace
 
 std::uint64_t chain_next(std::uint64_t prev, std::string_view payload) {
-    std::uint64_t hash = chain_basis;
-    for (int shift = 0; shift < 64; shift += 8) {
-        hash = fnv1a_byte(hash,
-                          static_cast<unsigned char>(prev >> shift));
-    }
-    for (const char c : payload) {
-        hash = fnv1a_byte(hash, static_cast<unsigned char>(c));
-    }
-    return hash;
-}
-
-std::string format_chain(std::uint64_t chain) {
-    char buffer[17];
-    std::snprintf(buffer, sizeof buffer, "%016llx",
-                  static_cast<unsigned long long>(chain));
-    return std::string(buffer);
+    return fnv1a_bytes(fnv1a_word(chain_basis, prev), payload);
 }
 
 std::uint64_t rig_for(std::uint64_t seed, std::uint64_t content,

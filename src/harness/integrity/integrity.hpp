@@ -33,22 +33,20 @@
 #include <string_view>
 #include <vector>
 
+#include "util/wire.hpp"
+
 namespace gb {
 
 // --- hash chain ------------------------------------------------------------
 
 /// FNV-1a offset basis; the chain value of the empty journal.
-inline constexpr std::uint64_t chain_basis = 14695981039346656037ULL;
+inline constexpr std::uint64_t chain_basis = fnv1a_basis;
 
 /// Chain value after appending `payload`: FNV-1a over the previous chain
 /// value's 8 little-endian bytes followed by the payload bytes.  An
 /// in-place corruption of any earlier record changes every later link.
 [[nodiscard]] std::uint64_t chain_next(std::uint64_t prev,
                                        std::string_view payload);
-
-/// The chain value as it appears on the journal wire: 16 lowercase hex
-/// digits, zero padded.
-[[nodiscard]] std::string format_chain(std::uint64_t chain);
 
 // --- rig model -------------------------------------------------------------
 

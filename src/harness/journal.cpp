@@ -1,6 +1,5 @@
 #include "harness/journal.hpp"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
 
@@ -8,12 +7,42 @@
 #include "harness/fault_injection.hpp"
 #include "harness/logfile.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
 namespace {
 
 constexpr std::string_view task_prefix = "task=";
+
+template <typename Replay>
+Replay replay_journal(std::istream& in) {
+    Replay replay;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (in.eof()) {
+            // The line had no trailing newline: a live writer may still be
+            // mid-append, so the bytes are a partial record, not
+            // corruption.  Never parse them (a prefix of a record can
+            // itself look like a record).
+            replay.truncated_tail = !line.empty();
+            break;
+        }
+        if (line.empty()) {
+            continue;
+        }
+        std::size_t index = 0;
+        std::string_view payload;
+        typename decltype(replay.completed)::mapped_type record;
+        if (parse_journal_prefix(line, index, payload) &&
+            parse_log_line(payload, record)) {
+            replay.completed[index] = std::move(record);
+        } else {
+            ++replay.skipped;
+        }
+    }
+    return replay;
+}
 
 } // namespace
 
@@ -90,70 +119,19 @@ bool parse_journal_prefix(std::string_view line, std::size_t& task_index,
     if (space == std::string_view::npos || space == 0) {
         return false;
     }
-    const std::string_view index_token = rest.substr(0, space);
-    std::size_t parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(index_token.data(),
-                        index_token.data() + index_token.size(), parsed);
-    if (ec != std::errc{} ||
-        ptr != index_token.data() + index_token.size()) {
+    if (!parse_int(rest.substr(0, space), task_index)) {
         return false;
     }
-    task_index = parsed;
     payload = rest.substr(space + 1);
     return true;
 }
 
 cpu_journal_replay replay_cpu_journal(std::istream& in) {
-    cpu_journal_replay replay;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof()) {
-            // The line had no trailing newline: a live writer may still be
-            // mid-append, so the bytes are a partial record, not
-            // corruption.  Never parse them (a prefix of a record can
-            // itself look like a record).
-            replay.truncated_tail = !line.empty();
-            break;
-        }
-        if (line.empty()) {
-            continue;
-        }
-        std::size_t index = 0;
-        std::string_view payload;
-        run_record record;
-        if (parse_journal_prefix(line, index, payload) &&
-            parse_log_line(payload, record)) {
-            replay.completed[index] = std::move(record);
-        } else {
-            ++replay.skipped;
-        }
-    }
-    return replay;
+    return replay_journal<cpu_journal_replay>(in);
 }
 
 dram_journal_replay replay_dram_journal(std::istream& in) {
-    dram_journal_replay replay;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof()) {
-            replay.truncated_tail = !line.empty();
-            break;
-        }
-        if (line.empty()) {
-            continue;
-        }
-        std::size_t index = 0;
-        std::string_view payload;
-        dram_run_record record;
-        if (parse_journal_prefix(line, index, payload) &&
-            parse_log_line(payload, record)) {
-            replay.completed[index] = std::move(record);
-        } else {
-            ++replay.skipped;
-        }
-    }
-    return replay;
+    return replay_journal<dram_journal_replay>(in);
 }
 
 } // namespace gb

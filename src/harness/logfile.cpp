@@ -1,12 +1,10 @@
 #include "harness/logfile.hpp"
 
-#include <array>
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
-#include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -14,17 +12,6 @@ namespace {
 
 constexpr std::string_view record_prefix = "run=";
 constexpr std::string_view dram_prefix = "dram=";
-
-/// Shortest round-trip decimal form: parsing the result with from_chars
-/// yields the exact same double, which is what makes journal resume
-/// bit-identical to an uninterrupted run.
-std::string format_double(double value) {
-    std::array<char, 32> buffer{};
-    const auto [ptr, ec] =
-        std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-    GB_ASSERT(ec == std::errc{});
-    return std::string(buffer.data(), ptr);
-}
 
 std::string_view outcome_token(run_outcome outcome) {
     return to_string(outcome);
@@ -66,71 +53,44 @@ bool parse_pattern(std::string_view token, data_pattern& pattern) {
     return false;
 }
 
-bool parse_double(std::string_view token, double& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    // from_chars accepts "inf"/"nan" spellings; a corrupted journal line
-    // must not smuggle a non-finite quantity into a record.
-    return ec == std::errc{} && ptr == end && std::isfinite(value);
-}
-
-bool parse_int(std::string_view token, int& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    return ec == std::errc{} && ptr == end;
-}
-
-bool parse_u64(std::string_view token, std::uint64_t& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    return ec == std::errc{} && ptr == end;
-}
-
-bool parse_i64(std::string_view token, std::int64_t& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    return ec == std::errc{} && ptr == end;
-}
-
-/// Split "key=value" around the first '='.
-bool split_kv(std::string_view field, std::string_view& key,
-              std::string_view& value) {
-    const std::size_t eq = field.find('=');
-    if (eq == std::string_view::npos) {
-        return false;
-    }
-    key = field.substr(0, eq);
-    value = field.substr(eq + 1);
-    return true;
-}
-
 /// Iterate a line's space-separated fields; stops (returning false) on the
 /// first field that fails `consume`.
 template <typename Fn>
 bool for_each_field(std::string_view line, Fn&& consume) {
-    std::size_t position = 0;
-    while (position < line.size()) {
-        std::size_t space = line.find(' ', position);
-        if (space == std::string_view::npos) {
-            space = line.size();
-        }
-        const std::string_view field =
-            line.substr(position, space - position);
-        position = space + 1;
-        if (field.empty()) {
-            continue;
-        }
-        std::string_view key;
-        std::string_view value;
-        if (!split_kv(field, key, value) || !consume(key, value)) {
+    for (const std::string_view field : split_fields(line)) {
+        const std::size_t eq = field.find('=');
+        if (eq == std::string_view::npos ||
+            !consume(field.substr(0, eq), field.substr(eq + 1))) {
             return false;
         }
     }
     return true;
+}
+
+template <typename Result>
+void write_records(std::ostream& out, const Result& result) {
+    for (const auto& record : result.records) {
+        out << to_log_line(record) << '\n';
+    }
+}
+
+template <typename Record>
+std::vector<Record> parse_records(std::istream& in, std::size_t* skipped) {
+    std::vector<Record> records;
+    std::size_t skipped_lines = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        Record record;
+        if (parse_log_line(line, record)) {
+            records.push_back(std::move(record));
+        } else if (!line.empty()) {
+            ++skipped_lines;
+        }
+    }
+    if (skipped != nullptr) {
+        *skipped = skipped_lines;
+    }
+    return records;
 }
 
 } // namespace
@@ -141,10 +101,7 @@ std::string to_log_line(const run_record& record) {
     line += record.benchmark;
     line += " v=" + format_double(record.voltage.value);
     line += " f=" + format_double(record.frequency.value);
-    line += " cores=";
-    for (std::size_t i = 0; i < record.cores.size(); ++i) {
-        line += (i > 0 ? "+" : "") + std::to_string(record.cores[i]);
-    }
+    line += " cores=" + format_list(record.cores, '+');
     line += " rep=" + std::to_string(record.repetition);
     line += " outcome=";
     line += outcome_token(record.outcome);
@@ -191,23 +148,12 @@ bool parse_log_line(std::string_view line, run_record& record) {
                 }
                 parsed.frequency = megahertz{f};
             } else if (key == "cores") {
-                std::size_t start = 0;
-                while (start <= value.size()) {
-                    std::size_t plus = value.find('+', start);
-                    if (plus == std::string_view::npos) {
-                        plus = value.size();
-                    }
-                    int core = 0;
-                    if (!parse_int(value.substr(start, plus - start),
-                                   core)) {
-                        return false;
-                    }
-                    parsed.cores.push_back(core);
-                    start = plus + 1;
-                    if (plus == value.size()) {
-                        break;
-                    }
+                std::vector<int> cores;
+                if (!parse_list(value, '+', cores)) {
+                    return false;
                 }
+                parsed.cores.insert(parsed.cores.end(), cores.begin(),
+                                    cores.end());
             } else if (key == "rep") {
                 if (!parse_int(value, parsed.repetition)) {
                     return false;
@@ -267,11 +213,7 @@ std::string to_log_line(const dram_run_record& record) {
     line += " ue=" + std::to_string(record.scan.ue_words);
     line += " sdc=" + std::to_string(record.scan.sdc_words);
     line += " bits=" + std::to_string(record.scan.scanned_bits);
-    line += " banks=";
-    for (std::size_t b = 0; b < record.scan.per_bank_failures.size(); ++b) {
-        line += (b > 0 ? "+" : "") +
-                std::to_string(record.scan.per_bank_failures[b]);
-    }
+    line += " banks=" + format_list(record.scan.per_bank_failures, '+');
     line += " regdev=" + format_double(record.regulation_deviation_c);
     line += " outcome=";
     line += to_string(record.outcome);
@@ -312,53 +254,37 @@ bool parse_log_line(std::string_view line, dram_run_record& record) {
                     return false;
                 }
             } else if (key == "fail") {
-                if (!parse_u64(value, parsed.scan.failed_cells)) {
+                if (!parse_int(value, parsed.scan.failed_cells)) {
                     return false;
                 }
             } else if (key == "words") {
-                if (!parse_u64(value, parsed.scan.affected_words)) {
+                if (!parse_int(value, parsed.scan.affected_words)) {
                     return false;
                 }
             } else if (key == "ce") {
-                if (!parse_u64(value, parsed.scan.ce_words)) {
+                if (!parse_int(value, parsed.scan.ce_words)) {
                     return false;
                 }
             } else if (key == "ue") {
-                if (!parse_u64(value, parsed.scan.ue_words)) {
+                if (!parse_int(value, parsed.scan.ue_words)) {
                     return false;
                 }
             } else if (key == "sdc") {
-                if (!parse_u64(value, parsed.scan.sdc_words)) {
+                if (!parse_int(value, parsed.scan.sdc_words)) {
                     return false;
                 }
             } else if (key == "bits") {
-                if (!parse_i64(value, parsed.scan.scanned_bits)) {
+                if (!parse_int(value, parsed.scan.scanned_bits)) {
                     return false;
                 }
             } else if (key == "banks") {
-                std::size_t start = 0;
-                std::size_t bank = 0;
-                while (start <= value.size()) {
-                    std::size_t plus = value.find('+', start);
-                    if (plus == std::string_view::npos) {
-                        plus = value.size();
-                    }
-                    if (bank >= parsed.scan.per_bank_failures.size()) {
-                        return false;
-                    }
-                    if (!parse_u64(value.substr(start, plus - start),
-                                   parsed.scan.per_bank_failures[bank])) {
-                        return false;
-                    }
-                    ++bank;
-                    start = plus + 1;
-                    if (plus == value.size()) {
-                        break;
-                    }
-                }
-                if (bank != parsed.scan.per_bank_failures.size()) {
+                std::vector<std::uint64_t> banks;
+                if (!parse_list(value, '+', banks) ||
+                    banks.size() != parsed.scan.per_bank_failures.size()) {
                     return false;
                 }
+                std::copy(banks.begin(), banks.end(),
+                          parsed.scan.per_bank_failures.begin());
             } else if (key == "regdev") {
                 if (!parse_double(value,
                                   parsed.regulation_deviation_c)) {
@@ -384,53 +310,21 @@ bool parse_log_line(std::string_view line, dram_run_record& record) {
 }
 
 void write_raw_log(std::ostream& out, const campaign_result& result) {
-    for (const run_record& record : result.records) {
-        out << to_log_line(record) << '\n';
-    }
+    write_records(out, result);
 }
 
 void write_raw_log(std::ostream& out, const dram_campaign_result& result) {
-    for (const dram_run_record& record : result.records) {
-        out << to_log_line(record) << '\n';
-    }
+    write_records(out, result);
 }
 
 std::vector<run_record> parse_raw_log(std::istream& in,
                                       std::size_t* skipped) {
-    std::vector<run_record> records;
-    std::size_t skipped_lines = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        run_record record;
-        if (parse_log_line(line, record)) {
-            records.push_back(std::move(record));
-        } else if (!line.empty()) {
-            ++skipped_lines;
-        }
-    }
-    if (skipped != nullptr) {
-        *skipped = skipped_lines;
-    }
-    return records;
+    return parse_records<run_record>(in, skipped);
 }
 
 std::vector<dram_run_record> parse_dram_raw_log(std::istream& in,
                                                 std::size_t* skipped) {
-    std::vector<dram_run_record> records;
-    std::size_t skipped_lines = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        dram_run_record record;
-        if (parse_log_line(line, record)) {
-            records.push_back(std::move(record));
-        } else if (!line.empty()) {
-            ++skipped_lines;
-        }
-    }
-    if (skipped != nullptr) {
-        *skipped = skipped_lines;
-    }
-    return records;
+    return parse_records<dram_run_record>(in, skipped);
 }
 
 } // namespace gb

@@ -8,9 +8,9 @@
 // `dram=` line per DRAM record, plus tolerant parsers that skip boot noise
 // and truncated lines (the log of a crashing machine is never clean).
 //
-// Doubles are serialized in shortest round-trip form (std::to_chars), so a
-// parsed record is bit-for-bit the record that was written -- the property
-// the crash-safe campaign journal's resume path is built on.
+// Numbers follow the wire kernel (util/wire.hpp), so a parsed record is
+// bit-for-bit the record that was written -- the property the crash-safe
+// campaign journal's resume path is built on.
 #pragma once
 
 #include <iosfwd>

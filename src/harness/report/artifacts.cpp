@@ -1,10 +1,10 @@
 #include "harness/report/artifacts.hpp"
 
 #include <fstream>
-#include <sstream>
 
 #include "harness/logfile.hpp"
 #include "harness/report/json.hpp"
+#include "util/wire.hpp"
 
 namespace gb::report {
 
@@ -22,18 +22,11 @@ std::string tagged(std::string_view what, std::string_view detail) {
 
 std::optional<std::string> read_file(const std::string& path,
                                      std::string& error) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
+    std::optional<std::string> text = gb::read_file(path);
+    if (!text) {
         error = tagged(path, "cannot open file");
-        return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        error = tagged(path, "read failed");
-        return std::nullopt;
-    }
-    return std::move(buffer).str();
+    return text;
 }
 
 // --- trace --------------------------------------------------------------

@@ -1,26 +1,12 @@
 #include "harness/status.hpp"
 
-#include <charconv>
 #include <cstdio>
-#include <system_error>
+#include <fstream>
 
-#include "harness/trace/trace.hpp"
+#include "harness/chaos/chaos.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
-
-namespace {
-
-std::string format_seconds(double value) {
-    char buffer[64];
-    const auto [ptr, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    if (ec != std::errc{}) {
-        return "0";
-    }
-    return std::string(buffer, ptr);
-}
-
-} // namespace
 
 std::string write_status_json(const campaign_status& status) {
     std::string out = "{\"campaign\":\"";
@@ -51,36 +37,50 @@ std::string write_status_json(const campaign_status& status) {
             out += std::to_string(status.worker_task[w]);
         }
         out += "],\"wall_elapsed_s\":";
-        out += format_seconds(status.wall_elapsed_s);
+        out += format_double(status.wall_elapsed_s);
         out += "}";
     }
     out += "}\n";
     return out;
 }
 
-bool publish_status(const std::string& path, const campaign_status& status) {
-    // Write-temp-then-rename: rename(2) is atomic on POSIX, so a reader
-    // polling `path` sees either the previous snapshot or this one, never
-    // a prefix.  One fixed temp name suffices -- a status file has exactly
-    // one writer (the engine publishes under a mutex).
+bool publish_atomic(const std::string& path, std::string_view bytes,
+                    chaos_plan* chaos) {
+    // rename(2) is atomic on POSIX, so a reader polling `path` sees either
+    // the previous file or this one, never a prefix.  One fixed temp name
+    // suffices: every published file has exactly one writer.  The temp is
+    // removed only on an I/O failure -- a chaos kill must leave its torn
+    // temp on disk, like a real crash would.
     const std::string temp = path + ".tmp";
-    const std::string body = write_status_json(status);
-    std::FILE* file = std::fopen(temp.c_str(), "wb");
-    if (file == nullptr) {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    if (!out) {
         return false;
     }
-    const bool written =
-        std::fwrite(body.data(), 1, body.size(), file) == body.size();
-    const bool closed = std::fclose(file) == 0;
-    if (!written || !closed) {
+    if (chaos != nullptr) {
+        if (const auto tear = chaos->on_snapshot_temp(bytes.size())) {
+            out << bytes.substr(0, static_cast<std::size_t>(tear->keep));
+            out.flush();
+            chaos->kill(tear->site);
+        }
+    }
+    out << bytes;
+    out.close();
+    if (!out) {
         std::remove(temp.c_str());
         return false;
+    }
+    if (chaos != nullptr && chaos->on_snapshot_rename()) {
+        chaos->kill(chaos_site::snapshot_rename);
     }
     if (std::rename(temp.c_str(), path.c_str()) != 0) {
         std::remove(temp.c_str());
         return false;
     }
     return true;
+}
+
+bool publish_status(const std::string& path, const campaign_status& status) {
+    return publish_atomic(path, write_status_json(status));
 }
 
 } // namespace gb

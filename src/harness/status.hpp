@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gb {
@@ -39,8 +40,16 @@ struct campaign_status {
 /// fixed; the `live` object appears only when `running` is true.
 [[nodiscard]] std::string write_status_json(const campaign_status& status);
 
-/// Atomically publish a snapshot to `path` via write-temp-then-rename.
-/// Returns false (and leaves any previous snapshot intact) on I/O errors.
+class chaos_plan;
+
+/// Atomically replace `path` with `bytes` via a sibling `path.tmp` and
+/// rename(2).  Returns false (and leaves any previous file intact) on I/O
+/// errors.  With a `chaos` plan, the snapshot_temp and snapshot_rename
+/// kill-points fire here.
+bool publish_atomic(const std::string& path, std::string_view bytes,
+                    chaos_plan* chaos = nullptr);
+
+/// Atomically publish a snapshot to `path` (publish_atomic, no chaos).
 bool publish_status(const std::string& path, const campaign_status& status);
 
 } // namespace gb

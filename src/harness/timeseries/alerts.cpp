@@ -1,11 +1,9 @@
 #include "harness/timeseries/alerts.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <fstream>
-#include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -39,24 +37,6 @@ std::vector<std::string_view> tokenize(std::string_view line) {
         pos = end;
     }
     return tokens;
-}
-
-bool parse_number(std::string_view text, double& out) {
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_window(std::string_view text, std::size_t& out) {
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || ptr != text.data() + text.size() ||
-        value < 2) {
-        return false;
-    }
-    out = static_cast<std::size_t>(value);
-    return true;
 }
 
 /// The signed-threshold convention shared by delta and slope: a
@@ -205,7 +185,7 @@ std::optional<std::vector<alert_rule>> parse_alert_rules(
                                          std::string(op) +
                                          "' (above|below|delta|slope)");
         }
-        if (!parse_number(tokens[4], rule.threshold)) {
+        if (!parse_double(tokens[4], rule.threshold)) {
             return fail(line_number, "threshold '" + std::string(tokens[4]) +
                                          "' is not a number");
         }
@@ -217,7 +197,7 @@ std::optional<std::vector<alert_rule>> parse_alert_rules(
                             std::string(to_string(rule.op)) +
                                 " wants 'window <N>' after the threshold");
             }
-            if (!parse_window(tokens[6], rule.window)) {
+            if (!parse_int(tokens[6], rule.window) || rule.window < 2) {
                 return fail(line_number, "window '" + std::string(tokens[6]) +
                                              "' wants an integer >= 2");
             }
@@ -232,14 +212,12 @@ std::optional<std::vector<alert_rule>> parse_alert_rules(
 
 std::optional<std::vector<alert_rule>> load_alert_rules_file(
     const std::string& path, std::string& error) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
+    const std::optional<std::string> text = read_file(path);
+    if (!text) {
         error = path + ": cannot open file";
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parse_alert_rules(std::move(buffer).str(), path, error);
+    return parse_alert_rules(*text, path, error);
 }
 
 std::vector<alert_match> evaluate_alert_rules(

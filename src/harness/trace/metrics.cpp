@@ -1,26 +1,15 @@
 #include "harness/trace/metrics.hpp"
 
 #include <algorithm>
-#include <array>
-#include <charconv>
 #include <ostream>
 
 #include "harness/trace/trace.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
 namespace {
-
-/// Shortest round-trip double, the same convention the journal wire
-/// format uses: deterministic bytes, exact value.
-std::string format_double(double value) {
-    std::array<char, 32> buffer{};
-    const auto [ptr, ec] =
-        std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-    GB_ENSURES(ec == std::errc{});
-    return std::string(buffer.data(), ptr);
-}
 
 std::uint32_t find_or_append(std::vector<std::string>& names,
                              std::string_view name) {

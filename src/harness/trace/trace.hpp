@@ -34,6 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/wire.hpp" // json_escape, for the JSON emitters
+
 namespace gb {
 
 #ifdef GB_TRACE_DISABLED
@@ -123,8 +125,5 @@ private:
 /// a pure function of the recorded spans -- byte-identical at any worker
 /// count for a deterministic producer.
 void write_chrome_trace(std::ostream& out, const tracer& trace);
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-[[nodiscard]] std::string json_escape(std::string_view text);
 
 } // namespace gb

@@ -1,32 +1,9 @@
 #include "util/cli.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace gb {
-
-std::optional<long long> parse_integer(std::string_view text) {
-    long long parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (ec != std::errc{} || ptr != text.data() + text.size()) {
-        return std::nullopt;
-    }
-    return parsed;
-}
-
-std::optional<double> parse_number(std::string_view text) {
-    double parsed = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (ec != std::errc{} || ptr != text.data() + text.size() ||
-        !std::isfinite(parsed)) {
-        return std::nullopt;
-    }
-    return parsed;
-}
 
 namespace {
 

@@ -3,24 +3,18 @@
 // The examples used to funnel argv through bare std::atoi/atof/atol, which
 // return 0 on garbage and silently truncate trailing junk -- so
 // `uniserver_autopilot 48x` ran zero phases without a word.  These helpers
-// parse with std::from_chars in the same full-consume-plus-range-check style
-// as the GB_JOBS environment parsing in the execution engine, and the
-// positional-argument wrappers exit with a diagnostic instead of running a
-// nonsense experiment.
+// parse with the wire kernel's strict full-match parsers (parse_integer,
+// parse_number) plus a range check, and the positional-argument wrappers
+// exit with a diagnostic instead of running a nonsense experiment.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "util/wire.hpp"
+
 namespace gb {
-
-/// Strict integer parse: the whole string must be a base-10 integer.
-/// Returns nullopt on empty input, trailing junk, or overflow.
-[[nodiscard]] std::optional<long long> parse_integer(std::string_view text);
-
-/// Strict floating-point parse: the whole string must be a finite number.
-[[nodiscard]] std::optional<double> parse_number(std::string_view text);
 
 /// Positional integer argument: argv[index] if present, else `fallback`.
 /// Exits with status 2 and a diagnostic naming `name` when the argument is

@@ -438,6 +438,10 @@ TEST_F(FleetJournalRejectionTest, MidFileGarbageIsRejected) {
                   "not a journal record");
     expect_reject(lines_[0] + "\ntask=1 garbage record\n",
                   "unparseable probe record");
+    // Numbers are finite or the record does not parse: a "nan" would bin
+    // its cohort at the cap and poison the published snapshot.
+    expect_reject(with_field(lines_[0], "req", "nan") + "\n",
+                  ":1: unparseable probe record");
 }
 
 TEST_F(FleetJournalRejectionTest, CohortOrderRegressionIsRejected) {

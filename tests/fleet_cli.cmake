@@ -54,6 +54,13 @@ expect_fail("chaos trigger 'power_cut@1'"
 expect_fail("empty chaos trigger in spec 'journal_append@5,,snapshot_rename@1'"
     serve --state ${state} --chaos journal_append@5,,snapshot_rename@1)
 
+# Real-valued flags are finite: a NaN would bin every node at the cap and
+# write a timeline.json that gbreport rejects.
+expect_fail("--aging wants a number in"
+    serve --state ${state} --aging nan)
+expect_fail("--fault-rate wants a number in"
+    serve --state ${state} --fault-rate nan)
+
 # Usage-level errors around the integrity flags.
 expect_fail("serve requires --state" serve --sdc vmin_flip@1)
 execute_process(

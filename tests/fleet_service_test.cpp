@@ -18,6 +18,7 @@
 #include "fleet/fleet.hpp"
 #include "harness/journal.hpp"
 #include "harness/report/artifacts.hpp"
+#include "harness/report/json.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
 
@@ -456,6 +457,40 @@ TEST(FleetObservatoryTest, RestartWarmsTheTimelineFromTheJournal) {
     EXPECT_EQ(restarted.alert_state()->firing(), before.firing);
     // Replay appended nothing: the journal is stable.
     EXPECT_EQ(slurp(journal_path), before.journal);
+}
+
+TEST(FleetObservatoryTest, HostileRuleNamesKeepBothArtifactsParseable) {
+    // Rule names are free-form tokens of the alert spec, and the firing
+    // labels carry them into the snapshot and the timeline: a quote or a
+    // raw control byte must arrive escaped in both.
+    std::string error;
+    const auto rules = parse_alert_rules("alert hot\"x vmin.* above 0\n"
+                                         "alert ctl\x01name vmin.* above 0\n",
+                                         "hostile_rules", error);
+    ASSERT_TRUE(rules.has_value()) << error;
+    fleet_spec spec;
+    spec.nodes = 2000;
+    timeline_recorder recorder;
+    fleet_service_config config;
+    config.timeline = &recorder;
+    config.alerts = *rules;
+    fleet_service service(spec, config, fake_probe);
+    service.run_campaign(0);
+    const std::vector<std::string> firing = service.alert_state()->firing();
+    ASSERT_FALSE(firing.empty());
+
+    for (const std::string& bytes :
+         {service.state_snapshot(), service.timeline_snapshot()}) {
+        const auto parsed = report::parse_json(bytes);
+        EXPECT_TRUE(parsed.value.has_value()) << parsed.error;
+    }
+    const auto status = report::load_status(service.state_snapshot(), error);
+    ASSERT_TRUE(status.has_value()) << error;
+    EXPECT_EQ(status->timeline_firing, firing);
+    const auto timeline =
+        report::load_timeline(service.timeline_snapshot(), error);
+    ASSERT_TRUE(timeline.has_value()) << error;
+    EXPECT_EQ(timeline->firing, firing);
 }
 
 TEST(FleetObservatoryTest, DisabledObservatoryKeepsLegacyBytes) {

@@ -18,6 +18,7 @@
 #include "harness/report/json.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
+#include "util/wire.hpp"
 
 namespace gb::report {
 namespace {
@@ -112,6 +113,15 @@ TEST(ReportJson, DecodesEscapesAndSurrogatePairs) {
     const auto parsed = parse_json("\"a\\n\\u0041\\ud83d\\ude00\"");
     ASSERT_TRUE(parsed.value.has_value()) << parsed.error;
     EXPECT_EQ(*parsed.value->as_string(), "a\nA\xf0\x9f\x98\x80");
+
+    // Every ASCII byte survives the emitters' escaper and this parser.
+    std::string ascii;
+    for (int byte = 0; byte < 0x80; ++byte) {
+        ascii += static_cast<char>(byte);
+    }
+    const auto round_trip = parse_json('"' + json_escape(ascii) + '"');
+    ASSERT_TRUE(round_trip.value.has_value()) << round_trip.error;
+    EXPECT_EQ(*round_trip.value->as_string(), ascii);
 }
 
 // --- golden-trace round trip --------------------------------------------

@@ -172,9 +172,9 @@ TEST(integrity_chain_test, chain_is_order_and_content_sensitive) {
 }
 
 TEST(integrity_chain_test, format_chain_is_16_hex_digits) {
-    EXPECT_EQ(format_chain(0), "0000000000000000");
-    EXPECT_EQ(format_chain(0xdeadbeef12345678ULL), "deadbeef12345678");
-    EXPECT_EQ(format_chain(chain_basis).size(), 16u);
+    EXPECT_EQ(format_hex(0), "0000000000000000");
+    EXPECT_EQ(format_hex(0xdeadbeef12345678ULL), "deadbeef12345678");
+    EXPECT_EQ(format_hex(chain_basis).size(), 16u);
 }
 
 // --- rig model -----------------------------------------------------------

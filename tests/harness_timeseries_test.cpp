@@ -145,6 +145,7 @@ TEST(AlertRulesTest, ParseErrorsCarryPathAndLine) {
         {"watch x above 5", "expected 'alert'"},
         {"alert n s sideways 5", "unknown comparator 'sideways'"},
         {"alert n s above five", "'five' is not a number"},
+        {"alert n s above nan", "'nan' is not a number"},
         {"alert n s delta 5", "wants 'window <N>'"},
         {"alert n s slope 5 window 1", "integer >= 2"},
         {"alert n s above 5 extra", "trailing tokens"},

@@ -66,7 +66,6 @@
 //
 // Exit codes: 0 success, 1 ack timeout (query --command), 2 usage error
 // or malformed input; --chaos kills exit with --chaos-exit.
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -165,16 +164,13 @@ std::optional<double> real_flag(int& argc, char** argv,
     if (!text) {
         return fallback;
     }
-    double value = 0.0;
-    const auto [end, ec] = std::from_chars(
-        text->data(), text->data() + text->size(), value);
-    if (ec != std::errc{} || end != text->data() + text->size() ||
-        value < min || value > max) {
+    const auto value = parse_number(*text);
+    if (!value || *value < min || *value > max) {
         std::cerr << "fleet_service: " << name << " wants a number in ["
                   << min << ", " << max << "]\n";
         return std::nullopt;
     }
-    return value;
+    return *value;
 }
 
 /// One campaign; logs a deterministic one-line digest to stderr.
@@ -524,13 +520,11 @@ int run_query(int argc, char** argv) {
     if (!state_path) {
         return fail("query requires --state FILE (or --command)");
     }
-    std::ifstream in(*state_path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> text = read_file(*state_path);
+    if (!text) {
         return fail("cannot read " + *state_path);
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const report::json_parse_result parsed = report::parse_json(buffer.str());
+    const report::json_parse_result parsed = report::parse_json(*text);
     if (!parsed.value) {
         return fail(*state_path + ": " + parsed.error);
     }
