@@ -187,6 +187,16 @@ int main(int argc, char** argv) {
     baseline.counter("audit.repaired_entries", repaired.repaired);
     baseline.counter("audit.escaped", repaired.escaped);
     baseline.counter("audit.converged", repair_converged ? 1 : 0);
+    // The served bins and the journal bytes themselves: every schedule's
+    // journal, then its state snapshot.
+    for (const serve_result* result :
+         {&undefended, &defended, &attacked, &plain_audit, &repaired}) {
+        for (const std::string* bytes : {&result->journal, &result->snapshot}) {
+            for (const char byte : *bytes) {
+                baseline.fold(static_cast<unsigned char>(byte));
+            }
+        }
+    }
 
     bench::note("quorum 3 prices every distinct probe at three executions "
                 "and each audit at one more, all drawn at serial points so "

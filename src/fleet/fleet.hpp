@@ -18,10 +18,12 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "chip/corners.hpp"
+#include "util/rng.hpp"
 
 namespace gb::fleet {
 
@@ -76,6 +78,71 @@ struct fleet_spec {
     }
 };
 
+/// The per-node derivation of a generated fleet, split at its
+/// spec-constant half.  A node's axis word and jitter seed are each
+/// derive_task_seed(base, id) (harness/execution_engine.hpp) for a base
+/// fixed by the spec; the first of derive_task_seed's two splitmix64 steps
+/// depends on the base alone and is hoisted here, so a node pays one mix
+/// per word.  `slot(id)` is the node's cohort as a dense index into the
+/// flat corner x class x operating-point table,
+///
+///     slot = (corner * classes + class) * points + operating point,
+///
+/// which orders slots exactly like `cohort_key`'s <=> (variant 0).
+class node_derivation {
+public:
+    /// Requires 1 <= classes, points <= 65536 (each axis draw must fit
+    /// its cohort_key field).
+    explicit node_derivation(const fleet_spec& spec);
+
+    [[nodiscard]] std::size_t slot(std::uint64_t id) const {
+        const std::uint64_t word = mix(axis_base_, id);
+        // One word carries all three axis draws; the independent byte
+        // lanes keep the axes decorrelated without extra mixing.
+        const std::uint64_t corner = word % 3;
+        const std::uint64_t klass = (word >> 8) % classes_;
+        const std::uint64_t point = (word >> 24) % points_;
+        return static_cast<std::size_t>((corner * classes_ + klass) *
+                                            points_ +
+                                        point);
+    }
+    /// The node's jitter stream root (`fleet_node::seed`).
+    [[nodiscard]] std::uint64_t seed(std::uint64_t id) const {
+        return mix(seed_base_, id);
+    }
+    /// Slots in the flat table: 3 corners x classes x points.
+    [[nodiscard]] std::size_t slots() const {
+        return static_cast<std::size_t>(3 * classes_ * points_);
+    }
+    /// The cohort key of a slot (variant 0); inverse of the slot formula.
+    [[nodiscard]] cohort_key key(std::size_t slot) const;
+
+    /// The jitter scale a spec's nodes use: `node_jitter_mv` when
+    /// positive, else 0 (every node pinned to its cohort's requirement).
+    [[nodiscard]] static double jitter_scale(const fleet_spec& spec) {
+        return spec.node_jitter_mv <= 0.0 ? 0.0 : spec.node_jitter_mv;
+    }
+    /// A node's requirement jitter in [0, scale]: 53 uniform mantissa bits
+    /// of its seed word mapped to [0, 1), times the scale.
+    [[nodiscard]] static double jitter_mv(std::uint64_t seed, double scale) {
+        const double unit = static_cast<double>(seed >> 11) * 0x1.0p-53;
+        return unit * scale;
+    }
+
+private:
+    /// derive_task_seed(base, id) given base_mix = splitmix64(base).
+    [[nodiscard]] static std::uint64_t mix(std::uint64_t base_mix,
+                                           std::uint64_t id) {
+        std::uint64_t state = base_mix ^ (id + 0x9e3779b97f4a7c15ULL);
+        return splitmix64(state);
+    }
+
+    std::uint64_t axis_base_ = 0;
+    std::uint64_t seed_base_ = 0;
+    std::uint64_t classes_ = 1;
+    std::uint64_t points_ = 1;
+};
+
 /// Node `id` of a generated fleet (O(1), stateless).  For specs with
 /// explicit nodes use the list instead.
 [[nodiscard]] fleet_node make_node(const fleet_spec& spec,
@@ -85,9 +152,14 @@ struct fleet_spec {
 [[nodiscard]] double node_jitter_mv(const fleet_spec& spec,
                                     const fleet_node& node);
 
-/// Voltage class of a revealed requirement under the spec's binning.
+/// Voltage class of a revealed requirement under the spec's binning:
+/// class_voltage_mv at q = ceil(requirement / bin_step_mv).
 [[nodiscard]] double bin_voltage_mv(const fleet_spec& spec,
                                     double requirement_mv);
+
+/// Voltage of class `q` (an integer-valued step count): q * bin_step_mv,
+/// capped at bin_cap_mv.
+[[nodiscard]] double class_voltage_mv(const fleet_spec& spec, double q);
 
 /// Content address of one probe: FNV-1a over the cohort key fields and
 /// the campaign sweep offset -- the fleet-scale analogue of the profile

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -25,6 +26,12 @@ namespace {
 /// task quantum so `gbreport utilization` on a fleet trace reproduces the
 /// plan.
 constexpr std::uint64_t probe_cost_ticks = 100;
+
+/// Bounds on the fan-out's flat tables: corner x class x operating-point
+/// slots of a generated fleet, and voltage classes spanned by the served
+/// requirements (8 MiB of counts at most).
+constexpr std::size_t max_cohort_slots = std::size_t{1} << 20;
+constexpr std::size_t max_voltage_classes = std::size_t{1} << 20;
 
 bool corner_from_string(std::string_view text, process_corner& corner) {
     if (text == to_string(process_corner::ttt)) {
@@ -183,20 +190,53 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
     : spec_(std::move(spec)),
       config_(std::move(config)),
       probe_(std::move(probe)) {
+    GB_EXPECTS(std::isfinite(spec_.node_jitter_mv));
+    GB_EXPECTS(std::isfinite(spec_.bin_step_mv) && spec_.bin_step_mv > 0.0);
+    GB_EXPECTS(std::isfinite(spec_.bin_cap_mv));
     // Cohort census: one pass over the fleet, sorted-key cohort order
     // ever after.  O(nodes) once; campaigns reuse it.
-    std::map<cohort_key, std::uint64_t> members;
-    const std::uint64_t nodes = spec_.node_count();
-    for (std::uint64_t id = 0; id < nodes; ++id) {
-        ++members[make_node(spec_, id).cohort];
-    }
-    cohorts_.reserve(members.size());
-    for (const auto& [key, count] : members) {
-        cohort_of_.emplace(key, cohorts_.size());
+    const auto add_cohort = [&](const cohort_key& key, std::uint64_t count) {
         cohort_state state;
         state.key = key;
         state.members = count;
         cohorts_.push_back(state);
+    };
+    const std::uint64_t nodes = spec_.node_count();
+    if (spec_.explicit_nodes.empty()) {
+        // Members count into the flat slot table, whose slot order is the
+        // key order; compacting its occupied slots yields `cohorts_`.
+        const node_derivation& derive = derive_.emplace(spec_);
+        GB_EXPECTS(derive.slots() <= max_cohort_slots);
+        std::vector<std::uint64_t> members(derive.slots(), 0);
+        for (std::uint64_t id = 0; id < nodes; ++id) {
+            ++members[derive.slot(id)];
+        }
+        slot_cohort_.assign(derive.slots(), 0);
+        for (std::size_t slot = 0; slot < members.size(); ++slot) {
+            if (members[slot] > 0) {
+                slot_cohort_[slot] =
+                    static_cast<std::uint32_t>(cohorts_.size());
+                add_cohort(derive.key(slot), members[slot]);
+            }
+        }
+    } else {
+        std::vector<cohort_key> keys;
+        keys.reserve(spec_.explicit_nodes.size());
+        for (const fleet_node& node : spec_.explicit_nodes) {
+            keys.push_back(node.cohort);
+        }
+        std::sort(keys.begin(), keys.end());
+        for (auto run = keys.begin(); run != keys.end();) {
+            const auto end = std::upper_bound(run, keys.end(), *run);
+            add_cohort(*run, static_cast<std::uint64_t>(end - run));
+            run = end;
+        }
+        GB_EXPECTS(cohorts_.size() <= UINT32_MAX);
+        node_cohort_.reserve(spec_.explicit_nodes.size());
+        for (const fleet_node& node : spec_.explicit_nodes) {
+            node_cohort_.push_back(
+                static_cast<std::uint32_t>(find_cohort(node.cohort)));
+        }
     }
     cohort_last_content_.assign(cohorts_.size(), 0);
     GB_EXPECTS(config_.integrity.quorum >= 1);
@@ -297,10 +337,129 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
     }
 }
 
+std::size_t fleet_service::find_cohort(const cohort_key& key) const {
+    const auto it = std::lower_bound(
+        cohorts_.begin(), cohorts_.end(), key,
+        [](const cohort_state& cohort, const cohort_key& wanted) {
+            return cohort.key < wanted;
+        });
+    return it != cohorts_.end() && it->key == key
+               ? static_cast<std::size_t>(it - cohorts_.begin())
+               : cohorts_.size();
+}
+
 std::size_t fleet_service::cohort_index(const cohort_key& key) const {
-    const auto it = cohort_of_.find(key);
-    GB_EXPECTS(it != cohort_of_.end());
-    return it->second;
+    const std::size_t index = find_cohort(key);
+    GB_EXPECTS(index < cohorts_.size());
+    return index;
+}
+
+void fleet_service::fan_out() {
+    // Per-cohort serving values.  Synthetic aging widens the *served*
+    // requirement only -- the cached/journaled characterization stays
+    // drift-free, so the timeline's drift-slope rules watch the same
+    // signal the binning serves.  (Guarded so the default 0 keeps bins
+    // bit-identical.)  Degraded cohorts serve the conservative answer:
+    // their nodes bin at the nominal cap -- no exploitation without
+    // characterization -- and contribute no measured power.
+    struct serving {
+        double served_mv = 0.0;
+        double nominal_w = 0.0;
+        double binned_w = 0.0;
+        bool degraded = false;
+    };
+    std::vector<serving> serve(cohorts_.size());
+    const double jitter = node_derivation::jitter_scale(spec_);
+    const double step = spec_.bin_step_mv;
+    std::uint64_t degraded_nodes = 0;
+    double lowest = std::numeric_limits<double>::infinity();
+    double highest = -lowest;
+    for (std::size_t c = 0; c < cohorts_.size(); ++c) {
+        const cohort_state& cohort = cohorts_[c];
+        GB_EXPECTS(cohort.probed || cohort.degraded);
+        if (cohort.degraded) {
+            serve[c].degraded = true;
+            degraded_nodes += cohort.members;
+            continue;
+        }
+        double served_mv = cohort.last.requirement_mv;
+        if (config_.aging_mv_per_epoch != 0.0) {
+            served_mv += config_.aging_mv_per_epoch *
+                         static_cast<double>(epoch_ - 1);
+        }
+        GB_EXPECTS(std::isfinite(served_mv));
+        serve[c] = {served_mv, cohort.last.power_nominal_w,
+                    cohort.last.power_point_w, false};
+        lowest = std::min(lowest, served_mv);
+        highest = std::max(highest, served_mv + jitter);
+    }
+
+    // Integer class counts indexed by q = ceil(requirement / step).
+    // A node's requirement is served + jitter with jitter in [0, scale];
+    // FP add, divide and ceil are all monotone, so every q lies in
+    // [ceil(lowest / step), ceil(highest / step)] exactly.
+    std::vector<std::uint64_t> counts;
+    std::int64_t q_base = 0;
+    if (highest >= lowest) {
+        const double q_lo = std::ceil(lowest / step);
+        const double q_hi = std::ceil(highest / step);
+        // Within 2^53 every q converts to and from int64 exactly.
+        GB_EXPECTS(std::abs(q_lo) <= 0x1.0p53 && std::abs(q_hi) <= 0x1.0p53);
+        GB_EXPECTS(q_hi - q_lo < static_cast<double>(max_voltage_classes));
+        q_base = static_cast<std::int64_t>(q_lo);
+        counts.assign(static_cast<std::size_t>(q_hi - q_lo) + 1, 0);
+    }
+
+    // One loop body in node-id order, fed by the derivation (generated
+    // fleets) or the node list: the power sums keep their node-order
+    // operand sequence (a fixed floating-point accumulation order, like
+    // every other sum); the class counts are integers.
+    double nominal_w = 0.0;
+    double binned_w = 0.0;
+    const auto visit = [&](std::size_t cohort, std::uint64_t seed) {
+        const serving& node = serve[cohort];
+        if (node.degraded) {
+            return;
+        }
+        const double requirement =
+            node.served_mv + node_derivation::jitter_mv(seed, jitter);
+        const auto q =
+            static_cast<std::int64_t>(std::ceil(requirement / step));
+        ++counts[static_cast<std::size_t>(q - q_base)];
+        nominal_w += node.nominal_w;
+        binned_w += node.binned_w;
+    };
+    const std::uint64_t nodes = spec_.node_count();
+    if (derive_) {
+        const node_derivation& derive = *derive_;
+        for (std::uint64_t id = 0; id < nodes; ++id) {
+            visit(slot_cohort_[derive.slot(id)], derive.seed(id));
+        }
+    } else {
+        for (std::uint64_t id = 0; id < nodes; ++id) {
+            visit(node_cohort_[id], spec_.explicit_nodes[id].seed);
+        }
+    }
+    power_nominal_w_ = nominal_w;
+    power_binned_w_ = binned_w;
+
+    bins_.clear();
+    if (degraded_nodes > 0) {
+        bins_[static_cast<std::int64_t>(spec_.bin_cap_mv)] += degraded_nodes;
+    }
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] > 0) {
+            const double q =
+                static_cast<double>(q_base + static_cast<std::int64_t>(i));
+            bins_[std::llround(class_voltage_mv(spec_, q))] += counts[i];
+        }
+    }
+    if (mh_.registered) {
+        for (const auto& [mv, count] : bins_) {
+            config_.metrics->observe(0, mh_.bin_mv,
+                                     static_cast<std::uint64_t>(mv), count);
+        }
+    }
 }
 
 std::uint64_t fleet_service::degraded_cohorts() const {
@@ -501,7 +660,7 @@ void fleet_service::warm_cache_from_journal() {
                 reject(lineno, "unparseable rigs provenance");
             }
         }
-        if (cohort_of_.find(key) == cohort_of_.end()) {
+        if (find_cohort(key) == cohorts_.size()) {
             reject(lineno, "probe for a cohort outside this fleet");
         }
         const auto duplicate = seen.find(content);
@@ -1196,53 +1355,11 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         }
     }
 
-    // 4. Fan cohort results out to the whole fleet in node-id order (a
-    // fixed floating-point accumulation order, like every other sum).
-    // Degraded cohorts serve the conservative answer: their nodes bin at
-    // the nominal cap -- no exploitation without characterization -- and
-    // contribute no measured power.
-    bins_.clear();
-    double nominal_w = 0.0;
-    double binned_w = 0.0;
-    const std::uint64_t nodes = spec_.node_count();
-    for (std::uint64_t id = 0; id < nodes; ++id) {
-        const fleet_node node = make_node(spec_, id);
-        const cohort_state& cohort = cohorts_[cohort_of_.at(node.cohort)];
-        GB_EXPECTS(cohort.probed || cohort.degraded);
-        if (cohort.degraded) {
-            const auto cap = static_cast<std::int64_t>(spec_.bin_cap_mv);
-            ++bins_[cap];
-            if (mh_.registered) {
-                config_.metrics->observe(0, mh_.bin_mv,
-                                         static_cast<std::uint64_t>(cap));
-            }
-            continue;
-        }
-        // Synthetic aging widens the *served* requirement only -- the
-        // cached/journaled characterization stays drift-free, so the
-        // timeline's drift-slope rules watch the same signal the binning
-        // serves.  (Guarded so the default 0 keeps bins bit-identical.)
-        double served_mv = cohort.last.requirement_mv;
-        if (config_.aging_mv_per_epoch != 0.0) {
-            served_mv += config_.aging_mv_per_epoch *
-                         static_cast<double>(epoch_ - 1);
-        }
-        const double requirement = served_mv + node_jitter_mv(spec_, node);
-        const double bin = bin_voltage_mv(spec_, requirement);
-        ++bins_[std::llround(bin)];
-        nominal_w += cohort.last.power_nominal_w;
-        binned_w += cohort.last.power_point_w;
-        if (mh_.registered) {
-            config_.metrics->observe(
-                0, mh_.bin_mv,
-                static_cast<std::uint64_t>(std::llround(bin)));
-        }
-    }
-    power_nominal_w_ = nominal_w;
-    power_binned_w_ = binned_w;
+    // 4. Fan cohort results out to the whole fleet.
+    fan_out();
 
     if (mh_.registered) {
-        config_.metrics->add(0, mh_.nodes, nodes);
+        config_.metrics->add(0, mh_.nodes, spec_.node_count());
         config_.metrics->add(0, mh_.probes_executed, outcome.executed);
         config_.metrics->add(0, mh_.cache_hits, outcome.cache_hits);
         config_.metrics->set(0, mh_.power_nominal_w, epoch_,

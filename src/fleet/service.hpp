@@ -55,6 +55,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -371,7 +372,13 @@ private:
         std::vector<std::uint32_t> rigs;
     };
 
+    /// Position of `key` in the sorted `cohorts_`, or cohorts_.size()
+    /// when this fleet has no such cohort.
+    [[nodiscard]] std::size_t find_cohort(const cohort_key& key) const;
     [[nodiscard]] std::size_t cohort_index(const cohort_key& key) const;
+    /// Node fan-out of the current cohort results: rebuilds `bins_` and
+    /// the two power sums (docs/FLEET.md "Fan-out").
+    void fan_out();
     void warm_cache_from_journal();
     /// End-of-campaign observatory block: append the epoch's fixed-order
     /// sample list to the recorder and the journal (skipping whatever a
@@ -434,9 +441,15 @@ private:
     std::uint64_t restored_ = 0;
     std::uint64_t healed_bytes_ = 0;
 
-    /// Sorted by key; parallel index map for node fan-out.
+    /// Sorted by key.
     std::vector<cohort_state> cohorts_;
-    std::map<cohort_key, std::size_t> cohort_of_;
+    /// Node -> index into `cohorts_`.  A generated fleet keeps no per-node
+    /// state: each node's slot comes from `derive_` and `slot_cohort_`
+    /// maps the flat slot table onto `cohorts_`.  An explicit fleet keeps
+    /// one index per listed node in `node_cohort_`.
+    std::optional<node_derivation> derive_;
+    std::vector<std::uint32_t> slot_cohort_;
+    std::vector<std::uint32_t> node_cohort_;
 
     std::unique_ptr<campaign_journal> journal_;
     std::uint64_t journal_serial_ = 0; ///< next journal task index

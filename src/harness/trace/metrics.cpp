@@ -128,7 +128,7 @@ void metrics_registry::set(std::size_t shard, gauge_handle handle,
 }
 
 void metrics_registry::observe(std::size_t shard, histogram_handle handle,
-                               std::uint64_t value) {
+                               std::uint64_t value, std::uint64_t count) {
     GB_EXPECTS(shard < shards_.size());
     auto& histograms = shards_[shard].histograms;
     if (handle.id >= histograms.size()) {
@@ -145,9 +145,9 @@ void metrics_registry::observe(std::size_t shard, histogram_handle handle,
     const std::size_t index = static_cast<std::size_t>(
         std::lower_bound(bounds.begin(), bounds.end(), value) -
         bounds.begin());
-    ++cell.counts[index];
-    ++cell.count;
-    cell.sum += value;
+    cell.counts[index] += count;
+    cell.count += count;
+    cell.sum += value * count;
 }
 
 metrics_snapshot metrics_registry::snapshot() const {

@@ -86,8 +86,10 @@ public:
              std::uint64_t delta = 1);
     void set(std::size_t shard, gauge_handle handle, std::uint64_t order,
              double value);
+    /// Record `count` observations of `value` at once (every histogram
+    /// field is an integer, so this equals `count` single observes).
     void observe(std::size_t shard, histogram_handle handle,
-                 std::uint64_t value);
+                 std::uint64_t value, std::uint64_t count = 1);
 
     /// Merge every shard into a name-sorted snapshot (serial call sites
     /// only).  Deterministic for deterministic producers.

@@ -7,13 +7,6 @@
 
 namespace gb {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t hash_label(std::string_view label) {
     // FNV-1a, then a splitmix finalizer for better avalanche.
     std::uint64_t s = fnv1a_bytes(fnv1a_basis, label);

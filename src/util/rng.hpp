@@ -20,8 +20,14 @@
 
 namespace gb {
 
-/// splitmix64 step: the standard seeding/stream-splitting mixer.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
+/// splitmix64 step: the standard seeding/stream-splitting mixer.  Inline:
+/// per-node derivations (fleet/fleet.hpp) call it in their hot loops.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
 
 /// Stable 64-bit hash of a label, for deriving named child streams.
 [[nodiscard]] std::uint64_t hash_label(std::string_view label);

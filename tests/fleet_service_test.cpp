@@ -7,8 +7,12 @@
 // journal wire format round-trips through the exposed parser.
 #include "fleet/service.hpp"
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,11 +20,16 @@
 #include <gtest/gtest.h>
 
 #include "fleet/fleet.hpp"
+#include "harness/execution_engine.hpp"
+#include "harness/fault_injection.hpp"
 #include "harness/journal.hpp"
 #include "harness/report/artifacts.hpp"
 #include "harness/report/json.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
+#include "harness/trace/metrics.hpp"
+#include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace gb::fleet {
 namespace {
@@ -75,6 +84,38 @@ TEST(FleetTest, NodesAreAPureFunctionOfSpecAndId) {
     }
 }
 
+TEST(FleetTest, NodeDerivationMatchesTheTaskSeedDefinition) {
+    // A generated node is two derive_task_seed words: the axis word from
+    // the spec seed (corner, class and operating point in independent
+    // byte lanes) and the jitter seed from a domain-offset seed.
+    for (const auto& [classes, points] :
+         std::vector<std::pair<int, int>>{{3, 4}, {1, 1}, {5, 7}, {64, 64},
+                                          {65536, 2}}) {
+        fleet_spec spec;
+        spec.seed = 2018 + static_cast<std::uint64_t>(classes);
+        spec.workload_classes = classes;
+        spec.operating_points = points;
+        for (std::uint64_t id = 0; id < 2000; ++id) {
+            const std::uint64_t word = derive_task_seed(spec.seed, id);
+            const fleet_node node = make_node(spec, id);
+            EXPECT_EQ(node.id, id);
+            EXPECT_EQ(node.cohort.corner,
+                      static_cast<process_corner>(word % 3));
+            EXPECT_EQ(node.cohort.workload_class,
+                      (word >> 8) % static_cast<std::uint64_t>(classes));
+            EXPECT_EQ(node.cohort.operating_point,
+                      (word >> 24) % static_cast<std::uint64_t>(points));
+            EXPECT_EQ(node.cohort.variant, 0U);
+            EXPECT_EQ(node.seed,
+                      derive_task_seed(spec.seed + 0x517cc1b727220a95ULL,
+                                       id));
+        }
+    }
+    fleet_spec too_wide;
+    too_wide.workload_classes = 65537;
+    EXPECT_THROW((void)make_node(too_wide, 0), contract_violation);
+}
+
 TEST(FleetTest, BinningCeilsToTheStepAndCaps) {
     fleet_spec spec;
     spec.bin_step_mv = 10.0;
@@ -102,6 +143,166 @@ TEST(FleetTest, ProbeContentSeparatesEveryKeyField) {
     other.variant = 1;
     EXPECT_NE(probe_content(other, 0), content);
     EXPECT_NE(probe_content(base, -5), content);
+}
+
+// --- node fan-out ------------------------------------------------------
+
+/// The fan-out written the obvious way: one make_node per node, its cohort
+/// found by key, one bin map update and one histogram observe per node,
+/// power summed in node-id order.
+struct reference_fan_out {
+    std::map<std::int64_t, std::uint64_t> bins;
+    double power_nominal_w = 0.0;
+    double power_binned_w = 0.0;
+    metrics_registry metrics{1};
+};
+
+void run_reference(const fleet_service& service, double aging_mv_per_epoch,
+                   const std::vector<std::uint64_t>& bin_bounds,
+                   reference_fan_out& out) {
+    const fleet_spec& spec = service.spec();
+    std::map<cohort_key, const cohort_state*> by_key;
+    for (const cohort_state& cohort : service.cohorts()) {
+        by_key.emplace(cohort.key, &cohort);
+    }
+    const histogram_handle bin_mv =
+        out.metrics.histogram("fleet.bin_mv", bin_bounds);
+    for (std::uint64_t id = 0; id < service.node_count(); ++id) {
+        const fleet_node node = make_node(spec, id);
+        const cohort_state& cohort = *by_key.at(node.cohort);
+        if (cohort.degraded) {
+            const auto cap = static_cast<std::int64_t>(spec.bin_cap_mv);
+            ++out.bins[cap];
+            out.metrics.observe(0, bin_mv, static_cast<std::uint64_t>(cap));
+            continue;
+        }
+        double served_mv = cohort.last.requirement_mv;
+        if (aging_mv_per_epoch != 0.0) {
+            served_mv += aging_mv_per_epoch *
+                         static_cast<double>(service.epoch() - 1);
+        }
+        const std::int64_t bin = std::llround(
+            bin_voltage_mv(spec, served_mv + node_jitter_mv(spec, node)));
+        ++out.bins[bin];
+        out.metrics.observe(0, bin_mv, static_cast<std::uint64_t>(bin));
+        out.power_nominal_w += cohort.last.power_nominal_w;
+        out.power_binned_w += cohort.last.power_point_w;
+    }
+}
+
+/// Three campaigns (cold, a new sweep, a warm revisit); after each the
+/// service's bins, power sums (bitwise) and bin histogram must equal the
+/// per-node reference's.
+void expect_fan_out_matches_reference(const fleet_spec& spec,
+                                      fleet_service_config config) {
+    metrics_registry metrics;
+    config.metrics = &metrics;
+    fleet_service service(spec, config, fake_probe);
+    reference_fan_out reference;
+    for (const std::int64_t sweep : {0, -20, 0}) {
+        (void)service.run_campaign(sweep);
+        const metrics_snapshot served = metrics.snapshot();
+        const histogram_snapshot* histogram =
+            served.histogram_named("fleet.bin_mv");
+        ASSERT_NE(histogram, nullptr);
+        reference.bins.clear();
+        reference.power_nominal_w = 0.0;
+        reference.power_binned_w = 0.0;
+        run_reference(service, config.aging_mv_per_epoch, histogram->bounds,
+                      reference);
+        EXPECT_EQ(service.bins(), reference.bins) << "sweep " << sweep;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(service.power_nominal_w()),
+                  std::bit_cast<std::uint64_t>(reference.power_nominal_w));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(service.power_binned_w()),
+                  std::bit_cast<std::uint64_t>(reference.power_binned_w));
+        const metrics_snapshot expected = reference.metrics.snapshot();
+        const histogram_snapshot* want =
+            expected.histogram_named("fleet.bin_mv");
+        ASSERT_NE(want, nullptr);
+        EXPECT_EQ(histogram->counts, want->counts);
+        EXPECT_EQ(histogram->count, want->count);
+        EXPECT_EQ(histogram->sum, want->sum);
+    }
+}
+
+TEST(FleetFanOutTest, MatchesThePerNodeReferenceExactly) {
+    std::uint64_t draw = 0x5eed;
+    const std::uint64_t drawn_seed = splitmix64(draw);
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2018},
+                                     drawn_seed}) {
+        for (const double jitter : {0.0, 12.0}) {
+            fleet_spec spec;
+            spec.nodes = 20000;
+            spec.seed = seed;
+            spec.node_jitter_mv = jitter;
+            SCOPED_TRACE("seed " + std::to_string(seed) + " jitter " +
+                         std::to_string(jitter));
+            expect_fan_out_matches_reference(spec, {});
+
+            fleet_spec coarse = spec; // non-integer step, clamping cap
+            coarse.bin_step_mv = 7.5;
+            coarse.bin_cap_mv = 900.0;
+            fleet_service_config aging;
+            aging.aging_mv_per_epoch = 1.75;
+            expect_fan_out_matches_reference(coarse, aging);
+
+            fleet_spec wide = spec;
+            wide.workload_classes = 5;
+            wide.operating_points = 7;
+            expect_fan_out_matches_reference(wide, aging);
+        }
+    }
+}
+
+TEST(FleetFanOutTest, DegradedCohortsAndExplicitNodesMatchTheReference) {
+    // Exhausted probes quarantine part of the fleet: those nodes count
+    // straight into the cap class and add no power.
+    const fault_plan faults = make_uniform_fault_plan(5, 0.85);
+    fleet_service_config degraded;
+    degraded.faults = &faults;
+    degraded.retry_budget = 0;
+    degraded.replan_rounds = 0;
+    fleet_spec spec;
+    spec.nodes = 20000;
+    spec.workload_classes = 5;
+    spec.operating_points = 7;
+    spec.bin_cap_mv = 960.5; // degraded nodes land on the truncated cap
+    {
+        fleet_service probe_once(spec, degraded, fake_probe);
+        const campaign_outcome outcome = probe_once.run_campaign(0);
+        ASSERT_GT(outcome.degraded, 0U);
+        ASSERT_LT(outcome.degraded, probe_once.cohorts().size());
+    }
+    expect_fan_out_matches_reference(spec, degraded);
+
+    // Unique-chip fleet: every node its own variant, listed explicitly.
+    fleet_spec unique;
+    for (std::uint64_t id = 0; id < 3000; ++id) {
+        fleet_node node = make_node(spec, id);
+        node.cohort.variant = static_cast<std::uint32_t>(id % 1000 + 1);
+        unique.explicit_nodes.push_back(node);
+    }
+    fleet_service_config aging;
+    aging.aging_mv_per_epoch = -0.5;
+    expect_fan_out_matches_reference(unique, aging);
+    expect_fan_out_matches_reference(unique, degraded);
+}
+
+TEST(FleetFanOutTest, NonFiniteBinningSpecsAreRejected) {
+    // A NaN jitter used to bin every node at the cap without a word.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        for (double fleet_spec::*field :
+             {&fleet_spec::node_jitter_mv, &fleet_spec::bin_step_mv,
+              &fleet_spec::bin_cap_mv}) {
+            fleet_spec spec;
+            spec.nodes = 100;
+            spec.*field = bad;
+            EXPECT_THROW(fleet_service(spec, {}, fake_probe),
+                         contract_violation);
+        }
+    }
 }
 
 // --- cache counters are exact -------------------------------------------

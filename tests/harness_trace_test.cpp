@@ -210,6 +210,34 @@ TEST(MetricsTest, HistogramBoundsAreInclusiveUpperLimits) {
     EXPECT_EQ(snap.histogram_named("missing"), nullptr);
 }
 
+TEST(MetricsTest, WeightedObserveEqualsRepeatedSingleObserves) {
+    metrics_registry weighted(1);
+    metrics_registry repeated(1);
+    const histogram_handle w = weighted.histogram("h", {10, 100});
+    const histogram_handle r = repeated.histogram("h", {10, 100});
+    // One value per bucket plus a wrapping sum: 2^62 x 5 overflows the
+    // 64-bit sum exactly like five single observes do.
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> draws = {
+        {10, 3}, {57, 1000}, {101, 7}, {std::uint64_t{1} << 62, 5}, {0, 0}};
+    for (const auto& [value, count] : draws) {
+        weighted.observe(0, w, value, count);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            repeated.observe(0, r, value);
+        }
+    }
+    const metrics_snapshot wsnap = weighted.snapshot();
+    const metrics_snapshot rsnap = repeated.snapshot();
+    const histogram_snapshot* ws = wsnap.histogram_named("h");
+    const histogram_snapshot* rs = rsnap.histogram_named("h");
+    ASSERT_NE(ws, nullptr);
+    ASSERT_NE(rs, nullptr);
+    EXPECT_EQ(ws->counts, rs->counts);
+    EXPECT_EQ(ws->count, rs->count);
+    EXPECT_EQ(ws->sum, rs->sum);
+    EXPECT_EQ(ws->counts, (std::vector<std::uint64_t>{3, 1000, 12}));
+    EXPECT_EQ(metrics_json(weighted), metrics_json(repeated));
+}
+
 TEST(MetricsTest, RegistrationIsIdempotentAndContractsHold) {
     metrics_registry metrics(2);
     const counter_handle a = metrics.counter("n");

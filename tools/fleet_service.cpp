@@ -75,6 +75,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fleet/control.hpp"
@@ -140,33 +141,28 @@ bool take_flag(int& argc, char** argv, std::string_view name) {
     return false;
 }
 
-std::optional<long long> integer_flag(int& argc, char** argv,
-                                      std::string_view name,
-                                      long long fallback, long long min,
-                                      long long max) {
+/// `--name value` as a number in [min, max] (`fallback` when absent):
+/// integral `T` parses strictly as an integer, floating `T` as a finite
+/// number.  Anything else prints "<name> wants an integer in [min, max]"
+/// (or "a number") and yields nullopt.
+template <typename T>
+std::optional<T> ranged_flag(int& argc, char** argv, std::string_view name,
+                             T fallback, std::type_identity_t<T> min,
+                             std::type_identity_t<T> max) {
     const auto text = take_flag_value(argc, argv, name);
     if (!text) {
         return fallback;
     }
-    const auto value = parse_integer(*text);
-    if (!value || *value < min || *value > max) {
-        std::cerr << "fleet_service: " << name << " wants an integer in ["
-                  << min << ", " << max << "]\n";
-        return std::nullopt;
+    constexpr bool integral = std::is_integral_v<T>;
+    std::optional<T> value;
+    if constexpr (integral) {
+        value = parse_integer(*text);
+    } else {
+        value = parse_number(*text);
     }
-    return *value;
-}
-
-std::optional<double> real_flag(int& argc, char** argv,
-                                std::string_view name, double fallback,
-                                double min, double max) {
-    const auto text = take_flag_value(argc, argv, name);
-    if (!text) {
-        return fallback;
-    }
-    const auto value = parse_number(*text);
     if (!value || *value < min || *value > max) {
-        std::cerr << "fleet_service: " << name << " wants a number in ["
+        std::cerr << "fleet_service: " << name << " wants "
+                  << (integral ? "an integer" : "a number") << " in ["
                   << min << ", " << max << "]\n";
         return std::nullopt;
     }
@@ -199,31 +195,31 @@ int run_serve(int argc, char** argv) {
     const auto alerts_path = take_flag_value(argc, argv, "--alerts");
     const auto control_path = take_flag_value(argc, argv, "--control");
     const auto nodes =
-        integer_flag(argc, argv, "--nodes", 100000, 1, 10000000);
-    const auto seed = integer_flag(argc, argv, "--seed", 2018, 0,
-                                   std::numeric_limits<long long>::max());
-    const auto classes = integer_flag(argc, argv, "--classes", 3, 1, 64);
-    const auto ops = integer_flag(argc, argv, "--ops", 4, 1, 64);
-    const auto shards = integer_flag(argc, argv, "--shards", 4, 1, 4096);
-    const auto jobs = integer_flag(argc, argv, "--jobs", 0, 0, 256);
-    const auto epochs = integer_flag(argc, argv, "--epochs", 1, 0, 100000);
-    const auto poll_ms = integer_flag(argc, argv, "--poll-ms", 50, 1, 60000);
+        ranged_flag(argc, argv, "--nodes", 100000LL, 1, 10000000);
+    const auto seed = ranged_flag(argc, argv, "--seed", 2018LL, 0,
+                                  std::numeric_limits<long long>::max());
+    const auto classes = ranged_flag(argc, argv, "--classes", 3LL, 1, 64);
+    const auto ops = ranged_flag(argc, argv, "--ops", 4LL, 1, 64);
+    const auto shards = ranged_flag(argc, argv, "--shards", 4LL, 1, 4096);
+    const auto jobs = ranged_flag(argc, argv, "--jobs", 0LL, 0, 256);
+    const auto epochs = ranged_flag(argc, argv, "--epochs", 1LL, 0, 100000);
+    const auto poll_ms = ranged_flag(argc, argv, "--poll-ms", 50LL, 1, 60000);
     const auto fault_rate =
-        real_flag(argc, argv, "--fault-rate", 0.0, 0.0, 0.9);
-    const auto retry = integer_flag(argc, argv, "--retry", 3, 0, 64);
-    const auto replan = integer_flag(argc, argv, "--replan", 2, 0, 16);
+        ranged_flag(argc, argv, "--fault-rate", 0.0, 0.0, 0.9);
+    const auto retry = ranged_flag(argc, argv, "--retry", 3LL, 0, 64);
+    const auto replan = ranged_flag(argc, argv, "--replan", 2LL, 0, 16);
     const auto chaos_spec = take_flag_value(argc, argv, "--chaos");
     const auto chaos_exit =
-        integer_flag(argc, argv, "--chaos-exit", 42, 1, 255);
+        ranged_flag(argc, argv, "--chaos-exit", 42LL, 1, 255);
     const auto sdc_spec = take_flag_value(argc, argv, "--sdc");
     // 0 means "auto": quorum 3 once an SDC attack is armed, 1 otherwise
     // (a lone replica per probe is the byte-identical legacy pipeline).
-    const auto quorum = integer_flag(argc, argv, "--quorum", 0, 0, 15);
-    const auto rigs = integer_flag(argc, argv, "--rigs", 0, 0, 4096);
-    const auto audit = integer_flag(argc, argv, "--audit", -1, -1, 1000000);
+    const auto quorum = ranged_flag(argc, argv, "--quorum", 0LL, 0, 15);
+    const auto rigs = ranged_flag(argc, argv, "--rigs", 0LL, 0, 4096);
+    const auto audit = ranged_flag(argc, argv, "--audit", -1LL, -1, 1000000);
     const auto blacklist =
-        integer_flag(argc, argv, "--blacklist", 2, 1, 1000);
-    const auto aging = real_flag(argc, argv, "--aging", 0.0, -100.0, 100.0);
+        ranged_flag(argc, argv, "--blacklist", 2LL, 1, 1000);
+    const auto aging = ranged_flag(argc, argv, "--aging", 0.0, -100.0, 100.0);
     if (!nodes || !seed || !classes || !ops || !shards || !jobs ||
         !epochs || !poll_ms || !fault_rate || !retry || !replan ||
         !chaos_exit || !quorum || !rigs || !audit || !blacklist || !aging) {
@@ -481,9 +477,9 @@ int run_query(int argc, char** argv) {
     const auto control_path = take_flag_value(argc, argv, "--control");
     const auto command = take_flag_value(argc, argv, "--command");
     const auto ack_retries =
-        integer_flag(argc, argv, "--ack-retries", 8, 0, 1000);
+        ranged_flag(argc, argv, "--ack-retries", 8LL, 0, 1000);
     const auto ack_base_ms =
-        integer_flag(argc, argv, "--ack-base-ms", 20, 0, 60000);
+        ranged_flag(argc, argv, "--ack-base-ms", 20LL, 0, 60000);
     if (!ack_retries || !ack_base_ms) {
         return exit_usage;
     }
