@@ -1,8 +1,9 @@
 // Ablation -- what the SDC defenses cost and what they catch.  Serves a
 // 10^5-node simulated X-Gene2 fleet three ways:
 //
-//   * undefended (quorum 1, no audit): the PR-7 pipeline, the wall and
-//     byte baseline every defense is priced against;
+//   * undefended (quorum 1, no audit): a one-vote admission over the same
+//     chained journal every config writes -- the wall and byte baseline
+//     every defense is priced against;
 //   * defended under attack (quorum 3 + audit sampler, four seeded
 //     corruptions -- one per SDC site -- across the schedule): every
 //     injection must be outvoted at admission and the journal/snapshot
@@ -200,10 +201,10 @@ int main(int argc, char** argv) {
 
     bench::note("quorum 3 prices every distinct probe at three executions "
                 "and each audit at one more, all drawn at serial points so "
-                "the defended bytes stay shard- and worker-invariant; the "
-                "undefended run stays byte-identical to the pre-defense "
-                "pipeline, which is what lets one fleet mix defended and "
-                "undefended daemons against the same journals");
+                "the defended bytes stay shard- and worker-invariant; every "
+                "config writes the same hash-chained journal format, which "
+                "is what lets one fleet mix defended and undefended daemons "
+                "against the same journals");
 
     if (attacked.escaped != 0 || !quorum_converged) {
         std::cerr << "FAIL: quorum defense let a corruption through\n";
@@ -213,8 +214,8 @@ int main(int argc, char** argv) {
         std::cerr << "FAIL: audit repair did not converge\n";
         return 1;
     }
-    if (undefended.journal.find(" chain=") != std::string::npos) {
-        std::cerr << "FAIL: undefended journal grew integrity fields\n";
+    if (undefended.journal.find(" chain=") == std::string::npos) {
+        std::cerr << "FAIL: undefended journal is not hash-chained\n";
         return 1;
     }
     reporter.emit();

@@ -17,10 +17,6 @@ const probe_result* probe_cache::peek(std::uint64_t content) const {
     return it == entries_.end() ? nullptr : &it->second.result;
 }
 
-void probe_cache::insert(std::uint64_t content, const probe_result& result) {
-    entries_[content] = entry{result, {}};
-}
-
 void probe_cache::insert(std::uint64_t content, const probe_result& result,
                          std::vector<std::uint32_t> rigs) {
     entries_[content] = entry{result, std::move(rigs)};

@@ -41,16 +41,14 @@ public:
     [[nodiscard]] const probe_result* peek(std::uint64_t content) const;
 
     /// Insert or overwrite (re-probing the same content is idempotent by
-    /// construction, so overwrite == insert).
-    void insert(std::uint64_t content, const probe_result& result);
-
-    /// Insert with the rigs that vouched for the value (the configured
-    /// quorum's assigned rigs, sorted).  Provenance drives blacklist
-    /// repair: entries sourced only from blacklisted rigs re-execute.
+    /// construction, so overwrite == insert) with the rigs that vouched
+    /// for the value (the configured quorum's assigned rigs, sorted).
+    /// Provenance drives blacklist repair: entries sourced only from
+    /// blacklisted rigs re-execute.
     void insert(std::uint64_t content, const probe_result& result,
                 std::vector<std::uint32_t> rigs);
 
-    /// The vouching rigs of an entry (empty when unknown / integrity off).
+    /// The vouching rigs of an entry (null when absent).
     [[nodiscard]] const std::vector<std::uint32_t>* provenance(
         std::uint64_t content) const;
 

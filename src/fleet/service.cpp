@@ -101,11 +101,15 @@ probe_result apply_sdc(const probe_result& clean,
     return result;
 }
 
-std::string format_probe_payload(const cohort_key& key,
-                                 std::int64_t sweep_mv,
-                                 std::uint64_t content,
-                                 const probe_result& result,
-                                 const probe_ledger& ledger) {
+/// One probe record's payload: identity, result, fault ledger, the
+/// vouching rigs and, LAST so it covers everything before it (provenance
+/// included), the link that advances `chain` over this record.
+std::string chained_probe_payload(const cohort_key& key,
+                                  std::int64_t sweep_mv, std::uint64_t content,
+                                  const probe_result& result,
+                                  const probe_ledger& ledger,
+                                  const std::vector<std::uint32_t>& rigs,
+                                  std::uint64_t& chain) {
     std::string line = "probe corner=";
     line += to_string(key.corner);
     line += " class=" + std::to_string(key.workload_class);
@@ -123,7 +127,43 @@ std::string format_probe_payload(const cohort_key& key,
     line += " pwr=" + std::to_string(ledger.power_switch_failures);
     line += " xhst=" + std::to_string(ledger.exhausted_rounds);
     line += " down=" + format_double(ledger.downtime_s);
+    line += " rigs=" + format_list(rigs, ':');
+    chain = chain_next(chain, line);
+    line += " chain=" + format_hex(chain);
     return line;
+}
+
+/// A probe record's identity and ledger as a journal re-read sees them.
+struct journaled_probe {
+    cohort_key key;
+    std::int64_t sweep_mv = 0;
+    std::uint64_t content = 0;
+    probe_ledger ledger;
+};
+
+/// Visit a service's own journal file in file order: `visit(payload,
+/// probe)` per record, `probe` null for observatory records.  The file was
+/// validated on warm and appended since, so every record parses.
+template <typename Visit>
+void for_each_journal_record(const std::string& path, Visit&& visit) {
+    const std::optional<std::string> bytes = read_file(path);
+    GB_ENSURES(bytes.has_value());
+    std::string_view rest = *bytes;
+    while (!rest.empty()) {
+        const std::size_t newline = rest.find('\n');
+        GB_ENSURES(newline != std::string_view::npos);
+        std::size_t serial = 0;
+        std::string_view payload;
+        GB_ENSURES(parse_journal_prefix(rest.substr(0, newline), serial,
+                                        payload));
+        rest.remove_prefix(newline + 1);
+        journaled_probe probe;
+        probe_result result;
+        const bool is_probe =
+            parse_probe_line(payload, probe.key, probe.sweep_mv,
+                             probe.content, result, probe.ledger);
+        visit(payload, is_probe ? &probe : nullptr);
+    }
 }
 
 } // namespace
@@ -136,53 +176,38 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
         return false;
     }
     std::string_view value;
-    if (!(field_value(tokens, "corner", value) &&
-          corner_from_string(value, key.corner) &&
-          field_value(tokens, "class", value) &&
-          parse_int(value, key.workload_class) &&
-          field_value(tokens, "op", value) &&
-          parse_int(value, key.operating_point) &&
-          field_value(tokens, "variant", value) &&
-          parse_int(value, key.variant) &&
-          field_value(tokens, "sweep", value) &&
-          parse_int(value, sweep_mv) &&
-          field_value(tokens, "content", value) &&
-          parse_int(value, content, 16) &&
-          field_value(tokens, "req", value) &&
-          parse_double(value, result.requirement_mv) &&
-          field_value(tokens, "pnom", value) &&
-          parse_double(value, result.power_nominal_w) &&
-          field_value(tokens, "ppt", value) &&
-          parse_double(value, result.power_point_w) &&
-          field_value(tokens, "bucket", value) &&
-          parse_int(value, result.bucket))) {
-        return false;
-    }
-    // The ledger fields are optional on the wire (pre-ledger journals
-    // stay readable) but must parse when present.
-    ledger = {};
-    const auto optional_u64 = [&](std::string_view field,
-                                  std::uint64_t& out) {
-        std::string_view text;
-        return !field_value(tokens, field, text) ||
-               parse_int(text, out);
-    };
-    std::string_view down_text;
-    return optional_u64("retries", ledger.retries) &&
-           optional_u64("wdt", ledger.watchdog_timeouts) &&
-           optional_u64("crash", ledger.board_crashes) &&
-           optional_u64("pwr", ledger.power_switch_failures) &&
-           optional_u64("xhst", ledger.exhausted_rounds) &&
-           (!field_value(tokens, "down", down_text) ||
-            parse_double(down_text, ledger.downtime_s));
-}
-
-bool parse_probe_line(std::string_view payload, cohort_key& key,
-                      std::int64_t& sweep_mv, std::uint64_t& content,
-                      probe_result& result) {
-    probe_ledger ledger;
-    return parse_probe_line(payload, key, sweep_mv, content, result,
-                            ledger);
+    return field_value(tokens, "corner", value) &&
+           corner_from_string(value, key.corner) &&
+           field_value(tokens, "class", value) &&
+           parse_int(value, key.workload_class) &&
+           field_value(tokens, "op", value) &&
+           parse_int(value, key.operating_point) &&
+           field_value(tokens, "variant", value) &&
+           parse_int(value, key.variant) &&
+           field_value(tokens, "sweep", value) &&
+           parse_int(value, sweep_mv) &&
+           field_value(tokens, "content", value) &&
+           parse_int(value, content, 16) &&
+           field_value(tokens, "req", value) &&
+           parse_double(value, result.requirement_mv) &&
+           field_value(tokens, "pnom", value) &&
+           parse_double(value, result.power_nominal_w) &&
+           field_value(tokens, "ppt", value) &&
+           parse_double(value, result.power_point_w) &&
+           field_value(tokens, "bucket", value) &&
+           parse_int(value, result.bucket) &&
+           field_value(tokens, "retries", value) &&
+           parse_int(value, ledger.retries) &&
+           field_value(tokens, "wdt", value) &&
+           parse_int(value, ledger.watchdog_timeouts) &&
+           field_value(tokens, "crash", value) &&
+           parse_int(value, ledger.board_crashes) &&
+           field_value(tokens, "pwr", value) &&
+           parse_int(value, ledger.power_switch_failures) &&
+           field_value(tokens, "xhst", value) &&
+           parse_int(value, ledger.exhausted_rounds) &&
+           field_value(tokens, "down", value) &&
+           parse_double(value, ledger.downtime_s);
 }
 
 fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
@@ -613,34 +638,7 @@ void fleet_service::warm_cache_from_journal() {
             // The block separates campaigns; the cohort-order invariant
             // restarts with the next probe run.
             have_prev = false;
-            if (config_.integrity.enabled()) {
-                record_layout_.push_back({false, std::string(payload)});
-            }
             continue;
-        }
-        // With the integrity defenses on, every probe record must close
-        // with a ` chain=` link folding the previous record's chain value
-        // over this record's bytes -- an in-place edit anywhere breaks
-        // every later link, which a torn-tail heal can never excuse.  With
-        // them off the chain (and rigs provenance) is ignored like any
-        // unknown field, so defended journals stay readable by undefended
-        // services.
-        if (config_.integrity.enabled()) {
-            const std::size_t chain_at = payload.rfind(" chain=");
-            if (chain_at == std::string_view::npos) {
-                reject(lineno, "missing chain hash");
-            }
-            const std::string_view base = payload.substr(0, chain_at);
-            std::uint64_t recorded = 0;
-            if (!parse_int(payload.substr(chain_at + 7), recorded, 16)) {
-                reject(lineno, "unparseable chain hash");
-            }
-            const std::uint64_t expected = chain_next(chain_, base);
-            if (recorded != expected) {
-                reject(lineno, "chain hash mismatch (in-place corruption "
-                               "upstream or on this record)");
-            }
-            chain_ = expected;
         }
         cohort_key key;
         std::int64_t sweep_mv = 0;
@@ -651,14 +649,31 @@ void fleet_service::warm_cache_from_journal() {
                               ledger)) {
             reject(lineno, "unparseable probe record");
         }
+        // Every probe record closes with a ` chain=` link folding the
+        // previous record's chain value over this record's bytes -- an
+        // in-place edit anywhere breaks every later link, which a
+        // torn-tail heal can never excuse -- and carries the ` rigs=`
+        // provenance the link covers.
+        const std::size_t chain_at = payload.rfind(" chain=");
+        if (chain_at == std::string_view::npos) {
+            reject(lineno, "missing chain hash");
+        }
+        std::uint64_t recorded = 0;
+        if (!parse_int(payload.substr(chain_at + 7), recorded, 16)) {
+            reject(lineno, "unparseable chain hash");
+        }
+        const std::uint64_t expected =
+            chain_next(chain_, payload.substr(0, chain_at));
+        if (recorded != expected) {
+            reject(lineno, "chain hash mismatch (in-place corruption "
+                           "upstream or on this record)");
+        }
+        chain_ = expected;
+        std::string_view rigs_text;
         std::vector<std::uint32_t> rigs;
-        if (config_.integrity.enabled()) {
-            const std::vector<std::string_view> tokens = split_fields(payload);
-            std::string_view rigs_text;
-            if (field_value(tokens, "rigs", rigs_text) &&
-                !parse_list(rigs_text, ':', rigs)) {
-                reject(lineno, "unparseable rigs provenance");
-            }
+        if (!field_value(split_fields(payload), "rigs", rigs_text) ||
+            !parse_list(rigs_text, ':', rigs)) {
+            reject(lineno, "unparseable rigs provenance");
         }
         if (find_cohort(key) == cohorts_.size()) {
             reject(lineno, "probe for a cohort outside this fleet");
@@ -680,14 +695,7 @@ void fleet_service::warm_cache_from_journal() {
         prev_key = key;
         have_prev = true;
         ++journal_serial_;
-        if (config_.integrity.enabled()) {
-            cache_.insert(content, result, rigs);
-            journal_entries_.push_back(
-                {key, sweep_mv, content, result, ledger, std::move(rigs)});
-            record_layout_.push_back({true, {}});
-        } else {
-            cache_.insert(content, result);
-        }
+        cache_.insert(content, result, std::move(rigs));
         // Restored ledgers fold in journal order -- the exact order the
         // unfaulted run folds them at commit -- so the double-summed
         // downtime converges bitwise across a crash/restart.
@@ -701,24 +709,13 @@ void fleet_service::append_probe_line(const cohort_key& key,
                                       std::uint64_t content,
                                       const probe_result& result,
                                       const probe_ledger& ledger,
-                                      const std::vector<std::uint32_t>*
-                                          rigs) {
+                                      const std::vector<std::uint32_t>& rigs) {
     if (!journal_) {
         return;
     }
-    std::string line =
-        format_probe_payload(key, sweep_mv, content, result, ledger);
-    if (rigs != nullptr) {
-        // Defended wire: vouching rigs, then the chain link LAST so it
-        // covers everything before it (including the provenance).
-        line += " rigs=" + format_list(*rigs, ':');
-        chain_ = chain_next(chain_, line);
-        line += " chain=" + format_hex(chain_);
-    }
-    journal_->append(journal_serial_++, line);
-    if (config_.integrity.enabled()) {
-        record_layout_.push_back({true, {}});
-    }
+    journal_->append(journal_serial_++,
+                     chained_probe_payload(key, sweep_mv, content, result,
+                                           ledger, rigs, chain_));
 }
 
 void fleet_service::append_observatory_line(const std::string& payload) {
@@ -743,9 +740,6 @@ void fleet_service::append_observatory_line(const std::string& payload) {
         }
     }
     journal_->append(journal_serial_++, payload);
-    if (config_.integrity.enabled()) {
-        record_layout_.push_back({false, payload});
-    }
 }
 
 std::uint64_t fleet_service::sdc_injected() const {
@@ -884,13 +878,10 @@ void fleet_service::audit_scheduled_hits(
             for (const std::uint32_t rig : charged) {
                 charge_dissent(rig, newly_blacklisted);
             }
-            for (journal_entry& entry : journal_entries_) {
-                if (entry.content == content) {
-                    entry.result = truth;
-                    entry.rigs = rigs;
-                    ++repaired_entries_;
-                    journal_dirty = true;
-                }
+            if (journal_) {
+                // Each cached content is journaled exactly once.
+                ++repaired_entries_;
+                journal_dirty = true;
             }
         } else {
             // The cache was right; the audit replica itself lied.
@@ -903,84 +894,83 @@ void fleet_service::audit_scheduled_hits(
 
 void fleet_service::repair_blacklisted_entries(
     const std::set<std::uint64_t>& newly_blacklisted, bool& journal_dirty) {
-    if (newly_blacklisted.empty()) {
+    if (newly_blacklisted.empty() || !journal_) {
         return;
     }
+    // The journaled probes in file order -- the order that fixes the SDC
+    // draws of the re-executions below.  The cache holds each journaled
+    // content's current result and vouching rigs.
     const int quorum = std::max(1, config_.integrity.quorum);
-    for (journal_entry& entry : journal_entries_) {
-        if (entry.rigs.empty()) {
-            continue;
-        }
-        bool all_blacklisted = true;
-        for (const std::uint32_t rig : entry.rigs) {
-            if (!reputation_.blacklisted(rig)) {
-                all_blacklisted = false;
-                break;
+    for_each_journal_record(
+        config_.journal_path,
+        [&](std::string_view, const journaled_probe* probe) {
+            if (probe == nullptr) {
+                return;
             }
-        }
-        if (!all_blacklisted) {
-            continue;
-        }
-        // Every voucher of this record is now blacklisted: nothing about
-        // it is trustworthy, so re-execute the full quorum and repair.
-        const probe_request request =
-            request_for(entry.key, entry.sweep_mv, entry.content);
-        probe_result truth;
-        std::vector<std::uint32_t> rigs;
-        if (!arbitrate(request, quorum, truth, rigs)) {
-            continue;
-        }
-        const bool value_changed = !same_result(truth, entry.result);
-        if (value_changed) {
-            ++sdc_detected_;
-            ++sdc_corrected_;
-        }
-        if (value_changed || rigs != entry.rigs) {
-            entry.result = truth;
-            entry.rigs = rigs;
-            ++repaired_entries_;
-            journal_dirty = true;
-            cache_.repair(entry.content, truth, rigs);
-            const std::size_t cohort_idx = cohort_index(entry.key);
-            if (cohort_last_content_[cohort_idx] == entry.content) {
-                cohorts_[cohort_idx].last = truth;
+            const std::vector<std::uint32_t> vouchers =
+                *cache_.provenance(probe->content);
+            if (!std::all_of(vouchers.begin(), vouchers.end(),
+                             [&](std::uint32_t rig) {
+                                 return reputation_.blacklisted(rig);
+                             })) {
+                return;
             }
-        }
-    }
+            // Every voucher of this record is now blacklisted: nothing about
+            // it is trustworthy, so re-execute the full quorum and repair.
+            const probe_request request =
+                request_for(probe->key, probe->sweep_mv, probe->content);
+            probe_result truth;
+            std::vector<std::uint32_t> rigs;
+            if (!arbitrate(request, quorum, truth, rigs)) {
+                return;
+            }
+            const bool value_changed =
+                !same_result(truth, *cache_.peek(probe->content));
+            if (value_changed) {
+                ++sdc_detected_;
+                ++sdc_corrected_;
+            }
+            if (value_changed || rigs != vouchers) {
+                ++repaired_entries_;
+                journal_dirty = true;
+                cache_.repair(probe->content, truth, rigs);
+                const std::size_t cohort_idx = cohort_index(probe->key);
+                if (cohort_last_content_[cohort_idx] == probe->content) {
+                    cohorts_[cohort_idx].last = truth;
+                }
+            }
+        });
 }
 
 void fleet_service::rewrite_journal() {
     if (!journal_) {
         return;
     }
-    // Rebuild every line with a recomputed chain, then swap atomically.
-    // Not a chaos seam: repair rewrites are driven by the deterministic
-    // audit/blacklist schedule, and the stale `.tmp` a crash could leave
-    // is removed at construction.  (The fresh campaign_journal restarts
-    // the chaos byte counter -- documented in docs/ROBUSTNESS.md.)
+    // Re-render every probe record from the file (identity, sweep,
+    // ledger) and the cache (current result and rigs) with a recomputed
+    // chain; observatory records ride along verbatim, outside the chain.
+    // Then swap atomically.  Not a chaos seam: repair rewrites are driven
+    // by the deterministic audit/blacklist schedule, and the stale `.tmp`
+    // a crash could leave is removed at construction.  (The fresh
+    // campaign_journal restarts the chaos byte counter -- documented in
+    // docs/ROBUSTNESS.md.)
     std::string bytes;
     std::uint64_t chain = chain_basis;
     std::size_t serial = 0;
-    std::size_t probe_cursor = 0;
-    for (const journal_record_ref& ref : record_layout_) {
-        std::string line;
-        if (ref.probe) {
-            // Probe records are re-rendered from the (possibly repaired)
-            // retained entries with a recomputed chain; observatory
-            // records ride along verbatim, outside the chain.
-            const journal_entry& entry = journal_entries_[probe_cursor++];
-            line = format_probe_payload(entry.key, entry.sweep_mv,
-                                        entry.content, entry.result,
-                                        entry.ledger);
-            line += " rigs=" + format_list(entry.rigs, ':');
-            chain = chain_next(chain, line);
-            line += " chain=" + format_hex(chain);
-        } else {
-            line = ref.payload;
-        }
-        bytes += "task=" + std::to_string(serial++) + " " + line + "\n";
-    }
-    GB_ENSURES(probe_cursor == journal_entries_.size());
+    for_each_journal_record(
+        config_.journal_path,
+        [&](std::string_view payload, const journaled_probe* probe) {
+            bytes += "task=" + std::to_string(serial++) + " ";
+            if (probe == nullptr) {
+                bytes += payload;
+            } else {
+                bytes += chained_probe_payload(
+                    probe->key, probe->sweep_mv, probe->content,
+                    *cache_.peek(probe->content), probe->ledger,
+                    *cache_.provenance(probe->content), chain);
+            }
+            bytes += '\n';
+        });
     if (!publish_atomic(config_.journal_path, bytes)) {
         return; // keep appending to the old (still-linked) journal
     }
@@ -1029,7 +1019,6 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     // crash-invariant scheduled-hit count, so a restarted daemon audits
     // the same hits a never-crashed one does.
     std::vector<std::pair<std::size_t, std::uint64_t>> audit_candidates;
-    const bool integrity_on = config_.integrity.enabled();
     for (std::size_t c = 0; c < cohorts_.size(); ++c) {
         cohort_state& cohort = cohorts_[c];
         ++cohort.probes;
@@ -1046,7 +1035,7 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
             // is lifetime-local and stays out of the snapshot counters.
             if (requested_contents_.contains(content)) {
                 ++scheduled_hits_;
-                if (integrity_on && config_.integrity.audit_stride > 0 &&
+                if (config_.integrity.audit_stride > 0 &&
                     scheduled_hits_ % config_.integrity.audit_stride == 0) {
                     audit_candidates.emplace_back(c, content);
                 }
@@ -1068,7 +1057,6 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     // exponential backoff charge; after the last round it degrades its
     // cohort instead of failing the campaign.
     const int quorum = std::max(1, config_.integrity.quorum);
-    std::vector<probe_result> results(pending.size());
     std::vector<std::vector<probe_result>> replicas(pending.size());
     std::vector<probe_ledger> ledgers(pending.size());
     std::vector<char> resolved(pending.size(), 0);
@@ -1156,8 +1144,8 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
                         request.members = cohort.members;
                         probe_ledger& ledger = ledgers[j];
                         // Replica 0's fault draws are keyed exactly as a
-                        // quorum=1 plan's, so the defense-off schedule is
-                        // byte-identical; redundant replicas re-key into
+                        // quorum=1 plan's, so that schedule is unchanged
+                        // by redundancy; redundant replicas re-key into
                         // their own fault streams.  A probe resolves only
                         // when EVERY replica does -- one exhausted rig
                         // defers the whole vote to the next round.
@@ -1282,61 +1270,48 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
             fold_ledger(outcome.stats, ledgers[j]);
             continue;
         }
-        std::vector<std::uint32_t> provenance_rigs;
-        if (integrity_on) {
-            // Majority-of-N admission.  Replica r executed on the
-            // content-pure rig `rig_for(seed, content, r)`; the winning
-            // value is admitted with the assigned quorum's rigs as
-            // provenance, dissenters are charged in the reputation
-            // ledger, and a stalemate (possible only for even quorums or
-            // multi-rig corruption) degrades the cohort conservatively --
-            // with no majority, nobody can be blamed and nothing can be
-            // admitted.
-            const std::vector<probe_result>& votes = replicas[j];
-            const quorum_tally tally =
-                vote(votes.size(), [&](std::size_t a, std::size_t b) {
-                    return same_result(votes[a], votes[b]);
-                });
-            replica_executions_ += votes.size();
-            if (!tally.decided) {
-                ++quorum_stalemates_;
-                ++sdc_detected_;
-                cohort.probed = false;
-                cohort.degraded = true;
-                ++outcome.degraded;
-                fold_ledger(outcome.stats, ledgers[j]);
-                continue;
-            }
-            for (const std::size_t d : tally.dissenters) {
-                ++sdc_outvoted_;
-                ++sdc_detected_;
-                charge_dissent(rig_for(spec_.seed, entry.content,
-                                       static_cast<int>(d),
-                                       effective_rigs_),
-                               newly_blacklisted);
-            }
-            provenance_rigs = assigned_rigs(entry.content);
-            results[j] = votes[tally.winner];
-            cache_.insert(entry.content, results[j], provenance_rigs);
-        } else {
-            results[j] = replicas[j].front();
-            cache_.insert(entry.content, results[j]);
+        // Majority-of-N admission (quorum 1 is a one-vote tally).
+        // Replica r executed on the content-pure rig `rig_for(seed,
+        // content, r)`; the winning value is admitted with the assigned
+        // quorum's rigs as provenance, dissenters are charged in the
+        // reputation ledger, and a stalemate (possible only for even
+        // quorums or multi-rig corruption) degrades the cohort
+        // conservatively -- with no majority, nobody can be blamed and
+        // nothing can be admitted.
+        const std::vector<probe_result>& votes = replicas[j];
+        const quorum_tally tally =
+            vote(votes.size(), [&](std::size_t a, std::size_t b) {
+                return same_result(votes[a], votes[b]);
+            });
+        replica_executions_ += votes.size();
+        if (!tally.decided) {
+            ++quorum_stalemates_;
+            ++sdc_detected_;
+            cohort.probed = false;
+            cohort.degraded = true;
+            ++outcome.degraded;
+            fold_ledger(outcome.stats, ledgers[j]);
+            continue;
         }
+        for (const std::size_t d : tally.dissenters) {
+            ++sdc_outvoted_;
+            ++sdc_detected_;
+            charge_dissent(rig_for(spec_.seed, entry.content,
+                                   static_cast<int>(d), effective_rigs_),
+                           newly_blacklisted);
+        }
+        const probe_result& admitted = votes[tally.winner];
+        const std::vector<std::uint32_t> rigs = assigned_rigs(entry.content);
+        cache_.insert(entry.content, admitted, rigs);
         requested_contents_.insert(entry.content);
-        cohort.last = results[j];
+        cohort.last = admitted;
         cohort.probed = true;
         cohort.degraded = false;
         cohort_last_content_[entry.cohort] = entry.content;
         fold_ledger(ledger_stats_, ledgers[j]);
         fold_ledger(outcome.stats, ledgers[j]);
-        append_probe_line(cohort.key, sweep_mv, entry.content, results[j],
-                          ledgers[j],
-                          integrity_on ? &provenance_rigs : nullptr);
-        if (integrity_on && journal_) {
-            journal_entries_.push_back({cohort.key, sweep_mv, entry.content,
-                                        results[j], ledgers[j],
-                                        provenance_rigs});
-        }
+        append_probe_line(cohort.key, sweep_mv, entry.content, admitted,
+                          ledgers[j], rigs);
         ++executed;
     }
     outcome.executed = executed;
@@ -1346,13 +1321,11 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     // this campaign's scheduled hits, then re-execute whatever a freshly
     // blacklisted rig sole-sourced.  Both run before the node fan-out so
     // a repaired value reaches this campaign's bins and snapshot.
-    if (integrity_on) {
-        audit_scheduled_hits(sweep_mv, audit_candidates, newly_blacklisted,
-                             journal_dirty);
-        repair_blacklisted_entries(newly_blacklisted, journal_dirty);
-        if (journal_dirty) {
-            rewrite_journal();
-        }
+    audit_scheduled_hits(sweep_mv, audit_candidates, newly_blacklisted,
+                         journal_dirty);
+    repair_blacklisted_entries(newly_blacklisted, journal_dirty);
+    if (journal_dirty) {
+        rewrite_journal();
     }
 
     // 4. Fan cohort results out to the whole fleet.

@@ -115,8 +115,10 @@ struct probe_ledger {
 };
 
 /// The SDC defense knobs (docs/ROBUSTNESS.md "Silent data corruption").
-/// Defaults leave every defense off, and a disabled config is guaranteed
-/// to keep the service's stdout, journal and snapshot bytes unchanged.
+/// The admission vote and the hash-chained journal are unconditional --
+/// the defaults (quorum 1, no attack, no audit) are a one-vote tally over
+/// a chained record -- and these knobs only add redundancy, an attack and
+/// audit sampling on top.
 struct fleet_integrity_config {
     /// Replicas per distinct probe, executed on disjoint simulated rigs;
     /// the majority value is admitted (N = 2f + 1 corrects f corrupt
@@ -138,6 +140,9 @@ struct fleet_integrity_config {
     /// journal entries re-executed.
     std::uint64_t blacklist_threshold = 2;
 
+    /// Any knob above its default; the service then registers the
+    /// `integrity.*` gauges (an undefended run's metrics carry none, so
+    /// `gbreport audit` can never read it as clean).
     [[nodiscard]] bool enabled() const {
         return quorum > 1 || sdc != nullptr || audit_stride > 0;
     }
@@ -183,10 +188,9 @@ struct fleet_service_config {
     /// Chaos kill-point plan armed at the journal, snapshot and warm
     /// seams (null: no chaos).  See harness/chaos/chaos.hpp.
     chaos_plan* chaos = nullptr;
-    /// SDC attack + defense configuration.  With the defenses on, journal
-    /// records additionally carry ` rigs=` provenance and a running
-    /// ` chain=` hash (verified on warm); with them off (the default) the
-    /// wire format and every published byte are unchanged.
+    /// SDC attack + defense configuration.  Every journal record carries
+    /// ` rigs=` provenance and a running ` chain=` hash (verified on warm)
+    /// whatever the configuration.
     fleet_integrity_config integrity;
     /// Deterministic time-series sink (null: the observatory is off and
     /// every journal, snapshot and metrics byte is unchanged).  When set,
@@ -360,18 +364,6 @@ private:
         std::uint64_t epochs = 0;
     };
 
-    /// One retained journal record, kept in memory (warm + append) only
-    /// when the integrity defenses are on, so repair can rewrite the
-    /// journal with a recomputed chain.
-    struct journal_entry {
-        cohort_key key;
-        std::int64_t sweep_mv = 0;
-        std::uint64_t content = 0;
-        probe_result result;
-        probe_ledger ledger;
-        std::vector<std::uint32_t> rigs;
-    };
-
     /// Position of `key` in the sorted `cohorts_`, or cohorts_.size()
     /// when this fleet has no such cohort.
     [[nodiscard]] std::size_t find_cohort(const cohort_key& key) const;
@@ -398,7 +390,7 @@ private:
     void append_probe_line(const cohort_key& key, std::int64_t sweep_mv,
                            std::uint64_t content, const probe_result& result,
                            const probe_ledger& ledger,
-                           const std::vector<std::uint32_t>* rigs);
+                           const std::vector<std::uint32_t>& rigs);
     /// Execute one replica serially (audit / arbitration / repair),
     /// drawing one SDC opportunity.
     [[nodiscard]] probe_result execute_replica(const probe_request& request);
@@ -421,12 +413,15 @@ private:
         std::int64_t sweep_mv,
         const std::vector<std::pair<std::size_t, std::uint64_t>>& candidates,
         std::set<std::uint64_t>& newly_blacklisted, bool& journal_dirty);
+    /// Re-execute every journaled probe whose vouching rigs are all
+    /// blacklisted, walking the journal file in file order.
     void repair_blacklisted_entries(
         const std::set<std::uint64_t>& newly_blacklisted,
         bool& journal_dirty);
-    /// Rewrite the whole journal from `journal_entries_` with a
-    /// recomputed hash chain (temp + rename; no chaos seams -- repair is
-    /// not a persistence seam the recovery checker arms).
+    /// Rewrite the whole journal with a recomputed hash chain, each probe
+    /// record re-rendered from the file (identity, ledger) and the cache
+    /// (current result and rigs); temp + rename, no chaos seams -- repair
+    /// is not a persistence seam the recovery checker arms.
     void rewrite_journal();
     void charge_dissent(std::uint64_t rig,
                         std::set<std::uint64_t>& newly_blacklisted);
@@ -475,7 +470,6 @@ private:
     std::uint64_t effective_rigs_ = 1;
     rig_reputation reputation_;
     std::uint64_t chain_ = chain_basis; ///< running journal chain hash
-    std::vector<journal_entry> journal_entries_; ///< integrity on only
     /// Content of each cohort's most recent resolved probe, so repair can
     /// refresh `cohorts_[i].last` when its backing entry is rewritten.
     std::vector<std::uint64_t> cohort_last_content_;
@@ -508,15 +502,6 @@ private:
     std::map<std::uint64_t, std::uint64_t> warm_tline_counts_;
     std::map<std::uint64_t, std::uint64_t> warm_alert_counts_;
     std::map<std::uint64_t, std::uint64_t> warm_epoch_ticks_;
-    /// Journal record layout (probe vs verbatim observatory payload),
-    /// maintained only when integrity + journal are both on, so
-    /// `rewrite_journal` can re-chain the probe records while preserving
-    /// observatory records in place.
-    struct journal_record_ref {
-        bool probe = true;
-        std::string payload; ///< observatory records only, verbatim
-    };
-    std::vector<journal_record_ref> record_layout_;
 
     std::map<cohort_key, supervised_cohort> supervised_;
     std::uint64_t supervised_epochs_ = 0;
@@ -552,17 +537,12 @@ private:
     } mh_;
 };
 
-/// Parse one fleet journal payload (the part after the `task=N ` prefix)
-/// back into its probe identity and result.  Exposed for tests and
-/// external tailers; tolerant -- returns false on anything malformed.
-[[nodiscard]] bool parse_probe_line(std::string_view payload,
-                                    cohort_key& key, std::int64_t& sweep_mv,
-                                    std::uint64_t& content,
-                                    probe_result& result);
-
-/// As above, also recovering the probe's fault ledger.  The ledger fields
-/// (`retries= wdt= crash= pwr= xhst= down=`) are optional on the wire and
-/// default to a clean ledger, so pre-ledger journals stay readable.
+/// Parse one fleet journal probe payload (the part after the `task=N `
+/// prefix) back into its probe identity, result and fault ledger.  Every
+/// field is required (`retries= wdt= crash= pwr= xhst= down=` included);
+/// the ` rigs=` provenance and ` chain=` link are checked by the warm path,
+/// not here.  Exposed for tests and external tailers; returns false on
+/// anything malformed.
 [[nodiscard]] bool parse_probe_line(std::string_view payload,
                                     cohort_key& key, std::int64_t& sweep_mv,
                                     std::uint64_t& content,

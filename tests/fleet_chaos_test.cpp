@@ -24,10 +24,12 @@
 #include "fleet/service.hpp"
 #include "harness/chaos/chaos.hpp"
 #include "harness/fault_injection.hpp"
+#include "harness/integrity/integrity.hpp"
 #include "harness/journal.hpp"
 #include "harness/report/artifacts.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
+#include "util/wire.hpp"
 
 namespace gb::fleet {
 namespace {
@@ -391,6 +393,24 @@ protected:
         return line.replace(from, to - from, value);
     }
 
+    /// Join `lines` into journal bytes, recomputing every ` chain=` link
+    /// in order -- so an edited input fails for the invariant it was
+    /// written for, not on its (stale) link.
+    [[nodiscard]] static std::string rechain(
+        const std::vector<std::string>& lines) {
+        std::uint64_t chain = chain_basis;
+        std::string bytes;
+        for (const std::string& line : lines) {
+            const std::size_t body = line.find(' ') + 1;
+            const std::size_t link = line.rfind(" chain=");
+            chain = chain_next(
+                chain, std::string_view(line).substr(body, link - body));
+            bytes += line.substr(0, link) + " chain=" + format_hex(chain) +
+                     "\n";
+        }
+        return bytes;
+    }
+
     void expect_reject(const std::string& bytes,
                        const std::string& needle) const {
         write_raw(journal_path_, bytes);
@@ -418,15 +438,14 @@ TEST_F(FleetJournalRejectionTest, DuplicateEntryIsRejected) {
     // but duplicates are diagnosed first (the more specific violation).
     std::string second = lines_[0];
     second.replace(0, second.find(' '), "task=1");
-    expect_reject(lines_[0] + "\n" + second + "\n", "duplicate entry");
+    expect_reject(rechain({lines_[0], second}), "duplicate entry");
 }
 
 TEST_F(FleetJournalRejectionTest, ContradictoryReExecutionIsRejected) {
     std::string second = lines_[0];
     second.replace(0, second.find(' '), "task=1");
     second = with_field(second, "req", "999.5");
-    expect_reject(lines_[0] + "\n" + second + "\n",
-                  "contradictory re-execution");
+    expect_reject(rechain({lines_[0], second}), "contradictory re-execution");
 }
 
 TEST_F(FleetJournalRejectionTest, SerialGapIsRejected) {
@@ -440,19 +459,26 @@ TEST_F(FleetJournalRejectionTest, MidFileGarbageIsRejected) {
                   "unparseable probe record");
     // Numbers are finite or the record does not parse: a "nan" would bin
     // its cohort at the cap and poison the published snapshot.
-    expect_reject(with_field(lines_[0], "req", "nan") + "\n",
+    expect_reject(rechain({with_field(lines_[0], "req", "nan")}),
+                  ":1: unparseable probe record");
+    // Every ledger field is required: a correctly chained record without
+    // `down=` does not parse either.
+    const std::size_t down = lines_[0].find(" down=");
+    const std::size_t rigs = lines_[0].find(" rigs=");
+    ASSERT_LT(down, rigs);
+    expect_reject(rechain({lines_[0].substr(0, down) + lines_[0].substr(rigs)}),
                   ":1: unparseable probe record");
 }
 
 TEST_F(FleetJournalRejectionTest, CohortOrderRegressionIsRejected) {
     // Swap the first two payloads: both parse, contents are distinct, but
     // the sorted-cohort commit order the writer guarantees is violated.
-    expect_reject("task=0 " + payload(1) + "\ntask=1 " + payload(0) + "\n",
+    expect_reject(rechain({"task=0 " + payload(1), "task=1 " + payload(0)}),
                   "cohort order regressed");
 }
 
 TEST_F(FleetJournalRejectionTest, ForeignCohortIsRejected) {
-    expect_reject(with_field(lines_[0], "class", "7") + "\n",
+    expect_reject(rechain({with_field(lines_[0], "class", "7")}),
                   "outside this fleet");
 }
 
@@ -464,10 +490,11 @@ struct kill_combo {
 };
 
 std::vector<kill_combo> crash_matrix_combos() {
-    // Byte thresholds assume ~160-byte journal lines over a 72-probe
-    // schedule (~11.5 KiB): @2000 lands mid first campaign with enough
-    // intact lines behind it for the cache_warm@5 pairing; @6000 lands in
-    // a later life's re-execution run.
+    // Byte thresholds assume ~195-byte chained journal lines over a
+    // 72-probe schedule (~13.7 KiB): @2000 tears record 11 of the first
+    // campaign, leaving enough intact lines behind it for the
+    // cache_warm@5 pairing; in the triple kill, @1500 tears record 8 and
+    // @6000 lands in the second life's run, early in the second campaign.
     return {
         {"torn-journal", {{chaos_site::journal_append, 2000}}},
         {"torn-snapshot-temp", {{chaos_site::snapshot_temp, 1}}},

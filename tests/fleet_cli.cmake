@@ -92,3 +92,30 @@ if(digest EQUAL -1)
     message(FATAL_ERROR
         "defended serve stderr lacks the integrity digest:\n${stderr_text}")
 endif()
+
+# The chained journal rejects in-place tampering on restart, with the
+# default config too: serve cold, raise one `req=` in record 2, restart.
+set(tamper_journal ${WORK_DIR}/tamper.journal)
+file(REMOVE ${tamper_journal})
+execute_process(
+    COMMAND ${FLEET_SERVICE} serve --state ${state}
+        --journal ${tamper_journal} --nodes 2000 --epochs 1
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr_text
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "default serve exited ${rc}:\n${stderr_text}")
+endif()
+file(STRINGS ${tamper_journal} records)
+list(GET records 1 record)
+string(REGEX REPLACE "req=([0-9])" "req=9\\1" tampered "${record}")
+if(tampered STREQUAL record)
+    message(FATAL_ERROR "record 2 has no req= field to tamper:\n${record}")
+endif()
+list(REMOVE_AT records 1)
+list(INSERT records 1 "${tampered}")
+list(JOIN records "\n" text)
+file(WRITE ${tamper_journal} "${text}\n")
+expect_fail(":2: chain hash mismatch"
+    serve --state ${state} --journal ${tamper_journal} --nodes 2000
+    --epochs 1)

@@ -6,8 +6,9 @@
 // catch and correct every injection.  The strongest statements are
 // bitwise: a defended run under attack converges to the exact journal and
 // snapshot bytes of the same run without the attack, at any shard or
-// worker count -- and with the defenses off, the pipeline's bytes are
-// untouched by this PR (no rigs/chain fields at all).
+// worker count.  The chain itself is unconditional: the default config
+// writes and verifies it too.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "fleet/service.hpp"
 #include "harness/fault_injection.hpp"
 #include "harness/integrity/integrity.hpp"
+#include "harness/trace/metrics.hpp"
 
 namespace gb::fleet {
 namespace {
@@ -164,11 +166,8 @@ TEST(ProbeCacheTest, CountersAreExactAndProvenanceRoundTrips) {
     // peek never counts.
     ASSERT_NE(cache.peek(42), nullptr);
     EXPECT_EQ(cache.hits(), 1u);
-    // Legacy insert leaves provenance empty, never null for present keys.
-    cache.insert(7, value);
-    ASSERT_NE(cache.provenance(7), nullptr);
-    EXPECT_TRUE(cache.provenance(7)->empty());
     EXPECT_EQ(cache.provenance(999), nullptr);
+    cache.insert(7, value, {1});
 
     cache.record_dissent();
     EXPECT_EQ(cache.dissents(), 1u);
@@ -311,18 +310,65 @@ TEST(FleetIntegrityTest, BlacklistedRigsSoleSourcedHistoryIsReExecuted) {
     EXPECT_EQ(attacked.snapshot, clean.snapshot);
 }
 
+TEST(FleetIntegrityTest, BlacklistRepairReExecutesInJournalFileOrder) {
+    // The repair sweep walks the journal file in file order, and that order
+    // fixes which re-execution draws which SDC opportunity.  Opportunities
+    // before the sweep: 36 admissions, 36 audits and 3 arbiters for the
+    // caught lie -- so @77 lands on the sweep's second re-execution.  At
+    // quorum 1 nothing outvotes it: exactly the second record (in file
+    // order) sole-sourced by the blacklisted rig carries the new lie.
+    const std::string journal_path =
+        temp_path("integrity_repair_order.journal");
+    run_options clean_options;
+    clean_options.sweeps = {0, 0};
+    clean_options.quorum = 1;
+    clean_options.audit_stride = 1;
+    clean_options.blacklist_threshold = 1;
+    const std::vector<std::string> clean =
+        split_lines(run_service(journal_path, clean_options).journal);
+
+    run_options attack = clean_options;
+    attack.sdc_spec = "vmin_flip@5,vmin_flip@77";
+    const run_result attacked = run_service(journal_path, attack);
+    ASSERT_EQ(attacked.injected, 2u);
+    ASSERT_EQ(attacked.blacklisted, 1u);
+    const std::vector<std::string> lines = split_lines(attacked.journal);
+    ASSERT_EQ(lines.size(), clean.size());
+
+    // The first lie was probe 5's admission: its rig is the blacklisted one.
+    const auto field = [](const std::string& line, const std::string& name) {
+        const std::size_t at = line.find(" " + name + "=");
+        return line.substr(at, line.find(' ', at + 1) - at);
+    };
+    const std::string blacklisted = field(clean[4], "rigs");
+    std::vector<std::size_t> sole_sourced;
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        if (field(clean[i], "rigs") == blacklisted) {
+            sole_sourced.push_back(i);
+        }
+    }
+    ASSERT_GE(sole_sourced.size(), 2u);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(field(lines[i], "req") != field(clean[i], "req"),
+                  i == sole_sourced[1])
+            << "record " << i;
+    }
+}
+
 // --- hash-chained journal ------------------------------------------------
 
-class FleetChainTest : public ::testing::Test {
+/// Parameterized over the quorum: 1 is the default config, 3 the
+/// defended one -- both write and verify the same chained format.
+class FleetChainTest : public ::testing::TestWithParam<int> {
 protected:
     void SetUp() override {
-        journal_path_ = temp_path(
-            std::string("integrity_chain_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".journal");
+        std::string name =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        std::replace(name.begin(), name.end(), '/', '_');
+        journal_path_ = temp_path("integrity_chain_" + name + ".journal");
         run_options options;
         options.sweeps = {0};
-        options.quorum = 3;
+        options.quorum = GetParam();
         reference_ = run_service(journal_path_, options);
         lines_ = split_lines(reference_.journal);
         ASSERT_GE(lines_.size(), 3u);
@@ -346,7 +392,7 @@ protected:
         write_raw(journal_path_, bytes);
         fleet_service_config config;
         config.journal_path = journal_path_;
-        config.integrity.quorum = 3;
+        config.integrity.quorum = GetParam();
         try {
             fleet_service service(small_fleet(), config, fake_probe);
             FAIL() << "journal accepted; wanted rejection: " << needle;
@@ -365,7 +411,7 @@ protected:
     std::vector<std::string> lines_;
 };
 
-TEST_F(FleetChainTest, JournalCarriesRigsAndChainFields) {
+TEST_P(FleetChainTest, JournalCarriesRigsAndChainFields) {
     for (const std::string& line : lines_) {
         EXPECT_NE(line.find(" rigs="), std::string::npos) << line;
         // The chain is the last field: it covers everything before it.
@@ -375,7 +421,7 @@ TEST_F(FleetChainTest, JournalCarriesRigsAndChainFields) {
     }
 }
 
-TEST_F(FleetChainTest, InPlaceValueEditBreaksTheChainOnWarm) {
+TEST_P(FleetChainTest, InPlaceValueEditBreaksTheChainOnWarm) {
     // Tamper with record 1's requirement but keep its (now stale) chain:
     // warm reports the mismatch with file:line.
     std::vector<std::string> tampered = lines_;
@@ -387,7 +433,7 @@ TEST_F(FleetChainTest, InPlaceValueEditBreaksTheChainOnWarm) {
     expect_reject(bytes, ":2: chain hash mismatch");
 }
 
-TEST_F(FleetChainTest, ReorderingIntactRecordsBreaksTheChain) {
+TEST_P(FleetChainTest, ReorderingIntactRecordsBreaksTheChain) {
     // Both lines are individually authentic; swapping them (and their
     // task= serials, so the serial check passes) still breaks the links.
     std::vector<std::string> tampered = lines_;
@@ -402,7 +448,7 @@ TEST_F(FleetChainTest, ReorderingIntactRecordsBreaksTheChain) {
     expect_reject(bytes, "chain hash mismatch");
 }
 
-TEST_F(FleetChainTest, MissingOrGarbageChainIsRejected) {
+TEST_P(FleetChainTest, MissingOrGarbageChainIsRejected) {
     const std::size_t chain = lines_[0].rfind(" chain=");
     ASSERT_NE(chain, std::string::npos);
     expect_reject(lines_[0].substr(0, chain) + "\n", "missing chain hash");
@@ -410,7 +456,7 @@ TEST_F(FleetChainTest, MissingOrGarbageChainIsRejected) {
                   "unparseable chain hash");
 }
 
-TEST_F(FleetChainTest, TornTailStillSelfHealsUnderIntegrity) {
+TEST_P(FleetChainTest, TornTailStillSelfHealsUnderIntegrity) {
     // The chain defends against in-place edits; the torn-tail heal (this
     // writer's own crash damage) must keep working above it.
     const std::string torn =
@@ -418,12 +464,14 @@ TEST_F(FleetChainTest, TornTailStillSelfHealsUnderIntegrity) {
     write_raw(journal_path_, torn);
     fleet_service_config config;
     config.journal_path = journal_path_;
-    config.integrity.quorum = 3;
+    config.integrity.quorum = GetParam();
     fleet_service healed(small_fleet(), config, fake_probe);
     EXPECT_EQ(healed.healed_bytes(), torn.size() - reference_.journal.size());
     EXPECT_EQ(healed.restored(), 36u);
     EXPECT_EQ(slurp(journal_path_), reference_.journal);
 }
+
+INSTANTIATE_TEST_SUITE_P(, FleetChainTest, ::testing::Values(1, 3));
 
 // --- restart-warm convergence -------------------------------------------
 
@@ -453,20 +501,29 @@ TEST(FleetIntegrityTest, CountersAndBytesConvergeAcrossRestartWarm) {
     EXPECT_EQ(warmed.snapshot, first.snapshot);
 }
 
-TEST(FleetIntegrityTest, UnchainedLegacyJournalIsRejectedWhenDefended) {
-    // A journal written with the defenses off has no chain to verify; a
-    // defended warm refuses to vouch for it instead of guessing.
-    const std::string journal_path = temp_path("integrity_legacy.journal");
-    run_options legacy;
-    legacy.sweeps = {0};
-    const run_result undefended = run_service(journal_path, legacy);
-    EXPECT_EQ(undefended.journal.find(" chain="), std::string::npos);
+TEST(FleetIntegrityTest, UnchainedJournalIsRejectedByDefault) {
+    // A journal without chain links (as an older undefended service wrote
+    // it) cannot be verified, so even a default-config warm refuses to
+    // vouch for it instead of guessing.
+    const std::string journal_path = temp_path("integrity_unchained.journal");
+    run_options options;
+    options.sweeps = {0};
+    std::string unchained;
+    for (const std::string& line :
+         split_lines(run_service(journal_path, options).journal)) {
+        unchained += line.substr(0, line.find(" rigs=")) + "\n";
+    }
+    write_raw(journal_path, unchained);
     fleet_service_config config;
     config.journal_path = journal_path;
-    config.integrity.quorum = 3;
-    EXPECT_THROW(
-        { fleet_service service(small_fleet(), config, fake_probe); },
-        fleet_journal_error);
+    try {
+        fleet_service service(small_fleet(), config, fake_probe);
+        FAIL() << "unchained journal accepted";
+    } catch (const fleet_journal_error& error) {
+        EXPECT_NE(std::string(error.what()).find(":1: missing chain hash"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 // --- purity across shards, workers and the recovery checker -------------
@@ -514,18 +571,31 @@ TEST(FleetIntegrityTest, CrashRecoveryConvergesWithDefensesOn) {
     EXPECT_EQ(report.crashes, 2u);
 }
 
-// --- defenses-off byte compatibility ------------------------------------
+// --- the default config ------------------------------------------------
 
-TEST(FleetIntegrityTest, DefaultConfigWritesNoIntegrityFields) {
-    const std::string journal_path = temp_path("integrity_off.journal");
-    run_options options;
-    options.sweeps = {0};
-    const run_result result = run_service(journal_path, options);
-    EXPECT_EQ(result.journal.find(" rigs="), std::string::npos);
-    EXPECT_EQ(result.journal.find(" chain="), std::string::npos);
-    EXPECT_EQ(result.snapshot.find("integrity"), std::string::npos);
-    fleet_integrity_config defaults;
-    EXPECT_FALSE(defaults.enabled());
+TEST(FleetIntegrityTest, DefaultConfigChainsTheJournalButRegistersNoGauges) {
+    // The chain is unconditional; what the defaults leave out is the
+    // integrity accounting: no snapshot section, no `integrity.*` gauges
+    // (so `gbreport audit` never reads an undefended run as clean).
+    const std::string journal_path = temp_path("integrity_default.journal");
+    std::remove(journal_path.c_str());
+    metrics_registry metrics;
+    fleet_service_config config;
+    config.journal_path = journal_path;
+    config.metrics = &metrics;
+    fleet_service service(small_fleet(), config, fake_probe);
+    (void)service.run_campaign(0);
+    const std::vector<std::string> lines = split_lines(slurp(journal_path));
+    ASSERT_EQ(lines.size(), 36u);
+    for (const std::string& line : lines) {
+        EXPECT_NE(line.find(" rigs="), std::string::npos) << line;
+        EXPECT_NE(line.find(" chain="), std::string::npos) << line;
+    }
+    EXPECT_EQ(service.state_snapshot().find("integrity"), std::string::npos);
+    std::ostringstream json;
+    write_metrics_json(json, metrics);
+    EXPECT_NE(json.str().find("fleet.chips"), std::string::npos);
+    EXPECT_EQ(json.str().find("integrity."), std::string::npos);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -34,8 +35,12 @@
 namespace gb::fleet {
 namespace {
 
+/// A fresh temp path: whatever an earlier run left there (possibly in an
+/// older journal format) is removed, so every test starts cold.
 std::string temp_path(const std::string& name) {
-    return ::testing::TempDir() + name;
+    const std::string path = ::testing::TempDir() + name;
+    std::remove(path.c_str());
+    return path;
 }
 
 std::string slurp(const std::string& path) {
@@ -505,7 +510,9 @@ TEST(FleetServiceTest, JournalLinesRoundTripThroughTheParser) {
         std::int64_t sweep = 0;
         std::uint64_t content = 0;
         probe_result result;
-        ASSERT_TRUE(parse_probe_line(payload, key, sweep, content, result))
+        probe_ledger ledger;
+        ASSERT_TRUE(
+            parse_probe_line(payload, key, sweep, content, result, ledger))
             << payload;
         EXPECT_EQ(sweep, -15);
         EXPECT_EQ(content, probe_content(key, sweep));
@@ -526,14 +533,15 @@ TEST(FleetServiceTest, ProbeLineParserRejectsMalformedPayloads) {
     std::int64_t sweep = 0;
     std::uint64_t content = 0;
     probe_result result;
-    EXPECT_FALSE(parse_probe_line("", key, sweep, content, result));
+    probe_ledger ledger;
+    EXPECT_FALSE(parse_probe_line("", key, sweep, content, result, ledger));
     EXPECT_FALSE(parse_probe_line("run=1 core=0", key, sweep, content,
-                                  result));
+                                  result, ledger));
     EXPECT_FALSE(parse_probe_line("probe corner=XXX class=0 op=0 variant=0",
-                                  key, sweep, content, result));
+                                  key, sweep, content, result, ledger));
     EXPECT_FALSE(parse_probe_line(
         "probe corner=TTT class=0 op=0 variant=0 sweep=0", key, sweep,
-        content, result));
+        content, result, ledger));
 }
 
 // --- the observatory ----------------------------------------------------
