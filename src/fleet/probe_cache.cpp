@@ -1,5 +1,7 @@
 #include "fleet/probe_cache.hpp"
 
+#include <utility>
+
 namespace gb::fleet {
 
 const probe_result* probe_cache::lookup(std::uint64_t content) {
@@ -19,7 +21,9 @@ const probe_result* probe_cache::peek(std::uint64_t content) const {
 
 void probe_cache::insert(std::uint64_t content, const probe_result& result,
                          std::vector<std::uint32_t> rigs) {
-    entries_[content] = entry{result, std::move(rigs)};
+    entry& slot = entries_[content];
+    slot.result = result;
+    slot.rigs = std::move(rigs);
 }
 
 const std::vector<std::uint32_t>* probe_cache::provenance(
@@ -30,8 +34,14 @@ const std::vector<std::uint32_t>* probe_cache::provenance(
 
 void probe_cache::repair(std::uint64_t content, const probe_result& result,
                          std::vector<std::uint32_t> rigs) {
-    entries_[content] = entry{result, std::move(rigs)};
+    insert(content, result, std::move(rigs));
     ++repaired_;
+}
+
+bool probe_cache::mark_requested(std::uint64_t content) {
+    const bool was = std::exchange(entries_.at(content).requested, true);
+    requested_ += was ? 0 : 1;
+    return was;
 }
 
 } // namespace gb::fleet

@@ -44,7 +44,8 @@ public:
     /// construction, so overwrite == insert) with the rigs that vouched
     /// for the value (the configured quorum's assigned rigs, sorted).
     /// Provenance drives blacklist repair: entries sourced only from
-    /// blacklisted rigs re-execute.
+    /// blacklisted rigs re-execute.  An overwrite keeps the entry's
+    /// requested bit.
     void insert(std::uint64_t content, const probe_result& result,
                 std::vector<std::uint32_t> rigs);
 
@@ -53,9 +54,14 @@ public:
         std::uint64_t content) const;
 
     /// Overwrite a poisoned entry with the arbitrated truth and its new
-    /// provenance.  Counts one repair.
+    /// provenance, like `insert`.  Counts one repair.
     void repair(std::uint64_t content, const probe_result& result,
                 std::vector<std::uint32_t> rigs);
+
+    /// Mark an existing entry as requested this service lifetime; returns
+    /// whether it already was (a repeat is a crash-invariant "scheduled
+    /// hit", unlike a hit on a journal-restored entry).
+    bool mark_requested(std::uint64_t content);
 
     /// Count one outvoted dissent observed at admission time.
     void record_dissent() { ++dissents_; }
@@ -65,17 +71,21 @@ public:
     [[nodiscard]] std::uint64_t dissents() const { return dissents_; }
     [[nodiscard]] std::uint64_t repaired() const { return repaired_; }
     [[nodiscard]] std::uint64_t size() const { return entries_.size(); }
+    /// Entries marked by `mark_requested`.
+    [[nodiscard]] std::uint64_t requested() const { return requested_; }
 
 private:
     struct entry {
         probe_result result;
         std::vector<std::uint32_t> rigs; ///< sorted vouching rigs
+        bool requested = false;
     };
     std::map<std::uint64_t, entry> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t dissents_ = 0;
     std::uint64_t repaired_ = 0;
+    std::uint64_t requested_ = 0;
 };
 
 } // namespace gb::fleet

@@ -77,6 +77,46 @@ bool same_result(const probe_result& a, const probe_result& b) {
 /// draws (which must stay byte-identical to the quorum=1 schedule).
 constexpr std::uint64_t replica_fault_domain = 0x7265706c2d666c74ULL;
 
+/// Charge one probe's rig-fault draws for `round` to `ledger`, replica by
+/// replica and attempt by attempt; true when every replica found a
+/// healthy attempt.  Replica 0 draws exactly as a quorum=1 plan would;
+/// the others re-key into their own streams.  The walk stops at the first
+/// exhausted replica: one exhausted rig defers the whole vote.
+bool plan_rig_faults(const fault_plan* faults, std::uint64_t content,
+                     int round, int quorum, int attempts,
+                     probe_ledger& ledger) {
+    if (faults == nullptr) {
+        return true;
+    }
+    const std::uint64_t round_key = replan_key(content, round);
+    for (int r = 0; r < quorum; ++r) {
+        const std::uint64_t fault_key =
+            r == 0 ? round_key
+                   : derive_task_seed(round_key,
+                                      replica_fault_domain +
+                                          static_cast<std::uint64_t>(r));
+        int attempt = 0;
+        for (; attempt < attempts; ++attempt) {
+            const rig_fault fault = faults->draw(fault_key, attempt);
+            if (fault == rig_fault::none) {
+                break;
+            }
+            ledger.watchdog_timeouts +=
+                fault == rig_fault::hang_until_watchdog ? 1 : 0;
+            ledger.board_crashes += fault == rig_fault::board_crash ? 1 : 0;
+            ledger.power_switch_failures +=
+                fault == rig_fault::power_switch_failure ? 1 : 0;
+            ledger.downtime_s += faults->downtime_for(fault);
+            ledger.retries += attempt + 1 < attempts ? 1 : 0;
+        }
+        if (attempt == attempts) {
+            ++ledger.exhausted_rounds;
+            return false;
+        }
+    }
+    return true;
+}
+
 /// What a Byzantine rig's silent corruption does to one probe result.
 /// The weak-cell sites land on the outcome bucket (the fleet probe's
 /// cell-count-like integer channel); the others on the named scalars.
@@ -141,22 +181,20 @@ struct journaled_probe {
     probe_ledger ledger;
 };
 
-/// Visit a service's own journal file in file order: `visit(payload,
-/// probe)` per record, `probe` null for observatory records.  The file was
-/// validated on warm and appended since, so every record parses.
+/// Visit a service's own journal file in file order, one streamed line at
+/// a time: `visit(payload, probe)` per record, `probe` null for
+/// observatory records.  The file was validated on warm and appended
+/// since, so every record parses and ends in '\n'.
 template <typename Visit>
 void for_each_journal_record(const std::string& path, Visit&& visit) {
-    const std::optional<std::string> bytes = read_file(path);
-    GB_ENSURES(bytes.has_value());
-    std::string_view rest = *bytes;
-    while (!rest.empty()) {
-        const std::size_t newline = rest.find('\n');
-        GB_ENSURES(newline != std::string_view::npos);
+    std::ifstream in(path, std::ios::binary);
+    GB_ENSURES(in.is_open());
+    std::string line;
+    while (std::getline(in, line)) {
+        GB_ENSURES(!in.eof());
         std::size_t serial = 0;
         std::string_view payload;
-        GB_ENSURES(parse_journal_prefix(rest.substr(0, newline), serial,
-                                        payload));
-        rest.remove_prefix(newline + 1);
+        GB_ENSURES(parse_journal_prefix(line, serial, payload));
         journaled_probe probe;
         probe_result result;
         const bool is_probe =
@@ -373,12 +411,6 @@ std::size_t fleet_service::find_cohort(const cohort_key& key) const {
                : cohorts_.size();
 }
 
-std::size_t fleet_service::cohort_index(const cohort_key& key) const {
-    const std::size_t index = find_cohort(key);
-    GB_EXPECTS(index < cohorts_.size());
-    return index;
-}
-
 void fleet_service::fan_out() {
     // Per-cohort serving values.  Synthetic aging widens the *served*
     // requirement only -- the cached/journaled characterization stays
@@ -496,11 +528,10 @@ std::uint64_t fleet_service::degraded_cohorts() const {
 }
 
 void fleet_service::warm_cache_from_journal() {
-    const std::optional<std::string> read = read_file(config_.journal_path);
-    if (!read) {
+    std::ifstream in(config_.journal_path, std::ios::binary);
+    if (!in.is_open()) {
         return; // first boot: nothing to restore
     }
-    const std::string& bytes = *read;
 
     const auto reject = [this](std::size_t lineno,
                                const std::string& reason) {
@@ -518,16 +549,17 @@ void fleet_service::warm_cache_from_journal() {
     // self-healed (truncated, counted in `healed_bytes_`); everything
     // else is a foreign edit or a bug and raises `fleet_journal_error`
     // rather than silently re-executing probes against bad state.
-    std::size_t pos = 0;
+    std::uintmax_t pos = 0; ///< start offset of `line`
     std::size_t lineno = 0;
     bool have_prev = false;
     std::int64_t prev_sweep = 0;
     cohort_key prev_key{};
-    std::map<std::uint64_t, probe_result> seen;
-    while (pos < bytes.size()) {
-        const std::size_t newline = bytes.find('\n', pos);
-        if (newline == std::string::npos) {
-            healed_bytes_ += bytes.size() - pos;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (in.eof()) {
+            // No '\n' before the end of the file: the torn tail.
+            healed_bytes_ += line.size();
+            in.close();
             std::error_code ec;
             std::filesystem::resize_file(config_.journal_path, pos, ec);
             if (ec) {
@@ -536,8 +568,7 @@ void fleet_service::warm_cache_from_journal() {
             }
             break;
         }
-        const std::string_view line(bytes.data() + pos, newline - pos);
-        pos = newline + 1;
+        pos += line.size() + 1;
         ++lineno;
         if (config_.chaos != nullptr &&
             config_.chaos->on_cache_warm_line()) {
@@ -678,10 +709,10 @@ void fleet_service::warm_cache_from_journal() {
         if (find_cohort(key) == cohorts_.size()) {
             reject(lineno, "probe for a cohort outside this fleet");
         }
-        const auto duplicate = seen.find(content);
-        if (duplicate != seen.end()) {
+        // The cache holds exactly the records read so far.
+        if (const probe_result* duplicate = cache_.peek(content)) {
             reject(lineno,
-                   same_result(duplicate->second, result)
+                   same_result(*duplicate, result)
                        ? "duplicate entry for content " + format_hex(content)
                        : "contradictory re-execution of content " +
                              format_hex(content));
@@ -690,7 +721,6 @@ void fleet_service::warm_cache_from_journal() {
             reject(lineno, "cohort order regressed within sweep " +
                                std::to_string(sweep_mv));
         }
-        seen.emplace(content, result);
         prev_sweep = sweep_mv;
         prev_key = key;
         have_prev = true;
@@ -753,31 +783,30 @@ std::uint64_t fleet_service::sdc_escaped() const {
     return injected > sdc_detected_ ? injected - sdc_detected_ : 0;
 }
 
-probe_request fleet_service::request_for(const cohort_key& key,
+probe_request fleet_service::request_for(std::size_t cohort,
                                          std::int64_t sweep_mv,
                                          std::uint64_t content) const {
     probe_request request;
-    request.cohort = key;
+    request.cohort = cohorts_[cohort].key;
     request.sweep_mv = sweep_mv;
     request.content = content;
     request.seed = derive_task_seed(spec_.seed, content);
-    request.members = cohorts_[cohort_index(key)].members;
+    request.members = cohorts_[cohort].members;
     return request;
 }
 
-probe_result fleet_service::execute_replica(const probe_request& request) {
-    // Serial re-execution for audits, arbitration and repair.  No rig
+probe_result fleet_service::execute_replica(const probe_result& honest) {
+    // One serial replica for audits, arbitration and repair.  No rig
     // faults here: the loud failure modes already ran their course when
     // the probe first resolved, and a re-execution's value is what the
     // defense needs -- only the silent corruption stream still applies.
-    probe_result value = probe_(request);
+    ++replica_executions_;
     if (config_.integrity.sdc != nullptr) {
         if (const auto decision = config_.integrity.sdc->on_execution()) {
-            value = apply_sdc(value, *decision);
+            return apply_sdc(honest, *decision);
         }
     }
-    ++replica_executions_;
-    return value;
+    return honest;
 }
 
 void fleet_service::charge_dissent(
@@ -809,14 +838,15 @@ std::vector<std::uint32_t> fleet_service::assigned_rigs(
     return rigs;
 }
 
-bool fleet_service::arbitrate(const probe_request& request, int replicas,
+bool fleet_service::arbitrate(std::uint64_t content,
+                              const probe_result& honest, int replicas,
                               probe_result& truth,
                               std::vector<std::uint32_t>& rigs) {
     GB_EXPECTS(replicas >= 1);
     std::vector<probe_result> votes;
     votes.reserve(static_cast<std::size_t>(replicas));
     for (int r = 0; r < replicas; ++r) {
-        votes.push_back(execute_replica(request));
+        votes.push_back(execute_replica(honest));
     }
     const quorum_tally tally =
         vote(votes.size(), [&](std::size_t a, std::size_t b) {
@@ -831,7 +861,7 @@ bool fleet_service::arbitrate(const probe_request& request, int replicas,
     // (not the agreeing subset), so a repaired record carries exactly the
     // rigs a never-corrupted run would have recorded -- the
     // bitwise-convergence contract.
-    rigs = assigned_rigs(request.content);
+    rigs = assigned_rigs(content);
     return true;
 }
 
@@ -846,10 +876,11 @@ void fleet_service::audit_scheduled_hits(
         if (cached == nullptr) {
             continue; // unreachable: an audited hit was just served
         }
-        const cohort_state& cohort = cohorts_[cohort_idx];
-        const probe_request request =
-            request_for(cohort.key, sweep_mv, content);
-        const probe_result observed = execute_replica(request);
+        // One probe execution serves the audit replica and, on a
+        // mismatch, every arbiter.
+        const probe_result honest =
+            probe_(request_for(cohort_idx, sweep_mv, content));
+        const probe_result observed = execute_replica(honest);
         if (same_result(observed, *cached)) {
             continue;
         }
@@ -860,7 +891,7 @@ void fleet_service::audit_scheduled_hits(
         probe_result truth;
         std::vector<std::uint32_t> rigs;
         const int arbiters = std::max(3, quorum | 1);
-        if (!arbitrate(request, arbiters, truth, rigs)) {
+        if (!arbitrate(content, honest, arbiters, truth, rigs)) {
             continue; // stalemate: leave the cache alone, counted above
         }
         if (!same_result(truth, *cached)) {
@@ -916,12 +947,15 @@ void fleet_service::repair_blacklisted_entries(
                 return;
             }
             // Every voucher of this record is now blacklisted: nothing about
-            // it is trustworthy, so re-execute the full quorum and repair.
-            const probe_request request =
-                request_for(probe->key, probe->sweep_mv, probe->content);
+            // it is trustworthy, so execute the probe once, re-arbitrate a
+            // full quorum of replicas over it, and repair.
+            const std::size_t cohort_idx = find_cohort(probe->key);
+            GB_ENSURES(cohort_idx < cohorts_.size()); // validated on warm
+            const probe_result honest = probe_(
+                request_for(cohort_idx, probe->sweep_mv, probe->content));
             probe_result truth;
             std::vector<std::uint32_t> rigs;
-            if (!arbitrate(request, quorum, truth, rigs)) {
+            if (!arbitrate(probe->content, honest, quorum, truth, rigs)) {
                 return;
             }
             const bool value_changed =
@@ -934,7 +968,6 @@ void fleet_service::repair_blacklisted_entries(
                 ++repaired_entries_;
                 journal_dirty = true;
                 cache_.repair(probe->content, truth, rigs);
-                const std::size_t cohort_idx = cohort_index(probe->key);
                 if (cohort_last_content_[cohort_idx] == probe->content) {
                     cohorts_[cohort_idx].last = truth;
                 }
@@ -1033,14 +1066,12 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
             // *scheduled* hit -- the only hit notion identical before and
             // after a crash/restart.  A hit on journal-restored content
             // is lifetime-local and stays out of the snapshot counters.
-            if (requested_contents_.contains(content)) {
+            if (cache_.mark_requested(content)) {
                 ++scheduled_hits_;
                 if (config_.integrity.audit_stride > 0 &&
                     scheduled_hits_ % config_.integrity.audit_stride == 0) {
                     audit_candidates.emplace_back(c, content);
                 }
-            } else {
-                requested_contents_.insert(content);
             }
         } else {
             pending.push_back({c, content});
@@ -1057,7 +1088,8 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     // exponential backoff charge; after the last round it degrades its
     // cohort instead of failing the campaign.
     const int quorum = std::max(1, config_.integrity.quorum);
-    std::vector<std::vector<probe_result>> replicas(pending.size());
+    const auto replicas = static_cast<std::size_t>(quorum);
+    std::vector<probe_result> honest(pending.size());
     std::vector<probe_ledger> ledgers(pending.size());
     std::vector<char> resolved(pending.size(), 0);
     // Corruption decisions are drawn HERE, serially in pending (sorted
@@ -1068,11 +1100,21 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     // finally resolves.
     std::vector<std::optional<sdc_corruption>> poison;
     if (config_.integrity.sdc != nullptr && !pending.empty()) {
-        poison.resize(pending.size() * static_cast<std::size_t>(quorum));
+        poison.resize(pending.size() * replicas);
         for (auto& decision : poison) {
             decision = config_.integrity.sdc->on_execution();
         }
     }
+    // Replica r of probe j: the probe's one honest value as the rig
+    // `rig_for(seed, content, r)` reports it.
+    const auto replica = [&](std::size_t j, std::size_t r) {
+        if (!poison.empty()) {
+            if (const auto& decision = poison[j * replicas + r]) {
+                return apply_sdc(honest[j], *decision);
+            }
+        }
+        return honest[j];
+    };
     if (!pending.empty()) {
         GB_EXPECTS(static_cast<bool>(probe_));
         publish_live(pending.size());
@@ -1085,8 +1127,8 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         engine_options.metrics = config_.metrics;
         // No engine status_path: per-shard engine totals depend on the
         // shard count, and the service's own snapshot must not.  No
-        // engine fault plan either -- rig faults are simulated inside
-        // the task body, keyed by content, for the same reason.
+        // engine fault plan either -- rig faults are planned serially
+        // below, keyed by content, for the same reason.
         const execution_engine engine(engine_options);
         const int attempts = std::max(1, config_.retry_budget + 1);
         const int last_round = std::max(0, config_.replan_rounds);
@@ -1128,126 +1170,47 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
                 for (const std::size_t j : batch) {
                     downtime_before += ledgers[j].downtime_s;
                 }
-                const std::size_t first = trace_index_base_;
-                const execution_stats stats = engine.run(
-                    batch.size(),
-                    [&](const task_context& context) {
-                        const std::size_t j = batch[context.index - first];
-                        const pending_probe& entry = pending[j];
-                        const cohort_state& cohort = cohorts_[entry.cohort];
-                        probe_request request;
-                        request.cohort = cohort.key;
-                        request.sweep_mv = sweep_mv;
-                        request.content = entry.content;
-                        request.seed =
-                            derive_task_seed(spec_.seed, entry.content);
-                        request.members = cohort.members;
-                        probe_ledger& ledger = ledgers[j];
-                        // Replica 0's fault draws are keyed exactly as a
-                        // quorum=1 plan's, so that schedule is unchanged
-                        // by redundancy; redundant replicas re-key into
-                        // their own fault streams.  A probe resolves only
-                        // when EVERY replica does -- one exhausted rig
-                        // defers the whole vote to the next round.
-                        replicas[j].assign(
-                            static_cast<std::size_t>(quorum), {});
-                        int bucket = -1;
-                        for (int r = 0; r < quorum; ++r) {
-                            const std::uint64_t round_key =
-                                replan_key(entry.content, round);
-                            const std::uint64_t fault_key =
-                                r == 0 ? round_key
-                                       : derive_task_seed(
-                                             round_key,
-                                             replica_fault_domain +
-                                                 static_cast<std::uint64_t>(
-                                                     r));
-                            bool replica_done = false;
-                            for (int attempt = 0; attempt < attempts;
-                                 ++attempt) {
-                                const rig_fault fault =
-                                    config_.faults == nullptr
-                                        ? rig_fault::none
-                                        : config_.faults->draw(fault_key,
-                                                               attempt);
-                                if (fault == rig_fault::none) {
-                                    probe_result value = probe_(request);
-                                    if (!poison.empty()) {
-                                        const auto& decision =
-                                            poison[j * static_cast<
-                                                           std::size_t>(
-                                                           quorum) +
-                                                   static_cast<std::size_t>(
-                                                       r)];
-                                        if (decision) {
-                                            value = apply_sdc(value,
-                                                              *decision);
-                                        }
-                                    }
-                                    replicas[j][static_cast<std::size_t>(
-                                        r)] = value;
-                                    if (r == 0) {
-                                        bucket = value.bucket;
-                                    }
-                                    replica_done = true;
-                                    break;
-                                }
-                                switch (fault) {
-                                case rig_fault::hang_until_watchdog:
-                                    ++ledger.watchdog_timeouts;
-                                    break;
-                                case rig_fault::board_crash:
-                                    ++ledger.board_crashes;
-                                    break;
-                                case rig_fault::power_switch_failure:
-                                    ++ledger.power_switch_failures;
-                                    break;
-                                case rig_fault::none:
-                                    break;
-                                }
-                                ledger.downtime_s +=
-                                    config_.faults->downtime_for(fault);
-                                if (attempt + 1 < attempts) {
-                                    ++ledger.retries;
-                                }
-                            }
-                            if (!replica_done) {
-                                ++ledger.exhausted_rounds;
-                                return -1;
-                            }
-                        }
+                // Rig faults, planned serially: draws are pure in
+                // (content, round, replica, attempt).
+                std::vector<std::size_t> runnable;
+                double downtime_after = 0.0;
+                for (const std::size_t j : batch) {
+                    if (plan_rig_faults(config_.faults, pending[j].content,
+                                        round, quorum, attempts,
+                                        ledgers[j])) {
                         resolved[j] = 1;
-                        return bucket;
-                    },
-                    first);
-                trace_index_base_ += batch.size();
-                outcome.stats.merge(stats);
-                if (config_.shard_deadline_s > 0.0) {
+                        runnable.push_back(j);
+                    }
+                    downtime_after += ledgers[j].downtime_s;
+                }
+                if (config_.shard_deadline_s > 0.0 &&
+                    downtime_after - downtime_before >
+                        config_.shard_deadline_s) {
                     // Shard watchdog: virtual rig downtime this batch
                     // accumulated beyond the deadline.  Observability
                     // only -- batch composition depends on the shard
                     // count, so this never reaches the snapshot.
-                    double downtime_after = 0.0;
-                    for (const std::size_t j : batch) {
-                        downtime_after += ledgers[j].downtime_s;
-                    }
-                    if (downtime_after - downtime_before >
-                        config_.shard_deadline_s) {
-                        ++shard_watchdog_trips_;
-                        if (mh_.registered) {
-                            config_.metrics->add(
-                                0, mh_.shard_watchdog_trips, 1);
-                        }
+                    ++shard_watchdog_trips_;
+                    if (mh_.registered) {
+                        config_.metrics->add(0, mh_.shard_watchdog_trips, 1);
                     }
                 }
+                // One task per resolved probe: the pure probe runs once
+                // and the task reports replica 0's outcome bucket.
+                const std::size_t first = trace_index_base_;
+                const execution_stats stats = engine.run(
+                    runnable.size(),
+                    [&](const task_context& context) {
+                        const std::size_t j = runnable[context.index - first];
+                        honest[j] = probe_(request_for(
+                            pending[j].cohort, sweep_mv, pending[j].content));
+                        return replica(j, 0).bucket;
+                    },
+                    first);
+                trace_index_base_ += runnable.size();
+                outcome.stats.merge(stats);
             }
-            std::vector<std::size_t> still_open;
-            for (const std::size_t j : open) {
-                if (resolved[j] == 0) {
-                    still_open.push_back(j);
-                }
-            }
-            open = std::move(still_open);
+            std::erase_if(open, [&](std::size_t j) { return resolved[j]; });
         }
     }
 
@@ -1260,6 +1223,7 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     std::uint64_t executed = 0;
     std::set<std::uint64_t> newly_blacklisted;
     bool journal_dirty = false;
+    std::vector<probe_result> votes(replicas);
     for (std::size_t j = 0; j < pending.size(); ++j) {
         const pending_probe& entry = pending[j];
         cohort_state& cohort = cohorts_[entry.cohort];
@@ -1278,12 +1242,14 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         // quorums or multi-rig corruption) degrades the cohort
         // conservatively -- with no majority, nobody can be blamed and
         // nothing can be admitted.
-        const std::vector<probe_result>& votes = replicas[j];
+        for (std::size_t r = 0; r < replicas; ++r) {
+            votes[r] = replica(j, r);
+        }
         const quorum_tally tally =
-            vote(votes.size(), [&](std::size_t a, std::size_t b) {
+            vote(replicas, [&](std::size_t a, std::size_t b) {
                 return same_result(votes[a], votes[b]);
             });
-        replica_executions_ += votes.size();
+        replica_executions_ += replicas; // logical: one per rig
         if (!tally.decided) {
             ++quorum_stalemates_;
             ++sdc_detected_;
@@ -1303,7 +1269,7 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         const probe_result& admitted = votes[tally.winner];
         const std::vector<std::uint32_t> rigs = assigned_rigs(entry.content);
         cache_.insert(entry.content, admitted, rigs);
-        requested_contents_.insert(entry.content);
+        cache_.mark_requested(entry.content);
         cohort.last = admitted;
         cohort.probed = true;
         cohort.degraded = false;
@@ -1315,7 +1281,6 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         ++executed;
     }
     outcome.executed = executed;
-    probes_executed_ += executed;
 
     // 3b. Integrity sweeps, still serial: re-verify the audit sample of
     // this campaign's scheduled hits, then re-execute whatever a freshly
@@ -1486,7 +1451,7 @@ std::string fleet_service::state_snapshot() const {
     fleet << ",\"fleet\":{\"epoch\":" << epoch_
           << ",\"nodes\":" << spec_.node_count()
           << ",\"cohorts\":" << cohorts_.size()
-          << ",\"probes_executed\":" << requested_contents_.size()
+          << ",\"probes_executed\":" << cache_.requested()
           << ",\"cache_hits\":" << scheduled_hits_
           << ",\"cache_entries\":" << cache_.size()
           << ",\"power_nominal_w\":" << format_double(power_nominal_w_)

@@ -90,7 +90,10 @@ struct probe_request {
 };
 
 /// Executes one probe.  Called concurrently from engine workers: must be
-/// a pure function of the request (plus read-only shared state).
+/// a pure function of the request (plus read-only shared state).  The
+/// service relies on that purity: it calls the probe once per executed
+/// probe, audited hit or re-arbitrated record and hands the one value to
+/// every quorum replica, so an impure probe would vote with itself.
 using probe_fn = std::function<probe_result(const probe_request&)>;
 
 /// The fleet journal violated an invariant the writer guarantees --
@@ -328,7 +331,8 @@ public:
     [[nodiscard]] std::uint64_t repaired_entries() const {
         return repaired_entries_;
     }
-    /// Probe executions spent on redundancy (replicas, audits, repairs).
+    /// Logical replicas spent on redundancy (replicas, audits, repairs),
+    /// one per simulated rig, not calls of the pure probe.
     [[nodiscard]] std::uint64_t replica_executions() const {
         return replica_executions_;
     }
@@ -367,7 +371,6 @@ private:
     /// Position of `key` in the sorted `cohorts_`, or cohorts_.size()
     /// when this fleet has no such cohort.
     [[nodiscard]] std::size_t find_cohort(const cohort_key& key) const;
-    [[nodiscard]] std::size_t cohort_index(const cohort_key& key) const;
     /// Node fan-out of the current cohort results: rebuilds `bins_` and
     /// the two power sums (docs/FLEET.md "Fan-out").
     void fan_out();
@@ -391,18 +394,19 @@ private:
                            std::uint64_t content, const probe_result& result,
                            const probe_ledger& ledger,
                            const std::vector<std::uint32_t>& rigs);
-    /// Execute one replica serially (audit / arbitration / repair),
-    /// drawing one SDC opportunity.
-    [[nodiscard]] probe_result execute_replica(const probe_request& request);
-    [[nodiscard]] probe_request request_for(const cohort_key& key,
+    /// One serial replica (audit / arbitration / repair) of the probe's
+    /// `honest` value, drawing one SDC opportunity.
+    [[nodiscard]] probe_result execute_replica(const probe_result& honest);
+    [[nodiscard]] probe_request request_for(std::size_t cohort,
                                             std::int64_t sweep_mv,
                                             std::uint64_t content) const;
-    /// Arbitrate `content` with a fresh quorum on the standard rig
-    /// assignment; returns false on a stalemate.  `truth` and the
-    /// provenance (the configured quorum's assigned rigs, so repaired
-    /// bytes converge with a never-corrupted run's) come back through
-    /// the out-params.
-    [[nodiscard]] bool arbitrate(const probe_request& request, int replicas,
+    /// Arbitrate `content` with a fresh quorum of replicas of its `honest`
+    /// value on the standard rig assignment; returns false on a stalemate.
+    /// `truth` and the provenance (the configured quorum's assigned rigs,
+    /// so repaired bytes converge with a never-corrupted run's) come back
+    /// through the out-params.
+    [[nodiscard]] bool arbitrate(std::uint64_t content,
+                                 const probe_result& honest, int replicas,
                                  probe_result& truth,
                                  std::vector<std::uint32_t>& rigs);
     /// The configured quorum's content-pure rig assignment (sorted,
@@ -451,13 +455,11 @@ private:
 
     std::uint64_t epoch_ = 0;
     std::uint64_t probes_requested_ = 0; ///< lifetime cohort probes
-    std::uint64_t probes_executed_ = 0;  ///< lifetime engine-run probes
     std::size_t trace_index_base_ = 0;   ///< unique task indices across runs
-    /// Contents resolved for a request made *this lifetime* -- a repeat
-    /// request is a "scheduled hit", the only cache-hit notion that is
+    /// Repeat requests for a content already requested this lifetime
+    /// (the cache's requested bit) -- the only cache-hit notion that is
     /// identical before and after a crash/restart (restoration hits are
     /// lifetime-local and live in metrics only).
-    std::set<std::uint64_t> requested_contents_;
     std::uint64_t scheduled_hits_ = 0;
     /// Fault ledgers of every *resolved* probe, restored + this-life,
     /// folded in journal order -- the crash-invariant stats the snapshot

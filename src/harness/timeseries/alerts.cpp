@@ -18,7 +18,10 @@ std::string firing_key(std::string_view rule, std::string_view series) {
     return key;
 }
 
-/// Split one spec line into whitespace-separated tokens.
+/// Split one spec line into whitespace-separated tokens.  Unlike
+/// `split_fields` (wire.hpp), which splits the machine-written journal
+/// fields on spaces only, this also splits on tabs: rule files are written
+/// by hand, and a tab-aligned rule must parse like a space-separated one.
 std::vector<std::string_view> tokenize(std::string_view line) {
     std::vector<std::string_view> tokens;
     std::size_t pos = 0;

@@ -280,6 +280,42 @@ TEST(FleetChaosTest, ForeignGarbageTailHealsLikeATornLine) {
     EXPECT_EQ(slurp(journal_path), intact); // the heal is on disk
 }
 
+TEST(FleetChaosTest, LoneNewlineLessLineHealsToAnEmptyJournal) {
+    // The whole file is one torn line: the heal truncates it from offset
+    // 0, leaving an empty journal and nothing restored.
+    const std::string journal_path = temp_path("chaos_lone_tail.journal");
+    const std::string torn = "task=0 probe corner=TTT class=0 op=";
+    write_raw(journal_path, torn);
+
+    fleet_service_config config;
+    config.journal_path = journal_path;
+    fleet_service healed(small_fleet(), config, fake_probe);
+    EXPECT_EQ(healed.healed_bytes(), torn.size());
+    EXPECT_EQ(healed.restored(), 0U);
+    EXPECT_EQ(slurp(journal_path), "");
+}
+
+TEST(FleetChaosTest, NewlineTerminatedJournalHealsNothing) {
+    // A final '\n' closes the last record: no torn tail to heal.
+    const std::string journal_path = temp_path("chaos_clean_tail.journal");
+    std::remove(journal_path.c_str());
+    {
+        fleet_service_config config;
+        config.journal_path = journal_path;
+        fleet_service service(small_fleet(), config, fake_probe);
+        (void)service.run_campaign(0);
+    }
+    const std::string intact = slurp(journal_path);
+    ASSERT_EQ(intact.back(), '\n');
+
+    fleet_service_config config;
+    config.journal_path = journal_path;
+    fleet_service warmed(small_fleet(), config, fake_probe);
+    EXPECT_EQ(warmed.healed_bytes(), 0U);
+    EXPECT_EQ(warmed.restored(), 36U);
+    EXPECT_EQ(slurp(journal_path), intact);
+}
+
 TEST(FleetChaosTest, TornTimelineRecordHealsOnRestart) {
     const std::string journal_path = temp_path("chaos_torn_tline.journal");
     std::remove(journal_path.c_str());

@@ -1,11 +1,13 @@
 # Exit-code contract of the fleet_service CLI, focused on the fault-spec
 # diagnostics: a malformed --chaos or --sdc spec must exit 2 with a
 # one-line stderr diagnostic that quotes the offending token -- never a
-# crash, never a silently-ignored trigger.
+# crash, never a silently-ignored trigger.  Two end-to-end smoke stages
+# follow: the quorum outvoting a Byzantine rig bitwise, and degraded-mode
+# serving under a hostile rig.
 #
 # Driven from tests/CMakeLists.txt via
-#   cmake -DFLEET_SERVICE=... -DWORK_DIR=... -P fleet_cli.cmake
-foreach(var FLEET_SERVICE WORK_DIR)
+#   cmake -DFLEET_SERVICE=... -DGBREPORT=... -DWORK_DIR=... -P fleet_cli.cmake
+foreach(var FLEET_SERVICE GBREPORT WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "fleet_cli.cmake needs -D${var}=...")
     endif()
@@ -31,6 +33,40 @@ function(expect_fail needle)
         message(FATAL_ERROR
             "fleet_service ${ARGN} stderr lacks '${needle}':\n"
             "${stderr_text}")
+    endif()
+endfunction()
+
+# run_ok(<tool> <out_var> <args...>): run a tool, require exit 0, and
+# return its stdout + stderr in <out_var>.
+function(run_ok tool out_var)
+    execute_process(
+        COMMAND ${tool} ${ARGN}
+        OUTPUT_VARIABLE stdout_text
+        ERROR_VARIABLE stderr_text
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "${tool} ${ARGN} exited ${rc}\n"
+            "stdout:\n${stdout_text}\nstderr:\n${stderr_text}")
+    endif()
+    set(${out_var} "${stdout_text}${stderr_text}" PARENT_SCOPE)
+endfunction()
+
+# expect_text(<text> <needle> <what>): require a substring.
+function(expect_text text needle what)
+    string(FIND "${text}" "${needle}" found)
+    if(found EQUAL -1)
+        message(FATAL_ERROR "${what} lacks '${needle}':\n${text}")
+    endif()
+endfunction()
+
+# expect_same(<reference> <candidate>): require byte-equal files.
+function(expect_same reference candidate)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files ${reference} ${candidate}
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "${candidate} differs from ${reference}")
     endif()
 endfunction()
 
@@ -70,42 +106,57 @@ if(NOT rc EQUAL 2)
     message(FATAL_ERROR "--quorum 99 exited ${rc}, wanted 2:\n${stderr_text}")
 endif()
 
-# A well-formed defended run serves cleanly: quorum 3 outvotes the
-# injected flip and the shutdown digest lands on stderr.  A journal left
-# by a previous run would warm the cache and starve the injection of its
-# opportunity, so start cold.
-file(REMOVE ${WORK_DIR}/probes.journal)
-execute_process(
-    COMMAND ${FLEET_SERVICE} serve --state ${state}
-        --journal ${WORK_DIR}/probes.journal
-        --nodes 2000 --epochs 1 --sdc vmin_flip@5 --quorum 3
-    OUTPUT_VARIABLE stdout_text
-    ERROR_VARIABLE stderr_text
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "defended serve exited ${rc}\n"
-        "stdout:\n${stdout_text}\nstderr:\n${stderr_text}")
+# SDC smoke: quorum 3 outvotes a Byzantine rig bitwise.  The attacked
+# run (one replica's Vmin bit-flipped) must land on the honest run's
+# journal and state bytes, print the integrity digest on stderr, and
+# read clean under `gbreport audit`.  Journals left by a previous run
+# would warm the cache and starve the injection of its opportunity, so
+# both runs start cold.
+set(sdc_dir ${WORK_DIR}/sdc)
+file(REMOVE_RECURSE ${sdc_dir})
+file(MAKE_DIRECTORY ${sdc_dir}/ref ${sdc_dir}/run)
+run_ok(${FLEET_SERVICE} honest_text serve --state ${sdc_dir}/ref/state.json
+    --journal ${sdc_dir}/ref/probes.journal
+    --nodes 2000 --shards 4 --epochs 2 --quorum 3)
+run_ok(${FLEET_SERVICE} attack_text serve --state ${sdc_dir}/run/state.json
+    --journal ${sdc_dir}/run/probes.journal
+    --metrics ${sdc_dir}/run/metrics.json
+    --nodes 2000 --shards 4 --epochs 2 --quorum 3 --sdc vmin_flip@5)
+expect_text("${attack_text}" "1 injected, 1 detected" "attacked serve output")
+run_ok(${GBREPORT} audit_text audit --metrics ${sdc_dir}/run/metrics.json)
+expect_text("${audit_text}" "1 injected, 1 detected (1 outvoted"
+    "gbreport audit")
+expect_text("${audit_text}" "0 escaped" "gbreport audit")
+expect_text("${audit_text}" "verdict: clean" "gbreport audit")
+expect_same(${sdc_dir}/ref/probes.journal ${sdc_dir}/run/probes.journal)
+expect_same(${sdc_dir}/ref/state.json ${sdc_dir}/run/state.json)
+
+# Degraded-mode serving under a hostile rig: with most attempts faulted
+# and no retry or re-plan budget, some cohorts never resolve.  The
+# campaign still completes and serves them degraded, and both readers
+# show the quarantine.
+set(degraded_state ${WORK_DIR}/degraded_state.json)
+file(REMOVE ${degraded_state})
+run_ok(${FLEET_SERVICE} serve_text serve --state ${degraded_state}
+    --nodes 100000 --shards 4 --epochs 1
+    --fault-rate 0.8 --retry 0 --replan 0)
+file(READ ${degraded_state} degraded_json)
+expect_text("${degraded_json}" "\"degraded\":{\"cohorts\":" "state.json")
+string(FIND "${degraded_json}" "\"degraded\":{\"cohorts\":0," none_degraded)
+if(NOT none_degraded EQUAL -1)
+    message(FATAL_ERROR "hostile rig degraded no cohort:\n${degraded_json}")
 endif()
-string(FIND "${stderr_text}" "1 injected, 1 detected" digest)
-if(digest EQUAL -1)
-    message(FATAL_ERROR
-        "defended serve stderr lacks the integrity digest:\n${stderr_text}")
-endif()
+run_ok(${GBREPORT} status_text status ${degraded_state})
+expect_text("${status_text}" "degraded:" "gbreport status")
+run_ok(${FLEET_SERVICE} query_text query --state ${degraded_state})
+expect_text("${query_text}" "DEGRADED:" "fleet_service query")
 
 # The chained journal rejects in-place tampering on restart, with the
 # default config too: serve cold, raise one `req=` in record 2, restart.
 set(tamper_journal ${WORK_DIR}/tamper.journal)
 file(REMOVE ${tamper_journal})
-execute_process(
-    COMMAND ${FLEET_SERVICE} serve --state ${state}
-        --journal ${tamper_journal} --nodes 2000 --epochs 1
-    OUTPUT_QUIET
-    ERROR_VARIABLE stderr_text
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "default serve exited ${rc}:\n${stderr_text}")
-endif()
+run_ok(${FLEET_SERVICE} tamper_text serve --state ${state}
+    --journal ${tamper_journal} --nodes 2000 --epochs 1)
 file(STRINGS ${tamper_journal} records)
 list(GET records 1 record)
 string(REGEX REPLACE "req=([0-9])" "req=9\\1" tampered "${record}")

@@ -9,6 +9,7 @@
 // worker count.  The chain itself is unconditional: the default config
 // writes and verifies it too.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "harness/fault_injection.hpp"
 #include "harness/integrity/integrity.hpp"
 #include "harness/trace/metrics.hpp"
+#include "util/wire.hpp"
 
 namespace gb::fleet {
 namespace {
@@ -178,6 +180,23 @@ TEST(ProbeCacheTest, CountersAreExactAndProvenanceRoundTrips) {
     EXPECT_DOUBLE_EQ(cache.peek(42)->requirement_mv, 901.0);
     EXPECT_EQ(*cache.provenance(42), (std::vector<std::uint32_t>{6}));
     EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ProbeCacheTest, RequestedBitIsCountedOnceAndSurvivesOverwrites) {
+    probe_cache cache;
+    probe_result value;
+    cache.insert(42, value, {3});
+    cache.insert(7, value, {1});
+    EXPECT_EQ(cache.requested(), 0u);
+    EXPECT_FALSE(cache.mark_requested(42)); // first request
+    EXPECT_TRUE(cache.mark_requested(42));  // a repeat: scheduled hit
+    EXPECT_EQ(cache.requested(), 1u);
+    value.requirement_mv = 901.0;
+    cache.insert(42, value, {4});
+    cache.repair(42, value, {5});
+    EXPECT_TRUE(cache.mark_requested(42));
+    EXPECT_FALSE(cache.mark_requested(7));
+    EXPECT_EQ(cache.requested(), 2u);
 }
 
 // --- quorum admission ---------------------------------------------------
@@ -569,6 +588,192 @@ TEST(FleetIntegrityTest, CrashRecoveryConvergesWithDefensesOn) {
     const recovery_report report = run_recovery_check(config);
     EXPECT_TRUE(report.converged()) << report.failure;
     EXPECT_EQ(report.crashes, 2u);
+}
+
+// --- one probe execution per probe: differential guard -----------------
+
+struct guard_case {
+    int quorum = 1;
+    bool sdc = false;
+    double fault_rate = 0.0;
+    int replan_rounds = 2;
+    std::uint64_t audit_stride = 0;
+    std::uint64_t blacklist_threshold = 2;
+};
+
+std::string guard_name(const guard_case& c) {
+    std::ostringstream name;
+    name << 'q' << c.quorum << (c.sdc ? "/sdc" : "/honest")
+         << (c.fault_rate > 0.0 ? "/faulty" : "/healthy") << "/replan"
+         << c.replan_rounds;
+    if (c.audit_stride > 0) {
+        name << "/audit" << c.audit_stride << "/blacklist"
+             << c.blacklist_threshold;
+    }
+    return name.str();
+}
+
+/// The full matrix (quorum x attack x rig faults x re-plan rounds), then
+/// the audit and blacklist-repair paths at quorums 3 and 1.
+std::vector<guard_case> guard_cases() {
+    std::vector<guard_case> cases;
+    for (const int quorum : {1, 3, 5}) {
+        for (const bool sdc : {false, true}) {
+            for (const double fault_rate : {0.0, 0.6}) {
+                for (const int replan_rounds : {0, 2}) {
+                    cases.push_back(
+                        {quorum, sdc, fault_rate, replan_rounds, 0, 2});
+                }
+            }
+        }
+    }
+    cases.push_back({3, true, 0.0, 2, 4, 1});
+    cases.push_back({1, true, 0.0, 2, 1, 1});
+    return cases;
+}
+
+struct guard_run {
+    std::uint64_t digest = fnv1a_basis;
+    std::uint64_t probe_calls = 0;
+    std::uint64_t engine_tasks = 0;
+    std::uint64_t audits = 0;
+    std::uint64_t audit_mismatches = 0;
+    std::uint64_t replica_executions = 0;
+};
+
+/// Three campaigns (a fresh sweep, a second fresh sweep, then a repeat of
+/// the first) under one guard case, with a call-counting probe.  The
+/// digest folds the journal bytes, the snapshot bytes and the integrity
+/// counters.
+guard_run run_guard_case(const guard_case& c, const std::string& path) {
+    std::remove(path.c_str());
+    const fleet_spec spec = small_fleet();
+    // One lie per campaign: in the first sweep's admissions, in the
+    // second's, and in whatever the third campaign executes or audits.
+    std::optional<sdc_plan> sdc;
+    if (c.sdc) {
+        std::ostringstream spec_text;
+        spec_text << "vmin_flip@5,weak_drop@" << 36 * c.quorum + 7
+                  << ",power_scale@" << 72 * c.quorum + 2;
+        sdc_plan_config sdc_config;
+        sdc_config.seed = spec.seed;
+        std::string error;
+        EXPECT_TRUE(parse_sdc_spec(spec_text.str(), sdc_config, error))
+            << error;
+        sdc.emplace(std::move(sdc_config));
+    }
+    std::optional<fault_plan> faults;
+    if (c.fault_rate > 0.0) {
+        faults.emplace(make_uniform_fault_plan(spec.seed, c.fault_rate));
+    }
+    fleet_service_config config;
+    config.journal_path = path;
+    config.faults = faults ? &*faults : nullptr;
+    config.replan_rounds = c.replan_rounds;
+    config.integrity.quorum = c.quorum;
+    config.integrity.sdc = sdc ? &*sdc : nullptr;
+    config.integrity.audit_stride = c.audit_stride;
+    config.integrity.blacklist_threshold = c.blacklist_threshold;
+    std::atomic<std::uint64_t> calls{0};
+    guard_run run;
+    {
+        fleet_service service(
+            spec, config, [&calls](const probe_request& request) {
+                calls.fetch_add(1, std::memory_order_relaxed);
+                return fake_probe(request);
+            });
+        for (const std::int64_t sweep : {0, 5, 0}) {
+            run.engine_tasks += service.run_campaign(sweep).stats.tasks;
+        }
+        run.audits = service.audits();
+        run.audit_mismatches = service.audit_mismatches();
+        run.replica_executions = service.replica_executions();
+        std::string counters;
+        for (const std::uint64_t value :
+             {service.sdc_injected(), service.sdc_detected(),
+              service.sdc_outvoted(), service.sdc_corrected(),
+              service.audits(), service.audit_mismatches(),
+              service.quorum_stalemates(), service.repaired_entries(),
+              service.replica_executions(),
+              service.reputation().blacklisted_count()}) {
+            counters += std::to_string(value) + ' ';
+        }
+        run.digest = fnv1a_bytes(run.digest, slurp(path));
+        run.digest = fnv1a_bytes(run.digest, service.state_snapshot());
+        run.digest = fnv1a_bytes(run.digest, counters);
+    }
+    run.probe_calls = calls.load();
+    return run;
+}
+
+TEST(FleetIntegrityTest, OneProbeExecutionKeepsEveryByteAndCounter) {
+    // Produced by running this test body against the previous
+    // implementation, which executed the probe once per replica and drew
+    // rig faults inside each replica's engine task.  Serial fault planning
+    // and one shared execution must leave every journal, snapshot and
+    // integrity-counter value exactly where that implementation put it.
+    const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+        {"q1/honest/healthy/replan0", 16892734142142285424ULL},
+        {"q1/honest/healthy/replan2", 16892734142142285424ULL},
+        {"q1/honest/faulty/replan0", 7558967114145419114ULL},
+        {"q1/honest/faulty/replan2", 10828500668329045386ULL},
+        {"q1/sdc/healthy/replan0", 5198797227177742217ULL},
+        {"q1/sdc/healthy/replan2", 5198797227177742217ULL},
+        {"q1/sdc/faulty/replan0", 8069946904839459058ULL},
+        {"q1/sdc/faulty/replan2", 16361737707990208086ULL},
+        {"q3/honest/healthy/replan0", 1831603106150133802ULL},
+        {"q3/honest/healthy/replan2", 1831603106150133802ULL},
+        {"q3/honest/faulty/replan0", 6072951881422657632ULL},
+        {"q3/honest/faulty/replan2", 4604717201890163410ULL},
+        {"q3/sdc/healthy/replan0", 1836017915486026924ULL},
+        {"q3/sdc/healthy/replan2", 1836017915486026924ULL},
+        {"q3/sdc/faulty/replan0", 11459596943951090071ULL},
+        {"q3/sdc/faulty/replan2", 13297018045024289140ULL},
+        {"q5/honest/healthy/replan0", 8965800086103237869ULL},
+        {"q5/honest/healthy/replan2", 8965800086103237869ULL},
+        {"q5/honest/faulty/replan0", 12594577604872303566ULL},
+        {"q5/honest/faulty/replan2", 5893093055421000627ULL},
+        {"q5/sdc/healthy/replan0", 11811987284763879359ULL},
+        {"q5/sdc/healthy/replan2", 11811987284763879359ULL},
+        {"q5/sdc/faulty/replan0", 5426978880370983265ULL},
+        {"q5/sdc/faulty/replan2", 11153420117963634492ULL},
+        {"q3/sdc/healthy/replan2/audit4/blacklist1", 8650335108380819692ULL},
+        {"q1/sdc/healthy/replan2/audit1/blacklist1", 2839155064182413003ULL},
+    };
+    const std::vector<guard_case> cases = guard_cases();
+    ASSERT_EQ(cases.size(), expected.size());
+    const std::string path = temp_path("integrity_guard.journal");
+    std::uint64_t rearbitrated_total = 0;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const guard_case& c = cases[i];
+        SCOPED_TRACE(guard_name(c));
+        const guard_run run = run_guard_case(c, path);
+        EXPECT_EQ(expected[i].first, guard_name(c));
+        EXPECT_EQ(run.digest, expected[i].second)
+            << "{\"" << guard_name(c) << "\", " << run.digest << "ULL},";
+
+        // The probe runs once per executed probe (one engine task each),
+        // once per audited hit (shared with its arbitration) and once per
+        // re-arbitrated record; the replicas, audit arbiters and repair
+        // quorums that vote over those values are logical only.
+        const auto q = static_cast<std::uint64_t>(c.quorum);
+        const auto arbiters = static_cast<std::uint64_t>(
+            std::max(3, c.quorum | 1));
+        const std::uint64_t voted = q * run.engine_tasks + run.audits +
+                                    arbiters * run.audit_mismatches;
+        ASSERT_GE(run.replica_executions, voted);
+        const std::uint64_t repair_votes = run.replica_executions - voted;
+        ASSERT_EQ(repair_votes % q, 0u);
+        const std::uint64_t rearbitrated = repair_votes / q;
+        rearbitrated_total += rearbitrated;
+        EXPECT_EQ(run.probe_calls,
+                  run.engine_tasks + run.audits + rearbitrated);
+        if (c.quorum > 1) {
+            EXPECT_LT(run.probe_calls, run.replica_executions);
+        }
+    }
+    // The matrix reaches the blacklist repair sweep.
+    EXPECT_GT(rearbitrated_total, 0u);
 }
 
 // --- the default config ------------------------------------------------

@@ -137,6 +137,28 @@ TEST(AlertRulesTest, ParsesEveryComparator) {
     EXPECT_DOUBLE_EQ((*rules)[3].threshold, 0.5);
 }
 
+TEST(AlertRulesTest, TabSeparatedRuleParsesLikeSpaces) {
+    // Rule files are hand-written: tabs separate tokens like spaces do.
+    std::string error;
+    const auto spaced = parse_alert_rules(
+        "alert drift vmin.TTT.c0.p0.v0 slope 0.5 window 8\n", "rules.txt",
+        error);
+    ASSERT_TRUE(spaced.has_value()) << error;
+    const auto tabbed = parse_alert_rules(
+        "alert\tdrift \tvmin.TTT.c0.p0.v0\tslope\t\t0.5 window\t8\n",
+        "rules.txt", error);
+    ASSERT_TRUE(tabbed.has_value()) << error;
+    ASSERT_EQ(spaced->size(), 1U);
+    ASSERT_EQ(tabbed->size(), 1U);
+    const alert_rule& a = spaced->front();
+    const alert_rule& b = tabbed->front();
+    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(b.series, a.series);
+    EXPECT_EQ(b.op, a.op);
+    EXPECT_EQ(b.threshold, a.threshold);
+    EXPECT_EQ(b.window, a.window);
+}
+
 TEST(AlertRulesTest, ParseErrorsCarryPathAndLine) {
     const struct {
         const char* spec;
