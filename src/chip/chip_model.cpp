@@ -1,6 +1,7 @@
 #include "chip/chip_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <utility>
@@ -77,6 +78,37 @@ pdn_parameters make_xgene2_global_pdn() {
     // The shared regulator loop: same resonance, ~3.3x more decap behind it,
     // so ~12 mOhm resonant impedance against the aggregate current.
     return pdn_parameters::for_resonance(50.0e6, 0.08, 1.67e-6);
+}
+
+local_droop_memo::key local_droop_memo::key_of(
+    const pdn_parameters& local_pdn) {
+    return {std::bit_cast<std::uint64_t>(local_pdn.resistance_ohm),
+            std::bit_cast<std::uint64_t>(local_pdn.inductance_h),
+            std::bit_cast<std::uint64_t>(local_pdn.capacitance_f)};
+}
+
+std::optional<millivolts> local_droop_memo::find(
+    const pdn_parameters& local_pdn) const {
+    const key k = key_of(local_pdn);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [known, droop] : known_) {
+        if (known == k) {
+            return droop;
+        }
+    }
+    return std::nullopt;
+}
+
+void local_droop_memo::remember(const pdn_parameters& local_pdn,
+                                millivolts droop) const {
+    const key k = key_of(local_pdn);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& entry : known_) {
+        if (entry.first == k) {
+            return;
+        }
+    }
+    known_.emplace_back(k, droop);
 }
 
 chip_model::chip_model(chip_config config, pdn_parameters local_pdn,
@@ -172,19 +204,30 @@ std::vector<vmin_analysis> chip_model::core_requirements(
 
     // Memoize the local droop per distinct profile: a homogeneous 8-core
     // assignment (the common campaign shape) convolves each trace once
-    // instead of once per core.  Same input, same pure function -- the
-    // memoized value is the one the per-core call would produce.
+    // instead of once per core, and a profile that carries its own memo
+    // convolves it once per local PDN for the profile's lifetime.  Same
+    // input, same pure function -- the memoized value is the one the
+    // per-core call would produce.
     std::vector<std::pair<const execution_profile*, millivolts>> local_droops;
     local_droops.reserve(assignments.size());
-    const auto local_droop_of = [&](const execution_profile* profile) {
+    const auto local_droop_of = [&](const core_assignment& a) {
         for (const auto& [known, droop] : local_droops) {
-            if (known == profile) {
+            if (known == a.profile) {
                 return droop;
             }
         }
-        const millivolts droop = local.worst_droop(profile->current_trace);
-        local_droops.emplace_back(profile, droop);
-        return droop;
+        std::optional<millivolts> droop;
+        if (a.local_droop != nullptr) {
+            droop = a.local_droop->find(local_pdn_);
+        }
+        if (!droop) {
+            droop = local.worst_droop(a.profile->current_trace);
+            if (a.local_droop != nullptr) {
+                a.local_droop->remember(local_pdn_, *droop);
+            }
+        }
+        local_droops.emplace_back(a.profile, *droop);
+        return *droop;
     };
 
     std::vector<vmin_analysis> requirements;
@@ -193,7 +236,7 @@ std::vector<vmin_analysis> chip_model::core_requirements(
         GB_EXPECTS(a.frequency <= nominal_core_frequency);
         // Local contribution: this core's own current through its loop.
         const millivolts droop =
-            local_droop_of(a.profile) + global_droop;
+            local_droop_of(a) + global_droop;
         const millivolts droop_eff = config_.response.effective(droop);
         const double freq_relief_mv =
             config_.vf_slope_mv_per_mhz *

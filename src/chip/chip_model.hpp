@@ -7,8 +7,12 @@
 // does the failure manifest?"
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "chip/corners.hpp"
@@ -23,12 +27,41 @@ namespace gb {
 inline constexpr millivolts nominal_pmd_voltage{980.0};
 inline constexpr megahertz nominal_core_frequency{2400.0};
 
+/// Memo of one execution profile's local droop: the `pdn_model::worst_droop`
+/// of its current trace through a chip's core-local loop at the nominal
+/// point.  That value depends only on (profile, local PDN), so the memo is
+/// keyed by the bitwise value of the local `pdn_parameters` and is shared
+/// by every chip that has the same local loop.  It must live beside the
+/// profile it belongs to and die with it (profile_cache.hpp): never key a
+/// memo by a profile's address in a longer-lived map, because a freed
+/// profile's address is reused by the next one.  Safe to use from
+/// concurrent engine workers; a first-touch race computes the same value
+/// twice and keeps one.
+class local_droop_memo {
+public:
+    /// The memoized droop for `local_pdn`, if one was recorded.
+    [[nodiscard]] std::optional<millivolts> find(
+        const pdn_parameters& local_pdn) const;
+    /// Record the droop for `local_pdn` (a repeat is ignored).
+    void remember(const pdn_parameters& local_pdn, millivolts droop) const;
+
+private:
+    using key = std::array<std::uint64_t, 3>;
+    [[nodiscard]] static key key_of(const pdn_parameters& local_pdn);
+
+    mutable std::mutex mutex_;
+    mutable std::vector<std::pair<key, millivolts>> known_;
+};
+
 /// One core running one workload profile at one frequency.  The profile must
 /// have been produced by a pipeline_model clocked at `frequency`.
 struct core_assignment {
     int core = 0;
     const execution_profile* profile = nullptr;
     megahertz frequency = nominal_core_frequency;
+    /// The local-droop memo that lives beside `profile` (null: the droop is
+    /// computed per `core_requirements` call).
+    const local_droop_memo* local_droop = nullptr;
 };
 
 /// Which failure path gives out first at low voltage.
@@ -127,7 +160,8 @@ public:
 
     /// Per-core supply requirements of a multi-core run (same droop, each
     /// core's own offsets/paths).  Used to rank PMDs by weakness for the
-    /// frequency-scaling trade-off of Fig 5.
+    /// frequency-scaling trade-off of Fig 5.  An assignment's local droop
+    /// comes from its `local_droop` memo when it carries one.
     [[nodiscard]] std::vector<vmin_analysis> core_requirements(
         std::span<const core_assignment> assignments,
         std::uint64_t phase_seed) const;

@@ -163,7 +163,7 @@ private:
 
 /// Content address of one probe: FNV-1a over the cohort key fields and
 /// the campaign sweep offset -- the fleet-scale analogue of the profile
-/// cache's (kernel name, frequency) key in harness/framework.hpp.  Equal
+/// XX.  Equal
 /// content ids mean "the same physical experiment"; the probe cache fans
 /// one execution out to every requester.
 [[nodiscard]] std::uint64_t probe_content(const cohort_key& key,

@@ -5,7 +5,7 @@
 
 #include "chip/chip_model.hpp"
 #include "chip/power.hpp"
-#include "harness/framework.hpp"
+#include "harness/profile_cache.hpp"
 #include "util/rng.hpp"
 #include "workloads/cpu_profiles.hpp"
 
@@ -13,13 +13,16 @@ namespace gb::fleet {
 
 namespace {
 
-/// Shared immutable state behind one probe_fn.  The frameworks' profile
-/// caches are concurrent-safe (framework.hpp); everything else is
+/// Shared state behind one probe_fn.  A profile depends on (kernel,
+/// frequency) only, and every chip of the bank -- variants included --
+/// has the same local PDN, so one concurrent-safe profile cache
+/// (profile_cache.hpp) serves all corners, and each profile's local-droop
+/// memo is computed once for the bank's lifetime.  Everything else is
 /// read-only after construction.
 struct probe_bank {
     fleet_spec spec;
     std::vector<std::unique_ptr<chip_model>> chips;
-    std::vector<std::unique_ptr<characterization_framework>> frameworks;
+    profile_cache profiles;
 };
 
 constexpr double mhz_per_operating_point = 150.0;
@@ -34,16 +37,10 @@ probe_fn make_xgene2_probe(const fleet_spec& spec) {
          {process_corner::ttt, process_corner::tff, process_corner::tss}) {
         bank->chips.push_back(std::make_unique<chip_model>(
             make_chip(corner), make_xgene2_pdn()));
-        bank->frameworks.push_back(
-            std::make_unique<characterization_framework>(
-                *bank->chips.back(),
-                spec.seed + static_cast<std::uint64_t>(corner)));
     }
     return [bank](const probe_request& request) {
         const auto corner_index =
             static_cast<std::size_t>(request.cohort.corner);
-        characterization_framework& framework =
-            *bank->frameworks[corner_index];
         const std::vector<cpu_benchmark>& suite = spec2006_suite();
 
         const megahertz frequency{
@@ -56,9 +53,9 @@ probe_fn make_xgene2_probe(const fleet_spec& spec) {
                 suite[(request.cohort.workload_class +
                        static_cast<std::size_t>(core)) %
                       suite.size()];
-            assignments.push_back(core_assignment{
-                core, &framework.profile_of(benchmark.loop, frequency),
-                frequency});
+            assignments.push_back(
+                bank->profiles.get(benchmark.loop, frequency)
+                    .on_core(core, frequency));
         }
 
         // Unique-silicon cohorts analyze a jittered chip of the corner;

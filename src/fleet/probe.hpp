@@ -12,9 +12,10 @@
 //                    relax along the V/F slope as p grows);
 //   * sweep_mv    -> extra deployment guard on top of the revealed Vmin.
 //
-// The returned probe is a pure function of the request (profiles are
-// served from the frameworks' concurrent-safe caches), so it is safe to
-// call from engine workers and its results are reproducible bitwise.
+// The returned probe is a pure function of the request (profiles and
+// their local-droop memos are served from one concurrent-safe profile
+// cache shared by every corner), so it is safe to call from engine
+// workers and its results are reproducible bitwise.
 #pragma once
 
 #include "fleet/fleet.hpp"

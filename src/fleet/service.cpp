@@ -725,7 +725,7 @@ void fleet_service::warm_cache_from_journal() {
         prev_key = key;
         have_prev = true;
         ++journal_serial_;
-        cache_.insert(content, result, std::move(rigs));
+        cache_.insert(content, result, rigs);
         // Restored ledgers fold in journal order -- the exact order the
         // unfaulted run folds them at commit -- so the double-summed
         // downtime converges bitwise across a crash/restart.

@@ -28,31 +28,7 @@ characterization_framework::characterization_framework(const chip_model& chip,
 
 const execution_profile& characterization_framework::profile_of(
     const kernel& program, megahertz frequency) {
-    GB_EXPECTS(!program.empty());
-    const auto key = std::make_pair(program.name,
-                                    std::lround(frequency.value));
-    profile_entry* entry = nullptr;
-    {
-        std::shared_lock<std::shared_mutex> read(profiles_mutex_);
-        auto it = profiles_.find(key);
-        if (it != profiles_.end()) {
-            entry = it->second.get();
-        }
-    }
-    if (entry == nullptr) {
-        std::unique_lock<std::shared_mutex> write(profiles_mutex_);
-        entry = profiles_.try_emplace(key, std::make_unique<profile_entry>())
-                    .first->second.get();
-    }
-    // First caller profiles the kernel; concurrent callers for the same key
-    // block here until the profile is ready.  The pipeline execution runs
-    // outside the map lock so unrelated keys proceed in parallel.
-    std::call_once(entry->once, [&] {
-        const pipeline_model pipeline(frequency);
-        entry->profile = std::make_unique<execution_profile>(
-            pipeline.execute(program, 8192));
-    });
-    return *entry->profile;
+    return profiles_.get(program, frequency).profile;
 }
 
 std::vector<core_assignment> characterization_framework::make_assignments(
@@ -66,8 +42,7 @@ std::vector<core_assignment> characterization_framework::make_assignments(
         GB_EXPECTS(p.core >= 0 && p.core < cores_per_chip);
         const megahertz f =
             pmd_frequency[static_cast<std::size_t>(p.core / cores_per_pmd)];
-        assignments.push_back(
-            core_assignment{p.core, &profile_of(*p.program, f), f});
+        assignments.push_back(profiles_.get(*p.program, f).on_core(p.core, f));
     }
     return assignments;
 }

@@ -15,20 +15,19 @@
 //     repetition completes without disruption (ECC-corrected errors do not
 //     disrupt).
 //   * profile caching: kernels are executed once per (kernel, frequency) and
-//     the traces reused across the campaign's thousands of evaluations.
+//     the traces -- and each trace's local droop -- reused across the
+//     campaign's thousands of evaluations (profile_cache.hpp).
 #pragma once
 
 #include <iosfwd>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "chip/chip_model.hpp"
 #include "harness/campaign.hpp"
 #include "harness/execution_engine.hpp"
+#include "harness/profile_cache.hpp"
 #include "isa/kernel.hpp"
 #include "isa/pipeline.hpp"
 #include "util/rng.hpp"
@@ -110,9 +109,8 @@ public:
         const std::vector<program_assignment>& programs,
         const std::array<megahertz, 4>& pmd_frequency);
 
-    /// Cached execution profile of a kernel at a frequency.  Safe to call
-    /// concurrently: the cache is a read-mostly map with per-entry
-    /// single-initialization (one thread profiles, the rest wait).
+    /// Cached execution profile of a kernel at a frequency
+    /// (profile_cache.hpp).  Safe to call concurrently.
     [[nodiscard]] const execution_profile& profile_of(const kernel& program,
                                                       megahertz frequency);
 
@@ -122,14 +120,6 @@ public:
     [[nodiscard]] const chip_model& chip() const { return chip_; }
 
 private:
-    /// A profile slot is created under the map lock, then initialized
-    /// exactly once outside it; the entry address is stable for the
-    /// framework's lifetime so returned references stay valid.
-    struct profile_entry {
-        std::once_flag once;
-        std::unique_ptr<execution_profile> profile;
-    };
-
     [[nodiscard]] std::vector<core_assignment> make_assignments(
         const std::vector<program_assignment>& programs,
         const std::array<megahertz, 4>& pmd_frequency);
@@ -144,11 +134,8 @@ private:
     rng rng_;
     std::uint64_t next_phase_seed_ = 1;
     std::uint64_t watchdog_resets_ = 0;
-    /// Keyed by (kernel name, frequency in MHz); profiles are immutable once
-    /// created so references stay valid for the framework's lifetime.
-    std::shared_mutex profiles_mutex_;
-    std::map<std::pair<std::string, long>, std::unique_ptr<profile_entry>>
-        profiles_;
+    /// Profiles and their local-droop memos, for the framework's lifetime.
+    profile_cache profiles_;
 };
 
 } // namespace gb

@@ -10,6 +10,7 @@
 // writes and verifies it too.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -46,6 +47,17 @@ std::string slurp(const std::string& path) {
 void write_raw(const std::string& path, const std::string& bytes) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << bytes;
+}
+
+/// Bitwise equality of two probe results.
+bool same_result(const probe_result& a, const probe_result& b) {
+    return std::bit_cast<std::uint64_t>(a.requirement_mv) ==
+               std::bit_cast<std::uint64_t>(b.requirement_mv) &&
+           std::bit_cast<std::uint64_t>(a.power_nominal_w) ==
+               std::bit_cast<std::uint64_t>(b.power_nominal_w) &&
+           std::bit_cast<std::uint64_t>(a.power_point_w) ==
+               std::bit_cast<std::uint64_t>(b.power_point_w) &&
+           a.bucket == b.bucket;
 }
 
 std::vector<std::string> split_lines(const std::string& bytes) {
@@ -197,6 +209,151 @@ TEST(ProbeCacheTest, RequestedBitIsCountedOnceAndSurvivesOverwrites) {
     EXPECT_TRUE(cache.mark_requested(42));
     EXPECT_FALSE(cache.mark_requested(7));
     EXPECT_EQ(cache.requested(), 2u);
+}
+
+TEST(ProbeCacheTest, CompactIndexSurvivesGrowthsCollisionsAndContentZero) {
+    // Over 10^5 inserts the index doubles from 16 to 2^18 slots.  The ids
+    // colliding with content 0 at 2^18 slots collide at every smaller
+    // power of two too, so they form one linear-probing cluster through
+    // every growth.
+    constexpr std::size_t final_slots = std::size_t{1} << 18;
+    const std::size_t home = probe_cache::home_slot(0, final_slots);
+    std::vector<std::uint64_t> colliding{0};
+    for (std::uint64_t c = 1; colliding.size() < 9; ++c) {
+        if (probe_cache::home_slot(c, final_slots) == home) {
+            colliding.push_back(c);
+        }
+    }
+    // The last colliding id is never inserted: a miss that probes through
+    // the whole cluster.
+    const std::uint64_t absent = colliding.back();
+    colliding.pop_back();
+
+    std::vector<std::uint64_t> contents = colliding;
+    std::uint64_t state = 0x5eedULL;
+    while (contents.size() < 100000 + colliding.size()) {
+        const std::uint64_t c = splitmix64(state);
+        if (probe_cache::home_slot(c, final_slots) != home) {
+            contents.push_back(c);
+        }
+    }
+    const std::vector<std::vector<std::uint32_t>> rig_lists{
+        {0, 1, 2}, {1, 4, 6}, {2, 3, 7}, {5}};
+    const auto value_of = [](std::uint64_t content) {
+        probe_result value;
+        value.requirement_mv = static_cast<double>(content % 1000);
+        value.power_nominal_w = static_cast<double>(content >> 40);
+        value.power_point_w = 0.5;
+        value.bucket = static_cast<int>(content % 3);
+        return value;
+    };
+
+    probe_cache cache;
+    std::vector<std::size_t> slot_history;
+    const probe_result* first = nullptr;
+    const std::vector<std::uint32_t>* first_rigs = nullptr;
+    for (std::size_t i = 0; i < contents.size(); ++i) {
+        cache.insert(contents[i], value_of(contents[i]),
+                     rig_lists[i % rig_lists.size()]);
+        if (i == 0) {
+            first = cache.peek(0);
+            first_rigs = cache.provenance(0);
+        }
+        if (slot_history.empty() ||
+            slot_history.back() != cache.index_slots()) {
+            slot_history.push_back(cache.index_slots());
+        }
+        ASSERT_LE(2 * cache.size(), cache.index_slots());
+    }
+    EXPECT_EQ(cache.size(), contents.size());
+    EXPECT_EQ(cache.index_slots(), final_slots);
+    EXPECT_EQ(slot_history.size(), 15u); // 16, 32, ..., 2^18
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+
+    // Entry chunks never move: pointers taken before every growth still
+    // address content 0's entry.
+    EXPECT_EQ(first, cache.peek(0));
+    EXPECT_EQ(first_rigs, cache.provenance(0));
+
+    for (std::size_t i = 0; i < contents.size(); ++i) {
+        const probe_result* got = cache.lookup(contents[i]);
+        ASSERT_NE(got, nullptr) << "content " << contents[i];
+        EXPECT_TRUE(same_result(*got, value_of(contents[i])));
+        ASSERT_NE(cache.provenance(contents[i]), nullptr);
+        EXPECT_EQ(*cache.provenance(contents[i]),
+                  rig_lists[i % rig_lists.size()]);
+        // Equal lists are interned once.
+        EXPECT_EQ(cache.provenance(contents[i]),
+                  cache.provenance(contents[i % rig_lists.size()]));
+    }
+    EXPECT_EQ(cache.hits(), contents.size());
+    EXPECT_EQ(cache.lookup(absent), nullptr);
+    EXPECT_EQ(cache.peek(absent), nullptr);
+    EXPECT_EQ(cache.provenance(absent), nullptr);
+    EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(ProbeCacheTest, OverwriteAndRepairKeepRequestedBitAndCounters) {
+    probe_cache cache;
+    probe_result value;
+    value.requirement_mv = 900.0;
+    cache.insert(0, value, {1, 2, 3});
+    cache.insert(42, value, {1, 2, 3});
+    ASSERT_NE(cache.lookup(0), nullptr);
+    EXPECT_EQ(cache.lookup(5), nullptr);
+    EXPECT_FALSE(cache.mark_requested(0));
+    cache.record_dissent();
+
+    probe_result changed = value;
+    changed.requirement_mv = 905.0;
+    changed.bucket = 2;
+    cache.insert(0, changed, {4, 5, 6});
+    EXPECT_TRUE(same_result(*cache.peek(0), changed));
+    cache.repair(0, value, {1, 2, 3});
+    cache.repair(42, changed, {7});
+    EXPECT_TRUE(same_result(*cache.peek(0), value));
+    EXPECT_TRUE(same_result(*cache.peek(42), changed));
+    EXPECT_EQ(*cache.provenance(42), (std::vector<std::uint32_t>{7}));
+
+    // Overwrites never add entries, move counters other than `repaired`,
+    // or clear the requested bit.
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.dissents(), 1u);
+    EXPECT_EQ(cache.repaired(), 2u);
+    EXPECT_EQ(cache.requested(), 1u);
+    EXPECT_TRUE(cache.mark_requested(0));
+    EXPECT_FALSE(cache.mark_requested(42));
+    EXPECT_EQ(cache.requested(), 2u);
+}
+
+TEST(ProbeCacheTest, ProvenanceIsInternedAndEqualToWhatWasInserted) {
+    probe_cache cache;
+    probe_result value;
+    // Admissions store the quorum's assigned rigs: equal lists share one
+    // interned copy.
+    cache.insert(1, value, {1, 3, 5});
+    cache.insert(2, value, {1, 3, 5});
+    EXPECT_EQ(cache.provenance(1), cache.provenance(2));
+    // A journal-restored list need not be any content's assigned rigs (an
+    // older rig pool, a shorter list): it is interned verbatim, order
+    // included.
+    const std::vector<std::uint32_t> restored{9, 2};
+    cache.insert(3, value, restored);
+    EXPECT_EQ(*cache.provenance(3), restored);
+    EXPECT_NE(cache.provenance(3), cache.provenance(1));
+    // Re-pointing an entry at another set leaves the other entries' sets
+    // alone and reuses the interned copy.
+    const std::vector<std::uint32_t>* assigned = cache.provenance(2);
+    cache.repair(1, value, restored);
+    EXPECT_EQ(*cache.provenance(1), restored);
+    EXPECT_EQ(cache.provenance(1), cache.provenance(3));
+    EXPECT_EQ(cache.provenance(2), assigned);
+    EXPECT_EQ(*assigned, (std::vector<std::uint32_t>{1, 3, 5}));
+    cache.insert(4, value, {});
+    EXPECT_TRUE(cache.provenance(4)->empty());
 }
 
 // --- quorum admission ---------------------------------------------------
