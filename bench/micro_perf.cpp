@@ -303,9 +303,7 @@ BENCHMARK(bm_engine_campaign)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // Observability overhead: the same two engine loops with the tracer and
 // metrics registry attached.  Compare against the untraced twins above --
-// the budget is <= 3% per-task overhead when enabled; building with
-// -DGB_TRACE=OFF compiles the instrumentation out entirely and these twins
-// must then match the untraced runs exactly (see docs/OBSERVABILITY.md for
+// the budget is <= 3% per-task overhead (see docs/OBSERVABILITY.md for
 // measured numbers).
 void bm_engine_dispatch_traced(benchmark::State& state) {
     tracer trace;

@@ -91,9 +91,6 @@ operating_point_supervisor::operating_point_supervisor(
 
 void operating_point_supervisor::set_trace(tracer* trace,
                                            metrics_registry* metrics) {
-    if constexpr (!trace_compiled_in) {
-        return;
-    }
     trace_ = trace;
     metrics_ = metrics;
     trace_minor_ = 0;
@@ -116,9 +113,6 @@ void operating_point_supervisor::set_trace(tracer* trace,
 void operating_point_supervisor::trace_event(
     const char* name,
     std::vector<std::pair<std::string, std::string>> args) {
-    if constexpr (!trace_compiled_in) {
-        return;
-    }
     if (trace_ == nullptr) {
         return;
     }
@@ -217,10 +211,8 @@ void operating_point_supervisor::score_breaker(const epoch_request& request,
     ++telemetry_.breaker_trips;
     quarantine_[key] = bc.quarantine_ttl;
     fresh_quarantine_.push_back(key);
-    if constexpr (trace_compiled_in) {
-        if (metrics_ != nullptr) {
-            metrics_->add(0, mh_.breaker_trips);
-        }
+    if (metrics_ != nullptr) {
+        metrics_->add(0, mh_.breaker_trips);
     }
     trace_event("breaker_trip",
                 {{"pmd", std::to_string(key.first)},
@@ -275,10 +267,8 @@ void operating_point_supervisor::settle_epoch(const epoch_request& request,
             score += bc.sdc_weight;
             ++telemetry_.detected_sdc;
             sentinel_caught_sdc = true;
-            if constexpr (trace_compiled_in) {
-                if (metrics_ != nullptr) {
-                    metrics_->add(0, mh_.detected_sdc);
-                }
+            if (metrics_ != nullptr) {
+                metrics_->add(0, mh_.detected_sdc);
             }
         } else {
             ++telemetry_.undetected_sdc;
@@ -340,10 +330,8 @@ void operating_point_supervisor::settle_epoch(const epoch_request& request,
             trace_event("quarantine_lift",
                         {{"pmd", std::to_string(it->first.first)},
                          {"class", it->first.second}});
-            if constexpr (trace_compiled_in) {
-                if (metrics_ != nullptr) {
-                    metrics_->add(0, mh_.quarantine_lifts);
-                }
+            if (metrics_ != nullptr) {
+                metrics_->add(0, mh_.quarantine_lifts);
             }
             it = quarantine_.erase(it);
             if (quarantine_.empty() && governor_ != nullptr) {
@@ -368,34 +356,32 @@ void operating_point_supervisor::settle_epoch(const epoch_request& request,
         ++telemetry_.degraded_epochs;
     }
 
-    if constexpr (trace_compiled_in) {
-        if (metrics_ != nullptr) {
-            metrics_->add(0, mh_.epochs);
-            metrics_->observe(
-                0, mh_.epoch_score_centi,
-                static_cast<std::uint64_t>(std::llround(score * 100.0)));
-        }
-        if (trace_ != nullptr) {
-            // The epoch span, recorded before account() so its major is the
-            // same index the epoch's instant events used.
-            trace_span span;
-            span.name = "epoch";
-            span.category = "supervisor";
-            span.at = trace_point{track_supervisor, trace_phase_,
-                                  telemetry_.epochs, 0};
-            span.duration_ticks = 100;
-            span.args.emplace_back("disposition",
-                                   std::string(to_string(disposition)));
-            span.args.emplace_back("state",
-                                   std::string(to_string(plan.state)));
-            span.args.emplace_back("stage", std::to_string(plan.stage));
-            span.args.emplace_back(
-                "voltage_mv",
-                std::to_string(std::llround(plan.voltage.value)));
-            trace_->record(0, std::move(span));
-        }
-        trace_minor_ = 0;
+    if (metrics_ != nullptr) {
+        metrics_->add(0, mh_.epochs);
+        metrics_->observe(
+            0, mh_.epoch_score_centi,
+            static_cast<std::uint64_t>(std::llround(score * 100.0)));
     }
+    if (trace_ != nullptr) {
+        // The epoch span, recorded before account() so its major is the
+        // same index the epoch's instant events used.
+        trace_span span;
+        span.name = "epoch";
+        span.category = "supervisor";
+        span.at = trace_point{track_supervisor, trace_phase_,
+                              telemetry_.epochs, 0};
+        span.duration_ticks = 100;
+        span.args.emplace_back("disposition",
+                               std::string(to_string(disposition)));
+        span.args.emplace_back("state",
+                               std::string(to_string(plan.state)));
+        span.args.emplace_back("stage", std::to_string(plan.stage));
+        span.args.emplace_back(
+            "voltage_mv",
+            std::to_string(std::llround(plan.voltage.value)));
+        trace_->record(0, std::move(span));
+    }
+    trace_minor_ = 0;
 
     telemetry_.account(disposition);
 
@@ -431,10 +417,8 @@ epoch_disposition operating_point_supervisor::observe(
 void operating_point_supervisor::observe_watchdog_abort(
     const epoch_request& request, const epoch_plan& plan) {
     ++telemetry_.watchdog_aborts;
-    if constexpr (trace_compiled_in) {
-        if (metrics_ != nullptr) {
-            metrics_->add(0, mh_.watchdog_aborts);
-        }
+    if (metrics_ != nullptr) {
+        metrics_->add(0, mh_.watchdog_aborts);
     }
     trace_event("watchdog_abort",
                 {{"stage", std::to_string(plan.stage)},

@@ -49,6 +49,7 @@ struct recovery_check_config {
     probe_fn probe;
     /// Optional rig-fault plan, applied identically to both runs.
     const fault_plan* faults = nullptr;
+    /// Retries per round, as fleet_service_config::retry_budget.
     int retry_budget = 3;
     int replan_rounds = 2;
     double replan_backoff_base_s = 5.0;

@@ -62,7 +62,7 @@ void fold_ledger(execution_stats& stats, const probe_ledger& ledger) {
     stats.watchdog_timeouts += ledger.watchdog_timeouts;
     stats.board_crashes += ledger.board_crashes;
     stats.power_switch_failures += ledger.power_switch_failures;
-    stats.aborted_rig += ledger.exhausted_rounds;
+    stats.aborted_rig += ledger.exhausted;
     stats.rig_downtime_s += ledger.downtime_s;
 }
 
@@ -78,10 +78,10 @@ bool same_result(const probe_result& a, const probe_result& b) {
 constexpr std::uint64_t replica_fault_domain = 0x7265706c2d666c74ULL;
 
 /// Charge one probe's rig-fault draws for `round` to `ledger`, replica by
-/// replica and attempt by attempt; true when every replica found a
-/// healthy attempt.  Replica 0 draws exactly as a quorum=1 plan would;
-/// the others re-key into their own streams.  The walk stops at the first
-/// exhausted replica: one exhausted rig defers the whole vote.
+/// replica (charge_attempts); true when every replica found a healthy
+/// attempt.  Replica 0 draws exactly as a quorum=1 plan would; the others
+/// re-key into their own streams.  The walk stops at the first exhausted
+/// replica: one exhausted rig defers the whole vote.
 bool plan_rig_faults(const fault_plan* faults, std::uint64_t content,
                      int round, int quorum, int attempts,
                      probe_ledger& ledger) {
@@ -95,22 +95,8 @@ bool plan_rig_faults(const fault_plan* faults, std::uint64_t content,
                    : derive_task_seed(round_key,
                                       replica_fault_domain +
                                           static_cast<std::uint64_t>(r));
-        int attempt = 0;
-        for (; attempt < attempts; ++attempt) {
-            const rig_fault fault = faults->draw(fault_key, attempt);
-            if (fault == rig_fault::none) {
-                break;
-            }
-            ledger.watchdog_timeouts +=
-                fault == rig_fault::hang_until_watchdog ? 1 : 0;
-            ledger.board_crashes += fault == rig_fault::board_crash ? 1 : 0;
-            ledger.power_switch_failures +=
-                fault == rig_fault::power_switch_failure ? 1 : 0;
-            ledger.downtime_s += faults->downtime_for(fault);
-            ledger.retries += attempt + 1 < attempts ? 1 : 0;
-        }
-        if (attempt == attempts) {
-            ++ledger.exhausted_rounds;
+        if (charge_attempts(*faults, fault_key, attempts, ledger) ==
+            attempts) {
             return false;
         }
     }
@@ -165,7 +151,7 @@ std::string chained_probe_payload(const cohort_key& key,
     line += " wdt=" + std::to_string(ledger.watchdog_timeouts);
     line += " crash=" + std::to_string(ledger.board_crashes);
     line += " pwr=" + std::to_string(ledger.power_switch_failures);
-    line += " xhst=" + std::to_string(ledger.exhausted_rounds);
+    line += " xhst=" + std::to_string(ledger.exhausted);
     line += " down=" + format_double(ledger.downtime_s);
     line += " rigs=" + format_list(rigs, ':');
     chain = chain_next(chain, line);
@@ -243,7 +229,7 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
            field_value(tokens, "pwr", value) &&
            parse_int(value, ledger.power_switch_failures) &&
            field_value(tokens, "xhst", value) &&
-           parse_int(value, ledger.exhausted_rounds) &&
+           parse_int(value, ledger.exhausted) &&
            field_value(tokens, "down", value) &&
            parse_double(value, ledger.downtime_s);
 }

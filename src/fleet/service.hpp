@@ -65,6 +65,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/probe_cache.hpp"
 #include "harness/execution_engine.hpp"
+#include "harness/fault_injection.hpp"
 #include "harness/integrity/integrity.hpp"
 #include "harness/journal.hpp"
 #include "harness/timeseries/alerts.hpp"
@@ -72,7 +73,6 @@
 namespace gb {
 class tracer;
 class metrics_registry;
-class sdc_plan;
 } // namespace gb
 
 namespace gb::fleet {
@@ -108,14 +108,9 @@ public:
 /// result so a restarted daemon's fault accounting converges bitwise with
 /// the unfaulted run's (fault draws are content-keyed, so the ledger is a
 /// property of the probe, not of which service lifetime executed it).
-struct probe_ledger {
-    std::uint64_t retries = 0;
-    std::uint64_t watchdog_timeouts = 0;
-    std::uint64_t board_crashes = 0;
-    std::uint64_t power_switch_failures = 0;
-    std::uint64_t exhausted_rounds = 0; ///< rounds that ran out of attempts
-    double downtime_s = 0.0; ///< rig recovery + re-plan backoff charges
-};
+/// `exhausted` counts the re-plan rounds that ran out of attempts, and
+/// `downtime_s` adds the re-plan backoff charges to the rig recovery time.
+using probe_ledger = rig_ledger;
 
 /// The SDC defense knobs (docs/ROBUSTNESS.md "Silent data corruption").
 /// The admission vote and the hash-chained journal are unconditional --
@@ -172,8 +167,10 @@ struct fleet_service_config {
     /// keyed by probe content and re-plan round, never by engine task
     /// index, so faulty results stay shard- and worker-invariant.
     const fault_plan* faults = nullptr;
-    /// Retries per probe per round; a round spends `retry_budget + 1`
-    /// attempts before the probe is deferred to the next round.
+    /// RETRIES per probe replica per round, not attempts: a round spends
+    /// `retry_budget + 1` attempts (charge_attempts) before the probe is
+    /// deferred to the next round, so 0 still makes one attempt.  (The
+    /// engine's and the campaign IO structs' retry_budget count attempts.)
     int retry_budget = 3;
     /// Re-plan rounds after the main round for exhausted probes, each
     /// preceded by an exponential backoff charge (replan_backoff_s).

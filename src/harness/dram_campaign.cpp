@@ -131,7 +131,6 @@ dram_campaign_result run_dram_campaign_impl(
     options.campaign = "dram_campaign";
     options.faults = io.faults;
     options.retry_budget = io.retry_budget;
-    options.backoff_base_s = io.backoff_base_s;
     options.trace = io.trace;
     options.metrics = io.metrics;
     options.status_path = io.status_path;

@@ -49,24 +49,15 @@ struct engine_metric_handles {
     gauge_handle downtime_ms;
 };
 
-/// Per-task observability slot for the timeline: written exclusively by
-/// the worker that owns the task index, read serially after the pool
-/// drains, so no synchronization is needed and the decile walk sees the
-/// same values at any worker count.
-struct task_record {
-    std::uint32_t retries = 0;
-    std::uint64_t downtime_ms = 0;
+/// What the serial pre-pass resolved for one task: written before
+/// dispatch, then only read (by the owning worker and the timeline walk),
+/// so no synchronization is needed.
+struct task_slot {
+    int faulted = 0;      ///< faulted attempts (== budget when aborted)
+    bool aborted = false; ///< retry budget exhausted
+    bool replayed = false; ///< restored from the journal
+    std::uint64_t downtime_ms = 0; ///< per-fault ms of simulated recovery
 };
-
-const char* fault_name(rig_fault fault) {
-    switch (fault) {
-    case rig_fault::hang_until_watchdog: return "hang_until_watchdog";
-    case rig_fault::board_crash: return "board_crash";
-    case rig_fault::power_switch_failure: return "power_switch_failure";
-    case rig_fault::none: break;
-    }
-    return "none";
-}
 
 } // namespace
 
@@ -157,7 +148,6 @@ execution_engine::execution_engine(execution_options options)
     : options_(std::move(options)),
       workers_(resolve_worker_count(options_.workers)) {
     GB_EXPECTS(options_.retry_budget >= 1);
-    GB_EXPECTS(options_.backoff_base_s >= 0.0);
 }
 
 execution_stats execution_engine::run(std::size_t task_count,
@@ -189,54 +179,132 @@ execution_stats execution_engine::run(std::size_t task_count,
     std::exception_ptr first_error;
     std::mutex error_mutex;
 
-    // Fault/retry accounting: atomics keep the totals deterministic (each
-    // injected fault is keyed to its (index, attempt), not to scheduling);
-    // downtime accumulates in integer microseconds so even the floating
-    // total is order-independent.
+    // Tracing/metrics: one phase per engine run (allocated here, a serial
+    // point) keys every event this run emits; worker w records into shard
+    // 1 + w so recording stays lock-free.  Nothing recorded may depend on
+    // the worker count -- the exported bytes are part of the determinism
+    // contract.
+    tracer* trace = options_.trace;
+    metrics_registry* metrics = options_.metrics;
+    std::uint32_t phase = 0;
+    engine_metric_handles mh;
+    if (trace != nullptr) {
+        GB_EXPECTS(trace->shard_count() > static_cast<std::size_t>(pool));
+        phase = trace->allocate_phase();
+    }
+    if (metrics != nullptr) {
+        GB_EXPECTS(metrics->shard_count() > static_cast<std::size_t>(pool));
+        mh.tasks_completed = metrics->counter("engine.tasks_completed");
+        mh.retries = metrics->counter("engine.retries");
+        mh.aborted_rig = metrics->counter("engine.aborted_rig");
+        mh.watchdog_timeouts = metrics->counter("engine.watchdog_timeouts");
+        mh.board_crashes = metrics->counter("engine.board_crashes");
+        mh.power_switch_failures =
+            metrics->counter("engine.power_switch_failures");
+        mh.replayed_tasks = metrics->counter("engine.replayed_tasks");
+        mh.task_ticks = metrics->histogram(
+            "engine.task_ticks", {task_quantum_ticks, 2 * task_quantum_ticks,
+                                  1000, 10000, 100000, 1000000});
+        mh.queue_depth = metrics->histogram("engine.queue_depth",
+                                            {1, 8, 64, 512, 4096, 32768});
+        mh.downtime_ms = metrics->gauge("engine.rig_downtime_ms");
+    }
+
+    // Journal replays and rig faults, resolved serially before dispatch.
+    // Fault draws are pure in (task index, attempt), so this pass charges
+    // exactly what each task's attempts cost, and workers only read their
+    // task's slot.  Fault spans and counters go to shard 0: spans merge by
+    // their ordering key and counters sum exactly, so the exported bytes
+    // are those of per-worker recording.  Downtime accumulates per fault
+    // in integer microseconds.
     const fault_plan* faults = options_.faults;
     const int budget = options_.retry_budget;
-    std::atomic<std::uint64_t> n_retries{0};
-    std::atomic<std::uint64_t> n_aborted{0};
-    std::atomic<std::uint64_t> n_hangs{0};
-    std::atomic<std::uint64_t> n_crashes{0};
-    std::atomic<std::uint64_t> n_switch{0};
-    std::atomic<std::uint64_t> n_replayed{0};
-    std::atomic<std::uint64_t> downtime_us{0};
+    std::vector<task_slot> slots(task_count);
+    rig_ledger ledger;
+    std::uint64_t replayed = 0;
+    std::uint64_t downtime_us = 0;
+    if (faults != nullptr || options_.already_complete) {
+        for (std::size_t i = 0; i < task_count; ++i) {
+            const std::size_t index = first_index + i;
+            task_slot& slot = slots[i];
+            if (options_.already_complete &&
+                options_.already_complete(index)) {
+                slot.replayed = true;
+                ++replayed;
+                continue;
+            }
+            if (faults == nullptr) {
+                continue;
+            }
+            const auto on_fault = [&](int attempt, rig_fault fault) {
+                const auto fault_us = static_cast<std::uint64_t>(
+                    std::llround(faults->downtime_for(fault) * 1e6));
+                downtime_us += fault_us;
+                slot.downtime_ms += fault_us / 1000;
+                if (trace != nullptr) {
+                    trace_span event;
+                    event.name = "rig_fault";
+                    event.category = "fault";
+                    event.at = trace_point{
+                        track_rig, phase, index,
+                        static_cast<std::uint32_t>(attempt) + 1};
+                    event.instant = true;
+                    event.args.emplace_back("kind", to_string(fault));
+                    event.args.emplace_back("attempt",
+                                            std::to_string(attempt));
+                    trace->record(0, std::move(event));
+                }
+            };
+            slot.faulted = charge_attempts(*faults, index, budget, ledger,
+                                           on_fault);
+            slot.aborted = slot.faulted == budget;
+            if (slot.aborted) {
+                log_debug("task ", index, ": retry budget exhausted (",
+                          budget, " attempts), recording aborted_rig");
+            }
+        }
+    }
+    if (metrics != nullptr) {
+        metrics->add(0, mh.replayed_tasks, replayed);
+        metrics->add(0, mh.watchdog_timeouts, ledger.watchdog_timeouts);
+        metrics->add(0, mh.board_crashes, ledger.board_crashes);
+        metrics->add(0, mh.power_switch_failures,
+                     ledger.power_switch_failures);
+        metrics->add(0, mh.retries, ledger.retries);
+        metrics->add(0, mh.aborted_rig, ledger.exhausted);
+    }
 
     // Live-status heartbeat: workers publish a snapshot when they cross a
     // progress decile.  The publish itself is serialized by try_lock (a
-    // busy writer just skips -- the next decile republishes), and every
-    // field a live snapshot carries is either a racy-but-monotonic counter
-    // read or explicitly marked scheduling-dependent in the schema.
+    // busy writer just skips -- the next decile republishes).  The fault
+    // counters are the totals the pre-pass planned, so every live snapshot
+    // already carries the run's final retry/fault/downtime figures; only
+    // `tasks_done` and the `live` object move as the run progresses.
     const bool heartbeat = !options_.status_path.empty();
     std::vector<std::atomic<std::int64_t>> current_task(
         heartbeat ? static_cast<std::size_t>(pool) : 0);
     for (auto& slot : current_task) {
         slot.store(-1, std::memory_order_relaxed);
     }
-    // Timeline slots: one per task, owned by the executing worker, walked
-    // serially after the join.
-    timeline_recorder* timeline = options_.timeline;
-    std::vector<task_record> task_records(
-        timeline != nullptr ? task_count : 0);
+    const auto fill_counters = [&](campaign_status& status) {
+        status.campaign = options_.campaign;
+        status.tasks_total = task_count;
+        status.tasks_done = done.load(std::memory_order_relaxed);
+        status.retries = ledger.retries;
+        status.injected_faults = ledger.watchdog_timeouts +
+                                 ledger.board_crashes +
+                                 ledger.power_switch_failures;
+        status.aborted_rig = ledger.exhausted;
+        status.replayed = replayed;
+        status.rig_downtime_ms = downtime_us / 1000;
+    };
 
     std::mutex status_mutex;
     const auto start = std::chrono::steady_clock::now();
     const auto publish_live = [&] {
         campaign_status status;
-        status.campaign = options_.campaign;
+        fill_counters(status);
         status.running = true;
-        status.tasks_total = task_count;
-        status.tasks_done = done.load(std::memory_order_relaxed);
-        status.retries = n_retries.load(std::memory_order_relaxed);
-        status.injected_faults =
-            n_hangs.load(std::memory_order_relaxed) +
-            n_crashes.load(std::memory_order_relaxed) +
-            n_switch.load(std::memory_order_relaxed);
-        status.aborted_rig = n_aborted.load(std::memory_order_relaxed);
-        status.replayed = n_replayed.load(std::memory_order_relaxed);
-        status.rig_downtime_ms =
-            downtime_us.load(std::memory_order_relaxed) / 1000;
         status.workers = pool;
         status.worker_task.reserve(current_task.size());
         for (const auto& slot : current_task) {
@@ -253,45 +321,6 @@ execution_stats execution_engine::run(std::size_t task_count,
         publish_live();
     }
 
-    // Tracing/metrics: one phase per engine run (allocated here, a serial
-    // point) keys every event this run emits; worker w records into shard
-    // 1 + w so recording stays lock-free.  Nothing recorded may depend on
-    // the worker count -- the exported bytes are part of the determinism
-    // contract.
-    tracer* trace = nullptr;
-    metrics_registry* metrics = nullptr;
-    std::uint32_t phase = 0;
-    engine_metric_handles mh;
-    if constexpr (trace_compiled_in) {
-        trace = options_.trace;
-        metrics = options_.metrics;
-        if (trace != nullptr) {
-            GB_EXPECTS(trace->shard_count() >
-                       static_cast<std::size_t>(pool));
-            phase = trace->allocate_phase();
-        }
-        if (metrics != nullptr) {
-            GB_EXPECTS(metrics->shard_count() >
-                       static_cast<std::size_t>(pool));
-            mh.tasks_completed = metrics->counter("engine.tasks_completed");
-            mh.retries = metrics->counter("engine.retries");
-            mh.aborted_rig = metrics->counter("engine.aborted_rig");
-            mh.watchdog_timeouts =
-                metrics->counter("engine.watchdog_timeouts");
-            mh.board_crashes = metrics->counter("engine.board_crashes");
-            mh.power_switch_failures =
-                metrics->counter("engine.power_switch_failures");
-            mh.replayed_tasks = metrics->counter("engine.replayed_tasks");
-            mh.task_ticks = metrics->histogram(
-                "engine.task_ticks",
-                {task_quantum_ticks, 2 * task_quantum_ticks, 1000, 10000,
-                 100000, 1000000});
-            mh.queue_depth = metrics->histogram(
-                "engine.queue_depth", {1, 8, 64, 512, 4096, 32768});
-            mh.downtime_ms = metrics->gauge("engine.rig_downtime_ms");
-        }
-    }
-
     // Progress is logged when a worker crosses a decile of the task count;
     // the lines go through the (thread-safe) log layer at debug level so
     // default-level campaign output stays byte-identical across worker
@@ -306,10 +335,14 @@ execution_stats execution_engine::run(std::size_t task_count,
             if (i >= task_count) {
                 break;
             }
+            const task_slot& slot = slots[i];
             task_context ctx;
             ctx.index = first_index + i;
             ctx.seed = derive_task_seed(options_.base_seed, ctx.index);
             ctx.worker = worker;
+            ctx.attempt = slot.faulted;
+            ctx.aborted = slot.aborted;
+            ctx.replayed = slot.replayed;
             if (heartbeat) {
                 current_task[static_cast<std::size_t>(worker)].store(
                     static_cast<std::int64_t>(ctx.index),
@@ -317,109 +350,6 @@ execution_stats execution_engine::run(std::size_t task_count,
             }
             // Shard 0 is reserved for serial code; worker w owns 1 + w.
             const std::size_t shard = static_cast<std::size_t>(worker) + 1;
-            // Virtual task duration: the quantum plus any simulated rig
-            // downtime (in ms ticks) this task's faulted attempts cost.
-            std::uint64_t task_ticks = task_quantum_ticks;
-            std::uint64_t task_downtime_ms = 0;
-            if (options_.already_complete &&
-                options_.already_complete(ctx.index)) {
-                ctx.replayed = true;
-                n_replayed.fetch_add(1, std::memory_order_relaxed);
-                if constexpr (trace_compiled_in) {
-                    if (metrics != nullptr) {
-                        metrics->add(shard, mh.replayed_tasks);
-                    }
-                }
-            } else if (faults != nullptr) {
-                // The rig-fault path: draw per attempt, retry within the
-                // budget, give up into an aborted task.  Faulted attempts
-                // never reach the task function -- the board died before
-                // reporting -- so campaign side effects (journal lines)
-                // happen exactly once per task.
-                int attempt = 0;
-                for (; attempt < budget; ++attempt) {
-                    const rig_fault fault = faults->draw(ctx.index, attempt);
-                    if (fault == rig_fault::none) {
-                        break;
-                    }
-                    switch (fault) {
-                    case rig_fault::hang_until_watchdog:
-                        n_hangs.fetch_add(1, std::memory_order_relaxed);
-                        break;
-                    case rig_fault::board_crash:
-                        n_crashes.fetch_add(1, std::memory_order_relaxed);
-                        break;
-                    case rig_fault::power_switch_failure:
-                        n_switch.fetch_add(1, std::memory_order_relaxed);
-                        break;
-                    case rig_fault::none: break;
-                    }
-                    const std::uint64_t fault_us =
-                        static_cast<std::uint64_t>(
-                            std::llround(faults->downtime_for(fault) * 1e6));
-                    downtime_us.fetch_add(fault_us,
-                                          std::memory_order_relaxed);
-                    task_downtime_ms += fault_us / 1000;
-                    if constexpr (trace_compiled_in) {
-                        task_ticks += fault_us / 1000;
-                        if (metrics != nullptr) {
-                            metrics->add(
-                                shard,
-                                fault == rig_fault::hang_until_watchdog
-                                    ? mh.watchdog_timeouts
-                                : fault == rig_fault::board_crash
-                                    ? mh.board_crashes
-                                    : mh.power_switch_failures);
-                        }
-                        if (trace != nullptr) {
-                            trace_span event;
-                            event.name = "rig_fault";
-                            event.category = "fault";
-                            event.at = trace_point{
-                                track_rig, phase, ctx.index,
-                                static_cast<std::uint32_t>(attempt) + 1};
-                            event.instant = true;
-                            event.args.emplace_back("kind",
-                                                    fault_name(fault));
-                            event.args.emplace_back(
-                                "attempt", std::to_string(attempt));
-                            trace->record(shard, std::move(event));
-                        }
-                    }
-                    if (attempt + 1 < budget) {
-                        n_retries.fetch_add(1, std::memory_order_relaxed);
-                        if constexpr (trace_compiled_in) {
-                            if (metrics != nullptr) {
-                                metrics->add(shard, mh.retries);
-                            }
-                        }
-                        if (options_.backoff_base_s > 0.0) {
-                            std::this_thread::sleep_for(
-                                std::chrono::duration<double>(
-                                    options_.backoff_base_s *
-                                    static_cast<double>(1ULL << attempt)));
-                        }
-                    } else {
-                        n_aborted.fetch_add(1, std::memory_order_relaxed);
-                        if constexpr (trace_compiled_in) {
-                            if (metrics != nullptr) {
-                                metrics->add(shard, mh.aborted_rig);
-                            }
-                        }
-                        log_debug("task ", ctx.index,
-                                  ": retry budget exhausted (", budget,
-                                  " attempts), recording aborted_rig");
-                    }
-                }
-                ctx.attempt = attempt;
-                ctx.aborted = attempt == budget;
-            }
-            if (timeline != nullptr) {
-                task_record& record = task_records[i];
-                record.retries = static_cast<std::uint32_t>(
-                    ctx.aborted ? budget - 1 : ctx.attempt);
-                record.downtime_ms = task_downtime_ms;
-            }
             int bucket = -1;
             try {
                 bucket = task(ctx);
@@ -436,34 +366,34 @@ execution_stats execution_engine::run(std::size_t task_count,
                 cancelled.store(true, std::memory_order_relaxed);
                 break;
             }
-            if constexpr (trace_compiled_in) {
-                if (metrics != nullptr) {
-                    metrics->add(shard, mh.tasks_completed);
-                    metrics->observe(shard, mh.task_ticks, task_ticks);
-                    metrics->observe(shard, mh.queue_depth, i);
+            // Virtual task duration: the quantum plus the simulated rig
+            // downtime (in ms ticks) this task's faulted attempts cost.
+            const std::uint64_t task_ticks =
+                task_quantum_ticks + slot.downtime_ms;
+            if (metrics != nullptr) {
+                metrics->add(shard, mh.tasks_completed);
+                metrics->observe(shard, mh.task_ticks, task_ticks);
+                metrics->observe(shard, mh.queue_depth, i);
+            }
+            if (trace != nullptr) {
+                trace_span span;
+                span.name = "task";
+                span.category = "engine";
+                span.at = trace_point{track_rig, phase, ctx.index, 0};
+                span.duration_ticks = task_ticks;
+                span.args.emplace_back("index", std::to_string(ctx.index));
+                span.args.emplace_back("bucket", std::to_string(bucket));
+                if (ctx.attempt > 0 || ctx.aborted) {
+                    span.args.emplace_back("faulted_attempts",
+                                           std::to_string(ctx.attempt));
                 }
-                if (trace != nullptr) {
-                    trace_span span;
-                    span.name = "task";
-                    span.category = "engine";
-                    span.at = trace_point{track_rig, phase, ctx.index, 0};
-                    span.duration_ticks = task_ticks;
-                    span.args.emplace_back("index",
-                                           std::to_string(ctx.index));
-                    span.args.emplace_back("bucket",
-                                           std::to_string(bucket));
-                    if (ctx.attempt > 0 || ctx.aborted) {
-                        span.args.emplace_back(
-                            "faulted_attempts", std::to_string(ctx.attempt));
-                    }
-                    if (ctx.aborted) {
-                        span.args.emplace_back("aborted", "true");
-                    }
-                    if (ctx.replayed) {
-                        span.args.emplace_back("replayed", "true");
-                    }
-                    trace->record(shard, std::move(span));
+                if (ctx.aborted) {
+                    span.args.emplace_back("aborted", "true");
                 }
+                if (ctx.replayed) {
+                    span.args.emplace_back("replayed", "true");
+                }
+                trace->record(shard, std::move(span));
             }
             ++executed;
             const std::size_t completed =
@@ -516,21 +446,20 @@ execution_stats execution_engine::run(std::size_t task_count,
         stats.outcome_histogram[b] =
             histogram[b].load(std::memory_order_relaxed);
     }
-    stats.retries = n_retries.load(std::memory_order_relaxed);
-    stats.aborted_rig = n_aborted.load(std::memory_order_relaxed);
-    stats.watchdog_timeouts = n_hangs.load(std::memory_order_relaxed);
-    stats.board_crashes = n_crashes.load(std::memory_order_relaxed);
-    stats.power_switch_failures = n_switch.load(std::memory_order_relaxed);
-    stats.replayed_tasks = n_replayed.load(std::memory_order_relaxed);
-    stats.rig_downtime_s =
-        static_cast<double>(downtime_us.load(std::memory_order_relaxed)) /
-        1e6;
+    stats.retries = ledger.retries;
+    stats.aborted_rig = ledger.exhausted;
+    stats.watchdog_timeouts = ledger.watchdog_timeouts;
+    stats.board_crashes = ledger.board_crashes;
+    stats.power_switch_failures = ledger.power_switch_failures;
+    stats.replayed_tasks = replayed;
+    stats.rig_downtime_s = static_cast<double>(downtime_us) / 1e6;
 
-    if (timeline != nullptr) {
-        // Serial decile walk over the index-ordered task records: the
+    if (options_.timeline != nullptr) {
+        // Serial decile walk over the index-ordered task slots: the
         // cumulative values at each boundary depend only on campaign
         // content, never on which worker ran which task.  Boundaries that
         // repeat for tiny task counts are appended once.
+        timeline_recorder& timeline = *options_.timeline;
         std::uint64_t cumulative_retries = 0;
         std::uint64_t cumulative_downtime_ms = 0;
         std::size_t walked = 0;
@@ -542,45 +471,42 @@ execution_stats execution_engine::run(std::size_t task_count,
                 continue;
             }
             for (; walked < boundary; ++walked) {
-                cumulative_retries += task_records[walked].retries;
-                cumulative_downtime_ms += task_records[walked].downtime_ms;
+                // A faulted attempt retries unless it was the last one.
+                cumulative_retries += static_cast<std::uint64_t>(
+                    std::min(slots[walked].faulted, budget - 1));
+                cumulative_downtime_ms += slots[walked].downtime_ms;
             }
-            const std::uint64_t tick = timeline->advance();
-            timeline->append("engine.progress", tick,
-                             static_cast<double>(boundary));
-            timeline->append("engine.retries", tick,
-                             static_cast<double>(cumulative_retries));
-            timeline->append("engine.downtime_ms", tick,
-                             static_cast<double>(cumulative_downtime_ms));
+            const std::uint64_t tick = timeline.advance();
+            timeline.append("engine.progress", tick,
+                            static_cast<double>(boundary));
+            timeline.append("engine.retries", tick,
+                            static_cast<double>(cumulative_retries));
+            timeline.append("engine.downtime_ms", tick,
+                            static_cast<double>(cumulative_downtime_ms));
             previous_boundary = boundary;
         }
     }
 
-    if constexpr (trace_compiled_in) {
-        const std::uint64_t downtime_ms =
-            downtime_us.load(std::memory_order_relaxed) / 1000;
-        if (trace != nullptr) {
-            // One campaign-control span covering the whole run.  Its width
-            // is the deterministic virtual total, never wall time, and it
-            // deliberately carries no worker-count information.
-            trace_span span;
-            span.name =
-                options_.campaign.empty() ? "engine.run" : options_.campaign;
-            span.category = "campaign";
-            span.at = trace_point{track_campaign, phase, first_index, 0};
-            span.duration_ticks =
-                task_count * task_quantum_ticks + downtime_ms;
-            span.args.emplace_back("tasks", std::to_string(task_count));
-            span.args.emplace_back("first_index",
-                                   std::to_string(first_index));
-            span.args.emplace_back("faults",
-                                   std::to_string(stats.injected_faults()));
-            trace->record(0, std::move(span));
-        }
-        if (metrics != nullptr) {
-            metrics->set(0, mh.downtime_ms, phase,
-                         static_cast<double>(downtime_ms));
-        }
+    const std::uint64_t downtime_ms = downtime_us / 1000;
+    if (trace != nullptr) {
+        // One campaign-control span covering the whole run.  Its width is
+        // the deterministic virtual total, never wall time, and it
+        // deliberately carries no worker-count information.
+        trace_span span;
+        span.name =
+            options_.campaign.empty() ? "engine.run" : options_.campaign;
+        span.category = "campaign";
+        span.at = trace_point{track_campaign, phase, first_index, 0};
+        span.duration_ticks = task_count * task_quantum_ticks + downtime_ms;
+        span.args.emplace_back("tasks", std::to_string(task_count));
+        span.args.emplace_back("first_index", std::to_string(first_index));
+        span.args.emplace_back("faults",
+                               std::to_string(stats.injected_faults()));
+        trace->record(0, std::move(span));
+    }
+    if (metrics != nullptr) {
+        metrics->set(0, mh.downtime_ms, phase,
+                     static_cast<double>(downtime_ms));
     }
 
     if (heartbeat) {
@@ -588,16 +514,7 @@ execution_stats execution_engine::run(std::size_t task_count,
         // Every value below is keyed to campaign content, so the file is
         // byte-identical at any worker count.
         campaign_status status;
-        status.campaign = options_.campaign;
-        status.running = false;
-        status.tasks_total = task_count;
-        status.tasks_done = done.load(std::memory_order_relaxed);
-        status.retries = stats.retries;
-        status.injected_faults = stats.injected_faults();
-        status.aborted_rig = stats.aborted_rig;
-        status.replayed = stats.replayed_tasks;
-        status.rig_downtime_ms =
-            downtime_us.load(std::memory_order_relaxed) / 1000;
+        fill_counters(status);
         publish_status(options_.status_path, status);
     }
 

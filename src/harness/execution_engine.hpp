@@ -17,14 +17,15 @@
 // options, the GB_JOBS environment variable, or hardware_concurrency, in
 // that order.
 //
-// The engine also models the rig's fault path: an optional `fault_plan`
-// injects hang/crash/power-switch faults per task attempt, the engine
-// retries with exponential backoff inside a bounded budget (the watchdog
-// monitor power-cycling the board), and a task whose budget is exhausted is
-// handed back to its owner once with `task_context::aborted` set so the
-// campaign records an aborted-rig outcome instead of dying.  Fault draws
-// are keyed by (task index, attempt), never by worker or wall clock, so a
-// faulty campaign is exactly as reproducible as a healthy one.
+// The engine also models the rig's fault path: with an optional
+// `fault_plan`, a serial pre-pass walks every task's attempts through
+// `charge_attempts` (fault_injection.hpp) before dispatch -- the watchdog
+// power-cycling the board within a bounded budget, charged as virtual
+// downtime, never slept -- and a task whose budget is exhausted is handed
+// to its owner once with `task_context::aborted` set so the campaign
+// records an aborted-rig outcome instead of dying.  Fault draws are keyed
+// by (task index, attempt), never by worker or wall clock, so a faulty
+// campaign is exactly as reproducible as a healthy one.
 #pragma once
 
 #include <cstdint>
@@ -47,18 +48,17 @@ struct execution_options {
     std::uint64_t base_seed = 0;
     /// Campaign name used in progress/summary log lines (empty: quiet).
     std::string campaign;
-    /// Injected rig faults (null: healthy rig, no retry machinery runs).
+    /// Injected rig faults (null: healthy rig, no fault walk runs).
     const fault_plan* faults = nullptr;
-    /// Attempts per task before the engine gives up and reports the task
-    /// as aborted (>= 1).  Only consulted when a fault plan is present.
+    /// ATTEMPTS per task, the first one included (>= 1): a task whose
+    /// `retry_budget` attempts all fault is reported aborted, so 1 means no
+    /// retry.  (fleet_service_config::retry_budget counts retries instead.)
+    /// Only consulted when a fault plan is present.
     int retry_budget = 3;
-    /// Real sleep before retry k of a task: backoff_base_s * 2^k seconds.
-    /// 0 (the default) retries immediately -- the simulated recovery time
-    /// is charged to execution_stats::rig_downtime_s either way.
-    double backoff_base_s = 0.0;
     /// Journal-resume predicate: tasks whose absolute index tests true are
     /// re-issued with `task_context::replayed` set and no fault injection
-    /// (their record was already recovered from the journal).
+    /// (their record was already recovered from the journal).  Called
+    /// serially, once per task, before dispatch.
     std::function<bool(std::size_t)> already_complete;
     /// Deterministic trace sink (null: no tracing).  Each run allocates one
     /// phase, emits a campaign span on track_campaign and one task span per
@@ -79,7 +79,10 @@ struct execution_options {
     /// flight the engine atomically republishes a `running: true` snapshot
     /// with per-worker state at every progress decile; on completion it
     /// publishes a final `running: false` snapshot whose bytes are a pure
-    /// function of campaign content (status.hpp).
+    /// function of campaign content (status.hpp).  Faults are planned
+    /// before dispatch, so every live snapshot already carries the run's
+    /// final retry, fault, abort, replay and downtime totals; only
+    /// `tasks_done` and the `live` object advance.
     std::string status_path;
 };
 
@@ -161,7 +164,9 @@ public:
     /// offset keeps seeds stable when a sweep is issued in chunks).  Blocks
     /// until all tasks finish; rethrows the first task exception after the
     /// pool drains.  Injected rig faults never throw: they retry within the
-    /// budget and then surface as aborted tasks.
+    /// budget and then surface as aborted tasks.  A run that rethrows has
+    /// already charged the planned faults of tasks it never dispatched to
+    /// its trace, metrics and status sinks.
     execution_stats run(std::size_t task_count, const task_fn& task,
                         std::size_t first_index = 0) const;
 

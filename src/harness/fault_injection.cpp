@@ -26,9 +26,9 @@ constexpr std::size_t sdc_site_count = 4;
 std::string_view to_string(rig_fault fault) {
     switch (fault) {
     case rig_fault::none: return "none";
-    case rig_fault::hang_until_watchdog: return "hang";
-    case rig_fault::board_crash: return "crash";
-    case rig_fault::power_switch_failure: return "power-switch";
+    case rig_fault::hang_until_watchdog: return "hang_until_watchdog";
+    case rig_fault::board_crash: return "board_crash";
+    case rig_fault::power_switch_failure: return "power_switch_failure";
     }
     return "?";
 }
@@ -129,6 +129,31 @@ fault_plan make_uniform_fault_plan(std::uint64_t seed, double fault_rate) {
     config.power_switch_rate = fault_rate / 3.0;
     config.log_corruption_rate = fault_rate;
     return fault_plan(config);
+}
+
+int charge_attempts(
+    const fault_plan& plan, std::uint64_t key, int attempts,
+    rig_ledger& ledger,
+    const std::function<void(int attempt, rig_fault fault)>& on_fault) {
+    GB_EXPECTS(attempts >= 1);
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+        const rig_fault fault = plan.draw(key, attempt);
+        if (fault == rig_fault::none) {
+            return attempt;
+        }
+        ledger.watchdog_timeouts +=
+            fault == rig_fault::hang_until_watchdog ? 1 : 0;
+        ledger.board_crashes += fault == rig_fault::board_crash ? 1 : 0;
+        ledger.power_switch_failures +=
+            fault == rig_fault::power_switch_failure ? 1 : 0;
+        ledger.downtime_s += plan.downtime_for(fault);
+        ledger.retries += attempt + 1 < attempts ? 1 : 0;
+        if (on_fault) {
+            on_fault(attempt, fault);
+        }
+    }
+    ++ledger.exhausted;
+    return attempts;
 }
 
 // --- silent data corruption ------------------------------------------------

@@ -9,15 +9,20 @@
 // is exactly as reproducible as a healthy one -- identical for any worker
 // count, and replayable for debugging by re-running with the same seed.
 //
-// The execution engine consumes the plan per task attempt (hang / crash /
-// power-switch faults trigger bounded retry with exponential backoff, then
-// an `aborted_rig` outcome); the campaign journal consumes it per completed
+// Run faults (hang / crash / power switch) are consumed through one
+// bounded-recovery walk, `charge_attempts`: attempts of a key are drawn in
+// order until one is healthy or the budget is spent, and every faulted
+// attempt is charged to a `rig_ledger`.  The execution engine walks each
+// task once, serially, before dispatch (an exhausted task becomes an
+// `aborted_rig` outcome); the fleet service walks each probe replica per
+// re-plan round.  The campaign journal consumes the plan per completed
 // record (log-corruption faults mangle the journal line the way a dying
 // UART does); the DRAM campaign runner consumes it per DIMM (thermocouple
 // mounting faults routed into the thermal testbed's existing hook).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -37,6 +42,7 @@ enum class rig_fault : std::uint8_t {
     power_switch_failure ///< actuation fails; board never starts the run
 };
 
+/// The enumerator's name (the `kind` of a `rig_fault` trace event).
 [[nodiscard]] std::string_view to_string(rig_fault fault);
 
 struct fault_plan_config {
@@ -106,6 +112,34 @@ private:
 /// with the same rate of journal-line corruption.
 [[nodiscard]] fault_plan make_uniform_fault_plan(std::uint64_t seed,
                                                  double fault_rate);
+
+/// What the rig did to the attempts charged to it: faults by kind, the
+/// retries they cost, the walks that ran out of attempts, and the
+/// simulated recovery time.  The execution engine keeps one per run; the
+/// fleet journals one per probe (fleet::probe_ledger), whose downtime
+/// also carries the re-plan backoff charges.
+struct rig_ledger {
+    std::uint64_t retries = 0;
+    std::uint64_t watchdog_timeouts = 0;
+    std::uint64_t board_crashes = 0;
+    std::uint64_t power_switch_failures = 0;
+    std::uint64_t exhausted = 0; ///< walks that spent every attempt
+    double downtime_s = 0.0;     ///< summed fault by fault, in draw order
+};
+
+/// The rig's bounded recovery (the watchdog power-cycling the board), and
+/// the one place run faults are drawn: attempts 0, 1, ... of `key` are
+/// drawn until one is healthy or `attempts` (>= 1) are spent.  Each
+/// faulted attempt charges its kind and downtime to `ledger`, plus a
+/// retry when another attempt follows; a walk that spends every attempt
+/// counts once in `exhausted`.  `on_fault(attempt, fault)`, when set, sees
+/// each faulted attempt in order.  Returns the number of faulted attempts:
+/// `attempts` means the budget ran out.  Faulted attempts never reach the
+/// workload -- the board died before reporting.
+int charge_attempts(
+    const fault_plan& plan, std::uint64_t key, int attempts,
+    rig_ledger& ledger,
+    const std::function<void(int attempt, rig_fault fault)>& on_fault = {});
 
 // ---------------------------------------------------------------------------
 // Silent data corruption (SDC)

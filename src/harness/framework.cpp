@@ -135,7 +135,6 @@ campaign_result characterization_framework::run_campaign_impl(
     options.campaign = spec.benchmark;
     options.faults = io.faults;
     options.retry_budget = io.retry_budget;
-    options.backoff_base_s = io.backoff_base_s;
     options.trace = io.trace;
     options.metrics = io.metrics;
     options.timeline = io.timeline;

@@ -48,8 +48,10 @@ struct program_assignment {
 struct campaign_io {
     const fault_plan* faults = nullptr;
     campaign_journal* journal = nullptr;
+    /// ATTEMPTS per task, the first one included (>= 1); forwarded to
+    /// execution_options::retry_budget.  Unlike the fleet's retry_budget,
+    /// this is not a retry count: 1 means a faulted task aborts at once.
     int retry_budget = 3;
-    double backoff_base_s = 0.0;
     /// Deterministic observability sinks, forwarded to the execution
     /// engine (trace/trace.hpp); null disables.
     tracer* trace = nullptr;

@@ -1,7 +1,6 @@
 #include "harness/telemetry.hpp"
 
 #include "harness/trace/metrics.hpp"
-#include "harness/trace/trace.hpp"
 
 namespace gb {
 
@@ -54,9 +53,6 @@ void health_telemetry::merge(const health_telemetry& other) {
 
 void health_telemetry::publish(metrics_registry& metrics, std::size_t shard,
                                std::uint64_t order) const {
-    if constexpr (!trace_compiled_in) {
-        return;
-    }
     const auto put = [&](const char* name, double value) {
         metrics.set(shard, metrics.gauge(name), order, value);
     };

@@ -15,9 +15,7 @@
 //     last in *deterministic* order, not last in wall time.
 //
 // Registration (name -> dense id) happens at serial points only; updates
-// are wait-free writes into the calling worker's shard.  Building with
-// -DGB_TRACE=OFF compiles call sites guarded by `trace_compiled_in` out
-// entirely.
+// are wait-free writes into the calling worker's shard.
 #pragma once
 
 #include <cstdint>

@@ -20,12 +20,8 @@
 // the export merges all shards with a stable sort on the ordering key.
 // Because neither the key nor the tick values depend on scheduling, the
 // exported JSON is byte-identical at any worker count -- the property the
-// golden-trace tests pin down.
-//
-// Compile-time kill switch: building with -DGB_TRACE=OFF defines
-// GB_TRACE_DISABLED, `trace_compiled_in` becomes false, and every call
-// site guarded by `if constexpr (trace_compiled_in)` compiles to nothing
-// (0% overhead, measured by bench/micro_perf.cpp).
+// golden-trace tests pin down.  A null tracer pointer is the "off" switch:
+// every producer checks it before building an event.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +33,6 @@
 #include "util/wire.hpp" // json_escape, for the JSON emitters
 
 namespace gb {
-
-#ifdef GB_TRACE_DISABLED
-inline constexpr bool trace_compiled_in = false;
-#else
-inline constexpr bool trace_compiled_in = true;
-#endif
 
 /// Well-known tracks (Chrome `tid` lanes).  Keep these stable: golden
 /// traces encode them.

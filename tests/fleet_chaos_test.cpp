@@ -760,8 +760,8 @@ TEST(FleetChaosTest, ReplanRoundsResolveProbesAndChargeBackoff) {
         ASSERT_TRUE(parse_probe_line(payload, key, sweep, content, result,
                                      ledger))
             << payload;
-        ledger_faults += ledger.retries + ledger.exhausted_rounds;
-        if (ledger.exhausted_rounds > 0) {
+        ledger_faults += ledger.retries + ledger.exhausted;
+        if (ledger.exhausted > 0) {
             ++exhausted;
             // A probe that needed round N was charged at least the
             // round-1 backoff into its journaled downtime.

@@ -297,10 +297,8 @@ TEST(TraceIntegrationTest, EngineTraceIsByteIdenticalAcrossWorkerCounts) {
             reference_trace = trace_out;
             reference_metrics = metrics_out;
             reference_buckets = buckets;
-            if constexpr (trace_compiled_in) {
-                // The faulty run must actually have traced fault events.
-                EXPECT_NE(trace_out.find("rig_fault"), std::string::npos);
-            }
+            // The faulty run must actually have traced fault events.
+            EXPECT_NE(trace_out.find("rig_fault"), std::string::npos);
             continue;
         }
         EXPECT_EQ(trace_out, reference_trace) << workers << " workers";
@@ -310,9 +308,6 @@ TEST(TraceIntegrationTest, EngineTraceIsByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(TraceIntegrationTest, SupervisorEventsLandInTheTrace) {
-    if constexpr (!trace_compiled_in) {
-        GTEST_SKIP() << "tracing compiled out (GB_TRACE=OFF)";
-    }
     const auto run = [] {
         supervisor_config config;
         config.breaker.disruption_weight = config.breaker.trip_score;
@@ -361,9 +356,6 @@ TEST(TraceIntegrationTest, SupervisorEventsLandInTheTrace) {
 }
 
 TEST(TraceIntegrationTest, GoldenTraceMatches) {
-    if constexpr (!trace_compiled_in) {
-        GTEST_SKIP() << "tracing compiled out (GB_TRACE=OFF)";
-    }
     const fault_plan faults = make_uniform_fault_plan(/*seed=*/5, 0.3);
     tracer trace;
     metrics_registry metrics;

@@ -26,7 +26,7 @@
 //                      exits after --epochs campaigns
 //     --poll-ms M      control poll interval (default 50)
 //     --fault-rate R   uniform rig-fault rate for probe attempts
-//     --retry N        probe retry budget per round (default 3)
+//     --retry N        probe retries per round (default 3): N + 1 attempts
 //     --replan N       backoff re-plan rounds before quarantine (default 2)
 //     --chaos SPEC     arm chaos kill-points: comma-separated
 //                      site@at[/keep] (see docs/ROBUSTNESS.md); firing
