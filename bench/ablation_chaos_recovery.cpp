@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
     recovery.chaos.triggers = {{chaos_site::journal_append, 2000, 57},
                                {chaos_site::cache_warm, 5},
                                {chaos_site::snapshot_rename, 1}};
-    recovery.shards = 4;
-    recovery.workers = 8;
+    recovery.service.workers = 8;
     recovery.work_dir = bench::temp_path("gb_chaos_bench");
     recovery.probe = probe;
     recovery_report report;

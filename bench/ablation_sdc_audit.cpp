@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
         }
         fleet_service_config config;
         config.campaign = "sdc_bench";
-        config.shards = 4;
         config.journal_path = journal_path;
         config.integrity.quorum = quorum;
         config.integrity.sdc = sdc ? &*sdc : nullptr;
@@ -201,8 +200,8 @@ int main(int argc, char** argv) {
 
     bench::note("quorum 3 prices every distinct probe at three executions "
                 "and each audit at one more, all drawn at serial points so "
-                "the defended bytes stay shard- and worker-invariant; every "
-                "config writes the same hash-chained journal format, which "
+                "the defended bytes stay worker-invariant; every config "
+                "writes the same hash-chained journal format, which "
                 "is what lets one fleet mix defended and undefended daemons "
                 "against the same journals");
 

@@ -46,24 +46,13 @@ recovery_report run_recovery_check(const recovery_check_config& config) {
                                           const std::string& timeline_path,
                                           timeline_recorder* timeline,
                                           chaos_plan* chaos) {
-        fleet_service_config sc;
+        fleet_service_config sc = config.service;
         sc.campaign = "recovery-check";
-        sc.shards = config.shards;
-        sc.workers = config.workers;
         sc.journal_path = journal;
         sc.state_path = state;
-        sc.faults = config.faults;
-        sc.retry_budget = config.retry_budget;
-        sc.replan_rounds = config.replan_rounds;
-        sc.replan_backoff_base_s = config.replan_backoff_base_s;
+        sc.timeline = timeline;
+        sc.timeline_path = timeline != nullptr ? timeline_path : "";
         sc.chaos = chaos;
-        sc.integrity = config.integrity;
-        sc.aging_mv_per_epoch = config.aging_mv_per_epoch;
-        if (timeline != nullptr) {
-            sc.timeline = timeline;
-            sc.alerts = config.alerts;
-            sc.timeline_path = timeline_path;
-        }
         return sc;
     };
     const auto run_schedule = [&config](fleet_service& service) {

@@ -41,35 +41,25 @@ struct recovery_check_config {
     /// Kill-points to arm.  The mode is forced to `throw_crash` -- the
     /// checker survives crashes in-process by abandoning the object.
     chaos_plan_config chaos;
-    int shards = 1;
-    int workers = 1;
     /// Scratch directory; `golden.journal/.state` and
     /// `chaos.journal/.state` are created (and clobbered) inside.
     std::string work_dir;
     probe_fn probe;
-    /// Optional rig-fault plan, applied identically to both runs.
-    const fault_plan* faults = nullptr;
-    /// Retries per round, as fleet_service_config::retry_budget.
-    int retry_budget = 3;
-    int replan_rounds = 2;
-    double replan_backoff_base_s = 5.0;
-    /// Optional integrity defenses (quorum, audit sampler, SDC plan),
-    /// applied identically to both runs.  Note a shared `sdc` plan fires
-    /// its one-shot triggers in whichever run executes first -- callers
-    /// who want the golden run clean should arm SDC only via the chaos
-    /// incarnations' own service config, or compare against a separate
-    /// clean reference.
-    fleet_integrity_config integrity;
+    /// Service configuration of both runs (workers, rig-fault plan, retry
+    /// and re-plan budgets, integrity defenses, alert rules, aging).  The
+    /// checker overrides the campaign name, the journal, state and
+    /// timeline paths, the timeline recorder and `chaos`.  A shared
+    /// `integrity.sdc` plan fires its one-shot triggers in whichever run
+    /// executes first -- callers who want the golden run clean should
+    /// compare against a separate clean reference.
+    fleet_service_config service;
     /// Observatory under test: when true each run gets its *own fresh*
     /// timeline recorder + alert engine per incarnation (in-memory
     /// observability dies with the process; only the journal survives),
     /// a `golden.timeline`/`chaos.timeline` artifact, and the report
-    /// additionally asserts bitwise timeline convergence.
+    /// additionally asserts bitwise timeline convergence.  `service.alerts`
+    /// apply only while this is on.
     bool timeline = false;
-    /// Alert rules for both runs (timeline only).
-    std::vector<alert_rule> alerts;
-    /// Synthetic Vmin aging drift per epoch for both runs.
-    double aging_mv_per_epoch = 0.0;
 };
 
 struct recovery_report {

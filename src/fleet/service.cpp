@@ -11,7 +11,6 @@
 
 #include "harness/chaos/chaos.hpp"
 #include "harness/fault_injection.hpp"
-#include "harness/schedule.hpp"
 #include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
@@ -21,11 +20,6 @@
 namespace gb::fleet {
 
 namespace {
-
-/// Virtual cost of one probe for the shard planner; matches the engine's
-/// task quantum so `gbreport utilization` on a fleet trace reproduces the
-/// plan.
-constexpr std::uint64_t probe_cost_ticks = 100;
 
 /// Bounds on the fan-out's flat tables: corner x class x operating-point
 /// slots of a generated fleet, and voltage classes spanned by the served
@@ -49,7 +43,7 @@ bool corner_from_string(std::string_view text, process_corner& corner) {
 /// Fault-draw key for re-plan round `round` of a probe: round 0 draws
 /// exactly where a single-round plan would, later rounds re-key so the
 /// retry sees fresh draws.  A pure function of content, never of engine
-/// task indices -- what keeps faulty campaigns shard-invariant and makes
+/// task indices -- what keeps faulty campaigns worker-invariant and makes
 /// a probe's ledger a property of the probe itself.
 std::uint64_t replan_key(std::uint64_t content, int round) {
     return round == 0 ? content
@@ -335,8 +329,6 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
         mh_.healed_bytes = config_.metrics->counter("fleet.healed_bytes");
         mh_.replan_rounds =
             config_.metrics->counter("fleet.replan_rounds");
-        mh_.shard_watchdog_trips =
-            config_.metrics->counter("fleet.shard_watchdog_trips");
         // Voltage-class bounds spanning the top of the binning range
         // ({880..980} under the default 10 mV step / 980 mV cap).
         std::vector<std::uint64_t> bounds;
@@ -1066,13 +1058,12 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     outcome.probes = cohorts_.size();
     probes_requested_ += cohorts_.size();
 
-    // 2. Shard plan + engine runs, in bounded-retry rounds.  Sharding
-    // only batches the engine submissions; each probe's seed and fault
-    // draws come from its content id, so the results -- and everything
-    // downstream -- are invariant under the shard count.  A probe that
-    // exhausts its attempts in one round is deferred to the next with an
-    // exponential backoff charge; after the last round it degrades its
-    // cohort instead of failing the campaign.
+    // 2. Engine runs, one per bounded-retry round.  Each probe's seed and
+    // fault draws come from its content id, so the results -- and
+    // everything downstream -- are invariant under the worker count.  A
+    // probe that exhausts its attempts in one round is deferred to the
+    // next with an exponential backoff charge; after the last round it
+    // degrades its cohort instead of failing the campaign.
     const int quorum = std::max(1, config_.integrity.quorum);
     const auto replicas = static_cast<std::size_t>(quorum);
     std::vector<probe_result> honest(pending.size());
@@ -1081,9 +1072,8 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     // Corruption decisions are drawn HERE, serially in pending (sorted
     // cohort) order, one opportunity per (probe, replica) -- never inside
     // engine workers -- so a corrupted campaign stays bitwise invariant
-    // under GB_JOBS and the shard count.  A decision persists across
-    // re-plan rounds: the Byzantine rig corrupts the replica whenever it
-    // finally resolves.
+    // under GB_JOBS.  A decision persists across re-plan rounds: the
+    // Byzantine rig corrupts the replica whenever it finally resolves.
     std::vector<std::optional<sdc_corruption>> poison;
     if (config_.integrity.sdc != nullptr && !pending.empty()) {
         poison.resize(pending.size() * replicas);
@@ -1104,17 +1094,16 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
     if (!pending.empty()) {
         GB_EXPECTS(static_cast<bool>(probe_));
         publish_live(pending.size());
-        const int shards = std::max(1, config_.shards);
         execution_options engine_options;
         engine_options.workers = config_.workers;
         engine_options.base_seed = spec_.seed;
         engine_options.campaign = config_.campaign;
         engine_options.trace = config_.trace;
         engine_options.metrics = config_.metrics;
-        // No engine status_path: per-shard engine totals depend on the
-        // shard count, and the service's own snapshot must not.  No
-        // engine fault plan either -- rig faults are planned serially
-        // below, keyed by content, for the same reason.
+        // No engine status_path: the service publishes its own
+        // content-pure snapshot.  No engine fault plan either -- rig
+        // faults are planned serially below, keyed by content, so they
+        // stay invariant under the worker count.
         const execution_engine engine(engine_options);
         const int attempts = std::max(1, config_.retry_budget + 1);
         const int last_round = std::max(0, config_.replan_rounds);
@@ -1126,8 +1115,8 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
                 // Deferred probes sit out an exponentially growing
                 // backoff, charged into their journaled downtime (virtual
                 // seconds; no real sleeping).
-                const double backoff = replan_backoff_s(
-                    config_.replan_backoff_base_s, round);
+                const double backoff =
+                    replan_backoff_s(replan_backoff_base_s, round);
                 for (const std::size_t j : open) {
                     ledgers[j].downtime_s += backoff;
                 }
@@ -1138,64 +1127,30 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
                     config_.metrics->add(0, mh_.replan_rounds, 1);
                 }
             }
-            const schedule_result plan = list_schedule(
-                std::vector<std::uint64_t>(open.size(), probe_cost_ticks),
-                shards);
-            std::vector<std::vector<std::size_t>> batches(
-                static_cast<std::size_t>(plan.workers));
-            for (std::size_t k = 0; k < open.size(); ++k) {
-                batches[static_cast<std::size_t>(
-                            plan.assignment[k].worker)]
-                    .push_back(open[k]);
+            // Rig faults, planned serially: draws are pure in (content,
+            // round, replica, attempt).
+            std::vector<std::size_t> runnable;
+            for (const std::size_t j : open) {
+                if (plan_rig_faults(config_.faults, pending[j].content,
+                                    round, quorum, attempts, ledgers[j])) {
+                    resolved[j] = 1;
+                    runnable.push_back(j);
+                }
             }
-            for (const std::vector<std::size_t>& batch : batches) {
-                if (batch.empty()) {
-                    continue;
-                }
-                double downtime_before = 0.0;
-                for (const std::size_t j : batch) {
-                    downtime_before += ledgers[j].downtime_s;
-                }
-                // Rig faults, planned serially: draws are pure in
-                // (content, round, replica, attempt).
-                std::vector<std::size_t> runnable;
-                double downtime_after = 0.0;
-                for (const std::size_t j : batch) {
-                    if (plan_rig_faults(config_.faults, pending[j].content,
-                                        round, quorum, attempts,
-                                        ledgers[j])) {
-                        resolved[j] = 1;
-                        runnable.push_back(j);
-                    }
-                    downtime_after += ledgers[j].downtime_s;
-                }
-                if (config_.shard_deadline_s > 0.0 &&
-                    downtime_after - downtime_before >
-                        config_.shard_deadline_s) {
-                    // Shard watchdog: virtual rig downtime this batch
-                    // accumulated beyond the deadline.  Observability
-                    // only -- batch composition depends on the shard
-                    // count, so this never reaches the snapshot.
-                    ++shard_watchdog_trips_;
-                    if (mh_.registered) {
-                        config_.metrics->add(0, mh_.shard_watchdog_trips, 1);
-                    }
-                }
-                // One task per resolved probe: the pure probe runs once
-                // and the task reports replica 0's outcome bucket.
-                const std::size_t first = trace_index_base_;
-                const execution_stats stats = engine.run(
-                    runnable.size(),
-                    [&](const task_context& context) {
-                        const std::size_t j = runnable[context.index - first];
-                        honest[j] = probe_(request_for(
-                            pending[j].cohort, sweep_mv, pending[j].content));
-                        return replica(j, 0).bucket;
-                    },
-                    first);
-                trace_index_base_ += runnable.size();
-                outcome.stats.merge(stats);
-            }
+            // One task per resolved probe: the pure probe runs once and
+            // the task reports replica 0's outcome bucket.
+            const std::size_t first = trace_index_base_;
+            const execution_stats stats = engine.run(
+                runnable.size(),
+                [&](const task_context& context) {
+                    const std::size_t j = runnable[context.index - first];
+                    honest[j] = probe_(request_for(
+                        pending[j].cohort, sweep_mv, pending[j].content));
+                    return replica(j, 0).bucket;
+                },
+                first);
+            trace_index_base_ += runnable.size();
+            outcome.stats.merge(stats);
             std::erase_if(open, [&](std::size_t j) { return resolved[j]; });
         }
     }
@@ -1323,9 +1278,9 @@ std::vector<std::pair<std::string, double>>
 fleet_service::observatory_samples() const {
     // The epoch's fixed-order sample list.  Every value here already
     // appears in (or derives from) the content-pure state snapshot, so
-    // the block is crash-invariant by construction; per-batch engine
-    // observables (shard watchdog trips, physical cache hits) must stay
-    // out for the same reason they stay out of the snapshot.
+    // the block is crash-invariant by construction; lifetime-local
+    // observables (physical cache hits) must stay out for the same reason
+    // they stay out of the snapshot.
     std::vector<std::pair<std::string, double>> samples;
     samples.reserve(cohorts_.size() + 4);
     for (const cohort_state& cohort : cohorts_) {

@@ -7,16 +7,14 @@
 //
 //   1. enumerate the fleet's cohorts in sorted key order and consult the
 //      cache -- identical probes execute once per service lifetime;
-//   2. plan the remaining probes onto `shards` batches with the shared
-//      list scheduler (harness/schedule.hpp -- the same scheduler
-//      `gbreport utilization` simulates), then run each batch through
-//      the execution engine with trace/metrics threaded through;
+//   2. plan rig faults for the remaining probes serially, then run the
+//      probes that resolved as one execution-engine run per re-plan
+//      round, with trace/metrics threaded through;
 //   3. append one journal line per executed probe *serially, in sorted
 //      cohort order* after the engine drains -- unlike the task journal's
 //      completion-order lines, the fleet journal is bitwise identical at
-//      any GB_JOBS and any shard count, and doubles round-trip exactly,
-//      so a restarted daemon warms its cache from the journal and
-//      re-executes nothing;
+//      any GB_JOBS, and doubles round-trip exactly, so a restarted daemon
+//      warms its cache from the journal and re-executes nothing;
 //   4. fan the cohort results out to every node (deterministic per-node
 //      jitter, voltage-class binning, power accounting in node-id order)
 //      and publish the fleet state snapshot.
@@ -27,7 +25,7 @@
 // fleet snapshots unchanged -- and `publish_state()` writes them with the
 // same atomic temp+rename discipline.  Probe seeds derive from probe
 // *content*, never from engine task indices, which is what makes the
-// snapshot and journal invariant under re-sharding.
+// snapshot and journal invariant under the worker count.
 //
 // The service also fronts the core exploitation stack: `supervisor_for`
 // keeps one operating-point supervisor per cohort and `run_epoch` drives
@@ -36,8 +34,8 @@
 //
 // Failure is a first-class input (docs/ROBUSTNESS.md).  A rig-fault plan
 // makes probe attempts fail -- drawn per probe *content*, never per engine
-// task index, so faulty campaigns stay invariant under re-sharding -- with
-// bounded retry, then exponential-backoff re-plan rounds, and finally
+// task index, so faulty campaigns stay invariant under the worker count --
+// with bounded retry, then exponential-backoff re-plan rounds, and finally
 // quarantine: cohorts whose probes never resolve are served *degraded*
 // (binned at the nominal `bin_cap_mv` class, exposed in the snapshot's
 // "degraded" section) instead of failing the campaign.  A chaos plan
@@ -80,7 +78,7 @@ namespace gb::fleet {
 /// One characterization probe request.  Everything a probe may depend on
 /// is in here, and `seed` derives from `content` alone -- not from the
 /// engine task index -- so a probe's result is invariant under
-/// re-sharding and re-ordering.
+/// re-ordering and the worker count.
 struct probe_request {
     cohort_key cohort;
     std::int64_t sweep_mv = 0;  ///< campaign-wide supply offset probed
@@ -128,7 +126,7 @@ struct fleet_integrity_config {
     std::uint64_t rigs = 0;
     /// Seeded silent-corruption plan (null: honest rigs).  Decisions are
     /// drawn at serial points only, so corrupted campaigns stay bitwise
-    /// shard- and worker-invariant.
+    /// worker-invariant.
     sdc_plan* sdc = nullptr;
     /// Re-verify every `audit_stride`-th scheduled cache hit against a
     /// fresh execution (0: no auditing).  Keyed by the crash-invariant
@@ -146,13 +144,15 @@ struct fleet_integrity_config {
     }
 };
 
+/// Base of the re-plan backoff schedule, charged per probe per round into
+/// its journaled downtime (virtual seconds, no real sleeping).
+inline constexpr double replan_backoff_base_s = 5.0;
+
 struct fleet_service_config {
     /// Campaign name for status snapshots and trace spans.
     std::string campaign = "fleet";
-    /// Cohort batches per campaign (>= 1).  Sharding is a batching and
-    /// observability choice; results are bitwise identical at any value.
-    int shards = 1;
-    /// Engine workers per shard run (<= 0: GB_JOBS, see execution_engine).
+    /// Engine workers per engine run (<= 0: GB_JOBS, see
+    /// execution_engine).
     int workers = 0;
     /// Probe-result journal (empty: disabled).  Appended serially in
     /// sorted cohort order; an existing file warms the cache on
@@ -165,7 +165,7 @@ struct fleet_service_config {
     metrics_registry* metrics = nullptr;
     /// Rig-fault plan for probe attempts (null: healthy rig).  Draws are
     /// keyed by probe content and re-plan round, never by engine task
-    /// index, so faulty results stay shard- and worker-invariant.
+    /// index, so faulty results stay worker-invariant.
     const fault_plan* faults = nullptr;
     /// RETRIES per probe replica per round, not attempts: a round spends
     /// `retry_budget + 1` attempts (charge_attempts) before the probe is
@@ -173,18 +173,10 @@ struct fleet_service_config {
     /// engine's and the campaign IO structs' retry_budget count attempts.)
     int retry_budget = 3;
     /// Re-plan rounds after the main round for exhausted probes, each
-    /// preceded by an exponential backoff charge (replan_backoff_s).
-    /// Probes still unresolved after the last round degrade their cohort.
+    /// preceded by an exponential backoff charge (replan_backoff_s over
+    /// replan_backoff_base_s).  Probes still unresolved after the last
+    /// round degrade their cohort.
     int replan_rounds = 2;
-    /// Base of the re-plan backoff schedule, charged per probe per round
-    /// into its journaled downtime (virtual seconds, no real sleeping).
-    double replan_backoff_base_s = 5.0;
-    /// Virtual rig-downtime budget per shard batch; a batch whose probes
-    /// lose more than this trips the shard watchdog counter
-    /// (`fleet.shard_watchdog_trips` -- observability only: batch
-    /// composition depends on the shard count, so the snapshot never
-    /// includes it).  <= 0 disables.
-    double shard_deadline_s = 0.0;
     /// Chaos kill-point plan armed at the journal, snapshot and warm
     /// seams (null: no chaos).  See harness/chaos/chaos.hpp.
     chaos_plan* chaos = nullptr;
@@ -255,7 +247,7 @@ public:
     // --- query API ------------------------------------------------------
     /// Deterministic fleet-state bytes: a final `--status` snapshot
     /// (status.hpp schema, parseable by `gbreport status`) extended with
-    /// a "fleet" object.  Bitwise identical at any GB_JOBS/shard count.
+    /// a "fleet" object.  Bitwise identical at any GB_JOBS.
     [[nodiscard]] std::string state_snapshot() const;
     /// Atomically publish `state_snapshot()` to the configured state
     /// path (temp + rename; false on I/O error or when unconfigured).
@@ -280,10 +272,6 @@ public:
     [[nodiscard]] std::uint64_t healed_bytes() const { return healed_bytes_; }
     /// Cohorts currently quarantined in degraded mode.
     [[nodiscard]] std::uint64_t degraded_cohorts() const;
-    /// Shard batches whose virtual rig downtime blew the deadline.
-    [[nodiscard]] std::uint64_t shard_watchdog_trips() const {
-        return shard_watchdog_trips_;
-    }
     [[nodiscard]] double power_nominal_w() const { return power_nominal_w_; }
     [[nodiscard]] double power_binned_w() const { return power_binned_w_; }
 
@@ -463,7 +451,6 @@ private:
     /// reports.  Degraded probes' ledgers stay out (their fold order
     /// would depend on which lifetime ran them).
     execution_stats ledger_stats_;
-    std::uint64_t shard_watchdog_trips_ = 0;
 
     /// SDC defense state (all folded at serial points).
     std::uint64_t effective_rigs_ = 1;
@@ -513,7 +500,6 @@ private:
         counter_handle restored;
         counter_handle healed_bytes;
         counter_handle replan_rounds;
-        counter_handle shard_watchdog_trips;
         histogram_handle bin_mv;
         gauge_handle power_nominal_w;
         gauge_handle power_binned_w;

@@ -23,7 +23,7 @@
 //                      results re-executed.
 //
 // Everything here is a pure function of campaign content and integrity
-// configuration -- never of worker counts, shards or wall time -- so the
+// configuration -- never of worker counts or wall time -- so the
 // defended journal and snapshot stay bitwise-deterministic.
 #pragma once
 

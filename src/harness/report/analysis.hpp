@@ -95,16 +95,14 @@ void render_summary(std::ostream& out, const journal_artifact& journal);
 void render_critical_path(std::ostream& out, const trace_model& model,
                           std::size_t top = 5);
 
-/// Per-worker load of the simulated schedule (the shared scheduler's
-/// accounting type, see harness/schedule.hpp).
+/// Per-worker load of the simulated schedule (the scheduler's accounting
+/// type, see harness/schedule.hpp).
 using gb::worker_load;
 
 /// Deterministic list-scheduling simulation of the recorded task durations
 /// on `workers` workers -- the virtual-time answer to "where would an
-/// N-worker campaign lose time".  The policy is the shared
-/// `gb::list_scheduler` (harness/schedule.hpp), the same scheduler the
-/// fleet service plans shards with, so simulation and live service agree
-/// assignment-for-assignment.
+/// N-worker campaign lose time".  The policy is `gb::list_scheduler`
+/// (harness/schedule.hpp).
 struct utilization_report {
     int workers = 1;
     std::uint64_t serial_ticks = 0; ///< sum of all task durations

@@ -41,19 +41,4 @@ std::uint64_t list_scheduler::makespan() const {
     return latest;
 }
 
-schedule_result list_schedule(
-    const std::vector<std::uint64_t>& duration_ticks, int workers) {
-    list_scheduler scheduler(workers);
-    schedule_result result;
-    result.workers = scheduler.workers();
-    result.assignment.reserve(duration_ticks.size());
-    for (const std::uint64_t ticks : duration_ticks) {
-        result.assignment.push_back(scheduler.assign(ticks));
-    }
-    result.serial_ticks = scheduler.serial_ticks();
-    result.makespan = scheduler.makespan();
-    result.loads = scheduler.loads();
-    return result;
-}
-
 } // namespace gb

@@ -1,12 +1,7 @@
-// Deterministic list scheduling, shared by the report simulation and the
-// fleet campaign service.
+// Deterministic list scheduling for the report simulation.
 //
 // `gbreport utilization` answers "where would a K-worker campaign lose
-// time" by replaying recorded task durations through a list scheduler; the
-// fleet service answers "which shard runs which cohort probe" with the
-// same policy over estimated probe costs.  Both must agree exactly -- the
-// simulation is the service's planning oracle -- so the scheduler lives
-// here as one shared module and a property test pins the equivalence.
+// time" by replaying recorded task durations through a list scheduler.
 //
 // Policy (unchanged from the original report simulation): tasks are issued
 // in index order to the earliest-finishing worker, ties to the lowest
@@ -65,18 +60,5 @@ private:
     std::vector<worker_load> loads_;
     std::uint64_t serial_ = 0;
 };
-
-/// One-shot schedule of a whole task list (a single campaign, no
-/// barriers).  `assignment[i]` is task i's placement.
-struct schedule_result {
-    int workers = 1;
-    std::uint64_t serial_ticks = 0;
-    std::uint64_t makespan = 0;
-    std::vector<scheduled_task> assignment;
-    std::vector<worker_load> loads;
-};
-
-[[nodiscard]] schedule_result list_schedule(
-    const std::vector<std::uint64_t>& duration_ticks, int workers);
 
 } // namespace gb

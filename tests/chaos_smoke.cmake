@@ -58,7 +58,7 @@ endfunction()
 
 set(append_dir ${WORK_DIR}/append)
 file(MAKE_DIRECTORY ${append_dir}/ref ${append_dir}/run)
-set(append_args --nodes 100000 --shards 4 --epochs 2)
+set(append_args --nodes 100000 --epochs 2)
 # Reference: the bytes the recovered daemon must converge to.
 run_rc(0 serve --state ${append_dir}/ref/state.json
     --journal ${append_dir}/ref/probes.journal ${append_args})
@@ -82,8 +82,7 @@ set(rules ${obs_dir}/drift.alert)
 file(WRITE ${rules}
     "alert vmin-drift vmin.* slope 1.5 window 3\n"
     "alert power-ceiling fleet.power_binned_w above 1e9\n")
-set(obs_args --alerts ${rules} --aging 2.0 --nodes 100000 --shards 4
-    --epochs 4)
+set(obs_args --alerts ${rules} --aging 2.0 --nodes 100000 --epochs 4)
 # Reference: a 4-epoch aged serve with the observatory armed.
 run_rc(0 serve --state ${obs_dir}/ref/state.json
     --journal ${obs_dir}/ref/probes.journal

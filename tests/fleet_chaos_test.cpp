@@ -4,11 +4,11 @@
 // crash at a persistence seam (torn journal append, torn snapshot temp,
 // missing rename, killed cache warm) must recover to *bitwise* the same
 // journal and snapshot an unfaulted run produces -- verified across a
-// kill-point x shards x workers matrix through run_recovery_check.  The
+// kill-point x workers matrix through run_recovery_check.  The
 // journal warm path self-heals exactly one kind of damage (the torn tail
 // this writer's own crash can cause) and rejects everything else with a
 // diagnostic.  Rig faults degrade cohorts instead of failing campaigns:
-// quarantine is deterministic, shard/worker-invariant, visible in the
+// quarantine is deterministic, worker-invariant, visible in the
 // snapshot's "degraded" section, and the per-probe fault ledger makes the
 // fault accounting itself converge across a crash/restart.
 #include <cstdint>
@@ -547,29 +547,24 @@ std::vector<kill_combo> crash_matrix_combos() {
 TEST(FleetChaosTest, CrashMatrixConvergesBitwise) {
     int cell = 0;
     for (const kill_combo& combo : crash_matrix_combos()) {
-        for (const int shards : {1, 4}) {
-            for (const int workers : {1, 8}) {
-                recovery_check_config config;
-                config.spec = small_fleet();
-                config.sweeps = {0, -5, 0};
-                config.chaos.seed = 1234;
-                config.chaos.triggers = combo.triggers;
-                config.shards = shards;
-                config.workers = workers;
-                config.work_dir =
-                    temp_path("chaos_matrix_" + std::to_string(cell++));
-                config.probe = fake_probe;
-                const recovery_report report = run_recovery_check(config);
-                EXPECT_TRUE(report.converged())
-                    << combo.name << " shards=" << shards
-                    << " workers=" << workers << ": " << report.failure;
-                EXPECT_EQ(report.fired, combo.triggers.size())
-                    << combo.name;
-                EXPECT_EQ(report.crashes, combo.triggers.size())
-                    << combo.name;
-                EXPECT_EQ(report.lives, combo.triggers.size() + 1)
-                    << combo.name;
-            }
+        for (const int workers : {1, 8}) {
+            recovery_check_config config;
+            config.spec = small_fleet();
+            config.sweeps = {0, -5, 0};
+            config.chaos.seed = 1234;
+            config.chaos.triggers = combo.triggers;
+            config.service.workers = workers;
+            config.work_dir =
+                temp_path("chaos_matrix_" + std::to_string(cell++));
+            config.probe = fake_probe;
+            const recovery_report report = run_recovery_check(config);
+            EXPECT_TRUE(report.converged())
+                << combo.name << " workers=" << workers << ": "
+                << report.failure;
+            EXPECT_EQ(report.fired, combo.triggers.size()) << combo.name;
+            EXPECT_EQ(report.crashes, combo.triggers.size()) << combo.name;
+            EXPECT_EQ(report.lives, combo.triggers.size() + 1)
+                << combo.name;
         }
     }
 }
@@ -604,29 +599,25 @@ TEST(FleetChaosTest, ObservatoryCrashMatrixConvergesBitwise) {
     };
     int cell = 0;
     for (const kill_combo& combo : combos) {
-        for (const int shards : {1, 4}) {
-            for (const int workers : {1, 8}) {
-                recovery_check_config config;
-                config.spec = small_fleet();
-                config.sweeps = {0, 0, 0, 0};
-                config.chaos.seed = 4321;
-                config.chaos.triggers = combo.triggers;
-                config.shards = shards;
-                config.workers = workers;
-                config.work_dir =
-                    temp_path("chaos_observatory_" + std::to_string(cell++));
-                config.probe = fake_probe;
-                config.timeline = true;
-                config.alerts = *rules;
-                config.aging_mv_per_epoch = 2.0;
-                const recovery_report report = run_recovery_check(config);
-                EXPECT_TRUE(report.converged())
-                    << combo.name << " shards=" << shards
-                    << " workers=" << workers << ": " << report.failure;
-                EXPECT_TRUE(report.timeline_match) << combo.name;
-                EXPECT_EQ(report.fired, combo.triggers.size())
-                    << combo.name;
-            }
+        for (const int workers : {1, 8}) {
+            recovery_check_config config;
+            config.spec = small_fleet();
+            config.sweeps = {0, 0, 0, 0};
+            config.chaos.seed = 4321;
+            config.chaos.triggers = combo.triggers;
+            config.service.workers = workers;
+            config.work_dir =
+                temp_path("chaos_observatory_" + std::to_string(cell++));
+            config.probe = fake_probe;
+            config.timeline = true;
+            config.service.alerts = *rules;
+            config.service.aging_mv_per_epoch = 2.0;
+            const recovery_report report = run_recovery_check(config);
+            EXPECT_TRUE(report.converged())
+                << combo.name << " workers=" << workers << ": "
+                << report.failure;
+            EXPECT_TRUE(report.timeline_match) << combo.name;
+            EXPECT_EQ(report.fired, combo.triggers.size()) << combo.name;
         }
     }
 }
@@ -642,11 +633,10 @@ TEST(FleetChaosTest, RecoveryHoldsUnderRigFaultsToo) {
     config.chaos.seed = 99;
     config.chaos.triggers = {{chaos_site::journal_append, 2500},
                              {chaos_site::snapshot_rename, 1}};
-    config.shards = 4;
-    config.workers = 8;
+    config.service.workers = 8;
     config.work_dir = temp_path("chaos_faulty_recovery");
     config.probe = fake_probe;
-    config.faults = &faults;
+    config.service.faults = &faults;
     const recovery_report report = run_recovery_check(config);
     EXPECT_TRUE(report.converged()) << report.failure;
     EXPECT_EQ(report.crashes, 2U);
@@ -708,9 +698,8 @@ TEST(FleetChaosTest, ExhaustedProbesDegradeTheirCohortsDeterministically) {
 
 TEST(FleetChaosTest, DegradedSnapshotIsShardAndWorkerInvariant) {
     const fault_plan faults = make_uniform_fault_plan(5, 0.85);
-    const auto snapshot_at = [&faults](int shards, int workers) {
+    const auto snapshot_at = [&faults](int workers) {
         fleet_service_config config;
-        config.shards = shards;
         config.workers = workers;
         config.faults = &faults;
         config.retry_budget = 1;
@@ -720,11 +709,10 @@ TEST(FleetChaosTest, DegradedSnapshotIsShardAndWorkerInvariant) {
         (void)service.run_campaign(-5);
         return service.state_snapshot();
     };
-    const std::string reference = snapshot_at(1, 1);
+    const std::string reference = snapshot_at(1);
     ASSERT_NE(reference.find("\"degraded\""), std::string::npos);
-    EXPECT_EQ(snapshot_at(4, 1), reference);
-    EXPECT_EQ(snapshot_at(1, 8), reference);
-    EXPECT_EQ(snapshot_at(4, 8), reference);
+    EXPECT_EQ(snapshot_at(4), reference);
+    EXPECT_EQ(snapshot_at(8), reference);
 }
 
 TEST(FleetChaosTest, ReplanRoundsResolveProbesAndChargeBackoff) {
@@ -736,7 +724,6 @@ TEST(FleetChaosTest, ReplanRoundsResolveProbesAndChargeBackoff) {
     config.faults = &faults;
     config.retry_budget = 1;
     config.replan_rounds = 3;
-    config.replan_backoff_base_s = 5.0;
     fleet_service service(small_fleet(), config, fake_probe);
     const campaign_outcome outcome = service.run_campaign(0);
     EXPECT_GT(outcome.replanned, 0U);
@@ -766,7 +753,7 @@ TEST(FleetChaosTest, ReplanRoundsResolveProbesAndChargeBackoff) {
             // A probe that needed round N was charged at least the
             // round-1 backoff into its journaled downtime.
             EXPECT_GE(ledger.downtime_s,
-                      replan_backoff_s(config.replan_backoff_base_s, 1));
+                      replan_backoff_s(replan_backoff_base_s, 1));
         }
     }
     EXPECT_GT(ledger_faults, 0U);
@@ -797,25 +784,13 @@ TEST(FleetChaosTest, FaultAccountingConvergesAcrossRestart) {
     // degraded probes re-fail with the same content-keyed draws -- the
     // snapshot, fault counters included, must be bitwise identical.
     fleet_service restarted(small_fleet(), config_for(), fake_probe);
+    EXPECT_GT(restarted.restored(), 0U);
     (void)restarted.run_campaign(0);
     (void)restarted.run_campaign(-5);
-    EXPECT_EQ(restarted.state_snapshot(), snapshot_before);
-}
-
-TEST(FleetChaosTest, ShardWatchdogTripsStayOutOfTheSnapshot) {
-    const fault_plan faults = make_uniform_fault_plan(31, 0.5);
-    fleet_service_config config;
-    config.shards = 4;
-    config.faults = &faults;
-    config.shard_deadline_s = 1.0; // any injected hang (~40 s) blows it
-    fleet_service service(small_fleet(), config, fake_probe);
-    (void)service.run_campaign(0);
-    EXPECT_GT(service.shard_watchdog_trips(), 0U);
-    // Batch composition depends on the shard count, so the deterministic
-    // snapshot must not mention the watchdog -- or any other
-    // lifetime-local counter (restoration hits died with "restored").
-    const std::string snapshot = service.state_snapshot();
-    EXPECT_EQ(snapshot.find("watchdog"), std::string::npos);
+    const std::string snapshot = restarted.state_snapshot();
+    EXPECT_EQ(snapshot, snapshot_before);
+    // Lifetime-local counters stay out of the snapshot: restoration hits
+    // live in metrics and accessors only.
     EXPECT_EQ(snapshot.find("\"restored\""), std::string::npos);
 }
 

@@ -97,6 +97,15 @@ expect_fail("--aging wants a number in"
 expect_fail("--fault-rate wants a number in"
     serve --state ${state} --fault-rate nan)
 
+# Arguments no flag consumed are typos or retired flags: each subcommand
+# names the first one and exits 2 instead of running with defaults.
+expect_fail("fleet_service: unknown argument '--shards'"
+    serve --state ${state} --nodes 100 --epochs 0 --shards 4)
+expect_fail("fleet_service: unknown argument '--epoch'"
+    serve --state ${state} --nodes 100 --epochs 0 --epoch 7)
+expect_fail("fleet_service: unknown argument '--nonsense'"
+    query --state ${state} --nonsense)
+
 # Usage-level errors around the integrity flags.
 expect_fail("serve requires --state" serve --sdc vmin_flip@1)
 execute_process(
@@ -117,11 +126,11 @@ file(REMOVE_RECURSE ${sdc_dir})
 file(MAKE_DIRECTORY ${sdc_dir}/ref ${sdc_dir}/run)
 run_ok(${FLEET_SERVICE} honest_text serve --state ${sdc_dir}/ref/state.json
     --journal ${sdc_dir}/ref/probes.journal
-    --nodes 2000 --shards 4 --epochs 2 --quorum 3)
+    --nodes 2000 --epochs 2 --quorum 3)
 run_ok(${FLEET_SERVICE} attack_text serve --state ${sdc_dir}/run/state.json
     --journal ${sdc_dir}/run/probes.journal
     --metrics ${sdc_dir}/run/metrics.json
-    --nodes 2000 --shards 4 --epochs 2 --quorum 3 --sdc vmin_flip@5)
+    --nodes 2000 --epochs 2 --quorum 3 --sdc vmin_flip@5)
 expect_text("${attack_text}" "1 injected, 1 detected" "attacked serve output")
 run_ok(${GBREPORT} audit_text audit --metrics ${sdc_dir}/run/metrics.json)
 expect_text("${audit_text}" "1 injected, 1 detected (1 outvoted"
@@ -138,7 +147,7 @@ expect_same(${sdc_dir}/ref/state.json ${sdc_dir}/run/state.json)
 set(degraded_state ${WORK_DIR}/degraded_state.json)
 file(REMOVE ${degraded_state})
 run_ok(${FLEET_SERVICE} serve_text serve --state ${degraded_state}
-    --nodes 100000 --shards 4 --epochs 1
+    --nodes 100000 --epochs 1
     --fault-rate 0.8 --retry 0 --replan 0)
 file(READ ${degraded_state} degraded_json)
 expect_text("${degraded_json}" "\"degraded\":{\"cohorts\":" "state.json")

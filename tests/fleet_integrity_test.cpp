@@ -5,8 +5,8 @@
 // rig reputation with blacklist repair, audit sampling of cache hits) must
 // catch and correct every injection.  The strongest statements are
 // bitwise: a defended run under attack converges to the exact journal and
-// snapshot bytes of the same run without the attack, at any shard or
-// worker count.  The chain itself is unconditional: the default config
+// snapshot bytes of the same run without the attack, at any worker
+// count.  The chain itself is unconditional: the default config
 // writes and verifies it too.
 #include <algorithm>
 #include <atomic>
@@ -28,6 +28,7 @@
 #include "harness/fault_injection.hpp"
 #include "harness/integrity/integrity.hpp"
 #include "harness/trace/metrics.hpp"
+#include "harness/trace/trace.hpp"
 #include "util/wire.hpp"
 
 namespace gb::fleet {
@@ -112,7 +113,6 @@ struct run_options {
     std::uint64_t audit_stride = 0;
     const char* sdc_spec = nullptr; ///< nullptr: no attack
     std::uint64_t blacklist_threshold = 2;
-    int shards = 1;
     int workers = 1;
     bool fresh_journal = true;
 };
@@ -134,7 +134,6 @@ run_result run_service(const std::string& journal_path,
     }
     fleet_service_config config;
     config.journal_path = journal_path;
-    config.shards = options.shards;
     config.workers = options.workers;
     config.integrity.quorum = options.quorum;
     config.integrity.sdc = sdc ? &*sdc : nullptr;
@@ -702,28 +701,25 @@ TEST(FleetIntegrityTest, UnchainedJournalIsRejectedByDefault) {
     }
 }
 
-// --- purity across shards, workers and the recovery checker -------------
+// --- purity across workers and the recovery checker --------------------
 
 TEST(FleetIntegrityTest, DefendedBytesAreShardAndWorkerInvariant) {
     const std::string journal_path =
         temp_path("integrity_invariance.journal");
-    const auto bytes_at = [&](int shards, int workers) {
+    const auto bytes_at = [&](int workers) {
         run_options options;
         options.sweeps = {0, -5, 0};
         options.quorum = 3;
         options.audit_stride = 2;
         options.sdc_spec = "vmin_flip@5,power_scale@40";
-        options.shards = shards;
         options.workers = workers;
         const run_result result = run_service(journal_path, options);
-        EXPECT_EQ(result.escaped, 0u)
-            << "shards=" << shards << " workers=" << workers;
+        EXPECT_EQ(result.escaped, 0u) << "workers=" << workers;
         return result.journal + "\x1f" + result.snapshot;
     };
-    const std::string reference = bytes_at(1, 1);
-    EXPECT_EQ(bytes_at(4, 1), reference);
-    EXPECT_EQ(bytes_at(1, 8), reference);
-    EXPECT_EQ(bytes_at(4, 8), reference);
+    const std::string reference = bytes_at(1);
+    EXPECT_EQ(bytes_at(4), reference);
+    EXPECT_EQ(bytes_at(8), reference);
 }
 
 TEST(FleetIntegrityTest, CrashRecoveryConvergesWithDefensesOn) {
@@ -736,12 +732,11 @@ TEST(FleetIntegrityTest, CrashRecoveryConvergesWithDefensesOn) {
     config.chaos.seed = 1234;
     config.chaos.triggers = {{chaos_site::journal_append, 2000},
                              {chaos_site::snapshot_rename, 1}};
-    config.shards = 4;
-    config.workers = 8;
+    config.service.workers = 8;
     config.work_dir = temp_path("integrity_recovery");
     config.probe = fake_probe;
-    config.integrity.quorum = 3;
-    config.integrity.audit_stride = 2;
+    config.service.integrity.quorum = 3;
+    config.service.integrity.audit_stride = 2;
     const recovery_report report = run_recovery_check(config);
     EXPECT_TRUE(report.converged()) << report.failure;
     EXPECT_EQ(report.crashes, 2u);
@@ -931,6 +926,48 @@ TEST(FleetIntegrityTest, OneProbeExecutionKeepsEveryByteAndCounter) {
     }
     // The matrix reaches the blacklist repair sweep.
     EXPECT_GT(rearbitrated_total, 0u);
+}
+
+TEST(FleetIntegrityTest, OneEngineRunPerRoundKeepsTraceAndMetricsBytes) {
+    // Digests of the exported trace and metrics JSON of a quorum-3 fleet
+    // under rig faults, produced by the previous implementation, which
+    // could split a round's probes over several engine runs, at one run
+    // per round -- with its always-zero `fleet.shard_watchdog_trips`
+    // counter cut from the metrics.  One engine run per round must be that
+    // path byte for byte, at any worker count.
+    constexpr std::uint64_t expected_trace = 14726299425707734534ULL;
+    constexpr std::uint64_t expected_metrics = 4747037715547356568ULL;
+    const fleet_spec spec = small_fleet();
+    const fault_plan faults = make_uniform_fault_plan(spec.seed, 0.5);
+    for (const int workers : {1, 4}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        tracer trace;
+        metrics_registry metrics;
+        fleet_service_config config;
+        config.workers = workers;
+        config.trace = &trace;
+        config.metrics = &metrics;
+        config.faults = &faults;
+        config.replan_rounds = 2;
+        config.integrity.quorum = 3;
+        fleet_service service(spec, config, fake_probe);
+        std::uint64_t replanned = 0;
+        for (const std::int64_t sweep : {0, 5, 0}) {
+            replanned += service.run_campaign(sweep).replanned;
+        }
+        EXPECT_GT(replanned, 0u);
+        std::ostringstream trace_json;
+        write_chrome_trace(trace_json, trace);
+        std::ostringstream metrics_json;
+        write_metrics_json(metrics_json, metrics);
+        const std::uint64_t trace_digest =
+            fnv1a_bytes(fnv1a_basis, trace_json.str());
+        const std::uint64_t metrics_digest =
+            fnv1a_bytes(fnv1a_basis, metrics_json.str());
+        EXPECT_EQ(trace_digest, expected_trace) << trace_digest << "ULL";
+        EXPECT_EQ(metrics_digest, expected_metrics)
+            << metrics_digest << "ULL";
+    }
 }
 
 // --- the default config ------------------------------------------------

@@ -1,7 +1,7 @@
 // Fleet-service determinism tests: the refactor's core acceptance
 // criteria.  A 10^5-node fleet characterized through the service must
 // produce bitwise-identical state snapshots and journals at any engine
-// worker count and any shard count; cache hit/miss counters are exact
+// worker count; cache hit/miss counters are exact
 // (lookups happen serially in sorted cohort order); a restarted service
 // warms its cache from the journal and re-executes nothing; and the
 // journal wire format round-trips through the exposed parser.
@@ -347,11 +347,9 @@ struct service_run {
     std::string journal;
 };
 
-service_run run_matrix_cell(int workers, int shards,
-                            const std::string& journal_path) {
+service_run run_matrix_cell(int workers, const std::string& journal_path) {
     fleet_service_config config;
     config.workers = workers;
-    config.shards = shards;
     config.journal_path = journal_path;
     fleet_service service(mega_fleet(), config, fake_probe);
     service.run_campaign(0);
@@ -361,30 +359,23 @@ service_run run_matrix_cell(int workers, int shards,
 }
 
 TEST(FleetServiceTest, SnapshotAndJournalAreInvariantUnderWorkersAndShards) {
-    // The acceptance matrix: engine workers 1/2/8 x shards 1/4/16 over a
-    // 10^5-node fleet.  Every cell must produce the same snapshot bytes
-    // and the same journal bytes -- sharding is batching, not semantics,
-    // and probe seeds derive from content, not task indices.
+    // The acceptance matrix: engine workers 1/2/8 over a 10^5-node fleet.
+    // Every cell must produce the same snapshot bytes and the same journal
+    // bytes -- probe seeds derive from content, not task indices.
     const service_run reference =
-        run_matrix_cell(1, 1, temp_path("fleet_w1_s1.journal"));
+        run_matrix_cell(1, temp_path("fleet_w1.journal"));
     ASSERT_FALSE(reference.snapshot.empty());
     ASSERT_FALSE(reference.journal.empty());
     EXPECT_EQ(reference.journal.back(), '\n');
 
     for (const int workers : {2, 8}) {
-        for (const int shards : {1, 4, 16}) {
-            const std::string journal =
-                temp_path("fleet_w" + std::to_string(workers) + "_s" +
-                          std::to_string(shards) + ".journal");
-            const service_run cell =
-                run_matrix_cell(workers, shards, journal);
-            EXPECT_EQ(cell.snapshot, reference.snapshot)
-                << "snapshot diverged at workers=" << workers
-                << " shards=" << shards;
-            EXPECT_EQ(cell.journal, reference.journal)
-                << "journal diverged at workers=" << workers
-                << " shards=" << shards;
-        }
+        const service_run cell = run_matrix_cell(
+            workers,
+            temp_path("fleet_w" + std::to_string(workers) + ".journal"));
+        EXPECT_EQ(cell.snapshot, reference.snapshot)
+            << "snapshot diverged at workers=" << workers;
+        EXPECT_EQ(cell.journal, reference.journal)
+            << "journal diverged at workers=" << workers;
     }
 }
 
@@ -567,12 +558,11 @@ struct observatory_run {
     std::vector<std::string> firing;
 };
 
-observatory_run run_observatory_cell(int workers, int shards,
+observatory_run run_observatory_cell(int workers,
                                      const std::string& journal_path) {
     timeline_recorder recorder;
     fleet_service_config config;
     config.workers = workers;
-    config.shards = shards;
     config.journal_path = journal_path;
     config.timeline = &recorder;
     config.alerts = drift_rules();
@@ -592,36 +582,29 @@ observatory_run run_observatory_cell(int workers, int shards,
 TEST(FleetObservatoryTest, TimelineBytesAreInvariantUnderWorkersAndShards) {
     // The tentpole acceptance matrix: timeline.json bytes (and the
     // journal the observatory records ride in) are a pure function of
-    // campaign content at engine workers 1/2/8 x shards 1/4/16.
-    const observatory_run reference = run_observatory_cell(
-        1, 1, temp_path("fleet_obs_w1_s1.journal"));
+    // campaign content at engine workers 1/2/8.
+    const observatory_run reference =
+        run_observatory_cell(1, temp_path("fleet_obs_w1.journal"));
     ASSERT_FALSE(reference.timeline.empty());
     EXPECT_NE(reference.journal.find(" tline "), std::string::npos);
     EXPECT_NE(reference.journal.find(" tseal "), std::string::npos);
 
     for (const int workers : {2, 8}) {
-        for (const int shards : {1, 4, 16}) {
-            const std::string journal =
-                temp_path("fleet_obs_w" + std::to_string(workers) + "_s" +
-                          std::to_string(shards) + ".journal");
-            const observatory_run cell =
-                run_observatory_cell(workers, shards, journal);
-            EXPECT_EQ(cell.timeline, reference.timeline)
-                << "timeline diverged at workers=" << workers
-                << " shards=" << shards;
-            EXPECT_EQ(cell.journal, reference.journal)
-                << "journal diverged at workers=" << workers
-                << " shards=" << shards;
-            EXPECT_EQ(cell.snapshot, reference.snapshot)
-                << "snapshot diverged at workers=" << workers
-                << " shards=" << shards;
-        }
+        const observatory_run cell = run_observatory_cell(
+            workers,
+            temp_path("fleet_obs_w" + std::to_string(workers) + ".journal"));
+        EXPECT_EQ(cell.timeline, reference.timeline)
+            << "timeline diverged at workers=" << workers;
+        EXPECT_EQ(cell.journal, reference.journal)
+            << "journal diverged at workers=" << workers;
+        EXPECT_EQ(cell.snapshot, reference.snapshot)
+            << "snapshot diverged at workers=" << workers;
     }
 }
 
 TEST(FleetObservatoryTest, SeededDriftFiresTheSlopeRuleDeterministically) {
-    const observatory_run run = run_observatory_cell(
-        1, 1, temp_path("fleet_obs_drift.journal"));
+    const observatory_run run =
+        run_observatory_cell(1, temp_path("fleet_obs_drift.journal"));
     // Every probed Vmin series ages identically, so every one of the 36
     // cohorts trips the drift rule -- and only the drift rule.
     ASSERT_EQ(run.firing.size(), 36U);
@@ -645,8 +628,7 @@ TEST(FleetObservatoryTest, SeededDriftFiresTheSlopeRuleDeterministically) {
 
 TEST(FleetObservatoryTest, RestartWarmsTheTimelineFromTheJournal) {
     const std::string journal_path = temp_path("fleet_obs_restart.journal");
-    const observatory_run before =
-        run_observatory_cell(1, 1, journal_path);
+    const observatory_run before = run_observatory_cell(1, journal_path);
 
     // A restarted daemon starts with an empty recorder and alert engine:
     // in-memory observability died with the process, only the journal

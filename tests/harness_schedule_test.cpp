@@ -1,9 +1,8 @@
-// Shared list-scheduler tests: the placement policy itself, and the
-// equivalence property the refactor depends on -- `gbreport utilization`
-// simulates campaigns with the *same* scheduler the fleet service plans
-// shards with, so the simulation is the service's planning oracle.  The
-// property test replays randomized synthetic campaigns through both paths
-// and asserts agreement load-for-load and tick-for-tick.
+// List-scheduler tests: the placement policy itself, and the equivalence
+// property `gbreport utilization` depends on -- its simulation must be the
+// scheduler's computation.  The property test replays randomized synthetic
+// campaigns (one or several) through both paths and asserts agreement
+// load-for-load and tick-for-tick.
 #include "harness/schedule.hpp"
 
 #include <cstdint>
@@ -74,14 +73,17 @@ TEST(ScheduleTest, BarrierAlignsEveryWorkerToTheMakespan) {
 
 TEST(ScheduleTest, OneShotScheduleAccountsEveryTask) {
     const std::vector<std::uint64_t> durations{4, 1, 1, 1, 1};
-    const schedule_result result = list_schedule(durations, 2);
-    EXPECT_EQ(result.workers, 2);
-    EXPECT_EQ(result.serial_ticks, 8U);
-    EXPECT_EQ(result.makespan, 4U);
-    ASSERT_EQ(result.assignment.size(), durations.size());
-    ASSERT_EQ(result.loads.size(), 2U);
-    EXPECT_EQ(result.loads[0].busy_ticks + result.loads[1].busy_ticks, 8U);
-    EXPECT_EQ(result.loads[0].tasks + result.loads[1].tasks, 5U);
+    list_scheduler scheduler(2);
+    for (const std::uint64_t ticks : durations) {
+        scheduler.assign(ticks);
+    }
+    EXPECT_EQ(scheduler.workers(), 2);
+    EXPECT_EQ(scheduler.serial_ticks(), 8U);
+    EXPECT_EQ(scheduler.makespan(), 4U);
+    const std::vector<worker_load>& loads = scheduler.loads();
+    ASSERT_EQ(loads.size(), 2U);
+    EXPECT_EQ(loads[0].busy_ticks + loads[1].busy_ticks, 8U);
+    EXPECT_EQ(loads[0].tasks + loads[1].tasks, 5U);
 }
 
 // --- structural invariants over random inputs ---------------------------
@@ -101,17 +103,27 @@ TEST(SchedulePropertyTest, RandomSchedulesSatisfyTheInvariants) {
             std::accumulate(durations.begin(), durations.end(),
                             std::uint64_t{0});
 
-        const schedule_result result = list_schedule(durations, workers);
+        list_scheduler scheduler(workers);
+        list_scheduler again(workers);
+        std::vector<scheduled_task> placed;
+        for (const std::uint64_t ticks : durations) {
+            placed.push_back(scheduler.assign(ticks));
+            // Pure function: same input, same placement.
+            const scheduled_task repeat = again.assign(ticks);
+            EXPECT_EQ(repeat.worker, placed.back().worker);
+            EXPECT_EQ(repeat.start_ticks, placed.back().start_ticks);
+        }
+        const std::uint64_t makespan = scheduler.makespan();
         // Makespan bounds: no better than perfect division, no worse than
         // serial, never shorter than the longest single task.
-        EXPECT_GE(result.makespan * workers, serial);
-        EXPECT_LE(result.makespan, serial);
-        EXPECT_GE(result.makespan, longest);
-        EXPECT_EQ(result.serial_ticks, serial);
+        EXPECT_GE(makespan * workers, serial);
+        EXPECT_LE(makespan, serial);
+        EXPECT_GE(makespan, longest);
+        EXPECT_EQ(scheduler.serial_ticks(), serial);
         // Load accounting closes.
         std::uint64_t busy = 0;
         std::uint64_t tasks = 0;
-        for (const worker_load& load : result.loads) {
+        for (const worker_load& load : scheduler.loads()) {
             busy += load.busy_ticks;
             tasks += load.tasks;
         }
@@ -119,19 +131,11 @@ TEST(SchedulePropertyTest, RandomSchedulesSatisfyTheInvariants) {
         EXPECT_EQ(tasks, durations.size());
         // Placements are in range and internally consistent.
         for (std::size_t i = 0; i < durations.size(); ++i) {
-            const scheduled_task& task = result.assignment[i];
+            const scheduled_task& task = placed[i];
             EXPECT_GE(task.worker, 0);
             EXPECT_LT(task.worker, workers);
             EXPECT_EQ(task.finish_ticks - task.start_ticks, durations[i]);
-            EXPECT_LE(task.finish_ticks, result.makespan);
-        }
-        // Pure function: same input, same schedule.
-        const schedule_result again = list_schedule(durations, workers);
-        for (std::size_t i = 0; i < durations.size(); ++i) {
-            EXPECT_EQ(again.assignment[i].worker,
-                      result.assignment[i].worker);
-            EXPECT_EQ(again.assignment[i].start_ticks,
-                      result.assignment[i].start_ticks);
+            EXPECT_LE(task.finish_ticks, makespan);
         }
     }
 }
@@ -195,31 +199,6 @@ TEST(SchedulePropertyTest, UtilizationSimulationMatchesTheLiveScheduler) {
             EXPECT_EQ(simulated.loads[w].busy_ticks,
                       live.loads()[w].busy_ticks);
             EXPECT_EQ(simulated.loads[w].tasks, live.loads()[w].tasks);
-        }
-    }
-}
-
-TEST(SchedulePropertyTest, SingleCampaignSimulationMatchesOneShotSchedule) {
-    // For a single campaign the incremental scheduler, the one-shot
-    // list_schedule and the report simulation are the same computation.
-    rng seeds(7);
-    for (int trial = 0; trial < 25; ++trial) {
-        const int workers = static_cast<int>(seeds.uniform_index(16)) + 1;
-        const std::size_t count = seeds.uniform_index(64) + 1;
-        std::vector<std::uint64_t> durations;
-        for (std::size_t i = 0; i < count; ++i) {
-            durations.push_back(seeds.uniform_index(1000) + 1);
-        }
-        const schedule_result shot = list_schedule(durations, workers);
-        const report::utilization_report simulated =
-            simulate_utilization(make_model({durations}), workers);
-        EXPECT_EQ(simulated.makespan, shot.makespan);
-        EXPECT_EQ(simulated.serial_ticks, shot.serial_ticks);
-        ASSERT_EQ(simulated.loads.size(), shot.loads.size());
-        for (std::size_t w = 0; w < shot.loads.size(); ++w) {
-            EXPECT_EQ(simulated.loads[w].busy_ticks,
-                      shot.loads[w].busy_ticks);
-            EXPECT_EQ(simulated.loads[w].tasks, shot.loads[w].tasks);
         }
     }
 }

@@ -1,8 +1,9 @@
 # End-to-end determinism of the fleet observatory artifact: the
 # timeline.json a served campaign emits -- ring samples, downsampled
 # histograms, alert events from the seeded aging drift -- must be
-# byte-identical across every GB_JOBS x shards cell, pinned to a
-# checked-in golden, and must converge to those same bytes after a kill
+# byte-identical across GB_JOBS cells (journal and state included),
+# pinned to a checked-in golden, and must converge to those same bytes
+# after a kill
 # -9 mid observatory append followed by a cold restart.  The gbreport
 # renderings (timeline summary + alert gate) are pinned alongside.
 #
@@ -23,17 +24,17 @@ file(WRITE ${rules}
     "alert vmin-drift vmin.* slope 1.5 window 3\n"
     "alert power-ceiling fleet.power_binned_w above 1e9\n")
 
-# serve_cell(<timeline_out> <jobs> <shards> [chaos args...]): cold-start a
+# serve_cell(<timeline_out> <jobs> [chaos args...]): cold-start a
 # 4-epoch aged serve and capture its timeline artifact.  RC is exported
 # as serve_rc for the chaos cell (which must die with the chaos code).
-function(serve_cell timeline jobs shards)
+function(serve_cell timeline jobs)
     file(REMOVE ${WORK_DIR}/cell.journal ${WORK_DIR}/cell.state ${timeline})
     execute_process(
         COMMAND ${FLEET_SERVICE} serve
             --state ${WORK_DIR}/cell.state
             --journal ${WORK_DIR}/cell.journal
             --timeline ${timeline} --alerts ${rules} --aging 2.0
-            --nodes 10000 --epochs 4 --jobs ${jobs} --shards ${shards}
+            --nodes 10000 --epochs 4 --jobs ${jobs}
             ${ARGN}
         OUTPUT_VARIABLE stdout_text
         ERROR_VARIABLE stderr_text
@@ -54,9 +55,9 @@ function(expect_same actual expected what)
     endif()
 endfunction()
 
-# --- the GB_JOBS x shards matrix, pinned to the checked-in golden -------
+# --- the GB_JOBS matrix, pinned to the checked-in golden ----------------
 
-serve_cell(${WORK_DIR}/reference.json 1 1)
+serve_cell(${WORK_DIR}/reference.json 1)
 if(NOT serve_rc EQUAL 0)
     message(FATAL_ERROR
         "reference serve exited ${serve_rc}:\n${serve_stderr}")
@@ -71,25 +72,24 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E copy
     ${WORK_DIR}/cell.state ${WORK_DIR}/reference.state)
 
 foreach(jobs 2 8)
-    foreach(shards 1 4 16)
-        serve_cell(${WORK_DIR}/cell.json ${jobs} ${shards})
-        if(NOT serve_rc EQUAL 0)
-            message(FATAL_ERROR
-                "jobs=${jobs} shards=${shards} exited ${serve_rc}:\n"
-                "${serve_stderr}")
-        endif()
-        expect_same(${WORK_DIR}/cell.json ${WORK_DIR}/reference.json
-            "timeline at jobs=${jobs} shards=${shards}")
-        expect_same(${WORK_DIR}/cell.journal ${WORK_DIR}/reference.journal
-            "journal at jobs=${jobs} shards=${shards}")
-    endforeach()
+    serve_cell(${WORK_DIR}/cell.json ${jobs})
+    if(NOT serve_rc EQUAL 0)
+        message(FATAL_ERROR
+            "jobs=${jobs} exited ${serve_rc}:\n${serve_stderr}")
+    endif()
+    expect_same(${WORK_DIR}/cell.json ${WORK_DIR}/reference.json
+        "timeline at jobs=${jobs}")
+    expect_same(${WORK_DIR}/cell.journal ${WORK_DIR}/reference.journal
+        "journal at jobs=${jobs}")
+    expect_same(${WORK_DIR}/cell.state ${WORK_DIR}/reference.state
+        "state at jobs=${jobs}")
 endforeach()
 
 # --- crash mid observatory append, restart, converge --------------------
 
 # The 50th observatory record lands mid epoch 2; the daemon dies with the
 # torn prefix on disk (no unwinding, no flushes).
-serve_cell(${WORK_DIR}/crash.json 4 4 --chaos timeline_append@50
+serve_cell(${WORK_DIR}/crash.json 4 --chaos timeline_append@50
     --chaos-exit 57)
 if(NOT serve_rc EQUAL 57)
     message(FATAL_ERROR
@@ -105,7 +105,7 @@ execute_process(
         --state ${WORK_DIR}/cell.state
         --journal ${WORK_DIR}/cell.journal
         --timeline ${WORK_DIR}/crash.json --alerts ${rules} --aging 2.0
-        --nodes 10000 --epochs 4 --jobs 4 --shards 4
+        --nodes 10000 --epochs 4 --jobs 4
     ERROR_VARIABLE stderr_text
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

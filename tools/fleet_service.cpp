@@ -5,7 +5,6 @@
 //     --seed S         fleet spec seed (default 2018)
 //     --classes C      workload classes (default 3)
 //     --ops P          operating points (default 4)
-//     --shards K       probe batches per campaign (default 4)
 //     --jobs W         engine workers (default: GB_JOBS)
 //     --epochs E       campaigns to run before idling (default 1)
 //     --state FILE     fleet-state snapshot endpoint (the query API)
@@ -61,11 +60,12 @@
 // Campaign e probes at a sweep offset of `-5 * (e mod 4)` mV, so a 4-epoch
 // cycle revisits identical probe content and the content-addressed cache
 // serves it without re-execution.  Every published snapshot is a pure
-// function of the campaign history: bitwise identical at any GB_JOBS or
-// shard count (`gbreport status FILE` renders it too).
+// function of the campaign history: bitwise identical at any GB_JOBS
+// (`gbreport status FILE` renders it too).
 //
 // Exit codes: 0 success, 1 ack timeout (query --command), 2 usage error
-// or malformed input; --chaos kills exit with --chaos-exit.
+// (an unknown argument included) or malformed input; --chaos kills exit
+// with --chaos-exit.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -106,8 +106,7 @@ int usage() {
     std::cerr << "usage: fleet_service <serve|query> [options]\n"
               << "  serve --state FILE [--nodes N] [--seed S] [--classes C]"
                  " [--ops P]\n"
-              << "        [--shards K] [--jobs W] [--epochs E]"
-                 " [--journal FILE]\n"
+              << "        [--jobs W] [--epochs E] [--journal FILE]\n"
               << "        [--trace FILE] [--metrics FILE] [--prom FILE]"
                  " [--control FILE]\n"
               << "        [--poll-ms M] [--timeline FILE] [--alerts FILE]"
@@ -125,6 +124,17 @@ int usage() {
 int fail(const std::string& message) {
     std::cerr << "fleet_service: " << message << "\n";
     return exit_usage;
+}
+
+/// After a subcommand has taken every flag it knows, anything left in argv
+/// is a typo or a retired flag: report the first one instead of silently
+/// running with defaults.
+bool leftover_argument(int argc, char** argv) {
+    if (argc < 2) {
+        return false;
+    }
+    std::cerr << "fleet_service: unknown argument '" << argv[1] << "'\n";
+    return true;
 }
 
 /// Boolean `--flag` (no value): consume and report presence.
@@ -200,7 +210,6 @@ int run_serve(int argc, char** argv) {
                                   std::numeric_limits<long long>::max());
     const auto classes = ranged_flag(argc, argv, "--classes", 3LL, 1, 64);
     const auto ops = ranged_flag(argc, argv, "--ops", 4LL, 1, 64);
-    const auto shards = ranged_flag(argc, argv, "--shards", 4LL, 1, 4096);
     const auto jobs = ranged_flag(argc, argv, "--jobs", 0LL, 0, 256);
     const auto epochs = ranged_flag(argc, argv, "--epochs", 1LL, 0, 100000);
     const auto poll_ms = ranged_flag(argc, argv, "--poll-ms", 50LL, 1, 60000);
@@ -220,9 +229,10 @@ int run_serve(int argc, char** argv) {
     const auto blacklist =
         ranged_flag(argc, argv, "--blacklist", 2LL, 1, 1000);
     const auto aging = ranged_flag(argc, argv, "--aging", 0.0, -100.0, 100.0);
-    if (!nodes || !seed || !classes || !ops || !shards || !jobs ||
-        !epochs || !poll_ms || !fault_rate || !retry || !replan ||
-        !chaos_exit || !quorum || !rigs || !audit || !blacklist || !aging) {
+    if (!nodes || !seed || !classes || !ops || !jobs || !epochs ||
+        !poll_ms || !fault_rate || !retry || !replan || !chaos_exit ||
+        !quorum || !rigs || !audit || !blacklist || !aging ||
+        leftover_argument(argc, argv)) {
         return exit_usage;
     }
     if (!state_path) {
@@ -285,7 +295,6 @@ int run_serve(int argc, char** argv) {
     timeline_recorder timeline;
     fleet_service_config config;
     config.campaign = "fleet";
-    config.shards = static_cast<int>(*shards);
     config.workers = static_cast<int>(*jobs);
     config.state_path = *state_path;
     if (journal_path) {
@@ -480,7 +489,7 @@ int run_query(int argc, char** argv) {
         ranged_flag(argc, argv, "--ack-retries", 8LL, 0, 1000);
     const auto ack_base_ms =
         ranged_flag(argc, argv, "--ack-base-ms", 20LL, 0, 60000);
-    if (!ack_retries || !ack_base_ms) {
+    if (!ack_retries || !ack_base_ms || leftover_argument(argc, argv)) {
         return exit_usage;
     }
     if (command) {
