@@ -82,19 +82,6 @@ void bm_pdn_worst_droop(benchmark::State& state) {
 }
 BENCHMARK(bm_pdn_worst_droop);
 
-void bm_pdn_worst_droop_reference(benchmark::State& state) {
-    pdn_model model(make_xgene2_pdn(), nominal_pmd_voltage,
-                    nominal_core_frequency);
-    const pipeline_model pipeline(nominal_core_frequency);
-    const execution_profile profile =
-        pipeline.execute(make_square_wave_kernel(24, 24), 8192);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            model.worst_droop_reference(profile.current_trace));
-    }
-}
-BENCHMARK(bm_pdn_worst_droop_reference);
-
 void bm_pipeline_execute(benchmark::State& state) {
     const pipeline_model pipeline(nominal_core_frequency);
     const kernel& loop = find_cpu_benchmark("milc").loop;
@@ -386,22 +373,14 @@ int run_baseline_suite(bench::baseline_reporter& baseline) {
         pipeline.execute(make_square_wave_kernel(24, 24), 8192);
     const kernel& milc = find_cpu_benchmark("milc").loop;
 
-    // PDN convolution, optimized vs reference.
+    // PDN convolution.  No twin: hand-hoisting its coefficients buys
+    // nothing over the step() loop the compiler already optimizes.
     pdn_model pdn(make_xgene2_pdn(), nominal_pmd_voltage,
                   nominal_core_frequency);
     const millivolts droop = pdn.worst_droop(square.current_trace);
-    const millivolts droop_ref =
-        pdn.worst_droop_reference(square.current_trace);
-    baseline.counter("equiv.pdn_worst_droop",
-                     std::bit_cast<std::uint64_t>(droop.value) ==
-                         std::bit_cast<std::uint64_t>(droop_ref.value));
     baseline.fold(std::bit_cast<std::uint64_t>(droop.value));
     time_reps(baseline, "pdn_worst_droop", 100, [&] {
         benchmark::DoNotOptimize(pdn.worst_droop(square.current_trace));
-    });
-    time_reps(baseline, "pdn_worst_droop_reference", 100, [&] {
-        benchmark::DoNotOptimize(
-            pdn.worst_droop_reference(square.current_trace));
     });
 
     // Pipeline trace generation, tiled vs cycle-by-cycle.

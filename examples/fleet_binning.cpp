@@ -55,38 +55,12 @@ int main(int argc, char** argv) {
         take_flag_value(argc, argv, "--metrics");
     const std::optional<std::string> status_path =
         take_flag_value(argc, argv, "--status");
-    const std::optional<std::string> fault_rate_text =
-        take_flag_value(argc, argv, "--fault-rate");
-    const std::optional<std::string> replan_text =
-        take_flag_value(argc, argv, "--replan");
-    double fault_rate = 0.0;
-    if (fault_rate_text) {
-        const std::optional<double> parsed = parse_number(*fault_rate_text);
-        if (!parsed || *parsed < 0.0 || *parsed > 0.9) {
-            std::cerr << "fleet_binning: --fault-rate must be a number in "
-                         "[0, 0.9], got '"
-                      << *fault_rate_text << "'\n";
-            return 2;
-        }
-        fault_rate = *parsed;
-    }
-    int replan_rounds = 2;
-    if (replan_text) {
-        const std::optional<long long> parsed = parse_integer(*replan_text);
-        if (!parsed || *parsed < 0 || *parsed > 16) {
-            std::cerr << "fleet_binning: --replan must be an integer in "
-                         "[0, 16], got '"
-                      << *replan_text << "'\n";
-            return 2;
-        }
-        replan_rounds = static_cast<int>(*parsed);
-    }
+    const std::optional<double> fault_rate =
+        ranged_flag(argc, argv, "--fault-rate", 0.0, 0.0, 0.9);
+    const std::optional<long long> replan_rounds =
+        ranged_flag(argc, argv, "--replan", 2LL, 0, 16);
     const std::optional<std::string> sdc_text =
         take_flag_value(argc, argv, "--sdc");
-    const std::optional<std::string> quorum_text =
-        take_flag_value(argc, argv, "--quorum");
-    const std::optional<std::string> audit_text =
-        take_flag_value(argc, argv, "--audit");
     std::optional<sdc_plan> sdc;
     if (sdc_text) {
         sdc_plan_config sdc_config;
@@ -98,27 +72,16 @@ int main(int argc, char** argv) {
         }
         sdc.emplace(std::move(sdc_config));
     }
-    int quorum = sdc ? 3 : 1;
-    if (quorum_text) {
-        const std::optional<long long> parsed = parse_integer(*quorum_text);
-        if (!parsed || *parsed < 1 || *parsed > 15) {
-            std::cerr << "fleet_binning: --quorum must be an integer in "
-                         "[1, 15], got '"
-                      << *quorum_text << "'\n";
-            return 2;
-        }
-        quorum = static_cast<int>(*parsed);
+    const std::optional<long long> quorum =
+        ranged_flag(argc, argv, "--quorum", sdc ? 3LL : 1LL, 1, 15);
+    if (!fault_rate || !replan_rounds || !quorum) {
+        return 2;
     }
-    std::uint64_t audit_stride = (sdc || quorum > 1) ? 4 : 0;
-    if (audit_text) {
-        const std::optional<long long> parsed = parse_integer(*audit_text);
-        if (!parsed || *parsed < 0) {
-            std::cerr << "fleet_binning: --audit must be a non-negative "
-                         "integer, got '"
-                      << *audit_text << "'\n";
-            return 2;
-        }
-        audit_stride = static_cast<std::uint64_t>(*parsed);
+    const std::optional<long long> audit_stride =
+        ranged_flag(argc, argv, "--audit", (sdc || *quorum > 1) ? 4LL : 0LL,
+                    0, 1000000);
+    if (!audit_stride) {
+        return 2;
     }
     const int per_corner = static_cast<int>(
         int_arg(argc, argv, 1, 15, "chips_per_corner", 1, 1000));
@@ -219,14 +182,14 @@ int main(int argc, char** argv) {
         config.state_path = *status_path;
     }
     std::optional<fault_plan> faults;
-    if (fault_rate > 0.0) {
-        faults = make_uniform_fault_plan(2024, fault_rate);
+    if (*fault_rate > 0.0) {
+        faults = make_uniform_fault_plan(2024, *fault_rate);
         config.faults = &*faults;
-        config.replan_rounds = replan_rounds;
+        config.replan_rounds = static_cast<int>(*replan_rounds);
     }
-    config.integrity.quorum = quorum;
+    config.integrity.quorum = static_cast<int>(*quorum);
     config.integrity.sdc = sdc ? &*sdc : nullptr;
-    config.integrity.audit_stride = audit_stride;
+    config.integrity.audit_stride = static_cast<std::uint64_t>(*audit_stride);
     fleet::fleet_service service(spec, config, probe);
     const fleet::campaign_outcome outcome = service.run_campaign();
 
@@ -250,8 +213,8 @@ int main(int argc, char** argv) {
               << format_percent(1.0 - fleet_binned_w / fleet_nominal_w, 1)
               << " saved by per-chip operating points\n";
     // Only a hostile rig can quarantine chips; keep the healthy-rig
-    // output byte-identical by printing the summary only when asked for.
-    if (fault_rate_text) {
+    // output byte-identical by printing the summary only for one.
+    if (faults) {
         std::cout << "\ndegraded: " << outcome.degraded << " of "
                   << outcome.probes
                   << " chips quarantined at the nominal bin ("
@@ -265,7 +228,7 @@ int main(int argc, char** argv) {
         std::cout << "\nintegrity: " << service.sdc_injected()
                   << " corruptions injected, " << service.sdc_detected()
                   << " detected (" << service.sdc_outvoted()
-                  << " outvoted by the quorum of " << quorum << ", "
+                  << " outvoted by the quorum of " << *quorum << ", "
                   << service.audit_mismatches() << " audit-caught), "
                   << service.sdc_escaped() << " escaped\n";
     }

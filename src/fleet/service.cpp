@@ -153,6 +153,41 @@ std::string chained_probe_payload(const cohort_key& key,
     return line;
 }
 
+/// One line of a fleet journal as `read_journal` streams it.
+struct journal_line {
+    std::size_t lineno = 0;    ///< 1-based
+    std::uintmax_t offset = 0; ///< byte offset of the line's first byte
+    std::size_t size = 0;      ///< bytes before the '\n'
+    /// The file's last line has no '\n': a torn tail, never framed (a
+    /// prefix of a record can itself look like a record).
+    bool torn = false;
+    /// A well-formed `task=N ` prefix split into `serial` and `payload`.
+    bool framed = false;
+    std::size_t serial = 0;
+    std::string_view payload;
+};
+
+/// Stream the journal at `path` (none on first boot) in file order,
+/// `visit(line)` per line.  Every framing decision lives here, so each
+/// visitor only decides what to trust: the warm path validates every
+/// line, the repair and rewrite passes re-read a file that was validated
+/// on warm and appended since.
+template <typename Visit>
+void read_journal(const std::string& path, Visit&& visit) {
+    std::ifstream in(path, std::ios::binary);
+    journal_line line;
+    std::string text;
+    while (std::getline(in, text)) {
+        ++line.lineno;
+        line.size = text.size();
+        line.torn = in.eof();
+        line.framed = !line.torn &&
+                      parse_journal_prefix(text, line.serial, line.payload);
+        visit(line);
+        line.offset += text.size() + 1;
+    }
+}
+
 /// A probe record's identity and ledger as a journal re-read sees them.
 struct journaled_probe {
     cohort_key key;
@@ -161,27 +196,13 @@ struct journaled_probe {
     probe_ledger ledger;
 };
 
-/// Visit a service's own journal file in file order, one streamed line at
-/// a time: `visit(payload, probe)` per record, `probe` null for
-/// observatory records.  The file was validated on warm and appended
-/// since, so every record parses and ends in '\n'.
-template <typename Visit>
-void for_each_journal_record(const std::string& path, Visit&& visit) {
-    std::ifstream in(path, std::ios::binary);
-    GB_ENSURES(in.is_open());
-    std::string line;
-    while (std::getline(in, line)) {
-        GB_ENSURES(!in.eof());
-        std::size_t serial = 0;
-        std::string_view payload;
-        GB_ENSURES(parse_journal_prefix(line, serial, payload));
-        journaled_probe probe;
-        probe_result result;
-        const bool is_probe =
-            parse_probe_line(payload, probe.key, probe.sweep_mv,
-                             probe.content, result, probe.ledger);
-        visit(payload, is_probe ? &probe : nullptr);
-    }
+/// `line` of a validated journal as a probe record; false for
+/// observatory records.
+bool trusted_probe(const journal_line& line, journaled_probe& probe) {
+    GB_ENSURES(line.framed);
+    probe_result result;
+    return parse_probe_line(line.payload, probe.key, probe.sweep_mv,
+                            probe.content, result, probe.ledger);
 }
 
 } // namespace
@@ -315,9 +336,7 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
     if (!config_.journal_path.empty()) {
         warm_cache_from_journal();
         journal_ = std::make_unique<campaign_journal>(config_.journal_path);
-        if (config_.chaos != nullptr) {
-            journal_->set_chaos(config_.chaos);
-        }
+        journal_->set_chaos(config_.chaos);
     }
     if (config_.metrics != nullptr) {
         mh_.registered = true;
@@ -346,28 +365,11 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
             config_.metrics->gauge("fleet.degraded_cohorts");
         if (config_.integrity.enabled()) {
             mh_.integrity = true;
-            mh_.sdc_injected =
-                config_.metrics->gauge("integrity.sdc_injected");
-            mh_.sdc_detected =
-                config_.metrics->gauge("integrity.sdc_detected");
-            mh_.sdc_outvoted =
-                config_.metrics->gauge("integrity.sdc_outvoted");
-            mh_.sdc_corrected =
-                config_.metrics->gauge("integrity.sdc_corrected");
-            mh_.sdc_escaped =
-                config_.metrics->gauge("integrity.sdc_escaped");
-            mh_.audits = config_.metrics->gauge("integrity.audits");
-            mh_.audit_mismatches =
-                config_.metrics->gauge("integrity.audit_mismatches");
-            mh_.dissents = config_.metrics->gauge("integrity.dissents");
-            mh_.blacklisted_rigs =
-                config_.metrics->gauge("integrity.blacklisted_rigs");
-            mh_.quorum_stalemates =
-                config_.metrics->gauge("integrity.quorum_stalemates");
-            mh_.repaired_entries =
-                config_.metrics->gauge("integrity.repaired_entries");
-            mh_.replica_executions =
-                config_.metrics->gauge("integrity.replica_executions");
+            const auto gauges = integrity_gauges();
+            for (std::size_t g = 0; g < gauges.size(); ++g) {
+                mh_.integrity_gauges[g] =
+                    config_.metrics->gauge(gauges[g].first);
+            }
         }
         if (restored_ > 0) {
             config_.metrics->add(0, mh_.restored, restored_);
@@ -506,83 +508,71 @@ std::uint64_t fleet_service::degraded_cohorts() const {
 }
 
 void fleet_service::warm_cache_from_journal() {
-    std::ifstream in(config_.journal_path, std::ios::binary);
-    if (!in.is_open()) {
-        return; // first boot: nothing to restore
-    }
-
-    const auto reject = [this](std::size_t lineno,
-                               const std::string& reason) {
-        throw fleet_journal_error("fleet journal " + config_.journal_path +
-                                  ":" + std::to_string(lineno) + ": " +
-                                  reason);
-    };
-
     // The writer appends whole '\n'-terminated lines under a mutex and
     // commits serially in sorted cohort order, so a healthy journal obeys
-    // invariants this loop enforces strictly: serials are 0,1,2,...;
+    // invariants this visitor enforces strictly: serials are 0,1,2,...;
     // cohort keys strictly increase within each run of equal sweep; no
-    // content appears twice.  The ONLY damage this writer's own crash can
-    // cause is a torn final line with no trailing newline -- that tail is
-    // self-healed (truncated, counted in `healed_bytes_`); everything
-    // else is a foreign edit or a bug and raises `fleet_journal_error`
-    // rather than silently re-executing probes against bad state.
-    std::uintmax_t pos = 0; ///< start offset of `line`
-    std::size_t lineno = 0;
+    // content appears twice; observatory blocks seal epochs 1..k in order
+    // and leave at most epoch k+1 open.  The ONLY damage this writer's
+    // own crash can cause is a torn final line with no trailing newline
+    // -- that tail is self-healed (truncated, counted in
+    // `healed_bytes_`); everything else is a foreign edit or a bug and
+    // raises `fleet_journal_error` rather than silently re-executing
+    // probes against bad state.
     bool have_prev = false;
     std::int64_t prev_sweep = 0;
     cohort_key prev_key{};
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof()) {
-            // No '\n' before the end of the file: the torn tail.
-            healed_bytes_ += line.size();
-            in.close();
+    read_journal(config_.journal_path, [&](const journal_line& line) {
+        const auto reject = [&](const std::string& reason) {
+            throw fleet_journal_error("fleet journal " +
+                                      config_.journal_path + ":" +
+                                      std::to_string(line.lineno) + ": " +
+                                      reason);
+        };
+        if (line.torn) {
+            healed_bytes_ += line.size;
             std::error_code ec;
-            std::filesystem::resize_file(config_.journal_path, pos, ec);
+            std::filesystem::resize_file(config_.journal_path, line.offset,
+                                         ec);
             if (ec) {
-                reject(lineno + 1,
-                       "could not truncate torn tail: " + ec.message());
+                reject("could not truncate torn tail: " + ec.message());
             }
-            break;
+            return;
         }
-        pos += line.size() + 1;
-        ++lineno;
         if (config_.chaos != nullptr &&
             config_.chaos->on_cache_warm_line()) {
             config_.chaos->kill(chaos_site::cache_warm);
         }
-        std::size_t task_index = 0;
-        std::string_view payload;
-        if (!parse_journal_prefix(line, task_index, payload)) {
-            reject(lineno, "not a journal record");
+        if (!line.framed) {
+            reject("not a journal record");
         }
-        if (task_index != journal_serial_) {
-            reject(lineno, "task serial " + std::to_string(task_index) +
-                               " out of sequence (expected " +
-                               std::to_string(journal_serial_) + ")");
+        if (line.serial != journal_serial_) {
+            reject("task serial " + std::to_string(line.serial) +
+                   " out of sequence (expected " +
+                   std::to_string(journal_serial_) + ")");
         }
+        const std::string_view payload = line.payload;
         // Observatory records (`tline` samples, `alert` transitions and
         // the `tseal` closing an epoch's block) consume journal serials
         // like probe records but carry no chain link and never fold into
-        // the probe chain.  They are parsed strictly, tracked per epoch
-        // (so a restarted daemon appends only the missing suffix of a
-        // partial block) and replayed into the configured recorder and
-        // alert engine.
-        const std::size_t first_space = payload.find(' ');
-        const std::string_view kind = payload.substr(
-            0, first_space == std::string_view::npos ? payload.size()
-                                                     : first_space);
+        // the probe chain.  They are parsed strictly, counted into the
+        // open epoch (so a restarted daemon appends only the missing
+        // suffix of a partial block) and replayed into the configured
+        // recorder and alert engine.
+        const std::string_view kind = payload.substr(0, payload.find(' '));
         if (kind == "tline" || kind == "alert" || kind == "tseal") {
             const std::vector<std::string_view> tokens = split_fields(payload);
             std::string_view value;
             std::uint64_t record_epoch = 0;
             if (!field_value(tokens, "epoch", value) ||
                 !parse_int(value, record_epoch)) {
-                reject(lineno, "unparseable observatory record");
+                reject("unparseable observatory record");
             }
-            if (sealed_epochs_.contains(record_epoch)) {
-                reject(lineno, "observatory record after its epoch seal");
+            if (record_epoch <= sealed_through_) {
+                reject("observatory record after its epoch seal");
+            }
+            if (record_epoch != open_.epoch) {
+                reject("observatory record out of epoch order");
             }
             if (kind == "tline") {
                 std::string_view series;
@@ -593,10 +583,10 @@ void fleet_service::warm_cache_from_journal() {
                     !parse_int(value, tick) ||
                     !field_value(tokens, "value", value) ||
                     !parse_double(value, sample)) {
-                    reject(lineno, "unparseable timeline record");
+                    reject("unparseable timeline record");
                 }
-                ++warm_tline_counts_[record_epoch];
-                warm_epoch_ticks_[record_epoch] = tick;
+                ++open_.tlines;
+                open_.tick = tick;
                 if (config_.timeline != nullptr) {
                     config_.timeline->append(series, tick, sample);
                 }
@@ -614,12 +604,12 @@ void fleet_service::warm_cache_from_journal() {
                     !parse_int(value, event.tick) ||
                     !field_value(tokens, "value", value) ||
                     !parse_double(value, event.value)) {
-                    reject(lineno, "unparseable alert record");
+                    reject("unparseable alert record");
                 }
                 event.rule = std::string(rule);
                 event.series = std::string(series);
                 event.firing = state == "firing";
-                ++warm_alert_counts_[record_epoch];
+                ++open_.alerts;
                 if (config_.timeline != nullptr) {
                     config_.timeline->observe_tick(event.tick);
                 }
@@ -633,21 +623,21 @@ void fleet_service::warm_cache_from_journal() {
                     !parse_int(value, sealed_samples) ||
                     !field_value(tokens, "events", value) ||
                     !parse_int(value, sealed_events)) {
-                    reject(lineno, "unparseable epoch seal");
+                    reject("unparseable epoch seal");
                 }
-                if (sealed_samples != warm_tline_counts_[record_epoch] ||
-                    sealed_events != warm_alert_counts_[record_epoch]) {
-                    reject(lineno,
-                           "epoch seal counts disagree with the records "
+                if (sealed_samples != open_.tlines ||
+                    sealed_events != open_.alerts) {
+                    reject("epoch seal counts disagree with the records "
                            "before it");
                 }
-                sealed_epochs_.insert(record_epoch);
+                sealed_through_ = record_epoch;
+                open_ = open_epoch{record_epoch + 1};
             }
             ++journal_serial_;
             // The block separates campaigns; the cohort-order invariant
             // restarts with the next probe run.
             have_prev = false;
-            continue;
+            return;
         }
         cohort_key key;
         std::int64_t sweep_mv = 0;
@@ -656,7 +646,7 @@ void fleet_service::warm_cache_from_journal() {
         probe_ledger ledger;
         if (!parse_probe_line(payload, key, sweep_mv, content, result,
                               ledger)) {
-            reject(lineno, "unparseable probe record");
+            reject("unparseable probe record");
         }
         // Every probe record closes with a ` chain=` link folding the
         // previous record's chain value over this record's bytes -- an
@@ -665,39 +655,38 @@ void fleet_service::warm_cache_from_journal() {
         // provenance the link covers.
         const std::size_t chain_at = payload.rfind(" chain=");
         if (chain_at == std::string_view::npos) {
-            reject(lineno, "missing chain hash");
+            reject("missing chain hash");
         }
         std::uint64_t recorded = 0;
         if (!parse_int(payload.substr(chain_at + 7), recorded, 16)) {
-            reject(lineno, "unparseable chain hash");
+            reject("unparseable chain hash");
         }
         const std::uint64_t expected =
             chain_next(chain_, payload.substr(0, chain_at));
         if (recorded != expected) {
-            reject(lineno, "chain hash mismatch (in-place corruption "
-                           "upstream or on this record)");
+            reject("chain hash mismatch (in-place corruption upstream or "
+                   "on this record)");
         }
         chain_ = expected;
         std::string_view rigs_text;
         std::vector<std::uint32_t> rigs;
         if (!field_value(split_fields(payload), "rigs", rigs_text) ||
             !parse_list(rigs_text, ':', rigs)) {
-            reject(lineno, "unparseable rigs provenance");
+            reject("unparseable rigs provenance");
         }
         if (find_cohort(key) == cohorts_.size()) {
-            reject(lineno, "probe for a cohort outside this fleet");
+            reject("probe for a cohort outside this fleet");
         }
         // The cache holds exactly the records read so far.
         if (const probe_result* duplicate = cache_.peek(content)) {
-            reject(lineno,
-                   same_result(*duplicate, result)
+            reject(same_result(*duplicate, result)
                        ? "duplicate entry for content " + format_hex(content)
                        : "contradictory re-execution of content " +
                              format_hex(content));
         }
         if (have_prev && sweep_mv == prev_sweep && !(prev_key < key)) {
-            reject(lineno, "cohort order regressed within sweep " +
-                               std::to_string(sweep_mv));
+            reject("cohort order regressed within sweep " +
+                   std::to_string(sweep_mv));
         }
         prev_sweep = sweep_mv;
         prev_key = key;
@@ -709,45 +698,14 @@ void fleet_service::warm_cache_from_journal() {
         // downtime converges bitwise across a crash/restart.
         fold_ledger(ledger_stats_, ledger);
         ++restored_;
-    }
-}
-
-void fleet_service::append_probe_line(const cohort_key& key,
-                                      std::int64_t sweep_mv,
-                                      std::uint64_t content,
-                                      const probe_result& result,
-                                      const probe_ledger& ledger,
-                                      const std::vector<std::uint32_t>& rigs) {
-    if (!journal_) {
-        return;
-    }
-    journal_->append(journal_serial_++,
-                     chained_probe_payload(key, sweep_mv, content, result,
-                                           ledger, rigs, chain_));
+    });
 }
 
 void fleet_service::append_observatory_line(const std::string& payload) {
-    if (!journal_) {
-        return; // memory-only observatory: nothing to replay on restart
+    if (journal_) { // memory-only observatory: nothing to replay on restart
+        journal_->append(journal_serial_++, payload, nullptr,
+                         chaos_site::timeline_append);
     }
-    if (config_.chaos != nullptr) {
-        // The observatory's own kill-point: tear the in-flight record the
-        // way the journal seam tears probe lines -- a prefix of the full
-        // `task=N <payload>\n` line reaches disk, the newline never does,
-        // and the next warm self-heals the tail.
-        const std::string full = "task=" + std::to_string(journal_serial_) +
-                                 " " + payload + "\n";
-        if (const auto tear =
-                config_.chaos->on_timeline_append(full.size())) {
-            std::ofstream out(config_.journal_path,
-                              std::ios::binary | std::ios::app);
-            out << std::string_view(full).substr(
-                0, static_cast<std::size_t>(tear->keep));
-            out.flush();
-            config_.chaos->kill(tear->site);
-        }
-    }
-    journal_->append(journal_serial_++, payload);
 }
 
 std::uint64_t fleet_service::sdc_injected() const {
@@ -759,6 +717,23 @@ std::uint64_t fleet_service::sdc_injected() const {
 std::uint64_t fleet_service::sdc_escaped() const {
     const std::uint64_t injected = sdc_injected();
     return injected > sdc_detected_ ? injected - sdc_detected_ : 0;
+}
+
+std::array<std::pair<std::string_view, std::uint64_t>,
+           fleet_service::integrity_gauge_count>
+fleet_service::integrity_gauges() const {
+    return {{{"integrity.sdc_injected", sdc_injected()},
+             {"integrity.sdc_detected", sdc_detected_},
+             {"integrity.sdc_outvoted", sdc_outvoted_},
+             {"integrity.sdc_corrected", sdc_corrected_},
+             {"integrity.sdc_escaped", sdc_escaped()},
+             {"integrity.audits", audits_},
+             {"integrity.audit_mismatches", audit_mismatches_},
+             {"integrity.dissents", reputation_.dissents()},
+             {"integrity.blacklisted_rigs", reputation_.blacklisted_count()},
+             {"integrity.quorum_stalemates", quorum_stalemates_},
+             {"integrity.repaired_entries", repaired_entries_},
+             {"integrity.replica_executions", replica_executions_}}};
 }
 
 probe_request fleet_service::request_for(std::size_t cohort,
@@ -910,47 +885,46 @@ void fleet_service::repair_blacklisted_entries(
     // draws of the re-executions below.  The cache holds each journaled
     // content's current result and vouching rigs.
     const int quorum = std::max(1, config_.integrity.quorum);
-    for_each_journal_record(
-        config_.journal_path,
-        [&](std::string_view, const journaled_probe* probe) {
-            if (probe == nullptr) {
-                return;
+    read_journal(config_.journal_path, [&](const journal_line& line) {
+        journaled_probe probe;
+        if (!trusted_probe(line, probe)) {
+            return;
+        }
+        const std::vector<std::uint32_t> vouchers =
+            *cache_.provenance(probe.content);
+        if (!std::all_of(vouchers.begin(), vouchers.end(),
+                         [&](std::uint32_t rig) {
+                             return reputation_.blacklisted(rig);
+                         })) {
+            return;
+        }
+        // Every voucher of this record is now blacklisted: nothing about
+        // it is trustworthy, so execute the probe once, re-arbitrate a
+        // full quorum of replicas over it, and repair.
+        const std::size_t cohort_idx = find_cohort(probe.key);
+        GB_ENSURES(cohort_idx < cohorts_.size()); // validated on warm
+        const probe_result honest =
+            probe_(request_for(cohort_idx, probe.sweep_mv, probe.content));
+        probe_result truth;
+        std::vector<std::uint32_t> rigs;
+        if (!arbitrate(probe.content, honest, quorum, truth, rigs)) {
+            return;
+        }
+        const bool value_changed =
+            !same_result(truth, *cache_.peek(probe.content));
+        if (value_changed) {
+            ++sdc_detected_;
+            ++sdc_corrected_;
+        }
+        if (value_changed || rigs != vouchers) {
+            ++repaired_entries_;
+            journal_dirty = true;
+            cache_.repair(probe.content, truth, rigs);
+            if (cohort_last_content_[cohort_idx] == probe.content) {
+                cohorts_[cohort_idx].last = truth;
             }
-            const std::vector<std::uint32_t> vouchers =
-                *cache_.provenance(probe->content);
-            if (!std::all_of(vouchers.begin(), vouchers.end(),
-                             [&](std::uint32_t rig) {
-                                 return reputation_.blacklisted(rig);
-                             })) {
-                return;
-            }
-            // Every voucher of this record is now blacklisted: nothing about
-            // it is trustworthy, so execute the probe once, re-arbitrate a
-            // full quorum of replicas over it, and repair.
-            const std::size_t cohort_idx = find_cohort(probe->key);
-            GB_ENSURES(cohort_idx < cohorts_.size()); // validated on warm
-            const probe_result honest = probe_(
-                request_for(cohort_idx, probe->sweep_mv, probe->content));
-            probe_result truth;
-            std::vector<std::uint32_t> rigs;
-            if (!arbitrate(probe->content, honest, quorum, truth, rigs)) {
-                return;
-            }
-            const bool value_changed =
-                !same_result(truth, *cache_.peek(probe->content));
-            if (value_changed) {
-                ++sdc_detected_;
-                ++sdc_corrected_;
-            }
-            if (value_changed || rigs != vouchers) {
-                ++repaired_entries_;
-                journal_dirty = true;
-                cache_.repair(probe->content, truth, rigs);
-                if (cohort_last_content_[cohort_idx] == probe->content) {
-                    cohorts_[cohort_idx].last = truth;
-                }
-            }
-        });
+        }
+    });
 }
 
 void fleet_service::rewrite_journal() {
@@ -959,38 +933,35 @@ void fleet_service::rewrite_journal() {
     }
     // Re-render every probe record from the file (identity, sweep,
     // ledger) and the cache (current result and rigs) with a recomputed
-    // chain; observatory records ride along verbatim, outside the chain.
-    // Then swap atomically.  Not a chaos seam: repair rewrites are driven
+    // chain, through an unarmed campaign_journal on a string stream;
+    // observatory records ride along verbatim, outside the chain.  Then
+    // swap atomically.  Not a chaos seam: repair rewrites are driven
     // by the deterministic audit/blacklist schedule, and the stale `.tmp`
     // a crash could leave is removed at construction.  (The fresh
     // campaign_journal restarts the chaos byte counter -- documented in
     // docs/ROBUSTNESS.md.)
-    std::string bytes;
+    std::ostringstream bytes;
+    campaign_journal rewrite(bytes);
     std::uint64_t chain = chain_basis;
-    std::size_t serial = 0;
-    for_each_journal_record(
-        config_.journal_path,
-        [&](std::string_view payload, const journaled_probe* probe) {
-            bytes += "task=" + std::to_string(serial++) + " ";
-            if (probe == nullptr) {
-                bytes += payload;
-            } else {
-                bytes += chained_probe_payload(
-                    probe->key, probe->sweep_mv, probe->content,
-                    *cache_.peek(probe->content), probe->ledger,
-                    *cache_.provenance(probe->content), chain);
-            }
-            bytes += '\n';
-        });
-    if (!publish_atomic(config_.journal_path, bytes)) {
+    read_journal(config_.journal_path, [&](const journal_line& line) {
+        journaled_probe probe;
+        if (!trusted_probe(line, probe)) {
+            rewrite.append(line.serial, line.payload);
+            return;
+        }
+        rewrite.append(line.serial,
+                       chained_probe_payload(
+                           probe.key, probe.sweep_mv, probe.content,
+                           *cache_.peek(probe.content), probe.ledger,
+                           *cache_.provenance(probe.content), chain));
+    });
+    GB_ENSURES(rewrite.appended() == journal_serial_);
+    if (!publish_atomic(config_.journal_path, bytes.str())) {
         return; // keep appending to the old (still-linked) journal
     }
     chain_ = chain;
-    journal_serial_ = serial;
     journal_ = std::make_unique<campaign_journal>(config_.journal_path);
-    if (config_.chaos != nullptr) {
-        journal_->set_chaos(config_.chaos);
-    }
+    journal_->set_chaos(config_.chaos);
 }
 
 void fleet_service::publish_live(std::uint64_t pending) const {
@@ -1217,8 +1188,12 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         cohort_last_content_[entry.cohort] = entry.content;
         fold_ledger(ledger_stats_, ledgers[j]);
         fold_ledger(outcome.stats, ledgers[j]);
-        append_probe_line(cohort.key, sweep_mv, entry.content, admitted,
-                          ledgers[j], rigs);
+        if (journal_) {
+            journal_->append(journal_serial_++,
+                             chained_probe_payload(cohort.key, sweep_mv,
+                                                   entry.content, admitted,
+                                                   ledgers[j], rigs, chain_));
+        }
         ++executed;
     }
     outcome.executed = executed;
@@ -1248,23 +1223,11 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         config_.metrics->set(0, mh_.degraded_cohorts, epoch_,
                              static_cast<double>(degraded_cohorts()));
         if (mh_.integrity) {
-            const auto set = [&](const gauge_handle& handle,
-                                 std::uint64_t value) {
-                config_.metrics->set(0, handle, epoch_,
-                                     static_cast<double>(value));
-            };
-            set(mh_.sdc_injected, sdc_injected());
-            set(mh_.sdc_detected, sdc_detected_);
-            set(mh_.sdc_outvoted, sdc_outvoted_);
-            set(mh_.sdc_corrected, sdc_corrected_);
-            set(mh_.sdc_escaped, sdc_escaped());
-            set(mh_.audits, audits_);
-            set(mh_.audit_mismatches, audit_mismatches_);
-            set(mh_.dissents, reputation_.dissents());
-            set(mh_.blacklisted_rigs, reputation_.blacklisted_count());
-            set(mh_.quorum_stalemates, quorum_stalemates_);
-            set(mh_.repaired_entries, repaired_entries_);
-            set(mh_.replica_executions, replica_executions_);
+            const auto gauges = integrity_gauges();
+            for (std::size_t g = 0; g < gauges.size(); ++g) {
+                config_.metrics->set(0, mh_.integrity_gauges[g], epoch_,
+                                     static_cast<double>(gauges[g].second));
+            }
         }
     }
     if (config_.timeline != nullptr) {
@@ -1313,22 +1276,20 @@ fleet_service::observatory_samples() const {
 
 void fleet_service::observe_epoch() {
     timeline_recorder& timeline = *config_.timeline;
-    if (sealed_epochs_.contains(epoch_)) {
+    if (epoch_ <= sealed_through_) {
         // A previous lifetime journaled and sealed this epoch's whole
         // block; the warm replay already restored it.
         publish_timeline();
         return;
     }
+    GB_ENSURES(epoch_ == open_.epoch);
     const auto samples = observatory_samples();
-    const auto partial = warm_tline_counts_.find(epoch_);
-    const std::uint64_t already =
-        partial != warm_tline_counts_.end() ? partial->second : 0;
     // A partial block's samples are already in the recorder (warm replay)
     // at the tick the crashed lifetime drew; resume at that tick so the
     // suffix -- and everything downstream -- lands on the same bytes.
-    const std::uint64_t tick = already > 0 ? warm_epoch_ticks_.at(epoch_)
-                                           : timeline.advance();
-    for (std::size_t s = static_cast<std::size_t>(already);
+    const std::uint64_t tick =
+        open_.tlines > 0 ? open_.tick : timeline.advance();
+    for (std::size_t s = static_cast<std::size_t>(open_.tlines);
          s < samples.size(); ++s) {
         const auto& [series, value] = samples[s];
         timeline.append(series, tick, value);
@@ -1341,8 +1302,7 @@ void fleet_service::observe_epoch() {
     // into the engine, so re-evaluating emits exactly the not-yet-
     // journaled suffix (in the same rule-order x series-order the golden
     // run journals).
-    std::uint64_t events =
-        warm_alert_counts_.contains(epoch_) ? warm_alert_counts_[epoch_] : 0;
+    std::uint64_t events = open_.alerts;
     if (alerts_ != nullptr) {
         for (const alert_event& event :
              alerts_->evaluate(timeline.snapshot(), tick)) {
@@ -1358,7 +1318,8 @@ void fleet_service::observe_epoch() {
     append_observatory_line("tseal epoch=" + std::to_string(epoch_) +
                             " samples=" + std::to_string(samples.size()) +
                             " events=" + std::to_string(events));
-    sealed_epochs_.insert(epoch_);
+    sealed_through_ = epoch_;
+    open_ = open_epoch{epoch_ + 1};
     publish_timeline();
 }
 

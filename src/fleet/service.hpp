@@ -49,6 +49,7 @@
 // `fleet_journal_error` diagnostics rather than silently re-executing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -375,10 +376,6 @@ private:
     /// applied), then the fleet scalars.
     [[nodiscard]] std::vector<std::pair<std::string, double>>
     observatory_samples() const;
-    void append_probe_line(const cohort_key& key, std::int64_t sweep_mv,
-                           std::uint64_t content, const probe_result& result,
-                           const probe_ledger& ledger,
-                           const std::vector<std::uint32_t>& rigs);
     /// One serial replica (audit / arbitration / repair) of the probe's
     /// `honest` value, drawing one SDC opportunity.
     [[nodiscard]] probe_result execute_replica(const probe_result& honest);
@@ -417,6 +414,11 @@ private:
     /// Live (`running: true`) snapshot while a campaign's probes are in
     /// flight; scheduling-dependent by nature, like engine heartbeats.
     void publish_live(std::uint64_t pending) const;
+    static constexpr std::size_t integrity_gauge_count = 12;
+    /// Each `integrity.*` gauge's name and current value.
+    [[nodiscard]] std::array<std::pair<std::string_view, std::uint64_t>,
+                             integrity_gauge_count>
+    integrity_gauges() const;
 
     fleet_spec spec_;
     fleet_service_config config_;
@@ -473,21 +475,26 @@ private:
 
     /// Observatory state.  The alert engine exists whenever the timeline
     /// is configured (even rule-free, so the artifact's alert section is
-    /// stable); the warm bookkeeping below is tracked per epoch so a
-    /// restarted daemon replays journaled observatory records instead of
-    /// re-appending them:
-    ///   * `sealed_epochs_`  -- epochs whose `tseal` landed (skip whole
-    ///     block on replay);
-    ///   * `warm_tline_counts_` / `warm_alert_counts_` -- records already
-    ///     journaled for a partial (unsealed) epoch, so only the suffix is
-    ///     appended;
-    ///   * `warm_epoch_ticks_` -- the tick a partial epoch's samples were
-    ///     journaled at, reused so the retry lands on the same tick.
+    /// stable).  A lifetime with the timeline on runs epochs 1, 2, 3, ...
+    /// and seals each block before it journals the next epoch, so a
+    /// journal seals epochs 1..k and leaves at most epoch k+1 open; a
+    /// restarted daemon replays those records instead of re-appending
+    /// them:
+    ///   * `sealed_through_` -- epochs up to here have their `tseal`
+    ///     (skip the whole block);
+    ///   * `open_` -- the records already journaled for epoch
+    ///     `sealed_through_ + 1`, so only the suffix is appended, and the
+    ///     tick its samples were journaled at, reused so the retry lands
+    ///     on the same tick.
+    struct open_epoch {
+        std::uint64_t epoch = 1;
+        std::uint64_t tlines = 0;
+        std::uint64_t alerts = 0;
+        std::uint64_t tick = 0;
+    };
     std::unique_ptr<alert_engine> alerts_;
-    std::set<std::uint64_t> sealed_epochs_;
-    std::map<std::uint64_t, std::uint64_t> warm_tline_counts_;
-    std::map<std::uint64_t, std::uint64_t> warm_alert_counts_;
-    std::map<std::uint64_t, std::uint64_t> warm_epoch_ticks_;
+    std::uint64_t sealed_through_ = 0;
+    open_epoch open_;
 
     std::map<cohort_key, supervised_cohort> supervised_;
     std::uint64_t supervised_epochs_ = 0;
@@ -504,21 +511,11 @@ private:
         gauge_handle power_nominal_w;
         gauge_handle power_binned_w;
         gauge_handle degraded_cohorts;
-        /// `integrity.*` gauges, registered only when the defenses are on
-        /// (default metrics bytes stay unchanged).
+        /// `integrity.*` gauges in `integrity_gauges()` order, registered
+        /// only when the defenses are on (default metrics bytes stay
+        /// unchanged).
         bool integrity = false;
-        gauge_handle sdc_injected;
-        gauge_handle sdc_detected;
-        gauge_handle sdc_outvoted;
-        gauge_handle sdc_corrected;
-        gauge_handle sdc_escaped;
-        gauge_handle audits;
-        gauge_handle audit_mismatches;
-        gauge_handle dissents;
-        gauge_handle blacklisted_rigs;
-        gauge_handle quorum_stalemates;
-        gauge_handle repaired_entries;
-        gauge_handle replica_executions;
+        std::array<gauge_handle, integrity_gauge_count> integrity_gauges;
     } mh_;
 };
 

@@ -106,8 +106,10 @@ std::optional<chaos_tear> chaos_plan::on_journal_append(std::uint64_t written,
     return tear(chaos_site::journal_append, written, size);
 }
 
-std::optional<chaos_tear> chaos_plan::on_snapshot_temp(std::uint64_t size) {
-    return tear(chaos_site::snapshot_temp, 0, size);
+std::optional<chaos_tear> chaos_plan::on_torn_write(chaos_site site,
+                                                    std::uint64_t size) {
+    GB_EXPECTS(site != chaos_site::journal_append); // byte-threshold seam
+    return tear(site, 0, size);
 }
 
 bool chaos_plan::on_snapshot_rename() {
@@ -120,10 +122,6 @@ bool chaos_plan::on_control_command() {
 
 bool chaos_plan::on_cache_warm_line() {
     return fire(chaos_site::cache_warm).has_value();
-}
-
-std::optional<chaos_tear> chaos_plan::on_timeline_append(std::uint64_t size) {
-    return tear(chaos_site::timeline_append, 0, size);
 }
 
 void chaos_plan::kill(chaos_site site) const {

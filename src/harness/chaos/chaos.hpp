@@ -116,19 +116,18 @@ public:
     /// trigger's byte threshold falls inside this append.
     [[nodiscard]] std::optional<chaos_tear> on_journal_append(
         std::uint64_t written, std::uint64_t size);
-    /// Snapshot temp-write seam (hit-counted); `size` bounds the tear.
-    [[nodiscard]] std::optional<chaos_tear> on_snapshot_temp(
-        std::uint64_t size);
+    /// Hit-counted torn-write seam (`snapshot_temp` once per temp write,
+    /// `timeline_append` once per observatory record about to be
+    /// journaled): engaged on the site's `at`-th hit; `size` bounds the
+    /// tear.
+    [[nodiscard]] std::optional<chaos_tear> on_torn_write(chaos_site site,
+                                                          std::uint64_t size);
     /// Snapshot rename seam: true means die before the rename.
     [[nodiscard]] bool on_snapshot_rename();
     /// Control seam: true means die after acting, before the ack.
     [[nodiscard]] bool on_control_command();
     /// Cache-warm seam, hit once per journal line read during warm.
     [[nodiscard]] bool on_cache_warm_line();
-    /// Observatory seam, hit once per timeline/alert/seal record about to
-    /// be journaled (hit-counted); `size` bounds the tear.
-    [[nodiscard]] std::optional<chaos_tear> on_timeline_append(
-        std::uint64_t size);
 
     /// Execute the kill decision for `site`: throw `chaos_crash` or
     /// `_exit` depending on the configured mode.  The caller must have

@@ -59,7 +59,8 @@ void campaign_journal::set_chaos(chaos_plan* chaos) {
 }
 
 void campaign_journal::append(std::size_t task_index, std::string_view line,
-                              const fault_plan* faults) {
+                              const fault_plan* faults,
+                              std::optional<chaos_site> seam) {
     std::string full;
     full += task_prefix;
     full += std::to_string(task_index);
@@ -73,8 +74,12 @@ void campaign_journal::append(std::size_t task_index, std::string_view line,
     full += '\n';
     std::lock_guard<std::mutex> lock(mutex_);
     if (chaos_ != nullptr) {
-        if (const auto tear =
-                chaos_->on_journal_append(bytes_written_, full.size())) {
+        std::optional<chaos_tear> tear =
+            seam ? chaos_->on_torn_write(*seam, full.size()) : std::nullopt;
+        if (!tear) {
+            tear = chaos_->on_journal_append(bytes_written_, full.size());
+        }
+        if (tear) {
             // Torn write: a prefix of the line reaches disk, the trailing
             // newline never does, and the "process" dies mid-append.  The
             // warm path detects the newline-less tail and self-heals by

@@ -18,6 +18,7 @@
 #include <iosfwd>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -28,6 +29,7 @@ namespace gb {
 
 class fault_plan;
 class chaos_plan;
+enum class chaos_site : std::uint8_t;
 
 /// Thread-safe append sink for one campaign's journal lines.
 class campaign_journal {
@@ -38,18 +40,22 @@ public:
     /// Append to a caller-owned stream (tests, off-board pipes).
     explicit campaign_journal(std::ostream& sink);
 
-    /// Arm the journal-append kill-point (chaos.hpp): an append that
-    /// trips the plan's byte threshold writes only the torn prefix of
-    /// its line -- no trailing newline -- flushes, and dies.  Null
-    /// disarms.
+    /// Arm the journal's kill-points (chaos.hpp): an append that trips
+    /// its record's seam or the plan's `journal_append` byte threshold
+    /// writes only the torn prefix of its line -- no trailing newline --
+    /// flushes, and dies.  Null disarms.
     void set_chaos(chaos_plan* chaos);
 
     /// Append `task=<index> <line>` and flush.  When a fault plan with a
     /// log-corruption fault for this task is given, the written line is
     /// deterministically mangled instead (the record stays intact in
-    /// memory; only the journal loses it, like a dying UART).
+    /// memory; only the journal loses it, like a dying UART).  `seam`
+    /// names the record's hit-counted chaos seam (the fleet's observatory
+    /// records pass `timeline_append`); an armed journal hits it before
+    /// the byte-threshold `journal_append` seam.
     void append(std::size_t task_index, std::string_view line,
-                const fault_plan* faults = nullptr);
+                const fault_plan* faults = nullptr,
+                std::optional<chaos_site> seam = std::nullopt);
 
     [[nodiscard]] std::uint64_t appended() const;
     [[nodiscard]] std::uint64_t corrupted() const;

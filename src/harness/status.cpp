@@ -57,7 +57,8 @@ bool publish_atomic(const std::string& path, std::string_view bytes,
         return false;
     }
     if (chaos != nullptr) {
-        if (const auto tear = chaos->on_snapshot_temp(bytes.size())) {
+        if (const auto tear = chaos->on_torn_write(chaos_site::snapshot_temp,
+                                                    bytes.size())) {
             out << bytes.substr(0, static_cast<std::size_t>(tear->keep));
             out.flush();
             chaos->kill(tear->site);

@@ -117,37 +117,6 @@ millivolts pdn_model::worst_droop(
     for (const double i : current_trace) {
         sum += i;
     }
-    // The whole simulation lives in two scalars; hoist the coefficients so
-    // the loop body is three fused multiply-adds and a min.  step() computes
-    // `dt_s_ / L * (...)`, which groups as `(dt_s_ / L) * (...)`, so the
-    // precomputed coefficients reproduce its arithmetic bit for bit.
-    const double k_l = dt_s_ / params_.inductance_h;
-    const double k_c = dt_s_ / params_.capacitance_f;
-    const double r = params_.resistance_ohm;
-    const double v_reg = nominal_.volts();
-    double i_l = sum / static_cast<double>(current_trace.size());
-    double v_die = v_reg - r * i_l;
-    // Warm-up pass: let the loop reach its periodic steady state.
-    for (const double i : current_trace) {
-        i_l += k_l * (v_reg - r * i_l - v_die);
-        v_die += k_c * (i_l - i);
-    }
-    double v_min = nominal_.value;
-    for (const double i : current_trace) {
-        i_l += k_l * (v_reg - r * i_l - v_die);
-        v_die += k_c * (i_l - i);
-        v_min = std::min(v_min, v_die * 1000.0);
-    }
-    return millivolts{nominal_.value - v_min};
-}
-
-millivolts pdn_model::worst_droop_reference(
-    std::span<const double> current_trace) const {
-    GB_EXPECTS(!current_trace.empty());
-    double sum = 0.0;
-    for (const double i : current_trace) {
-        sum += i;
-    }
     pdn_model scratch = *this;
     scratch.reset(amperes{sum / static_cast<double>(current_trace.size())});
     // Warm-up pass: let the loop reach its periodic steady state.

@@ -75,20 +75,11 @@ public:
     /// Worst-case droop below nominal (mV) over a current trace, after one
     /// warm-up pass of the trace so start-up transients don't count.
     ///
-    /// This is the hot kernel of every Vmin search: the implementation keeps
-    /// the two integrator states in registers and hoists the dt/L, dt/C
-    /// coefficients out of the loop (an FFT-free incremental convolution over
-    /// the trace ring).  Bitwise-identical to worst_droop_reference() by
-    /// construction -- the per-step arithmetic is unchanged, only divisions
-    /// and member loads are hoisted -- and tests/kernel_equivalence_test.cpp
-    /// holds the two to exact-double equality over randomized corners.
+    /// This is the hot kernel of every Vmin search: one step() per cycle
+    /// on a scratch copy.  The compiler keeps the two integrator states in
+    /// registers and hoists the coefficients itself, so hand-hoisting buys
+    /// nothing (docs/OBSERVABILITY.md "Hot-path kernels").
     [[nodiscard]] millivolts worst_droop(
-        std::span<const double> current_trace) const;
-
-    /// Retained reference implementation of worst_droop (one step() call per
-    /// cycle, exactly the pre-optimization code path).  Kept as the
-    /// differential-testing twin; do not use in hot paths.
-    [[nodiscard]] millivolts worst_droop_reference(
         std::span<const double> current_trace) const;
 
 private:

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 
 namespace gb {
 
@@ -13,6 +14,12 @@ namespace {
                  "error: invalid %.*s '%s' (want a number in [%g, %g])\n",
                  static_cast<int>(name.size()), name.data(), value, min, max);
     std::exit(2);
+}
+
+/// argv[0] without its directory: the name diagnostics lead with.
+std::string_view program_name(char** argv) {
+    const std::string_view path = argv[0] != nullptr ? argv[0] : "";
+    return path.substr(path.rfind('/') + 1);
 }
 
 } // namespace
@@ -82,6 +89,58 @@ std::optional<std::string> take_flag_value(int& argc, char** argv,
                      value->c_str());
     }
     return value;
+}
+
+bool take_flag(int& argc, char** argv, std::string_view name) {
+    for (int i = 1; i < argc; ++i) {
+        if (argv[i] == name) {
+            for (int j = i; j + 1 < argc; ++j) {
+                argv[j] = argv[j + 1];
+            }
+            --argc;
+            return true;
+        }
+    }
+    return false;
+}
+
+template <typename T>
+std::optional<T> ranged_flag(int& argc, char** argv, std::string_view name,
+                             T fallback, std::type_identity_t<T> min,
+                             std::type_identity_t<T> max) {
+    const auto text = take_flag_value(argc, argv, name);
+    if (!text) {
+        return fallback;
+    }
+    constexpr bool integral = std::is_integral_v<T>;
+    std::optional<T> value;
+    if constexpr (integral) {
+        value = parse_integer(*text);
+    } else {
+        value = parse_number(*text);
+    }
+    if (!value || *value < min || *value > max) {
+        std::cerr << program_name(argv) << ": " << name << " wants "
+                  << (integral ? "an integer" : "a number") << " in ["
+                  << min << ", " << max << "]\n";
+        return std::nullopt;
+    }
+    return *value;
+}
+
+template std::optional<long long> ranged_flag(int&, char**, std::string_view,
+                                              long long, long long,
+                                              long long);
+template std::optional<double> ranged_flag(int&, char**, std::string_view,
+                                           double, double, double);
+
+bool leftover_argument(int argc, char** argv, int first) {
+    if (argc <= first) {
+        return false;
+    }
+    std::cerr << program_name(argv) << ": unknown argument '" << argv[first]
+              << "'\n";
+    return true;
 }
 
 } // namespace gb

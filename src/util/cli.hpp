@@ -1,4 +1,4 @@
-// Checked command-line argument parsing for the examples and benches.
+// Checked command-line argument parsing for the tools, examples and benches.
 //
 // The examples used to funnel argv through bare std::atoi/atof/atol, which
 // return 0 on garbage and silently truncate trailing junk -- so
@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/wire.hpp"
 
@@ -37,5 +38,26 @@ namespace gb {
 /// Returns nullopt when the flag is absent.
 [[nodiscard]] std::optional<std::string> take_flag_value(
     int& argc, char** argv, std::string_view name);
+
+/// Boolean `--flag` (no value): consume its first occurrence and report
+/// presence.
+[[nodiscard]] bool take_flag(int& argc, char** argv, std::string_view name);
+
+/// `--name value` as a number in [min, max] (`fallback` when absent):
+/// `long long` parses strictly as an integer, `double` as a finite
+/// number (the two instantiations).  Anything else prints "<program>:
+/// <name> wants an integer in [min, max]" (or "a number") and yields
+/// nullopt.
+template <typename T>
+[[nodiscard]] std::optional<T> ranged_flag(int& argc, char** argv,
+                                           std::string_view name, T fallback,
+                                           std::type_identity_t<T> min,
+                                           std::type_identity_t<T> max);
+
+/// After a command has taken every flag it knows, argv[first] onward
+/// should be empty: anything left is a typo or a retired flag.  Prints
+/// "<program>: unknown argument '<arg>'" for the first one and returns
+/// true instead of letting the command run with defaults.
+[[nodiscard]] bool leftover_argument(int argc, char** argv, int first);
 
 } // namespace gb

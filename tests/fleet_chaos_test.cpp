@@ -125,7 +125,7 @@ TEST(ChaosPlanTest, ExplicitKeepIsHonoredAndClamped) {
     ASSERT_TRUE(tear.has_value());
     EXPECT_EQ(tear->keep, 3U);
     // keep >= payload clamps to size - 1: the write stays strictly torn.
-    const auto temp = plan.on_snapshot_temp(40);
+    const auto temp = plan.on_torn_write(chaos_site::snapshot_temp, 40);
     ASSERT_TRUE(temp.has_value());
     EXPECT_EQ(temp->keep, 39U);
 }
@@ -152,12 +152,15 @@ TEST(ChaosPlanTest, TimelineAppendTearsOnItsNthRecord) {
     config.seed = 3;
     config.triggers.push_back({chaos_site::timeline_append, 2, 7});
     chaos_plan plan(config);
-    EXPECT_FALSE(plan.on_timeline_append(64).has_value());
-    const auto tear = plan.on_timeline_append(64);
+    const auto record = [&plan] {
+        return plan.on_torn_write(chaos_site::timeline_append, 64);
+    };
+    EXPECT_FALSE(record().has_value());
+    const auto tear = record();
     ASSERT_TRUE(tear.has_value());
     EXPECT_EQ(tear->site, chaos_site::timeline_append);
     EXPECT_EQ(tear->keep, 7U);
-    EXPECT_FALSE(plan.on_timeline_append(64).has_value()); // one-shot
+    EXPECT_FALSE(record().has_value()); // one-shot
 
     // keep_auto derives a strictly-partial length, deterministically.
     chaos_plan_config autoconf;
@@ -165,8 +168,8 @@ TEST(ChaosPlanTest, TimelineAppendTearsOnItsNthRecord) {
     autoconf.triggers.push_back({chaos_site::timeline_append, 1});
     chaos_plan first(autoconf);
     chaos_plan second(autoconf);
-    const auto a = first.on_timeline_append(120);
-    const auto b = second.on_timeline_append(120);
+    const auto a = first.on_torn_write(chaos_site::timeline_append, 120);
+    const auto b = second.on_torn_write(chaos_site::timeline_append, 120);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(a->keep, b->keep);
@@ -516,6 +519,58 @@ TEST_F(FleetJournalRejectionTest, CohortOrderRegressionIsRejected) {
 TEST_F(FleetJournalRejectionTest, ForeignCohortIsRejected) {
     expect_reject(rechain({with_field(lines_[0], "class", "7")}),
                   "outside this fleet");
+}
+
+// Observatory records carry no chain link, so they are appended raw.
+
+TEST_F(FleetJournalRejectionTest, UnparseableTimelineRecordIsRejected) {
+    expect_reject(lines_[0] + "\ntask=1 tline epoch=1 series=s tick=1\n",
+                  journal_path_ + ":2: unparseable timeline record");
+}
+
+TEST_F(FleetJournalRejectionTest, UnparseableAlertRecordIsRejected) {
+    expect_reject(lines_[0] +
+                      "\ntask=1 alert epoch=1 rule=r series=s state=maybe "
+                      "tick=1 value=1\n",
+                  journal_path_ + ":2: unparseable alert record");
+}
+
+TEST_F(FleetJournalRejectionTest, UnparseableEpochSealIsRejected) {
+    expect_reject(lines_[0] + "\ntask=1 tseal epoch=1 samples=x events=0\n",
+                  journal_path_ + ":2: unparseable epoch seal");
+}
+
+TEST_F(FleetJournalRejectionTest, RecordAfterItsEpochSealIsRejected) {
+    expect_reject(lines_[0] +
+                      "\ntask=1 tseal epoch=1 samples=0 events=0"
+                      "\ntask=2 tline epoch=1 series=s tick=1 value=1\n",
+                  journal_path_ +
+                      ":3: observatory record after its epoch seal");
+}
+
+TEST_F(FleetJournalRejectionTest, SealCountMismatchIsRejected) {
+    expect_reject(lines_[0] +
+                      "\ntask=1 tline epoch=1 series=s tick=1 value=1"
+                      "\ntask=2 tseal epoch=1 samples=2 events=0\n",
+                  journal_path_ +
+                      ":3: epoch seal counts disagree with the records "
+                      "before it");
+}
+
+TEST_F(FleetJournalRejectionTest, RecordOutOfEpochOrderIsRejected) {
+    // The writer runs epochs 1, 2, 3, ... and seals each block before it
+    // journals the next epoch, so a journal it produced seals 1..k and
+    // leaves at most epoch k+1 open.  Skipping an epoch, or starting the
+    // next one while a block is open, is not its damage.
+    expect_reject(lines_[0] +
+                      "\ntask=1 tline epoch=2 series=s tick=1 value=1\n",
+                  journal_path_ +
+                      ":2: observatory record out of epoch order");
+    expect_reject(lines_[0] +
+                      "\ntask=1 tline epoch=1 series=s tick=1 value=1"
+                      "\ntask=2 tline epoch=2 series=s tick=2 value=1\n",
+                  journal_path_ +
+                      ":3: observatory record out of epoch order");
 }
 
 // --- the crash matrix ---------------------------------------------------

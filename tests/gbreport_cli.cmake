@@ -259,3 +259,10 @@ set(bad_timeline_status ${WORK_DIR}/bad_timeline_status.json)
 file(WRITE ${bad_timeline_status} [=[{"campaign":"fleet","running":false,"tasks_total":36,"tasks_done":36,"retries":0,"injected_faults":0,"aborted_rig":0,"replayed":0,"rig_downtime_ms":0,"fleet":{"timeline":42}}
 ]=])
 expect_exit(2 status ${bad_timeline_status})
+
+# Arguments no flag consumed are typos: a misspelled tolerance must not
+# compare at the default one, and no subcommand runs past a stray flag
+# (each of these inputs is otherwise clean and exits 0).
+expect_exit(2 diff ${baseline} ${baseline} --tolerence 0.5)
+expect_exit(2 status ${healthy_status} --bogus 3)
+expect_exit(2 timeline ${timeline} --bogus)

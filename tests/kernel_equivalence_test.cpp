@@ -1,7 +1,7 @@
 // Differential-equivalence harness for the optimized hot-path kernels.
 //
-// Every throughput rewrite in the PDN / pipeline / DRAM / chip-evaluation
-// layers keeps a retained reference twin (the pre-optimization code path).
+// Every throughput rewrite in the pipeline / DRAM / chip-evaluation layers
+// keeps a retained reference twin (the pre-optimization code path).
 // This suite drives both sides over seeded randomized inputs -- including the
 // degenerate corners (length 0/1, odd lengths, batch widths 1..8) -- and
 // requires *bitwise* equality: doubles are compared by bit pattern and
@@ -76,14 +76,6 @@ pdn_model random_pdn(rng& r) {
                      nominal_core_frequency);
 }
 
-std::vector<double> random_trace(rng& r, std::size_t length) {
-    std::vector<double> trace(length);
-    for (double& i : trace) {
-        i = r.uniform(0.0, 4.0);
-    }
-    return trace;
-}
-
 kernel random_kernel(rng& r, std::size_t length) {
     kernel k;
     k.name = "random";
@@ -95,37 +87,22 @@ kernel random_kernel(rng& r, std::size_t length) {
 }
 
 // ---------------------------------------------------------------------------
-// PDN worst_droop: register-resident loop vs step()-per-cycle reference.
-
-TEST(worst_droop_equivalence, randomized_traces_bitwise) {
-    rng r(0xdeadbeefULL);
-    // Lengths cover the degenerate corners: single-cycle, odd, power-of-two
-    // and the 8192-cycle campaign shape.
-    const std::size_t lengths[] = {1, 2, 3, 7, 64, 255, 1024, 8191, 8192};
-    for (const std::size_t length : lengths) {
-        for (int round = 0; round < 8; ++round) {
-            const pdn_model model = random_pdn(r);
-            const std::vector<double> trace = random_trace(r, length);
-            const millivolts fast = model.worst_droop(trace);
-            const millivolts slow = model.worst_droop_reference(trace);
-            EXPECT_TRUE(bit_equal(fast.value, slow.value))
-                << "length " << length << " round " << round;
-        }
-    }
-}
+// PDN worst_droop.  Its hand-hoisted twin bought no speed and is retired;
+// the step()-per-cycle loop is the kernel, pinned here at its corners.
 
 TEST(worst_droop_equivalence, constant_and_spike_corners) {
     rng r(7);
     const pdn_model model = random_pdn(r);
-    // Constant current: no droop develops on either path.
+    const double ohm = model.parameters().resistance_ohm;
+    // Constant current: no dynamic droop, only the static IR drop.
     std::vector<double> flat(777, 1.25);
-    EXPECT_TRUE(bit_equal(model.worst_droop(flat).value,
-                          model.worst_droop_reference(flat).value));
-    // Single huge spike in an otherwise idle trace.
+    EXPECT_NEAR(model.worst_droop(flat).value, ohm * 1.25 * 1000.0, 1e-9);
+    // A single huge spike in an otherwise idle trace rings the PDN below
+    // the IR drop of the trace's mean current.
     std::vector<double> spike(4096, 0.1);
     spike[1234] = 50.0;
-    EXPECT_TRUE(bit_equal(model.worst_droop(spike).value,
-                          model.worst_droop_reference(spike).value));
+    const double mean = (4095 * 0.1 + 50.0) / 4096.0;
+    EXPECT_GT(model.worst_droop(spike).value, ohm * mean * 1000.0);
 }
 
 TEST(worst_droop_equivalence, empty_trace_rejected_by_both) {
@@ -133,8 +110,6 @@ TEST(worst_droop_equivalence, empty_trace_rejected_by_both) {
     const pdn_model model = random_pdn(r);
     const std::vector<double> empty;
     EXPECT_THROW((void)model.worst_droop(empty), contract_violation);
-    EXPECT_THROW((void)model.worst_droop_reference(empty),
-                 contract_violation);
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,41 @@ TEST(cli_test, take_flag_value_single_occurrence_stays_silent) {
     EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
+TEST(cli_test, ranged_flag_checks_type_and_range) {
+    char prog[] = "/opt/bin/tool";
+    char nodes[] = "--nodes";
+    char many[] = "500";
+    char rate[] = "--rate";
+    char nan[] = "nan";
+    char* argv[] = {prog, nodes, many, rate, nan, nullptr};
+    int argc = 5;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ranged_flag(argc, argv, "--nodes", 10LL, 1, 100),
+              std::nullopt);
+    EXPECT_EQ(ranged_flag(argc, argv, "--rate", 0.0, 0.0, 0.9),
+              std::nullopt);
+    EXPECT_EQ(ranged_flag(argc, argv, "--epochs", 3LL, 0, 9), 3);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "tool: --nodes wants an integer in [1, 100]\n"
+              "tool: --rate wants a number in [0, 0.9]\n");
+    EXPECT_EQ(argc, 1);
+}
+
+TEST(cli_test, take_flag_and_leftover_argument) {
+    char prog[] = "prog";
+    char bins[] = "--bins";
+    char typo[] = "--cohort";
+    char* argv[] = {prog, bins, typo, nullptr};
+    int argc = 3;
+    EXPECT_TRUE(take_flag(argc, argv, "--bins"));
+    EXPECT_FALSE(take_flag(argc, argv, "--bins"));
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(leftover_argument(argc, argv, 2));
+    EXPECT_TRUE(leftover_argument(argc, argv, 1));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "prog: unknown argument '--cohort'\n");
+}
+
 using cli_death_test = ::testing::Test;
 
 TEST(cli_death_test, take_flag_value_exits_on_missing_value) {

@@ -75,7 +75,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "fleet/control.hpp"
@@ -124,59 +123,6 @@ int usage() {
 int fail(const std::string& message) {
     std::cerr << "fleet_service: " << message << "\n";
     return exit_usage;
-}
-
-/// After a subcommand has taken every flag it knows, anything left in argv
-/// is a typo or a retired flag: report the first one instead of silently
-/// running with defaults.
-bool leftover_argument(int argc, char** argv) {
-    if (argc < 2) {
-        return false;
-    }
-    std::cerr << "fleet_service: unknown argument '" << argv[1] << "'\n";
-    return true;
-}
-
-/// Boolean `--flag` (no value): consume and report presence.
-bool take_flag(int& argc, char** argv, std::string_view name) {
-    for (int i = 1; i < argc; ++i) {
-        if (argv[i] == name) {
-            for (int j = i; j + 1 < argc; ++j) {
-                argv[j] = argv[j + 1];
-            }
-            --argc;
-            return true;
-        }
-    }
-    return false;
-}
-
-/// `--name value` as a number in [min, max] (`fallback` when absent):
-/// integral `T` parses strictly as an integer, floating `T` as a finite
-/// number.  Anything else prints "<name> wants an integer in [min, max]"
-/// (or "a number") and yields nullopt.
-template <typename T>
-std::optional<T> ranged_flag(int& argc, char** argv, std::string_view name,
-                             T fallback, std::type_identity_t<T> min,
-                             std::type_identity_t<T> max) {
-    const auto text = take_flag_value(argc, argv, name);
-    if (!text) {
-        return fallback;
-    }
-    constexpr bool integral = std::is_integral_v<T>;
-    std::optional<T> value;
-    if constexpr (integral) {
-        value = parse_integer(*text);
-    } else {
-        value = parse_number(*text);
-    }
-    if (!value || *value < min || *value > max) {
-        std::cerr << "fleet_service: " << name << " wants "
-                  << (integral ? "an integer" : "a number") << " in ["
-                  << min << ", " << max << "]\n";
-        return std::nullopt;
-    }
-    return *value;
 }
 
 /// One campaign; logs a deterministic one-line digest to stderr.
@@ -232,7 +178,7 @@ int run_serve(int argc, char** argv) {
     if (!nodes || !seed || !classes || !ops || !jobs || !epochs ||
         !poll_ms || !fault_rate || !retry || !replan || !chaos_exit ||
         !quorum || !rigs || !audit || !blacklist || !aging ||
-        leftover_argument(argc, argv)) {
+        leftover_argument(argc, argv, 1)) {
         return exit_usage;
     }
     if (!state_path) {
@@ -489,7 +435,7 @@ int run_query(int argc, char** argv) {
         ranged_flag(argc, argv, "--ack-retries", 8LL, 0, 1000);
     const auto ack_base_ms =
         ranged_flag(argc, argv, "--ack-base-ms", 20LL, 0, 60000);
-    if (!ack_retries || !ack_base_ms || leftover_argument(argc, argv)) {
+    if (!ack_retries || !ack_base_ms || leftover_argument(argc, argv, 1)) {
         return exit_usage;
     }
     if (command) {

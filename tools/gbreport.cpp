@@ -13,10 +13,10 @@
 //
 // Every analysis is a pure function of the artifact bytes, which are
 // themselves byte-identical at any GB_JOBS -- so gbreport output is too.
-// Exit codes: 0 success, 1 diff regression, 2 usage error or malformed
-// artifact.  Malformed input always yields a one-line `gbreport:`
-// diagnostic on stderr, never a crash (the rig-fault injector corrupts
-// logs by design).
+// Exit codes: 0 success, 1 diff regression, 2 usage error (an unknown
+// argument included) or malformed artifact.  Malformed input always
+// yields a one-line `gbreport:` diagnostic on stderr, never a crash (the
+// rig-fault injector corrupts logs by design).
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -77,6 +77,17 @@ std::optional<std::string> required_flag(int& argc, char** argv,
     return value;
 }
 
+/// True when argv holds exactly `count` positionals after the command;
+/// otherwise prints `missing` (too few) or the first leftover argument.
+bool positionals(int argc, char** argv, int count,
+                 const std::string& missing) {
+    if (argc < 2 + count) {
+        fail(missing);
+        return false;
+    }
+    return !leftover_argument(argc, argv, 2 + count);
+}
+
 /// Trace-based commands share the load-and-model preamble.
 std::optional<trace_model> model_from(const std::string& path) {
     std::string error;
@@ -94,7 +105,7 @@ std::optional<trace_model> model_from(const std::string& path) {
 
 int run_summary(int argc, char** argv) {
     const auto journal_path = required_flag(argc, argv, "--journal");
-    if (!journal_path) {
+    if (!journal_path || leftover_argument(argc, argv, 2)) {
         return exit_usage;
     }
     std::string error;
@@ -108,44 +119,30 @@ int run_summary(int argc, char** argv) {
 
 int run_critical_path(int argc, char** argv) {
     const auto trace_path = required_flag(argc, argv, "--trace");
-    if (!trace_path) {
+    const auto top = ranged_flag(argc, argv, "--top", 5LL, 1, 1000000);
+    if (!trace_path || !top || leftover_argument(argc, argv, 2)) {
         return exit_usage;
-    }
-    long long top = 5;
-    if (const auto flag = take_flag_value(argc, argv, "--top")) {
-        const auto parsed = parse_integer(*flag);
-        if (!parsed || *parsed < 1) {
-            return fail("--top wants a positive integer");
-        }
-        top = *parsed;
     }
     const auto model = model_from(*trace_path);
     if (!model) {
         return exit_usage;
     }
-    render_critical_path(std::cout, *model, static_cast<std::size_t>(top));
+    render_critical_path(std::cout, *model, static_cast<std::size_t>(*top));
     return exit_ok;
 }
 
 int run_utilization(int argc, char** argv) {
     const auto trace_path = required_flag(argc, argv, "--trace");
-    if (!trace_path) {
+    const auto workers = ranged_flag(argc, argv, "--workers", 8LL, 1, 256);
+    if (!trace_path || !workers || leftover_argument(argc, argv, 2)) {
         return exit_usage;
-    }
-    long long workers = 8;
-    if (const auto flag = take_flag_value(argc, argv, "--workers")) {
-        const auto parsed = parse_integer(*flag);
-        if (!parsed || *parsed < 1 || *parsed > 256) {
-            return fail("--workers wants an integer in [1, 256]");
-        }
-        workers = *parsed;
     }
     const auto model = model_from(*trace_path);
     if (!model) {
         return exit_usage;
     }
     render_utilization(std::cout, simulate_utilization(
-                                      *model, static_cast<int>(workers)));
+                                      *model, static_cast<int>(*workers)));
     return exit_ok;
 }
 
@@ -213,13 +210,17 @@ int run_timeline(int argc, char** argv) {
     // timeline.json from the fleet observatory.
     const auto trace_path = take_flag_value(argc, argv, "--trace");
     if (!trace_path) {
-        if (argc < 3) {
-            return fail(
-                "timeline wants --trace FILE or a timeline.json FILE");
+        if (!positionals(argc, argv, 1,
+                         "timeline wants --trace FILE or a timeline.json "
+                         "FILE")) {
+            return exit_usage;
         }
         return render_timeline_artifact(argv[2]);
     }
     const auto metrics_path = take_flag_value(argc, argv, "--metrics");
+    if (leftover_argument(argc, argv, 2)) {
+        return exit_usage;
+    }
     std::optional<metrics_snapshot> metrics;
     if (metrics_path) {
         std::string error;
@@ -238,8 +239,8 @@ int run_timeline(int argc, char** argv) {
 
 int run_alerts(int argc, char** argv) {
     const auto rules_path = take_flag_value(argc, argv, "--rules");
-    if (argc < 3) {
-        return fail("alerts wants a timeline.json FILE");
+    if (!positionals(argc, argv, 1, "alerts wants a timeline.json FILE")) {
+        return exit_usage;
     }
     std::string error;
     const auto timeline = load_timeline_file(argv[2], error);
@@ -276,8 +277,8 @@ int run_alerts(int argc, char** argv) {
 }
 
 int run_status(int argc, char** argv) {
-    if (argc < 3) {
-        return fail("status wants a snapshot FILE");
+    if (!positionals(argc, argv, 1, "status wants a snapshot FILE")) {
+        return exit_usage;
     }
     std::string error;
     const auto status = load_status_file(argv[2], error);
@@ -330,7 +331,7 @@ int run_status(int argc, char** argv) {
 
 int run_audit(int argc, char** argv) {
     const auto metrics_path = required_flag(argc, argv, "--metrics");
-    if (!metrics_path) {
+    if (!metrics_path || leftover_argument(argc, argv, 2)) {
         return exit_usage;
     }
     std::string error;
@@ -372,8 +373,9 @@ int run_diff(int argc, char** argv) {
                                            *fraction);
         }
     }
-    if (argc < 4) {
-        return fail("diff wants BASELINE and CANDIDATE metrics files");
+    if (!positionals(argc, argv, 2,
+                     "diff wants BASELINE and CANDIDATE metrics files")) {
+        return exit_usage;
     }
     std::string error;
     const auto baseline = load_metrics_file(argv[2], error);
