@@ -85,6 +85,9 @@ int main(int argc, char** argv) {
     }
     const int per_corner = static_cast<int>(
         int_arg(argc, argv, 1, 15, "chips_per_corner", 1, 1000));
+    if (leftover_argument(argc, argv, 2)) {
+        return 2;
+    }
 
     // One virus for the whole fleet (crafted once per micro-architecture).
     const pipeline_model pipeline(nominal_core_frequency);

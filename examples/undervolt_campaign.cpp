@@ -4,6 +4,8 @@
 //
 //   $ ./undervolt_campaign [chip] [options] [benchmark ...]
 //     chip: TTT (default), TFF or TSS
+//     benchmark: a SPEC2006 or NAS name (default: the SPEC2006 suite); an
+//                unknown name or argument exits 2 before any run
 //     --journal <path>  append every completed run to a crash-safe journal
 //     --resume <path>   restore completed runs from a journal, run the rest
 //     --faults <rate>   inject rig faults (hangs/crashes/power-switch and
@@ -26,6 +28,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,10 +61,6 @@ std::string journal_path_for(const std::string& base,
 
 int main(int argc, char** argv) {
     process_corner corner = process_corner::ttt;
-    std::vector<std::string> benchmarks;
-    std::string journal_base;
-    std::string resume_base;
-    double fault_rate = 0.0;
     const std::optional<std::string> trace_path =
         take_flag_value(argc, argv, "--trace");
     const std::optional<std::string> metrics_path =
@@ -70,6 +69,18 @@ int main(int argc, char** argv) {
         take_flag_value(argc, argv, "--timeline");
     const std::optional<std::string> status_path =
         take_flag_value(argc, argv, "--status");
+    std::string journal_base =
+        take_flag_value(argc, argv, "--journal").value_or("");
+    const std::string resume_base =
+        take_flag_value(argc, argv, "--resume").value_or("");
+    const std::optional<double> fault_rate =
+        ranged_flag(argc, argv, "--faults", 0.0, 0.0, 1.0);
+    if (!fault_rate) {
+        return 2;
+    }
+    // Every remaining argument is a corner or a benchmark name, resolved
+    // here so a typo fails before any characterization runs.
+    std::vector<const cpu_benchmark*> benchmarks;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "TTT") {
@@ -78,24 +89,20 @@ int main(int argc, char** argv) {
             corner = process_corner::tff;
         } else if (arg == "TSS") {
             corner = process_corner::tss;
-        } else if (arg == "--journal" && i + 1 < argc) {
-            journal_base = argv[++i];
-        } else if (arg == "--resume" && i + 1 < argc) {
-            resume_base = argv[++i];
-        } else if (arg == "--faults" && i + 1 < argc) {
-            const auto parsed = parse_number(argv[++i]);
-            if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
-                std::cerr << "--faults wants a rate in [0, 1]\n";
-                return 1;
-            }
-            fault_rate = *parsed;
         } else {
-            benchmarks.push_back(arg);
+            try {
+                benchmarks.push_back(&find_cpu_benchmark(arg));
+            } catch (const std::invalid_argument&) {
+                std::cerr << "undervolt_campaign: unknown benchmark or "
+                             "argument '"
+                          << arg << "'\n";
+                return 2;
+            }
         }
     }
     if (benchmarks.empty()) {
         for (const cpu_benchmark& b : spec2006_suite()) {
-            benchmarks.push_back(b.name);
+            benchmarks.push_back(&b);
         }
     }
     if (!resume_base.empty() && journal_base.empty()) {
@@ -110,9 +117,9 @@ int main(int argc, char** argv) {
               << benchmarks.size() << " benchmark(s)\n";
 
     std::optional<fault_plan> faults;
-    if (fault_rate > 0.0) {
-        faults = make_uniform_fault_plan(/*seed=*/2018, fault_rate);
-        std::cerr << "fault plan active: per-run fault rate " << fault_rate
+    if (*fault_rate > 0.0) {
+        faults = make_uniform_fault_plan(/*seed=*/2018, *fault_rate);
+        std::cerr << "fault plan active: per-run fault rate " << *fault_rate
                   << '\n';
     }
 
@@ -121,8 +128,8 @@ int main(int argc, char** argv) {
     timeline_recorder timeline;
     const bool observing = trace_path || metrics_path;
 
-    for (const std::string& name : benchmarks) {
-        const cpu_benchmark& benchmark = find_cpu_benchmark(name);
+    for (const cpu_benchmark* entry : benchmarks) {
+        const cpu_benchmark& benchmark = *entry;
 
         // Initialization phase: voltage ladder from nominal down to well
         // below every Vmin, on the most robust core.

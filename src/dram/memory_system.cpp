@@ -109,28 +109,53 @@ std::uint64_t memory_system::total_weak_cells() const {
     return total;
 }
 
-void memory_system::apply_ecc(std::vector<const weak_cell*>& failures,
+namespace {
+
+/// Sort key of one failed cell for ECC grouping:
+/// codeword_key << 7 | codeword bit (0..71).  Sorting the plain integers
+/// groups each codeword's flips together without re-deriving the codeword
+/// key inside the comparator.
+constexpr int failure_bit_width = 7;
+constexpr std::uint64_t failure_bit_mask = (1ULL << failure_bit_width) - 1;
+
+std::uint64_t failure_key(const cell_address& address) {
+    return codeword_key(codeword_of(address)) << failure_bit_width |
+           static_cast<std::uint64_t>(codeword_bit_of(address));
+}
+
+/// Lowest retention a cell can show in any scan at temperature factor `tf`:
+/// full data-pattern aggression, VRT weak state.  Bitwise equal to
+/// `cell.retention_seconds_scaled(tf, 1.0)`; every scan's retention is
+/// `r * tf * (1 - dpd * a)` with a in [0, 1], optionally times
+/// vrt_strong_ratio >= 1, and IEEE rounding is monotone, so no scan can see
+/// the cell below this value.  Written out here rather than calling the
+/// out-of-line retention_seconds_scaled, because it runs once per
+/// materialized cell in every scan.
+double retention_floor_seconds(const weak_cell& cell, double tf) {
+    return static_cast<double>(cell.retention_at_reference_s) * tf *
+           (1.0 - static_cast<double>(cell.dpd_strength));
+}
+
+} // namespace
+
+void memory_system::apply_ecc(std::vector<std::uint64_t>& failures,
                               std::uint64_t data_seed,
                               scan_result& result) const {
     // Group failing cells by codeword and run the real SECDED decode on each
     // affected word: golden data is derived from the word's key so that
     // miscorrections (3+ flips aliasing onto a valid single-error syndrome)
     // are detected as SDC by comparison, exactly like the paper's golden
-    // reference check.
-    std::sort(failures.begin(), failures.end(),
-              [](const weak_cell* a, const weak_cell* b) {
-                  return codeword_key(codeword_of(a->address)) <
-                         codeword_key(codeword_of(b->address));
-              });
+    // reference check.  Bit flips commute, so the order of a word's flips
+    // does not affect its outcome.
+    std::sort(failures.begin(), failures.end());
 
     const secded72_64& codec = secded72_64::instance();
     std::size_t i = 0;
     while (i < failures.size()) {
+        const std::uint64_t word_key = failures[i] >> failure_bit_width;
         std::size_t j = i + 1;
-        const std::uint64_t word_key =
-            codeword_key(codeword_of(failures[i]->address));
         while (j < failures.size() &&
-               codeword_key(codeword_of(failures[j]->address)) == word_key) {
+               failures[j] >> failure_bit_width == word_key) {
             ++j;
         }
 
@@ -139,8 +164,8 @@ void memory_system::apply_ecc(std::vector<const weak_cell*>& failures,
         const std::uint64_t golden = splitmix64(mixer);
         secded_word stored = codec.encode(golden);
         for (std::size_t k = i; k < j; ++k) {
-            stored = flip_codeword_bit(stored,
-                                       codeword_bit_of(failures[k]->address));
+            stored = flip_codeword_bit(
+                stored, static_cast<int>(failures[k] & failure_bit_mask));
         }
         switch (classify_decode(codec.decode(stored), golden)) {
         case word_outcome::corrected:
@@ -158,13 +183,6 @@ void memory_system::apply_ecc(std::vector<const weak_cell*>& failures,
         }
         i = j;
     }
-}
-
-double memory_system::scan_retention_seconds(const weak_cell& cell,
-                                             celsius t, double aggression,
-                                             std::uint64_t scan_seed) const {
-    return scan_retention_seconds_scaled(cell, model_.temperature_factor(t),
-                                         aggression, scan_seed);
 }
 
 double memory_system::scan_retention_seconds_scaled(
@@ -186,6 +204,33 @@ double memory_system::scan_retention_seconds_scaled(
     return retention;
 }
 
+template <typename Visit>
+void memory_system::for_each_candidate(double refresh_s, Visit visit) const {
+    for (int dimm = 0; dimm < geometry_.dimms; ++dimm) {
+        // The temperature factor (an exp2) is constant across the DIMM:
+        // compute it once per DIMM instead of once per cell.
+        const double tf = model_.temperature_factor(
+            dimm_temperature_[static_cast<std::size_t>(dimm)]);
+        for (int rank = 0; rank < geometry_.ranks_per_dimm; ++rank) {
+            for (int chip = 0; chip < geometry_.chips_per_rank(); ++chip) {
+                for (int bank = 0; bank < geometry_.banks_per_chip; ++bank) {
+                    for (const weak_cell& cell :
+                         bank_cells(dimm, rank, chip, bank)) {
+                        // A cell whose floor holds the period cannot fail.
+                        // Every per-cell draw is a stateless hash of the
+                        // cell's key, so skipping it changes no other
+                        // cell's outcome.
+                        if (retention_floor_seconds(cell, tf) >= refresh_s) {
+                            continue;
+                        }
+                        visit(cell, tf, static_cast<std::size_t>(bank));
+                    }
+                }
+            }
+        }
+    }
+}
+
 scan_result memory_system::run_dpbench(data_pattern pattern,
                                        std::uint64_t pattern_seed) const {
     return run_dpbench(pattern, pattern_seed, refresh_);
@@ -200,74 +245,17 @@ scan_result memory_system::run_dpbench(data_pattern pattern,
     result.scanned_bits = geometry_.data_bytes() * 8;
 
     const double refresh_s = refresh_period.seconds();
-    std::vector<const weak_cell*> failures;
-    for (int dimm = 0; dimm < geometry_.dimms; ++dimm) {
-        // The temperature factor (an exp2) is constant across the DIMM:
-        // compute it once per DIMM instead of once per cell.
-        const double tf = model_.temperature_factor(
-            dimm_temperature_[static_cast<std::size_t>(dimm)]);
-        for (int rank = 0; rank < geometry_.ranks_per_dimm; ++rank) {
-            for (int chip = 0; chip < geometry_.chips_per_rank(); ++chip) {
-                for (int bank = 0; bank < geometry_.banks_per_chip; ++bank) {
-                    for (const weak_cell& cell :
-                         bank_cells(dimm, rank, chip, bank)) {
-                        const pattern_stress stress =
-                            stress_of(pattern, cell, pattern_seed);
-                        if (!stress.vulnerable) {
-                            continue;
-                        }
-                        if (scan_retention_seconds_scaled(cell, tf,
-                                                          stress.aggression,
-                                                          pattern_seed) <
-                            refresh_s) {
-                            failures.push_back(&cell);
-                            ++result.per_bank_failures[static_cast<
-                                std::size_t>(bank)];
-                        }
-                    }
-                }
-            }
+    std::vector<std::uint64_t> failures;
+    for_each_candidate(refresh_s, [&](const weak_cell& cell, double tf,
+                                      std::size_t bank) {
+        const pattern_stress stress = stress_of(pattern, cell, pattern_seed);
+        if (stress.vulnerable &&
+            scan_retention_seconds_scaled(cell, tf, stress.aggression,
+                                          pattern_seed) < refresh_s) {
+            failures.push_back(failure_key(cell.address));
+            ++result.per_bank_failures[bank];
         }
-    }
-    result.failed_cells = failures.size();
-    apply_ecc(failures, pattern_seed, result);
-    return result;
-}
-
-scan_result memory_system::run_dpbench_reference(
-    data_pattern pattern, std::uint64_t pattern_seed,
-    milliseconds refresh_period) const {
-    GB_EXPECTS(refresh_period.value > 0.0);
-    GB_EXPECTS(refresh_period <= limits_.max_refresh_period);
-    scan_result result;
-    result.scanned_bits = geometry_.data_bytes() * 8;
-
-    std::vector<const weak_cell*> failures;
-    for (int dimm = 0; dimm < geometry_.dimms; ++dimm) {
-        const celsius t = dimm_temperature_[static_cast<std::size_t>(dimm)];
-        for (int rank = 0; rank < geometry_.ranks_per_dimm; ++rank) {
-            for (int chip = 0; chip < geometry_.chips_per_rank(); ++chip) {
-                for (int bank = 0; bank < geometry_.banks_per_chip; ++bank) {
-                    for (const weak_cell& cell :
-                         bank_cells(dimm, rank, chip, bank)) {
-                        const pattern_stress stress =
-                            stress_of(pattern, cell, pattern_seed);
-                        if (!stress.vulnerable) {
-                            continue;
-                        }
-                        if (scan_retention_seconds(cell, t,
-                                                   stress.aggression,
-                                                   pattern_seed) <
-                            refresh_period.seconds()) {
-                            failures.push_back(&cell);
-                            ++result.per_bank_failures[static_cast<
-                                std::size_t>(bank)];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    });
     result.failed_cells = failures.size();
     apply_ecc(failures, pattern_seed, result);
     return result;
@@ -285,53 +273,32 @@ scan_result memory_system::run_access_profile(const access_profile& app,
         app.footprint_fraction);
 
     const double refresh_s = refresh_.seconds();
-    std::vector<const weak_cell*> failures;
-    for (int dimm = 0; dimm < geometry_.dimms; ++dimm) {
-        const double tf = model_.temperature_factor(
-            dimm_temperature_[static_cast<std::size_t>(dimm)]);
-        for (int rank = 0; rank < geometry_.ranks_per_dimm; ++rank) {
-            for (int chip = 0; chip < geometry_.chips_per_rank(); ++chip) {
-                for (int bank = 0; bank < geometry_.banks_per_chip; ++bank) {
-                    for (const weak_cell& cell :
-                         bank_cells(dimm, rank, chip, bank)) {
-                        // Membership draws are stable per cell per run seed.
-                        // Each purpose gets its own salt so the draws are
-                        // independent of the data/vulnerability hashes used
-                        // inside the stress model.
-                        std::uint64_t h = cell_key(cell.address) ^ seed ^
-                                          0x71c9d1f0a5b3e647ULL;
-                        const double u_footprint =
-                            static_cast<double>(splitmix64(h) >> 11) *
-                            0x1.0p-53;
-                        if (u_footprint >= app.footprint_fraction) {
-                            continue;
-                        }
-                        const double u_refresh =
-                            static_cast<double>(splitmix64(h) >> 11) *
-                            0x1.0p-53;
-                        if (u_refresh < app.refreshed_fraction) {
-                            continue; // row re-accessed faster than refresh
-                        }
-                        const pattern_stress stress =
-                            stress_of_application_data(cell,
-                                                       app.ones_density,
-                                                       seed);
-                        if (!stress.vulnerable) {
-                            continue;
-                        }
-                        if (scan_retention_seconds_scaled(cell, tf,
-                                                          stress.aggression,
-                                                          seed) <
-                            refresh_s) {
-                            failures.push_back(&cell);
-                            ++result.per_bank_failures[static_cast<
-                                std::size_t>(bank)];
-                        }
-                    }
-                }
-            }
+    std::vector<std::uint64_t> failures;
+    for_each_candidate(refresh_s, [&](const weak_cell& cell, double tf,
+                                      std::size_t bank) {
+        // Membership draws are stable per cell per run seed.  Each purpose
+        // gets its own salt so the draws are independent of the
+        // data/vulnerability hashes used inside the stress model.
+        std::uint64_t h = cell_key(cell.address) ^ seed ^ 0x71c9d1f0a5b3e647ULL;
+        const double u_footprint =
+            static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
+        if (u_footprint >= app.footprint_fraction) {
+            return;
         }
-    }
+        const double u_refresh =
+            static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
+        if (u_refresh < app.refreshed_fraction) {
+            return; // row re-accessed faster than refresh
+        }
+        const pattern_stress stress =
+            stress_of_application_data(cell, app.ones_density, seed);
+        if (stress.vulnerable &&
+            scan_retention_seconds_scaled(cell, tf, stress.aggression, seed) <
+                refresh_s) {
+            failures.push_back(failure_key(cell.address));
+            ++result.per_bank_failures[bank];
+        }
+    });
     result.failed_cells = failures.size();
     apply_ecc(failures, seed, result);
     return result;
@@ -342,30 +309,15 @@ std::vector<std::uint64_t> memory_system::failing_cell_keys(
     std::uint64_t vrt_seed) const {
     const double refresh_s = refresh_.seconds();
     std::vector<std::uint64_t> keys;
-    for (int dimm = 0; dimm < geometry_.dimms; ++dimm) {
-        const double tf = model_.temperature_factor(
-            dimm_temperature_[static_cast<std::size_t>(dimm)]);
-        for (int rank = 0; rank < geometry_.ranks_per_dimm; ++rank) {
-            for (int chip = 0; chip < geometry_.chips_per_rank(); ++chip) {
-                for (int bank = 0; bank < geometry_.banks_per_chip; ++bank) {
-                    for (const weak_cell& cell :
-                         bank_cells(dimm, rank, chip, bank)) {
-                        const pattern_stress stress =
-                            stress_of(pattern, cell, pattern_seed);
-                        if (!stress.vulnerable) {
-                            continue;
-                        }
-                        if (scan_retention_seconds_scaled(cell, tf,
-                                                          stress.aggression,
-                                                          vrt_seed) <
-                            refresh_s) {
-                            keys.push_back(cell_key(cell.address));
-                        }
-                    }
-                }
-            }
+    for_each_candidate(refresh_s, [&](const weak_cell& cell, double tf,
+                                      std::size_t /*bank*/) {
+        const pattern_stress stress = stress_of(pattern, cell, pattern_seed);
+        if (stress.vulnerable &&
+            scan_retention_seconds_scaled(cell, tf, stress.aggression,
+                                          vrt_seed) < refresh_s) {
+            keys.push_back(cell_key(cell.address));
         }
-    }
+    });
     return keys;
 }
 
@@ -379,7 +331,7 @@ std::uint64_t memory_system::weak_cell_count(int dimm, int rank, int chip,
         // Worst pattern of the suite: full aggression on every cell (the
         // random DPBench eventually exposes each cell's worst combination;
         // unique locations are the union over the suite).
-        if (cell.retention_seconds_scaled(tf, 1.0) < refresh_s) {
+        if (retention_floor_seconds(cell, tf) < refresh_s) {
             ++count;
         }
     }

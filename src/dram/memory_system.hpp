@@ -95,20 +95,16 @@ public:
     /// periods against one shared memory_system without mutating it.  The
     /// period must be within the study limits.
     ///
-    /// The scan hoists the per-DIMM temperature factor (an exp2) out of the
-    /// per-cell loop; the per-cell arithmetic is otherwise unchanged, so
-    /// results are bitwise-identical to run_dpbench_reference (held by
-    /// kernel_equivalence_test).
+    /// Each scan pays only for the cells that can fail: the per-DIMM
+    /// temperature factor is hoisted out of the cell loop, cells whose
+    /// retention floor (full aggression, VRT weak state) already holds the
+    /// period are skipped before any hash draw, and the failed cells are
+    /// grouped into codewords by sorting integer keys.  Results are
+    /// bitwise-identical to evaluating every cell (held by
+    /// kernel_equivalence_test against a test-local reference scan).
     [[nodiscard]] scan_result run_dpbench(data_pattern pattern,
                                           std::uint64_t pattern_seed,
                                           milliseconds refresh_period) const;
-
-    /// Retained reference implementation of the explicit-period run_dpbench
-    /// (per-cell temperature_factor recomputation, the pre-optimization code
-    /// path).  Differential-testing twin only.
-    [[nodiscard]] scan_result run_dpbench_reference(
-        data_pattern pattern, std::uint64_t pattern_seed,
-        milliseconds refresh_period) const;
 
     /// Keys (cell_key) of the cells that fail a DPBench scan: the raw
     /// material of retention profiling (dram/profiling.hpp) and scrub
@@ -144,17 +140,19 @@ private:
     [[nodiscard]] std::size_t bank_index(int dimm, int rank, int chip,
                                          int bank) const;
     /// Retention of a cell during one scan: DPD aggression plus, for VRT
-    /// cells, the per-scan strong/weak state draw.
-    [[nodiscard]] double scan_retention_seconds(const weak_cell& cell,
-                                                celsius t, double aggression,
-                                                std::uint64_t scan_seed) const;
-    /// Same with the DIMM's temperature factor precomputed by the caller;
-    /// the hot-loop form used by the scans.
+    /// cells, the per-scan strong/weak state draw, with the DIMM's
+    /// temperature factor precomputed by the caller.
     [[nodiscard]] double scan_retention_seconds_scaled(
         const weak_cell& cell, double temperature_factor, double aggression,
         std::uint64_t scan_seed) const;
-    /// Apply ECC to a set of failed cells, accumulating into `result`.
-    void apply_ecc(std::vector<const weak_cell*>& failures,
+    /// Call `visit(cell, temperature_factor, bank)` for every cell, in
+    /// bank-major order, whose retention floor is below `refresh_s`; all
+    /// other cells hold the period in every scan and are skipped.
+    template <typename Visit>
+    void for_each_candidate(double refresh_s, Visit visit) const;
+    /// Apply ECC to the failed cells (keys: codeword_key << 7 | codeword
+    /// bit), accumulating into `result`.
+    void apply_ecc(std::vector<std::uint64_t>& failures,
                    std::uint64_t data_seed, scan_result& result) const;
 
     dram_geometry geometry_;

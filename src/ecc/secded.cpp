@@ -1,6 +1,7 @@
 #include "ecc/secded.hpp"
 
 #include <bit>
+#include <cstddef>
 
 #include "util/contracts.hpp"
 
@@ -35,14 +36,28 @@ secded72_64::secded72_64() {
         GB_ASSERT(syndrome_to_bit_[columns_[bit]] == -1);
         syndrome_to_bit_[columns_[bit]] = static_cast<std::int16_t>(bit);
     }
+
+    // Byte-sliced check bits: the code is linear, so the check byte of a
+    // data word is the XOR of the check bytes of its eight data bytes.
+    for (int slice = 0; slice < data_bytes; ++slice) {
+        for (int value = 0; value < 256; ++value) {
+            std::uint8_t check = 0;
+            for (int k = 0; k < 8; ++k) {
+                if ((value >> k & 1) != 0) {
+                    check ^= columns_[static_cast<std::size_t>(slice * 8 + k)];
+                }
+            }
+            check_of_byte_[static_cast<std::size_t>(slice)]
+                          [static_cast<std::size_t>(value)] = check;
+        }
+    }
 }
 
 std::uint8_t secded72_64::encode_check(std::uint64_t data) const {
     std::uint8_t check = 0;
-    while (data != 0) {
-        const int bit = std::countr_zero(data);
-        check ^= columns_[bit];
-        data &= data - 1;
+    for (const auto& slice : check_of_byte_) {
+        check ^= slice[data & 0xff];
+        data >>= 8;
     }
     return check;
 }

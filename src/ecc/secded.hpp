@@ -76,6 +76,7 @@ public:
     static constexpr int data_bits = 64;
     static constexpr int check_bits = 8;
     static constexpr int total_bits = 72;
+    static constexpr int data_bytes = data_bits / 8;
 
 private:
     secded72_64();
@@ -84,6 +85,9 @@ private:
     // syndrome value -> codeword bit position, or -1 when the syndrome does
     // not correspond to any single-bit error.
     std::array<std::int16_t, 256> syndrome_to_bit_{};
+    // [data byte index][byte value] -> XOR of the columns of that byte's set
+    // bits; encode_check XORs one entry per data byte.
+    std::array<std::array<std::uint8_t, 256>, data_bytes> check_of_byte_{};
 };
 
 /// Flip one bit (0..71) of a codeword: utility for fault injection.

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 namespace {
@@ -215,6 +221,92 @@ TEST(memory_system_seed_test, different_seeds_different_populations) {
     const memory_system b(single_dimm_geometry(), retention_model{}, 2,
                           study_limits{});
     EXPECT_NE(a.total_weak_cells(), b.total_weak_cells());
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins for the two scans without a reference twin.  run_access_profile
+// and failing_cell_keys are digested over a sweep of refresh periods,
+// application profiles, VRT populations and per-DIMM temperatures; the
+// expected digests were produced by scans that evaluated every materialized
+// cell, so any cell the retention-floor skip drops must be one that could
+// not fail.
+
+/// A full-system memory with VRT fraction `vrt_fraction` and distinct
+/// per-DIMM temperatures (so each DIMM has its own retention floor).
+memory_system pinned_memory(double vrt_fraction) {
+    retention_model model;
+    model.vrt_fraction = vrt_fraction;
+    memory_system memory(xgene2_memory_geometry(), model, 2018,
+                         study_limits{});
+    const std::array<double, 4> dimm_celsius{47.0, 52.0, 56.0, 60.0};
+    for (int dimm = 0; dimm < memory.geometry().dimms; ++dimm) {
+        memory.set_dimm_temperature(
+            dimm, celsius{dimm_celsius[static_cast<std::size_t>(dimm % 4)]});
+    }
+    return memory;
+}
+
+std::uint64_t fold_scan(std::uint64_t hash, const scan_result& scan) {
+    hash = fnv1a_word(hash, scan.failed_cells);
+    hash = fnv1a_word(hash, scan.affected_words);
+    hash = fnv1a_word(hash, scan.ce_words);
+    hash = fnv1a_word(hash, scan.ue_words);
+    hash = fnv1a_word(hash, scan.sdc_words);
+    hash = fnv1a_word(hash, static_cast<std::uint64_t>(scan.scanned_bits));
+    for (const std::uint64_t count : scan.per_bank_failures) {
+        hash = fnv1a_word(hash, count);
+    }
+    return hash;
+}
+
+std::string access_profile_digest(double vrt_fraction) {
+    memory_system memory = pinned_memory(vrt_fraction);
+    const std::array<access_profile, 5> profiles{{{1.0, 0.0, 0.5},
+                                                  {0.6, 0.3, 0.2},
+                                                  {0.25, 0.8, 0.9},
+                                                  {1.0, 0.5, 0.0},
+                                                  {0.8, 0.1, 1.0}}};
+    std::uint64_t hash = fnv1a_basis;
+    for (const double period_ms : {64.0, 1300.0, 2283.0}) {
+        memory.set_refresh_period(milliseconds{period_ms});
+        for (const access_profile& app : profiles) {
+            for (const std::uint64_t seed : {5ULL, 2018ULL}) {
+                hash = fold_scan(hash, memory.run_access_profile(app, seed));
+            }
+        }
+    }
+    return format_hex(hash);
+}
+
+std::string failing_keys_digest(double vrt_fraction) {
+    memory_system memory = pinned_memory(vrt_fraction);
+    std::uint64_t hash = fnv1a_basis;
+    for (const double period_ms : {64.0, 1300.0, 2283.0}) {
+        memory.set_refresh_period(milliseconds{period_ms});
+        for (const data_pattern pattern : all_data_patterns()) {
+            for (const std::uint64_t vrt_seed : {17ULL, 99ULL, 12345ULL}) {
+                // Digested in output (bank-major) order: the pin holds the
+                // order as well as the set.
+                const std::vector<std::uint64_t> keys =
+                    memory.failing_cell_keys(pattern, 17, vrt_seed);
+                hash = fnv1a_word(hash, keys.size());
+                for (const std::uint64_t key : keys) {
+                    hash = fnv1a_word(hash, key);
+                }
+            }
+        }
+    }
+    return format_hex(hash);
+}
+
+TEST(DramScanPinTest, AccessProfileScansArePinned) {
+    EXPECT_EQ(access_profile_digest(0.0), "baa6a3ce8f8b2e19");
+    EXPECT_EQ(access_profile_digest(0.3), "6e75713e9483ad6e");
+}
+
+TEST(DramScanPinTest, FailingCellKeysArePinned) {
+    EXPECT_EQ(failing_keys_digest(0.0), "7ccac3baf8f4306b");
+    EXPECT_EQ(failing_keys_digest(0.3), "60971af5f2890557");
 }
 
 } // namespace

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace gb {
@@ -66,6 +68,49 @@ TEST(weak_cell_test, retention_scales_with_temperature_and_aggression) {
                 1e-6); // float storage of dpd_strength
     EXPECT_THROW((void)cell.retention_seconds(model, celsius{50.0}, 1.5),
                  contract_violation);
+}
+
+// The DRAM scans skip a cell when retention_seconds_scaled(tf, 1.0) -- full
+// aggression -- already holds the refresh period.  That is exact only if no
+// aggression in [0, 1] and no VRT strong-state multiplier (>= 1) can take
+// the computed retention below that floor; these pin both inequalities on
+// the rounded doubles the scans compare.
+TEST(weak_cell_test, full_aggression_is_a_retention_floor) {
+    const retention_model model;
+    std::vector<double> factors;
+    for (const double t : {40.0, 47.0, 50.0, 52.0, 53.0, 56.0, 59.0, 60.0}) {
+        factors.push_back(model.temperature_factor(celsius{t}));
+    }
+    rng r(0xf1004ULL);
+    for (int k = 0; k < 4; ++k) {
+        factors.push_back(r.uniform(0.25, 2.0));
+    }
+    for (int n = 0; n < 10000; ++n) {
+        weak_cell cell;
+        cell.retention_at_reference_s =
+            static_cast<float>(r.uniform(0.001, 3000.0));
+        cell.dpd_strength = static_cast<float>(r.uniform(0.0, 0.15));
+        std::vector<double> aggressions{0.0, 1.0, std::nextafter(1.0, 0.0),
+                                        0.5};
+        for (int k = 0; k < 4; ++k) {
+            aggressions.push_back(r.uniform(0.0, 1.0));
+        }
+        for (const double tf : factors) {
+            const double floor = cell.retention_seconds_scaled(tf, 1.0);
+            for (const double a : aggressions) {
+                const double retention = cell.retention_seconds_scaled(tf, a);
+                ASSERT_GE(retention, floor)
+                    << "r=" << cell.retention_at_reference_s
+                    << " dpd=" << cell.dpd_strength << " tf=" << tf
+                    << " a=" << a;
+                for (const double ratio :
+                     {1.0, std::nextafter(1.0, 2.0), model.vrt_strong_ratio,
+                      r.uniform(1.0, 8.0)}) {
+                    ASSERT_GE(retention * ratio, retention) << ratio;
+                }
+            }
+        }
+    }
 }
 
 TEST(bank_factors_test, normalized_to_one) {

@@ -128,6 +128,35 @@ TEST(secded_test, encode_check_is_linear) {
     }
 }
 
+/// Check bits as the XOR of the parity-check columns of the set data bits:
+/// the definition the byte-sliced encoder must reproduce.
+std::uint8_t check_by_columns(const secded72_64& codec, std::uint64_t data) {
+    std::uint8_t check = 0;
+    for (int bit = 0; bit < secded72_64::data_bits; ++bit) {
+        if ((data >> bit & 1U) != 0) {
+            check ^= codec.column(bit);
+        }
+    }
+    return check;
+}
+
+TEST(secded_test, byte_sliced_check_matches_column_xor) {
+    const secded72_64& codec = secded72_64::instance();
+    EXPECT_EQ(codec.encode_check(0), check_by_columns(codec, 0));
+    EXPECT_EQ(codec.encode_check(~std::uint64_t{0}),
+              check_by_columns(codec, ~std::uint64_t{0}));
+    for (int bit = 0; bit < secded72_64::data_bits; ++bit) {
+        const std::uint64_t unit = std::uint64_t{1} << bit;
+        EXPECT_EQ(codec.encode_check(unit), codec.column(bit)) << bit;
+    }
+    std::uint64_t state = 0x5eedULL;
+    for (int trial = 0; trial < 10000; ++trial) {
+        const std::uint64_t data = splitmix64(state);
+        ASSERT_EQ(codec.encode_check(data), check_by_columns(codec, data))
+            << std::hex << data;
+    }
+}
+
 TEST(secded_test, flip_codeword_bit_bounds) {
     const secded_word word{};
     EXPECT_THROW((void)flip_codeword_bit(word, -1), contract_violation);
