@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 namespace {
@@ -26,6 +27,20 @@ memory_system make_memory() {
     return memory;
 }
 
+// FNV-1a over every field of every point.  The expected digests below were
+// produced by the hash-set grouping that analyze_scrub_intervals used
+// before it grouped by sorting, so they pin its counts exactly.
+std::uint64_t digest(const std::vector<scrub_analysis_point>& points) {
+    std::uint64_t hash = fnv1a_basis;
+    for (const scrub_analysis_point& point : points) {
+        hash = fnv1a_word(hash,
+                          static_cast<std::uint64_t>(point.scrub_every_epochs));
+        hash = fnv1a_word(hash, point.uncorrectable_words);
+        hash = fnv1a_word(hash, point.scrub_corrections);
+    }
+    return hash;
+}
+
 TEST(scrubbing_test, accumulation_without_scrub_creates_ue_risk) {
     const memory_system memory = make_memory();
     const std::vector<scrub_analysis_point> points =
@@ -37,6 +52,7 @@ TEST(scrubbing_test, accumulation_without_scrub_creates_ue_risk) {
     EXPECT_GT(points[0].uncorrectable_words,
               2 * points[1].uncorrectable_words);
     EXPECT_GT(points[0].uncorrectable_words, 15u);
+    EXPECT_EQ(digest(points), 2341218419486706390ULL);
 }
 
 TEST(scrubbing_test, ue_risk_monotonic_in_cadence) {
@@ -48,6 +64,7 @@ TEST(scrubbing_test, ue_risk_monotonic_in_cadence) {
                   points[i - 1].uncorrectable_words)
             << "cadence " << points[i].scrub_every_epochs;
     }
+    EXPECT_EQ(digest(points), 9345141538802632065ULL);
 }
 
 TEST(scrubbing_test, scrubber_performs_corrections) {
@@ -55,6 +72,7 @@ TEST(scrubbing_test, scrubber_performs_corrections) {
     const std::vector<scrub_analysis_point> points =
         analyze_scrub_intervals(memory, 20, {5}, 7);
     EXPECT_GT(points[0].scrub_corrections, 0u);
+    EXPECT_EQ(digest(points), 8795559147941633834ULL);
 }
 
 TEST(scrubbing_test, deterministic_in_seed) {
@@ -63,6 +81,7 @@ TEST(scrubbing_test, deterministic_in_seed) {
     const auto b = analyze_scrub_intervals(memory, 10, {2}, 3);
     EXPECT_EQ(a[0].uncorrectable_words, b[0].uncorrectable_words);
     EXPECT_EQ(a[0].scrub_corrections, b[0].scrub_corrections);
+    EXPECT_EQ(digest(a), 2762370145810208667ULL);
 }
 
 TEST(scrubbing_test, validates_inputs) {
