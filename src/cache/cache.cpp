@@ -96,12 +96,6 @@ void cache_level::reset() {
     writebacks_ = 0;
 }
 
-double cache_level::hit_rate() const {
-    return accesses_ == 0 ? 0.0
-                          : static_cast<double>(hits_) /
-                                static_cast<double>(accesses_);
-}
-
 std::string_view to_string(hit_level level) {
     switch (level) {
     case hit_level::l1: return "L1";
@@ -138,11 +132,6 @@ hit_level cache_hierarchy::access(std::uint64_t address, bool is_write) {
     return hit_level::memory;
 }
 
-void cache_hierarchy::reset() {
-    l1_.reset();
-    l2_.reset();
-    l3_.reset();
-}
 
 int cache_hierarchy::latency_cycles(hit_level level) {
     // Matches the ISA stall model: L1 1 cycle, L2 8, L3 29, DRAM ~181 at

@@ -57,7 +57,6 @@ public:
     [[nodiscard]] std::uint64_t hits() const { return hits_; }
     [[nodiscard]] std::uint64_t misses() const { return accesses_ - hits_; }
     [[nodiscard]] std::uint64_t writebacks() const { return writebacks_; }
-    [[nodiscard]] double hit_rate() const;
 
 private:
     struct way_entry {
@@ -95,7 +94,6 @@ public:
     [[nodiscard]] const cache_level& l1() const { return l1_; }
     [[nodiscard]] const cache_level& l2() const { return l2_; }
     [[nodiscard]] const cache_level& l3() const { return l3_; }
-    void reset();
 
     /// Load-to-use latency of a level in core cycles at 2.4 GHz (matches
     /// the ISA layer's stall model).

@@ -87,18 +87,4 @@ kernel make_pointer_chase_kernel(std::int64_t buffer_bytes,
     return k;
 }
 
-double sequential_sweep_l1_hit_rate(cache_hierarchy& hierarchy,
-                                    std::int64_t bytes) {
-    GB_EXPECTS(bytes >= 64);
-    std::uint64_t l1_hits = 0;
-    std::uint64_t accesses = 0;
-    for (std::int64_t address = 0; address < bytes; address += 8) {
-        const hit_level level =
-            hierarchy.access(static_cast<std::uint64_t>(address), false);
-        l1_hits += level == hit_level::l1 ? 1 : 0;
-        ++accesses;
-    }
-    return static_cast<double>(l1_hits) / static_cast<double>(accesses);
-}
-
 } // namespace gb

@@ -44,9 +44,4 @@ struct chase_measurement {
 [[nodiscard]] kernel make_pointer_chase_kernel(std::int64_t buffer_bytes,
                                                int loads_per_iteration = 32);
 
-/// Hit rate of a sequential 8-byte-stride sweep over a large array (spatial
-/// locality through 64-byte lines: 7 of 8 accesses hit L1).
-[[nodiscard]] double sequential_sweep_l1_hit_rate(cache_hierarchy& hierarchy,
-                                                  std::int64_t bytes);
-
 } // namespace gb

@@ -14,7 +14,7 @@ namespace {
 
 /// Marginal-region outcome masses.  `evaluate_run` samples these with one
 /// uniform draw (its literal thresholds are the cumulative sums below);
-/// `marginal_outcome_distribution` exposes the same masses analytically.
+/// `outcome_probabilities_at` integrates the same masses analytically.
 /// A Monte-Carlo consistency test keeps the two in sync.
 constexpr double sram_sdc_mass = 0.15;
 constexpr double sram_ue_slope = 0.10;     ///< per unit depth
@@ -322,8 +322,8 @@ run_evaluation chip_model::evaluate_at(const vmin_analysis& analysis,
     // outcomes ramp up with depth until the hard-crash window.  Cache SRAM
     // failures are mostly caught by the cache ECC/parity (CE); logic-path
     // failures corrupt in-flight state (SDC) or lock up the pipeline.
-    // The literal thresholds are the cumulative masses of
-    // marginal_outcome_distribution(); keep the two in sync.
+    // The literal thresholds are the cumulative marginal-region masses
+    // at the top of this file; keep the two in sync.
     const double depth = -eval.margin.value / crash_window.value; // (0, 1)
     const double u = r.uniform();
     if (analysis.path == failure_path::sram) {
@@ -348,25 +348,6 @@ run_evaluation chip_model::evaluate_at(const vmin_analysis& analysis,
         }
     }
     return eval;
-}
-
-outcome_distribution chip_model::marginal_outcome_distribution(
-    failure_path path, double depth) {
-    GB_EXPECTS(depth >= 0.0 && depth <= 1.0);
-    outcome_distribution d;
-    if (path == failure_path::sram) {
-        d.p_sdc = sram_sdc_mass;
-        d.p_uncorrectable = sram_ue_slope * depth;
-        d.p_hang = sram_hang_slope * depth;
-        d.p_corrected =
-            1.0 - d.p_sdc - d.p_uncorrectable - d.p_hang;
-    } else {
-        d.p_crash = logic_crash_slope * depth;
-        d.p_hang = logic_hang_slope * depth;
-        d.p_sdc = logic_sdc_mass;
-        d.p_corrected = 1.0 - d.p_crash - d.p_hang - d.p_sdc;
-    }
-    return d;
 }
 
 outcome_distribution chip_model::outcome_probabilities(

@@ -206,12 +206,6 @@ public:
     [[nodiscard]] run_evaluation evaluate_at(const vmin_analysis& analysis,
                                              millivolts supply, rng& r) const;
 
-    /// Outcome probabilities at a fixed depth inside the marginal region
-    /// (depth in (0, 1): fraction of the crash window below Vmin).  The
-    /// same mass function `evaluate_run` samples from.
-    [[nodiscard]] static outcome_distribution marginal_outcome_distribution(
-        failure_path path, double depth);
-
     /// Outcome probabilities of one run at a supply voltage, integrating
     /// the per-run threshold noise in closed form.  Deterministic (no RNG):
     /// the frequency of each `evaluate_run` outcome converges to these

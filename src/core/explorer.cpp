@@ -50,14 +50,6 @@ int guardband_explorer::most_robust_core(const cpu_benchmark& reference) {
     return best->core;
 }
 
-millivolts guardband_explorer::intrinsic_vmin(int repetitions) {
-    const kernel idle = make_component_virus(cpu_component::none);
-    cpu_benchmark reference{"idle", "synthetic", idle};
-    const int robust = most_robust_core(reference);
-    return framework_.find_vmin(idle, {robust}, nominal_core_frequency,
-                                repetitions);
-}
-
 std::vector<ladder_point> guardband_explorer::dvfs_ladder(
     const std::vector<cpu_benchmark>& mix, megahertz reduced_frequency,
     millivolts guard) {

@@ -63,12 +63,6 @@ public:
     /// benchmark (lowest measured Vmin wins).
     [[nodiscard]] int most_robust_core(const cpu_benchmark& reference);
 
-    /// Idle Vmin test (paper Section IV.D: "a chip's intrinsic Vmin -- this
-    /// can be determined with idle Vmin test"): the supply floor of the
-    /// most robust core under a no-op loop, i.e. the chip's requirement
-    /// with essentially no droop.
-    [[nodiscard]] millivolts intrinsic_vmin(int repetitions = 10);
-
     /// Build the Fig 5 ladder for a simultaneous mix (benchmark i on core
     /// i): rung k slows the k weakest PMDs to `reduced_frequency` and drops
     /// the supply to the resulting chip requirement (plus `guard`).

@@ -38,34 +38,6 @@ millivolts droop_history::quantile(double q) const {
     return millivolts{percentile(values_, q)};
 }
 
-double droop_history::exceedance_probability(millivolts v) const {
-    GB_EXPECTS(!values_.empty());
-    const auto n = static_cast<double>(values_.size());
-    const double exceeding = static_cast<double>(
-        std::count_if(values_.begin(), values_.end(),
-                      [&](double x) { return x > v.value; }));
-    if (exceeding > 0.0) {
-        return exceeding / n;
-    }
-    // Peaks-over-threshold: exponential excesses above the 90th percentile.
-    const double threshold = percentile(values_, 0.9);
-    double excess_sum = 0.0;
-    double excess_count = 0.0;
-    for (const double x : values_) {
-        if (x > threshold) {
-            excess_sum += x - threshold;
-            excess_count += 1.0;
-        }
-    }
-    if (excess_count == 0.0 || excess_sum <= 0.0) {
-        // Degenerate history (all identical): step function at the max.
-        return v.value > values_.front() ? 0.0 : 1.0;
-    }
-    const double mean_excess = excess_sum / excess_count;
-    const double p_threshold = excess_count / n;
-    return p_threshold * std::exp(-(v.value - threshold) / mean_excess);
-}
-
 millivolts droop_history::voltage_for_failure_probability(
     double target) const {
     GB_EXPECTS(target > 0.0 && target < 1.0);

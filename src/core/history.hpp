@@ -38,11 +38,9 @@ public:
     /// Empirical quantile (q in [0, 1]) of the recorded requirements.
     [[nodiscard]] millivolts quantile(double q) const;
 
-    /// P(requirement of a future epoch > v): empirical within the sample,
-    /// exponential excess above the 90th percentile beyond it.
-    [[nodiscard]] double exceedance_probability(millivolts v) const;
-
-    /// Smallest voltage whose exceedance probability is <= target.
+    /// Smallest voltage v with P(requirement of a future epoch > v) <=
+    /// target: empirical within the sample, exponential excess above the
+    /// 90th percentile beyond it.
     [[nodiscard]] millivolts voltage_for_failure_probability(
         double target) const;
 

@@ -15,11 +15,6 @@ double scan_result::bit_error_rate() const {
                                    static_cast<double>(scanned_bits);
 }
 
-std::uint64_t scan_result::max_bank_failures() const {
-    return *std::max_element(per_bank_failures.begin(),
-                             per_bank_failures.end());
-}
-
 memory_system::memory_system(dram_geometry geometry, retention_model model,
                              std::uint64_t seed, study_limits limits)
     : geometry_(geometry), model_(model), limits_(limits),

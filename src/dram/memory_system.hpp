@@ -45,9 +45,6 @@ struct scan_result {
     [[nodiscard]] bool fully_corrected() const {
         return ue_words == 0 && sdc_words == 0;
     }
-    /// Largest per-bank failure count: a burst concentrated in one bank is
-    /// a stronger degradation signal than the same total spread uniformly.
-    [[nodiscard]] std::uint64_t max_bank_failures() const;
     /// Correctable-error burst: ECC held, but one scan produced at least
     /// `threshold` CE words.  DRAM reliability under relaxed refresh
     /// degrades gradually, so CE volume is the precursor signal the

@@ -24,10 +24,10 @@ const std::array<data_pattern, 4>& all_data_patterns() {
 
 namespace {
 
-/// Stable per-cell hash mixed with a run seed, for random-pattern bits and
-/// per-cell aggression draws.
-std::uint64_t cell_hash(const cell_address& cell, std::uint64_t seed) {
-    std::uint64_t state = cell_key(cell) ^ seed;
+/// Stable per-cell hash of a cell key mixed with a run seed, for
+/// random-pattern bits and per-cell aggression draws.
+std::uint64_t key_hash(std::uint64_t key, std::uint64_t seed) {
+    std::uint64_t state = key ^ seed;
     return splitmix64(state);
 }
 
@@ -50,7 +50,7 @@ bool pattern_bit(data_pattern pattern, const cell_address& cell,
         // directions.
         return ((cell.row + cell.column * 8 + cell.bit) & 1) != 0;
     case data_pattern::random_data:
-        return (cell_hash(cell, seed) & 1) != 0;
+        return (key_hash(cell_key(cell), seed) & 1) != 0;
     }
     GB_ASSERT(false);
     return false;
@@ -59,30 +59,28 @@ bool pattern_bit(data_pattern pattern, const cell_address& cell,
 pattern_stress stress_of(data_pattern pattern, const weak_cell& cell,
                          std::uint64_t seed) {
     pattern_stress stress;
-    const bool stored = pattern_bit(pattern, cell.address, seed);
     const bool charged_level = !cell.anti_cell; // true-cell stores 1 charged
-    stress.vulnerable = (stored == charged_level);
-    if (!stress.vulnerable) {
+    if (pattern == data_pattern::random_data) {
+        // The stored bit and the aggression draw hash one cell key with two
+        // salts.  Random neighbourhoods hit each cell's worst-case
+        // combination with some probability; per-cell draw in [0.5, 1.0].
+        const std::uint64_t key = cell_key(cell.address);
+        stress.vulnerable = ((key_hash(key, seed) & 1) != 0) == charged_level;
+        if (stress.vulnerable) {
+            stress.aggression =
+                0.5 + 0.5 * hash_to_unit(
+                                key_hash(key, seed ^ 0x9e3779b97f4a7c15ULL));
+        }
         return stress;
     }
-    switch (pattern) {
-    case data_pattern::all_zeros:
-    case data_pattern::all_ones:
-        // Uniform neighbourhoods: essentially no coupling aggression.
-        stress.aggression = 0.05;
-        break;
-    case data_pattern::checkerboard:
-        // Strong structured coupling, but a fixed geometry that matches only
+    stress.vulnerable =
+        pattern_bit(pattern, cell.address, seed) == charged_level;
+    if (stress.vulnerable) {
+        // Uniform neighbourhoods: essentially no coupling aggression.  The
+        // checkerboard couples strongly, but its fixed geometry matches only
         // part of each cell's private worst-case combination.
-        stress.aggression = 0.55;
-        break;
-    case data_pattern::random_data:
-        // Random neighbourhoods hit each cell's worst-case combination with
-        // some probability; per-cell draw in [0.5, 1.0].
         stress.aggression =
-            0.5 + 0.5 * hash_to_unit(cell_hash(cell.address, seed ^
-                                               0x9e3779b97f4a7c15ULL));
-        break;
+            pattern == data_pattern::checkerboard ? 0.55 : 0.05;
     }
     return stress;
 }
@@ -95,7 +93,8 @@ pattern_stress stress_of_application_data(const weak_cell& cell,
     const bool charged_level = !cell.anti_cell;
     const double p_stored_charged =
         charged_level ? ones_density : 1.0 - ones_density;
-    const double u = hash_to_unit(cell_hash(cell.address, seed));
+    const std::uint64_t key = cell_key(cell.address);
+    const double u = hash_to_unit(key_hash(key, seed));
     stress.vulnerable = u < p_stored_charged;
     if (!stress.vulnerable) {
         return stress;
@@ -104,8 +103,7 @@ pattern_stress stress_of_application_data(const weak_cell& cell,
     // random DPBench but damped by 4 p (1 - p).
     const double entropy_factor = 4.0 * ones_density * (1.0 - ones_density);
     const double draw =
-        0.5 + 0.5 * hash_to_unit(cell_hash(cell.address,
-                                           seed ^ 0xda942042e4dd58b5ULL));
+        0.5 + 0.5 * hash_to_unit(key_hash(key, seed ^ 0xda942042e4dd58b5ULL));
     stress.aggression = draw * entropy_factor;
     return stress;
 }

@@ -6,6 +6,10 @@
 
 namespace gb {
 
+namespace {
+
+/// Ground-truth population: unique cells failable under worst-case
+/// aggression at the memory's current refresh period and temperatures.
 std::uint64_t worst_case_population(const memory_system& memory) {
     const dram_geometry& g = memory.geometry();
     std::uint64_t total = 0;
@@ -20,6 +24,8 @@ std::uint64_t worst_case_population(const memory_system& memory) {
     }
     return total;
 }
+
+} // namespace
 
 profiling_result profile_weak_cells(const memory_system& memory, int rounds,
                                     data_pattern pattern,

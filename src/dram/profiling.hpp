@@ -49,8 +49,4 @@ struct profiling_result {
                                                   data_pattern pattern,
                                                   std::uint64_t base_seed);
 
-/// Ground-truth population: unique cells failable under worst-case
-/// aggression at the memory's current refresh period and temperatures.
-[[nodiscard]] std::uint64_t worst_case_population(const memory_system& memory);
-
 } // namespace gb

@@ -22,13 +22,6 @@ double retention_model::tail_probability(double seconds_at_reference) const {
     return normal_cdf(z);
 }
 
-double retention_model::expected_weak_cells(
-    std::int64_t cells, double threshold_at_reference_s) const {
-    GB_EXPECTS(cells >= 0);
-    return static_cast<double>(cells) *
-           tail_probability(threshold_at_reference_s) * density_scale;
-}
-
 double weak_cell::retention_seconds(const retention_model& model, celsius t,
                                     double aggression) const {
     return retention_seconds_scaled(model.temperature_factor(t), aggression);

@@ -63,9 +63,6 @@ struct retention_model {
     [[nodiscard]] double to_reference_seconds(double seconds, celsius t) const;
     /// P(base retention at reference < s).
     [[nodiscard]] double tail_probability(double seconds_at_reference) const;
-    /// Expected weak cells among `cells` below the threshold (density-scaled).
-    [[nodiscard]] double expected_weak_cells(
-        std::int64_t cells, double threshold_at_reference_s) const;
 };
 
 /// One materialized weak cell.

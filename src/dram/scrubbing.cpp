@@ -1,7 +1,7 @@
 #include "dram/scrubbing.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
 
 #include "util/contracts.hpp"
 
@@ -9,20 +9,16 @@ namespace gb {
 
 namespace {
 
-/// Word key and codeword bit of a failing cell key (re-derive the address
-/// fields from the packed cell key layout: see cell_key()).
-struct word_bit {
-    std::uint64_t word = 0;
-    int bit = 0;
-};
-
-word_bit split_key(std::uint64_t key) {
+/// `(word << 7 | codeword bit)` of a failing cell key: re-derive the
+/// address fields from the packed cell key layout (see cell_key()).  The
+/// codeword bit is chip * 8 + bit and fits 7 bits.
+std::uint64_t word_bit_key(std::uint64_t key) {
     // cell_key packs: dimm(3) rank(2) chip(4) bank(3) row(17) col(10) bit(3).
-    const int bit_in_chip = static_cast<int>(key & 0x7);
+    const std::uint64_t bit_in_chip = key & 0x7;
     const std::uint64_t column = (key >> 3) & 0x3ff;
     const std::uint64_t row = (key >> 13) & 0x1ffff;
     const std::uint64_t bank = (key >> 30) & 0x7;
-    const int chip = static_cast<int>((key >> 33) & 0xf);
+    const std::uint64_t chip = (key >> 33) & 0xf;
     const std::uint64_t rank = (key >> 37) & 0x3;
     const std::uint64_t dimm = key >> 39;
 
@@ -31,7 +27,7 @@ word_bit split_key(std::uint64_t key) {
     word = word << 3 | bank;
     word = word << 17 | row;
     word = word << 10 | column;
-    return word_bit{word, chip * 8 + bit_in_chip};
+    return word << 7 | (chip * 8 + bit_in_chip);
 }
 
 } // namespace
@@ -47,42 +43,53 @@ std::vector<scrub_analysis_point> analyze_scrub_intervals(
     std::vector<std::vector<std::uint64_t>> per_epoch;
     per_epoch.reserve(static_cast<std::size_t>(epochs));
     for (int epoch = 0; epoch < epochs; ++epoch) {
-        per_epoch.push_back(memory.failing_cell_keys(
+        std::vector<std::uint64_t> keys = memory.failing_cell_keys(
             data_pattern::random_data, seed,
             seed ^ (0x9e3779b97f4a7c15ULL *
-                    (static_cast<std::uint64_t>(epoch) + 1))));
+                    (static_cast<std::uint64_t>(epoch) + 1)));
+        for (std::uint64_t& key : keys) {
+            key = word_bit_key(key);
+        }
+        per_epoch.push_back(std::move(keys));
     }
 
     std::vector<scrub_analysis_point> results;
     results.reserve(scrub_cadences.size());
+    std::vector<std::uint64_t> stale;
     for (const int cadence : scrub_cadences) {
         GB_EXPECTS(cadence >= 0);
         scrub_analysis_point point;
         point.scrub_every_epochs = cadence;
 
-        // word -> set of stale bit positions accumulated since last scrub.
-        std::unordered_map<std::uint64_t, std::unordered_set<int>> stale;
-        std::unordered_set<std::uint64_t> ue_words;
-        for (int epoch = 0; epoch < epochs; ++epoch) {
-            if (cadence > 0 && epoch > 0 && epoch % cadence == 0) {
-                // Patrol pass: every stale single-bit word is corrected and
-                // rewritten; multi-bit words were already counted.
-                for (const auto& [word, bits] : stale) {
-                    point.scrub_corrections += bits.size();
-                }
-                stale.clear();
+        // Stale bits accumulate within a scrub window, so a word reaches
+        // two stale bits iff the window holds two distinct bits of it.
+        std::vector<std::uint64_t> ue_words;
+        const int window = cadence > 0 ? cadence : epochs;
+        for (int first = 0; first < epochs; first += window) {
+            const int last = std::min(first + window, epochs);
+            stale.clear();
+            for (int epoch = first; epoch < last; ++epoch) {
+                const auto& keys = per_epoch[static_cast<std::size_t>(epoch)];
+                stale.insert(stale.end(), keys.begin(), keys.end());
             }
-            for (const std::uint64_t key : per_epoch[static_cast<
-                     std::size_t>(epoch)]) {
-                const word_bit wb = split_key(key);
-                auto& bits = stale[wb.word];
-                bits.insert(wb.bit);
-                if (bits.size() >= 2) {
-                    ue_words.insert(wb.word);
+            std::sort(stale.begin(), stale.end());
+            stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
+            for (std::size_t i = 1; i < stale.size(); ++i) {
+                const std::uint64_t word = stale[i] >> 7;
+                if (word == stale[i - 1] >> 7 &&
+                    (ue_words.empty() || ue_words.back() != word)) {
+                    ue_words.push_back(word);
                 }
+            }
+            // Patrol pass: every stale bit is corrected and rewritten.  The
+            // last window is never closed by a scrub.
+            if (last < epochs) {
+                point.scrub_corrections += stale.size();
             }
         }
-        point.uncorrectable_words = ue_words.size();
+        std::sort(ue_words.begin(), ue_words.end());
+        point.uncorrectable_words = static_cast<std::uint64_t>(
+            std::unique(ue_words.begin(), ue_words.end()) - ue_words.begin());
         results.push_back(point);
     }
     return results;

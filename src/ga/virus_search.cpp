@@ -77,11 +77,6 @@ virus_problem::genome_type virus_problem::crossover(const genome_type& a,
     return child;
 }
 
-void virus_problem::set_mutation_rate(double per_gene_probability) {
-    GB_EXPECTS(per_gene_probability >= 0.0 && per_gene_probability <= 1.0);
-    mutation_rate_ = per_gene_probability;
-}
-
 virus_search_result evolve_didt_virus(const pipeline_model& pipeline,
                                       const pdn_parameters& pdn,
                                       const ga_config& config, rng& r,

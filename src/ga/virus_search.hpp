@@ -28,9 +28,6 @@ public:
     [[nodiscard]] genome_type crossover(const genome_type& a,
                                         const genome_type& b, rng& r) const;
 
-    /// Per-gene mutation probability (default 2 expected flips per genome).
-    void set_mutation_rate(double per_gene_probability);
-
 private:
     const pipeline_model& pipeline_;
     const em_probe& probe_;

@@ -72,12 +72,10 @@ std::uint64_t dram_campaign_result::aborted_records() const {
         }));
 }
 
-namespace {
-
-dram_campaign_result run_dram_campaign_impl(
-    memory_system& memory, thermal_testbed& testbed,
-    const dram_campaign_spec& spec, const dram_campaign_io& io,
-    const std::map<std::size_t, dram_run_record>* restored) {
+dram_campaign_result run_dram_campaign(memory_system& memory,
+                                       thermal_testbed& testbed,
+                                       const dram_campaign_spec& spec,
+                                       const dram_campaign_io& io) {
     spec.validate();
     GB_EXPECTS(testbed.dimm_count() >= memory.geometry().dimms);
     GB_EXPECTS(io.retry_budget >= 1);
@@ -112,19 +110,6 @@ dram_campaign_result run_dram_campaign_impl(
         }
     }
 
-    // Journal-resume bookkeeping: prefill restored slots; the engine skips
-    // fault injection for them and the task only reports the replayed
-    // outcome bucket.
-    std::vector<char> completed(total, 0);
-    if (restored != nullptr) {
-        for (const auto& [index, record] : *restored) {
-            if (index < total) {
-                result.records[index] = record;
-                completed[index] = 1;
-            }
-        }
-    }
-
     execution_options options;
     options.workers = spec.workers;
     options.base_seed = spec.base_seed;
@@ -134,18 +119,12 @@ dram_campaign_result run_dram_campaign_impl(
     options.trace = io.trace;
     options.metrics = io.metrics;
     options.status_path = io.status_path;
-    if (restored != nullptr) {
-        options.already_complete = [&completed](std::size_t index) {
-            return completed[index] != 0;
-        };
-    }
     const execution_engine engine(options);
 
     for (std::size_t t = 0; t < spec.temperatures.size(); ++t) {
         const celsius temperature = spec.temperatures[t];
         // The soak is inherently serial: every scan of this block sees the
-        // same regulated thermal state.  On resume the soak re-runs in
-        // full -- thermal state is not journaled, it is reproduced.
+        // same regulated thermal state.
         testbed.set_all_targets(temperature);
         testbed.run(/*duration_s=*/2400.0, /*control_period_s=*/1.0,
                     /*settle_s=*/900.0);
@@ -163,9 +142,6 @@ dram_campaign_result run_dram_campaign_impl(
             per_temperature,
             [&](const task_context& ctx) {
                 dram_run_record& record = result.records[ctx.index];
-                if (ctx.replayed) {
-                    return static_cast<int>(record.outcome);
-                }
                 const std::size_t within = ctx.index - t * per_temperature;
                 record.temperature = temperature;
                 record.refresh_period =
@@ -212,36 +188,6 @@ dram_campaign_result run_dram_campaign_impl(
         result.stats.corrupted_log_lines = io.journal->corrupted();
     }
     return result;
-}
-
-} // namespace
-
-dram_campaign_result run_dram_campaign(memory_system& memory,
-                                       thermal_testbed& testbed,
-                                       const dram_campaign_spec& spec) {
-    return run_dram_campaign_impl(memory, testbed, spec, {}, nullptr);
-}
-
-dram_campaign_result run_dram_campaign(memory_system& memory,
-                                       thermal_testbed& testbed,
-                                       const dram_campaign_spec& spec,
-                                       const dram_campaign_io& io) {
-    return run_dram_campaign_impl(memory, testbed, spec, io, nullptr);
-}
-
-dram_campaign_result resume_dram_campaign(memory_system& memory,
-                                          thermal_testbed& testbed,
-                                          const dram_campaign_spec& spec,
-                                          std::istream& journal_in,
-                                          const dram_campaign_io& io) {
-    const dram_journal_replay replay = replay_dram_journal(journal_in);
-    if (replay.skipped > 0) {
-        log_info("dram_campaign resume: ", replay.completed.size(),
-                 " records restored, ", replay.skipped,
-                 " journal lines unrecoverable (their tasks re-run)");
-    }
-    return run_dram_campaign_impl(memory, testbed, spec, io,
-                                  &replay.completed);
 }
 
 void write_dram_campaign_csv(std::ostream& out,

@@ -84,7 +84,8 @@ class metrics_registry;
 
 /// Rig I/O for a DRAM campaign: optional deterministic fault injection
 /// (run faults into the engine, thermocouple faults into the testbed) and
-/// crash-safe journaling of completed scan records.
+/// journaling of completed scan records (read back by gbreport; a DRAM
+/// campaign is not resumed from its journal).
 struct dram_campaign_io {
     const fault_plan* faults = nullptr;
     campaign_journal* journal = nullptr;
@@ -111,20 +112,7 @@ struct dram_campaign_io {
 /// extremes.
 [[nodiscard]] dram_campaign_result run_dram_campaign(
     memory_system& memory, thermal_testbed& testbed,
-    const dram_campaign_spec& spec);
-[[nodiscard]] dram_campaign_result run_dram_campaign(
-    memory_system& memory, thermal_testbed& testbed,
-    const dram_campaign_spec& spec, const dram_campaign_io& io);
-
-/// Resume a killed campaign from its journal: completed task indices are
-/// restored from `journal_in` (corrupt lines are skipped and re-run) and
-/// only the remainder executes.  With fresh `memory`/`testbed` instances
-/// seeded as in the original run, records and CSV are bitwise identical to
-/// the uninterrupted campaign at any worker count.
-[[nodiscard]] dram_campaign_result resume_dram_campaign(
-    memory_system& memory, thermal_testbed& testbed,
-    const dram_campaign_spec& spec, std::istream& journal_in,
-    const dram_campaign_io& io = {});
+    const dram_campaign_spec& spec, const dram_campaign_io& io = {});
 
 /// Final CSV of the parsing phase.
 void write_dram_campaign_csv(std::ostream& out,

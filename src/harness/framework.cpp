@@ -24,7 +24,7 @@ std::uint64_t campaign_seed(std::uint64_t framework_seed,
 
 characterization_framework::characterization_framework(const chip_model& chip,
                                                        std::uint64_t seed)
-    : chip_(chip), seed_(seed), rng_(seed) {}
+    : chip_(chip), seed_(seed) {}
 
 const execution_profile& characterization_framework::profile_of(
     const kernel& program, megahertz frequency) {
@@ -32,17 +32,17 @@ const execution_profile& characterization_framework::profile_of(
 }
 
 std::vector<core_assignment> characterization_framework::make_assignments(
-    const std::vector<program_assignment>& programs,
-    const std::array<megahertz, 4>& pmd_frequency) {
-    GB_EXPECTS(!programs.empty());
+    const kernel& program, const std::vector<int>& cores,
+    megahertz frequency) {
+    GB_EXPECTS(!cores.empty());
+    for (const int core : cores) {
+        GB_EXPECTS(core >= 0 && core < cores_per_chip);
+    }
+    const cached_profile& cached = profiles_.get(program, frequency);
     std::vector<core_assignment> assignments;
-    assignments.reserve(programs.size());
-    for (const program_assignment& p : programs) {
-        GB_EXPECTS(p.program != nullptr);
-        GB_EXPECTS(p.core >= 0 && p.core < cores_per_chip);
-        const megahertz f =
-            pmd_frequency[static_cast<std::size_t>(p.core / cores_per_pmd)];
-        assignments.push_back(profiles_.get(*p.program, f).on_core(p.core, f));
+    assignments.reserve(cores.size());
+    for (const int core : cores) {
+        assignments.push_back(cached.on_core(core, frequency));
     }
     return assignments;
 }
@@ -82,16 +82,8 @@ campaign_result characterization_framework::run_campaign_impl(
     std::vector<std::vector<core_assignment>> setup_assignments;
     setup_assignments.reserve(spec.setups.size());
     for (const characterization_setup& setup : spec.setups) {
-        GB_EXPECTS(!setup.cores.empty());
-        std::vector<program_assignment> programs;
-        programs.reserve(setup.cores.size());
-        for (const int core : setup.cores) {
-            programs.push_back(program_assignment{core, &program});
-        }
-        const std::array<megahertz, 4> frequencies{
-            setup.frequency, setup.frequency, setup.frequency,
-            setup.frequency};
-        setup_assignments.push_back(make_assignments(programs, frequencies));
+        setup_assignments.push_back(
+            make_assignments(program, setup.cores, setup.frequency));
     }
 
     // Thread launch alignment is part of the workload setup: the campaign
@@ -197,36 +189,13 @@ campaign_result characterization_framework::run_campaign_impl(
     return result;
 }
 
-run_evaluation characterization_framework::run_mix(
-    const std::vector<program_assignment>& programs, millivolts voltage,
-    const std::array<megahertz, 4>& pmd_frequency) {
-    const std::vector<core_assignment> assignments =
-        make_assignments(programs, pmd_frequency);
-    const run_evaluation eval = chip_.evaluate_run(
-        assignments, voltage, next_phase_seed_++, rng_);
-    if (eval.outcome == run_outcome::crash ||
-        eval.outcome == run_outcome::hang) {
-        ++watchdog_resets_;
-    }
-    return eval;
-}
-
 millivolts characterization_framework::find_vmin(
     const kernel& program, const std::vector<int>& cores, megahertz frequency,
     int repetitions, millivolts step, int workers) {
     GB_EXPECTS(repetitions >= 1);
     GB_EXPECTS(step.value > 0.0);
-    GB_EXPECTS(!cores.empty());
-
-    std::vector<program_assignment> programs;
-    programs.reserve(cores.size());
-    for (const int core : cores) {
-        programs.push_back(program_assignment{core, &program});
-    }
-    const std::array<megahertz, 4> frequencies{frequency, frequency,
-                                               frequency, frequency};
     const std::vector<core_assignment> assignments =
-        make_assignments(programs, frequencies);
+        make_assignments(program, cores, frequency);
 
     // The descending voltage ladder, fully enumerated up front.
     std::vector<millivolts> ladder;
@@ -309,14 +278,6 @@ millivolts characterization_framework::find_vmin(
     }
     GB_ENSURES(safe <= nominal_pmd_voltage);
     return safe;
-}
-
-vmin_analysis characterization_framework::analyze_mix(
-    const std::vector<program_assignment>& programs,
-    const std::array<megahertz, 4>& pmd_frequency) {
-    const std::vector<core_assignment> assignments =
-        make_assignments(programs, pmd_frequency);
-    return chip_.analyze(assignments, /*phase_seed=*/12345);
 }
 
 } // namespace gb

@@ -37,12 +37,6 @@ namespace gb {
 class campaign_journal;
 class fault_plan;
 
-/// A multi-program assignment: which kernel runs on which core.
-struct program_assignment {
-    int core = 0;
-    const kernel* program = nullptr;
-};
-
 /// Rig I/O for a CPU campaign: optional deterministic fault injection and
 /// crash-safe journaling of completed run records (journal.hpp).
 struct campaign_io {
@@ -90,12 +84,6 @@ public:
                                                   std::istream& journal_in,
                                                   const campaign_io& io = {});
 
-    /// One run of a heterogeneous assignment (e.g. the Fig 5 8-benchmark
-    /// mix) at a setup; per-core frequency comes from `frequencies[pmd]`.
-    [[nodiscard]] run_evaluation run_mix(
-        const std::vector<program_assignment>& programs,
-        millivolts voltage, const std::array<megahertz, 4>& pmd_frequency);
-
     /// Safe Vmin search for a kernel on given cores at one frequency.  The
     /// voltage ladder is evaluated in fixed-size speculative chunks of
     /// engine tasks; each (voltage, repetition) cell is independently
@@ -105,11 +93,6 @@ public:
                                        megahertz frequency, int repetitions,
                                        millivolts step = millivolts{5.0},
                                        int workers = 0);
-
-    /// Vmin analysis (deterministic, no repetition noise) of a mix.
-    [[nodiscard]] vmin_analysis analyze_mix(
-        const std::vector<program_assignment>& programs,
-        const std::array<megahertz, 4>& pmd_frequency);
 
     /// Cached execution profile of a kernel at a frequency
     /// (profile_cache.hpp).  Safe to call concurrently.
@@ -123,8 +106,8 @@ public:
 
 private:
     [[nodiscard]] std::vector<core_assignment> make_assignments(
-        const std::vector<program_assignment>& programs,
-        const std::array<megahertz, 4>& pmd_frequency);
+        const kernel& program, const std::vector<int>& cores,
+        megahertz frequency);
 
     [[nodiscard]] campaign_result run_campaign_impl(
         const campaign_spec& spec, const kernel& program,
@@ -133,8 +116,6 @@ private:
 
     const chip_model& chip_;
     std::uint64_t seed_;
-    rng rng_;
-    std::uint64_t next_phase_seed_ = 1;
     std::uint64_t watchdog_resets_ = 0;
     /// Profiles and their local-droop memos, for the framework's lifetime.
     profile_cache profiles_;

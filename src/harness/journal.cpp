@@ -15,35 +15,6 @@ namespace {
 
 constexpr std::string_view task_prefix = "task=";
 
-template <typename Replay>
-Replay replay_journal(std::istream& in) {
-    Replay replay;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof()) {
-            // The line had no trailing newline: a live writer may still be
-            // mid-append, so the bytes are a partial record, not
-            // corruption.  Never parse them (a prefix of a record can
-            // itself look like a record).
-            replay.truncated_tail = !line.empty();
-            break;
-        }
-        if (line.empty()) {
-            continue;
-        }
-        std::size_t index = 0;
-        std::string_view payload;
-        typename decltype(replay.completed)::mapped_type record;
-        if (parse_journal_prefix(line, index, payload) &&
-            parse_log_line(payload, record)) {
-            replay.completed[index] = std::move(record);
-        } else {
-            ++replay.skipped;
-        }
-    }
-    return replay;
-}
-
 } // namespace
 
 campaign_journal::campaign_journal(const std::string& path)
@@ -109,11 +80,6 @@ std::uint64_t campaign_journal::corrupted() const {
     return corrupted_;
 }
 
-std::uint64_t campaign_journal::bytes_written() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bytes_written_;
-}
-
 bool parse_journal_prefix(std::string_view line, std::size_t& task_index,
                           std::string_view& payload) {
     if (!line.starts_with(task_prefix)) {
@@ -132,11 +98,31 @@ bool parse_journal_prefix(std::string_view line, std::size_t& task_index,
 }
 
 cpu_journal_replay replay_cpu_journal(std::istream& in) {
-    return replay_journal<cpu_journal_replay>(in);
-}
-
-dram_journal_replay replay_dram_journal(std::istream& in) {
-    return replay_journal<dram_journal_replay>(in);
+    cpu_journal_replay replay;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (in.eof()) {
+            // The line had no trailing newline: a live writer may still be
+            // mid-append, so the bytes are a partial record, not
+            // corruption.  Never parse them (a prefix of a record can
+            // itself look like a record).
+            replay.truncated_tail = !line.empty();
+            break;
+        }
+        if (line.empty()) {
+            continue;
+        }
+        std::size_t index = 0;
+        std::string_view payload;
+        run_record record;
+        if (parse_journal_prefix(line, index, payload) &&
+            parse_log_line(payload, record)) {
+            replay.completed[index] = std::move(record);
+        } else {
+            ++replay.skipped;
+        }
+    }
+    return replay;
 }
 
 } // namespace gb

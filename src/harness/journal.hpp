@@ -59,9 +59,6 @@ public:
 
     [[nodiscard]] std::uint64_t appended() const;
     [[nodiscard]] std::uint64_t corrupted() const;
-    /// Cumulative payload bytes written through this journal object
-    /// (the chaos plan's `journal_append` thresholds count these).
-    [[nodiscard]] std::uint64_t bytes_written() const;
 
 private:
     std::ofstream file_;
@@ -70,6 +67,8 @@ private:
     mutable std::mutex mutex_;
     std::uint64_t appended_ = 0;
     std::uint64_t corrupted_ = 0;
+    /// Cumulative payload bytes written through this journal object
+    /// (the chaos plan's `journal_append` thresholds count these).
     std::uint64_t bytes_written_ = 0;
 };
 
@@ -96,11 +95,12 @@ struct cpu_journal_replay {
 };
 [[nodiscard]] cpu_journal_replay replay_cpu_journal(std::istream& in);
 
+/// DRAM records of a journal, as gbreport's journal artifact reads them
+/// (report/artifacts.hpp).
 struct dram_journal_replay {
     std::map<std::size_t, dram_run_record> completed;
     std::size_t skipped = 0;
     bool truncated_tail = false;
 };
-[[nodiscard]] dram_journal_replay replay_dram_journal(std::istream& in);
 
 } // namespace gb

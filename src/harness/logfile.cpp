@@ -1,8 +1,7 @@
 #include "harness/logfile.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
+#include <vector>
 
 #include "util/wire.hpp"
 
@@ -65,32 +64,6 @@ bool for_each_field(std::string_view line, Fn&& consume) {
         }
     }
     return true;
-}
-
-template <typename Result>
-void write_records(std::ostream& out, const Result& result) {
-    for (const auto& record : result.records) {
-        out << to_log_line(record) << '\n';
-    }
-}
-
-template <typename Record>
-std::vector<Record> parse_records(std::istream& in, std::size_t* skipped) {
-    std::vector<Record> records;
-    std::size_t skipped_lines = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        Record record;
-        if (parse_log_line(line, record)) {
-            records.push_back(std::move(record));
-        } else if (!line.empty()) {
-            ++skipped_lines;
-        }
-    }
-    if (skipped != nullptr) {
-        *skipped = skipped_lines;
-    }
-    return records;
 }
 
 } // namespace
@@ -307,24 +280,6 @@ bool parse_log_line(std::string_view line, dram_run_record& record) {
     }
     record = std::move(parsed);
     return true;
-}
-
-void write_raw_log(std::ostream& out, const campaign_result& result) {
-    write_records(out, result);
-}
-
-void write_raw_log(std::ostream& out, const dram_campaign_result& result) {
-    write_records(out, result);
-}
-
-std::vector<run_record> parse_raw_log(std::istream& in,
-                                      std::size_t* skipped) {
-    return parse_records<run_record>(in, skipped);
-}
-
-std::vector<dram_run_record> parse_dram_raw_log(std::istream& in,
-                                                std::size_t* skipped) {
-    return parse_records<dram_run_record>(in, skipped);
 }
 
 } // namespace gb

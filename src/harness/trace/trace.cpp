@@ -20,16 +20,6 @@ void tracer::record(std::size_t shard, trace_span span) {
     shards_[shard].spans.push_back(std::move(span));
 }
 
-void tracer::name_track(std::uint32_t track, std::string name) {
-    for (auto& [id, existing] : track_names_) {
-        if (id == track) {
-            existing = std::move(name);
-            return;
-        }
-    }
-    track_names_.emplace_back(track, std::move(name));
-}
-
 std::size_t tracer::size() const {
     std::size_t total = 0;
     for (const trace_shard& shard : shards_) {
@@ -118,8 +108,7 @@ void write_chrome_trace(std::ostream& out, const tracer& trace) {
         first = false;
         out << "\n";
     };
-    // Track-name metadata first, in track order: explicit name_track
-    // entries win, tracks that only appear in spans get a default name.
+    // Track-name metadata first, in track order.
     std::map<std::uint32_t, std::string> names;
     for (const trace_span& span : spans) {
         names.try_emplace(span.at.track,
@@ -128,9 +117,6 @@ void write_chrome_trace(std::ostream& out, const tracer& trace) {
                           : span.at.track == track_supervisor
                               ? "supervisor"
                               : "track " + std::to_string(span.at.track));
-    }
-    for (const auto& [track, name] : trace.track_names()) {
-        names[track] = name;
     }
     for (const auto& [track, name] : names) {
         comma();

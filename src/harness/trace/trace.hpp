@@ -81,21 +81,14 @@ public:
     /// Append a span to `shard`.  Lock-free; the caller owns the shard.
     void record(std::size_t shard, trace_span span);
 
-    /// Name a track in the exported trace (serial call sites only).
-    void name_track(std::uint32_t track, std::string name);
-
     /// All recorded spans merged across shards in deterministic
     /// (track, phase, major, minor) order.
     [[nodiscard]] std::vector<trace_span> ordered_spans() const;
 
     [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
     [[nodiscard]] std::size_t size() const;
-    [[nodiscard]] const std::vector<std::pair<std::uint32_t, std::string>>&
-    track_names() const {
-        return track_names_;
-    }
 
-    /// Drop all recorded spans, keep track names (serial call sites only).
+    /// Drop all recorded spans (serial call sites only).
     void clear();
 
 private:
@@ -106,7 +99,6 @@ private:
     };
 
     std::vector<trace_shard> shards_;
-    std::vector<std::pair<std::uint32_t, std::string>> track_names_;
     std::uint32_t next_phase_ = 0;
 };
 

@@ -4,20 +4,6 @@
 
 namespace gb {
 
-std::string_view to_string(cpu_component component) {
-    switch (component) {
-    case cpu_component::fetch: return "fetch/L1I";
-    case cpu_component::l1d: return "L1D";
-    case cpu_component::l2: return "L2";
-    case cpu_component::l3: return "L3";
-    case cpu_component::dram: return "DRAM";
-    case cpu_component::int_alu: return "int ALU";
-    case cpu_component::fp_alu: return "FP/SIMD ALU";
-    case cpu_component::none: return "none";
-    }
-    return "?";
-}
-
 namespace {
 
 // One row per opcode, in enum order.  Currents are per-core amperes at

@@ -34,8 +34,6 @@ enum class cpu_component : std::uint8_t {
 
 constexpr int cpu_component_count = 8;
 
-[[nodiscard]] std::string_view to_string(cpu_component component);
-
 /// Instruction classes available to kernels and to the GA genome.
 enum class opcode : std::uint8_t {
     nop,

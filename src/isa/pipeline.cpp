@@ -25,16 +25,6 @@ double perf_counters::memory_intensity() const {
                                    static_cast<double>(instructions);
 }
 
-double perf_counters::sdc_vulnerability() const {
-    if (instructions == 0) {
-        return 0.0;
-    }
-    const double data_path = static_cast<double>(int_ops + fp_ops + loads +
-                                                 stores);
-    return std::clamp(data_path / static_cast<double>(instructions), 0.0,
-                      1.0);
-}
-
 double execution_profile::average_current_a() const {
     if (current_trace.empty()) {
         return 0.0;
@@ -44,22 +34,6 @@ double execution_profile::average_current_a() const {
         sum += i;
     }
     return sum / static_cast<double>(current_trace.size());
-}
-
-double execution_profile::peak_current_a() const {
-    if (current_trace.empty()) {
-        return 0.0;
-    }
-    return *std::max_element(current_trace.begin(), current_trace.end());
-}
-
-double execution_profile::memory_bandwidth_bps(megahertz clock) const {
-    if (counters.cycles == 0) {
-        return 0.0;
-    }
-    const double seconds =
-        static_cast<double>(counters.cycles) / clock.hertz();
-    return static_cast<double>(counters.memory_bytes) / seconds;
 }
 
 pipeline_model::pipeline_model(megahertz clock) : clock_(clock) {

@@ -35,12 +35,6 @@ struct perf_counters {
     [[nodiscard]] double ipc() const;
     [[nodiscard]] double fp_fraction() const;
     [[nodiscard]] double memory_intensity() const; ///< DRAM accesses per kilo-instruction
-    /// Architectural vulnerability to *silent* corruption: the fraction of
-    /// instructions whose corrupted result propagates into data (ALU ops,
-    /// loads, stores) rather than derailing control flow (branches), which
-    /// manifests as a crash or hang instead.  Drives the supervisor's
-    /// sentinel scheduling, distinctly from the crash paths.
-    [[nodiscard]] double sdc_vulnerability() const;
 };
 
 /// Fraction of cycles each CPU component was active, indexed by
@@ -62,9 +56,6 @@ struct execution_profile {
     std::vector<double> current_trace;
 
     [[nodiscard]] double average_current_a() const;
-    [[nodiscard]] double peak_current_a() const;
-    /// DRAM bandwidth in bytes per second at the given clock.
-    [[nodiscard]] double memory_bandwidth_bps(megahertz clock) const;
 };
 
 /// Single-issue in-order pipeline with blocking misses.  Memory latencies for

@@ -13,34 +13,6 @@ double pdn_parameters::resonant_frequency_hz() const {
                   std::sqrt(inductance_h * capacitance_f));
 }
 
-double pdn_parameters::damping_ratio() const {
-    GB_EXPECTS(inductance_h > 0.0 && capacitance_f > 0.0);
-    return (resistance_ohm / 2.0) * std::sqrt(capacitance_f / inductance_h);
-}
-
-double pdn_parameters::impedance_ohm(double frequency_hz) const {
-    GB_EXPECTS(frequency_hz >= 0.0);
-    // Impedance seen by the die: C in parallel with the series R-L branch.
-    const double omega = 2.0 * std::numbers::pi * frequency_hz;
-    if (omega == 0.0) {
-        return resistance_ohm;
-    }
-    // Z_RL = R + j wL ; Z_C = 1 / (j wC) ; Z = Z_RL Z_C / (Z_RL + Z_C).
-    const double r = resistance_ohm;
-    const double xl = omega * inductance_h;
-    const double xc = -1.0 / (omega * capacitance_f);
-    // numerator = (r + j xl)(j xc) = -xl*xc + j r*xc
-    const double num_re = -xl * xc;
-    const double num_im = r * xc;
-    const double den_re = r;
-    const double den_im = xl + xc;
-    const double den_mag2 = den_re * den_re + den_im * den_im;
-    GB_ASSERT(den_mag2 > 0.0);
-    const double re = (num_re * den_re + num_im * den_im) / den_mag2;
-    const double im = (num_im * den_re - num_re * den_im) / den_mag2;
-    return std::sqrt(re * re + im * im);
-}
-
 pdn_parameters pdn_parameters::for_resonance(double resonant_frequency_hz,
                                              double damping_ratio,
                                              double capacitance_f) {
@@ -92,22 +64,6 @@ millivolts pdn_model::step(amperes die_current) {
 
 double pdn_model::resonance_period_cycles() const {
     return 1.0 / (params_.resonant_frequency_hz() * dt_s_);
-}
-
-std::vector<double> pdn_model::simulate_voltage(
-    std::span<const double> current_trace) const {
-    GB_EXPECTS(!current_trace.empty());
-    double sum = 0.0;
-    for (const double i : current_trace) {
-        sum += i;
-    }
-    pdn_model scratch = *this;
-    scratch.reset(amperes{sum / static_cast<double>(current_trace.size())});
-    std::vector<double> voltage(current_trace.size());
-    for (std::size_t k = 0; k < current_trace.size(); ++k) {
-        voltage[k] = scratch.step(amperes{current_trace[k]}).value;
-    }
-    return voltage;
 }
 
 millivolts pdn_model::worst_droop(

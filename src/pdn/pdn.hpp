@@ -36,9 +36,6 @@ struct pdn_parameters {
     double capacitance_f = 0.0;
 
     [[nodiscard]] double resonant_frequency_hz() const;
-    [[nodiscard]] double damping_ratio() const;
-    /// Impedance magnitude seen by the die at a given frequency (ohms).
-    [[nodiscard]] double impedance_ohm(double frequency_hz) const;
 
     /// Construct parameters with a target resonant frequency and damping
     /// ratio for a given decap value.
@@ -65,15 +62,10 @@ public:
     /// PDN resonance expressed in cycles of the core clock per period.
     [[nodiscard]] double resonance_period_cycles() const;
 
-    /// Simulate a whole per-cycle current trace (amperes); returns the die
-    /// voltage per cycle in millivolts.  Starts from the DC steady state of
-    /// the trace's mean current so that the reported droop is the dynamic
-    /// (resonant) part on top of the IR drop.
-    [[nodiscard]] std::vector<double> simulate_voltage(
-        std::span<const double> current_trace) const;
-
-    /// Worst-case droop below nominal (mV) over a current trace, after one
-    /// warm-up pass of the trace so start-up transients don't count.
+    /// Worst-case droop below nominal (mV) over a per-cycle current trace
+    /// (amperes).  Starts from the DC steady state of the trace's mean
+    /// current and runs one warm-up pass of the trace so start-up
+    /// transients don't count.
     ///
     /// This is the hot kernel of every Vmin search: one step() per cycle
     /// on a scratch copy.  The compiler keeps the two integrator states in

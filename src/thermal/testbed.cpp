@@ -49,11 +49,6 @@ void thermal_testbed::set_all_targets(celsius target) {
     }
 }
 
-celsius thermal_testbed::target(int dimm) const {
-    GB_EXPECTS(dimm >= 0 && dimm < dimm_count());
-    return targets_[static_cast<std::size_t>(dimm)];
-}
-
 void thermal_testbed::run(double duration_s, double control_period_s,
                           double settle_s) {
     GB_EXPECTS(duration_s > 0.0);

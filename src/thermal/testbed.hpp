@@ -22,7 +22,6 @@ public:
 
     void set_target(int dimm, celsius target);
     void set_all_targets(celsius target);
-    [[nodiscard]] celsius target(int dimm) const;
 
     /// Run the control loop for `duration_s` at the given control period.
     /// Tracking statistics (deviation from target) accumulate only after

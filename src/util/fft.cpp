@@ -11,7 +11,9 @@ namespace {
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-void fft_impl(std::vector<std::complex<double>>& data, bool inverse) {
+} // namespace
+
+void fft(std::vector<std::complex<double>>& data) {
     const std::size_t n = data.size();
     GB_EXPECTS(is_power_of_two(n));
 
@@ -28,7 +30,7 @@ void fft_impl(std::vector<std::complex<double>>& data, bool inverse) {
     }
 
     for (std::size_t len = 2; len <= n; len <<= 1) {
-        const double angle = (inverse ? 2.0 : -2.0) * std::numbers::pi /
+        const double angle = -2.0 * std::numbers::pi /
                              static_cast<double>(len);
         const std::complex<double> wlen(std::cos(angle), std::sin(angle));
         for (std::size_t start = 0; start < n; start += len) {
@@ -42,33 +44,6 @@ void fft_impl(std::vector<std::complex<double>>& data, bool inverse) {
             }
         }
     }
-
-    if (inverse) {
-        for (auto& x : data) {
-            x /= static_cast<double>(n);
-        }
-    }
-}
-
-} // namespace
-
-void fft(std::vector<std::complex<double>>& data) { fft_impl(data, false); }
-
-void ifft(std::vector<std::complex<double>>& data) { fft_impl(data, true); }
-
-std::vector<double> magnitude_spectrum(std::span<const double> signal) {
-    GB_EXPECTS(!signal.empty());
-    const std::size_t n = next_power_of_two(signal.size());
-    std::vector<std::complex<double>> data(n);
-    for (std::size_t i = 0; i < signal.size(); ++i) {
-        data[i] = std::complex<double>(signal[i], 0.0);
-    }
-    fft(data);
-    std::vector<double> mags(n / 2 + 1);
-    for (std::size_t i = 0; i < mags.size(); ++i) {
-        mags[i] = std::abs(data[i]);
-    }
-    return mags;
 }
 
 double goertzel(std::span<const double> signal, double cycles_per_sample) {
@@ -86,15 +61,6 @@ double goertzel(std::span<const double> signal, double cycles_per_sample) {
     const double power =
         s_prev * s_prev + s_prev2 * s_prev2 - coeff * s_prev * s_prev2;
     return std::sqrt(std::max(power, 0.0));
-}
-
-std::size_t next_power_of_two(std::size_t n) {
-    GB_EXPECTS(n >= 1);
-    std::size_t p = 1;
-    while (p < n) {
-        p <<= 1;
-    }
-    return p;
 }
 
 } // namespace gb

@@ -13,21 +13,10 @@ namespace gb {
 /// In-place iterative radix-2 Cooley-Tukey FFT.  Size must be a power of two.
 void fft(std::vector<std::complex<double>>& data);
 
-/// Inverse FFT (normalized by 1/N).
-void ifft(std::vector<std::complex<double>>& data);
-
-/// Magnitude spectrum of a real signal, zero-padded to the next power of two.
-/// Returns N/2 + 1 bins (DC .. Nyquist).
-[[nodiscard]] std::vector<double> magnitude_spectrum(
-    std::span<const double> signal);
-
 /// Goertzel algorithm: single-bin DFT magnitude of `signal` at normalized
 /// frequency `cycles_per_sample` in [0, 0.5].  O(N) per probe, exact bin-free
 /// frequency, which is what an EM probe tuned to the PDN resonance sees.
 [[nodiscard]] double goertzel(std::span<const double> signal,
                               double cycles_per_sample);
-
-/// Smallest power of two >= n (n >= 1).
-[[nodiscard]] std::size_t next_power_of_two(std::size_t n);
 
 } // namespace gb

@@ -17,22 +17,13 @@ void running_stats::add(double x) {
         max_ = std::max(max_, x);
     }
     ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
+    mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 double running_stats::mean() const {
     GB_EXPECTS(n_ > 0);
     return mean_;
 }
-
-double running_stats::variance() const {
-    GB_EXPECTS(n_ >= 2);
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double running_stats::stddev() const { return std::sqrt(variance()); }
 
 double running_stats::min() const {
     GB_EXPECTS(n_ > 0);
@@ -80,9 +71,7 @@ double quantile(std::span<const double> values, double q) {
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double p50(std::span<const double> values) { return quantile(values, 0.50); }
 double p95(std::span<const double> values) { return quantile(values, 0.95); }
-double p99(std::span<const double> values) { return quantile(values, 0.99); }
 
 double mean(std::span<const double> values) {
     GB_EXPECTS(!values.empty());

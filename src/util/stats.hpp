@@ -10,23 +10,19 @@
 
 namespace gb {
 
-/// Incremental mean / variance / extrema (Welford's algorithm).
+/// Incremental mean and extrema (Welford's mean update).
 class running_stats {
 public:
     void add(double x);
 
     [[nodiscard]] std::size_t count() const { return n_; }
     [[nodiscard]] double mean() const;
-    /// Sample variance (n - 1 denominator).  Requires count() >= 2.
-    [[nodiscard]] double variance() const;
-    [[nodiscard]] double stddev() const;
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
 
 private:
     std::size_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };
@@ -50,10 +46,8 @@ private:
 /// copies and sorts.
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
-/// Named quantiles of the baseline schema.
-[[nodiscard]] double p50(std::span<const double> values);
+/// The baseline schema's named quantile (`wall.*_p95_ms`).
 [[nodiscard]] double p95(std::span<const double> values);
-[[nodiscard]] double p99(std::span<const double> values);
 
 /// Arithmetic mean of a non-empty span.
 [[nodiscard]] double mean(std::span<const double> values);

@@ -62,10 +62,8 @@ sensor_readings xgene2_server::read_sensors(
 
 run_evaluation xgene2_server::execute(const workload_snapshot& snapshot,
                                       std::uint64_t phase_seed, rng& r) {
-    const run_evaluation eval = cpu_.evaluate_run(
-        snapshot.assignments, op_.pmd_voltage, phase_seed, r);
-    slimpro_.report_cpu_event(eval.outcome);
-    return eval;
+    return cpu_.evaluate_run(snapshot.assignments, op_.pmd_voltage,
+                             phase_seed, r);
 }
 
 } // namespace gb

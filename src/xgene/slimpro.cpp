@@ -4,47 +4,6 @@
 
 namespace gb {
 
-void slimpro::report_dram_scan(const scan_result& scan) {
-    dram_errors_.corrected += scan.ce_words;
-    dram_errors_.uncorrected += scan.ue_words + scan.sdc_words;
-}
-
-void slimpro::report_cpu_event(run_outcome outcome) {
-    switch (outcome) {
-    case run_outcome::corrected_error:
-        ++cache_errors_.corrected;
-        break;
-    case run_outcome::uncorrectable_error:
-        ++cache_errors_.uncorrected;
-        break;
-    case run_outcome::ok:
-    case run_outcome::silent_data_corruption:
-    case run_outcome::crash:
-    case run_outcome::hang:
-    case run_outcome::aborted_rig:
-        // SDC is by definition invisible to the hardware; crashes, hangs
-        // and rig aborts are caught by the watchdog, not the error log.
-        break;
-    }
-}
-
-void slimpro::clear_error_log() {
-    cache_errors_ = error_counters{};
-    dram_errors_ = error_counters{};
-}
-
-const error_counters& slimpro::errors(error_source source) const {
-    return source == error_source::cache ? cache_errors_ : dram_errors_;
-}
-
-std::uint64_t slimpro::total_corrected() const {
-    return cache_errors_.corrected + dram_errors_.corrected;
-}
-
-std::uint64_t slimpro::total_uncorrected() const {
-    return cache_errors_.uncorrected + dram_errors_.uncorrected;
-}
-
 void slimpro::configure_refresh_period(memory_system& memory,
                                        milliseconds period) const {
     GB_EXPECTS(period.value >= nominal_refresh_period.value);

@@ -4,8 +4,8 @@
 // Processor boots the system, exposes the temperature/power sensors, reports
 // every ECC correction/detection to the kernel, and is the interface through
 // which MCU parameters (timings, refresh period TREFP) are reconfigured.
-// The characterization framework talks exclusively to this facade, the same
-// way the paper's framework talks to the real SLIMpro.
+// The facade models the sensors and the MCU path; the studies read ECC
+// outcomes from the scans and run records themselves.
 #pragma once
 
 #include <array>
@@ -34,33 +34,12 @@ struct sensor_readings {
     }
 };
 
-/// Classes of error events SLIMpro reports to the kernel log.
-enum class error_source : std::uint8_t { cache, dram };
-
-struct error_counters {
-    std::uint64_t corrected = 0;
-    std::uint64_t uncorrected = 0;
-};
-
 class slimpro {
 public:
-    /// Error reporting, as the kernel's EDAC driver would see it.
-    void report_dram_scan(const scan_result& scan);
-    void report_cpu_event(run_outcome outcome);
-    void clear_error_log();
-
-    [[nodiscard]] const error_counters& errors(error_source source) const;
-    [[nodiscard]] std::uint64_t total_corrected() const;
-    [[nodiscard]] std::uint64_t total_uncorrected() const;
-
     /// MCU configuration: refresh period (TREFP), bounded like the real
     /// register (the paper programs up to 35x nominal).
     void configure_refresh_period(memory_system& memory,
                                   milliseconds period) const;
-
-private:
-    error_counters cache_errors_;
-    error_counters dram_errors_;
 };
 
 } // namespace gb

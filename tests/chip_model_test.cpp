@@ -190,27 +190,6 @@ TEST_F(chip_model_test, disruption_classification) {
     EXPECT_TRUE(is_disruption(run_outcome::hang));
 }
 
-TEST_F(chip_model_test, marginal_outcome_distribution_is_a_pmf) {
-    for (const failure_path path :
-         {failure_path::logic, failure_path::sram}) {
-        for (const double depth : {0.05, 0.25, 0.5, 0.75, 0.95}) {
-            const outcome_distribution d =
-                chip_model::marginal_outcome_distribution(path, depth);
-            EXPECT_NEAR(d.total(), 1.0, 1e-12);
-            EXPECT_GE(d.p_ok, 0.0);
-            EXPECT_GE(d.p_sdc, 0.0);
-            EXPECT_GE(d.p_crash, 0.0);
-            EXPECT_LE(d.p_disruption(), 1.0);
-        }
-    }
-    EXPECT_THROW((void)chip_model::marginal_outcome_distribution(
-                     failure_path::logic, -0.1),
-                 contract_violation);
-    EXPECT_THROW((void)chip_model::marginal_outcome_distribution(
-                     failure_path::logic, 1.1),
-                 contract_violation);
-}
-
 TEST_F(chip_model_test, outcome_probabilities_match_sampled_frequencies) {
     const execution_profile profile =
         profile_of(find_cpu_benchmark("bwaves").loop);

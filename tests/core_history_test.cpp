@@ -39,10 +39,13 @@ TEST(history_test, empirical_exceedance) {
     for (int i = 0; i < 100; ++i) {
         history.record(millivolts{900.0 + static_cast<double>(i % 10)});
     }
-    // 10% of values are 909, so exceedance of 908.5 is 0.1.
-    EXPECT_NEAR(history.exceedance_probability(millivolts{908.5}), 0.1,
-                1e-12);
-    EXPECT_NEAR(history.exceedance_probability(millivolts{0.0}), 1.0, 1e-12);
+    // Targets no rarer than one sample invert the empirical distribution:
+    // 10% of values are 909, so the 10% floor is the 90th percentile,
+    // interpolated between the sorted values 908 and 909.
+    EXPECT_NEAR(history.voltage_for_failure_probability(0.1).value, 908.1,
+                1e-9);
+    EXPECT_DOUBLE_EQ(history.voltage_for_failure_probability(0.01).value,
+                     history.quantile(0.99).value);
 }
 
 TEST(history_test, tail_extrapolation_beyond_sample) {
@@ -52,14 +55,13 @@ TEST(history_test, tail_extrapolation_beyond_sample) {
         // Exponential-ish requirement tail above 900.
         history.record(millivolts{900.0 - 5.0 * std::log(r.uniform() + 1e-12)});
     }
-    const double at_max =
-        history.exceedance_probability(history.max_requirement());
-    const double beyond =
-        history.exceedance_probability(history.max_requirement() +
-                                       millivolts{10.0});
-    EXPECT_GT(at_max, 0.0);
-    EXPECT_LT(beyond, at_max);
-    EXPECT_GT(beyond, 0.0); // tail never hard-zero
+    // Targets rarer than one sample extrapolate the exponential tail past
+    // the observed maximum, further for rarer targets, never to infinity.
+    const double rare = history.voltage_for_failure_probability(1e-4).value;
+    const double rarer = history.voltage_for_failure_probability(1e-6).value;
+    EXPECT_GT(rare, history.max_requirement().value);
+    EXPECT_GT(rarer, rare);
+    EXPECT_TRUE(std::isfinite(rarer));
 }
 
 TEST(history_test, voltage_for_failure_probability_inverts) {
@@ -75,8 +77,6 @@ TEST(history_test, voltage_for_failure_probability_inverts) {
     EXPECT_LT(v2, v3);
     // The rarer-than-sample target must sit at or above the observed max.
     EXPECT_GE(v3, history.max_requirement());
-    // And its predicted exceedance must be at or below the target.
-    EXPECT_LE(history.exceedance_probability(v3), 1e-4 + 1e-9);
 }
 
 TEST(history_test, degenerate_history_steps_at_max) {
@@ -84,12 +84,10 @@ TEST(history_test, degenerate_history_steps_at_max) {
     for (int i = 0; i < 20; ++i) {
         history.record(millivolts{905.0});
     }
-    EXPECT_DOUBLE_EQ(
-        history.exceedance_probability(millivolts{906.0}), 0.0);
-    EXPECT_DOUBLE_EQ(
-        history.exceedance_probability(millivolts{904.0}), 1.0);
-    EXPECT_DOUBLE_EQ(
-        history.voltage_for_failure_probability(1e-4).value, 905.0);
+    for (const double target : {0.5, 0.1, 1e-4}) {
+        EXPECT_DOUBLE_EQ(
+            history.voltage_for_failure_probability(target).value, 905.0);
+    }
 }
 
 TEST(history_test, clear_forgets_storm_era_requirements) {
@@ -124,8 +122,6 @@ TEST(history_test, single_sample_inversion_is_degenerate_step) {
     EXPECT_DOUBLE_EQ(history.max_requirement().value, 912.0);
     EXPECT_DOUBLE_EQ(history.quantile(0.0).value, 912.0);
     EXPECT_DOUBLE_EQ(history.quantile(1.0).value, 912.0);
-    EXPECT_DOUBLE_EQ(history.exceedance_probability(millivolts{913.0}), 0.0);
-    EXPECT_DOUBLE_EQ(history.exceedance_probability(millivolts{911.0}), 1.0);
     // Inversion collapses onto the only observation, however rare the
     // target; the step happens *at* the max, so the conservative answer is
     // the max itself rather than a divide-by-zero tail.

@@ -44,11 +44,14 @@ TEST(retention_model_test, table1_calibration_points) {
     // System-wide per bank index: 72 chips' worth of one bank.
     const double cells_per_bank_index =
         static_cast<double>(g.cells_per_bank()) * 72.0;
-    const double at_50 = model.expected_weak_cells(
-        static_cast<std::int64_t>(cells_per_bank_index), 2.283);
-    const double at_60 = model.expected_weak_cells(
-        static_cast<std::int64_t>(cells_per_bank_index),
-        model.to_reference_seconds(2.283, celsius{60.0}));
+    // Expected weak cells: cells x tail probability x density scale.
+    const double at_50 = cells_per_bank_index * model.tail_probability(2.283) *
+                         model.density_scale;
+    const double at_60 =
+        cells_per_bank_index *
+        model.tail_probability(
+            model.to_reference_seconds(2.283, celsius{60.0})) *
+        model.density_scale;
     // These are the raw thermal counts; the measured "unique error
     // location" counts (Table I: ~200 / ~3550) sit above them because the
     // data-pattern union exposes DPD-marginal cells too.
@@ -193,8 +196,8 @@ TEST_F(sampler_test, count_tracks_expected_value) {
         const double chip_factor = sampler_.chip_factor(0, 0, chip);
         for (int bank = 0; bank < 8; ++bank) {
             expected +=
-                model.expected_weak_cells(
-                    xgene2_memory_geometry().cells_per_bank(), threshold) *
+                static_cast<double>(xgene2_memory_geometry().cells_per_bank()) *
+                model.tail_probability(threshold) * model.density_scale *
                 bank_systematic_factors()[static_cast<std::size_t>(bank)] *
                 chip_factor;
             observed += sampler_.sample_bank(0, 0, chip, bank, threshold)

@@ -1,20 +1,22 @@
-// The crash-safe journal and the resume contract: kill a campaign after K
-// of N journal lines, resume from the truncated journal, and the records
-// and CSV are bitwise identical to the uninterrupted run -- at 1 and 8
-// workers, for the CPU and DRAM runners, even when the fault plan was
-// garbling journal lines.
+// The crash-safe journal and the resume contract: kill a CPU campaign
+// after K of N journal lines, resume from the truncated journal, and the
+// records and CSV are bitwise identical to the uninterrupted run -- at 1
+// and 8 workers, even when the fault plan was garbling journal lines.  A
+// DRAM campaign's journal reads back through gbreport's loader.
 #include "harness/journal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "harness/fault_injection.hpp"
 #include "harness/framework.hpp"
 #include "harness/logfile.hpp"
+#include "harness/report/artifacts.hpp"
 #include "workloads/cpu_profiles.hpp"
 
 namespace gb {
@@ -37,12 +39,6 @@ campaign_spec cpu_spec(int workers) {
 std::string cpu_csv(const campaign_result& result) {
     std::ostringstream out;
     write_campaign_csv(out, result);
-    return out.str();
-}
-
-std::string dram_csv(const dram_campaign_result& result) {
-    std::ostringstream out;
-    write_dram_campaign_csv(out, result);
     return out.str();
 }
 
@@ -235,48 +231,41 @@ dram_campaign_spec dram_spec(int workers) {
     return spec;
 }
 
-TEST(journal_test, dram_resume_is_bitwise_identical_at_any_kill_point) {
+TEST(journal_test, dram_journal_reads_back_through_the_report_loader) {
+    // A DRAM campaign is not resumed, but its journal is a gbreport
+    // artifact: every scan record reads back bitwise, and a record still
+    // being appended is reported as a truncated tail, not parsed.
     const study_limits limits{celsius{62.0}, milliseconds{2283.0}};
-
-    memory_system reference_memory(single_dimm_geometry(), retention_model{},
-                                   2018, limits);
-    thermal_testbed reference_testbed(1, thermal_plant_config{}, 7);
-    const dram_campaign_result uninterrupted = run_dram_campaign(
-        reference_memory, reference_testbed, dram_spec(1));
-    const std::string reference_csv = dram_csv(uninterrupted);
-
-    std::ostringstream sink;
+    const std::string path =
+        ::testing::TempDir() + "gb_journal_test_dram.journal";
+    std::remove(path.c_str());
+    dram_campaign_result result;
     {
         memory_system memory(single_dimm_geometry(), retention_model{},
                              2018, limits);
         thermal_testbed testbed(1, thermal_plant_config{}, 7);
-        campaign_journal journal(sink);
+        campaign_journal journal(path);
         dram_campaign_io io;
         io.journal = &journal;
-        (void)run_dram_campaign(memory, testbed, dram_spec(1), io);
+        result = run_dram_campaign(memory, testbed, dram_spec(8), io);
     }
-    const std::string full_journal = sink.str();
-    const std::size_t total = uninterrupted.records.size();
-
-    for (const std::size_t kill_after :
-         {std::size_t{0}, std::size_t{3}, total / 2, total - 1, total}) {
-        const std::string truncated =
-            truncate_lines(full_journal, kill_after);
-        for (const int workers : {1, 8}) {
-            // Fresh instances with the original seeds: resume reproduces
-            // the thermal state by re-running the soaks, not from the
-            // journal.
-            memory_system memory(single_dimm_geometry(), retention_model{},
-                                 2018, limits);
-            thermal_testbed testbed(1, thermal_plant_config{}, 7);
-            std::istringstream journal_in(truncated);
-            const dram_campaign_result resumed = resume_dram_campaign(
-                memory, testbed, dram_spec(workers), journal_in, {});
-            EXPECT_EQ(resumed.stats.replayed_tasks, kill_after);
-            EXPECT_EQ(dram_csv(resumed), reference_csv)
-                << "kill_after=" << kill_after << " workers=" << workers;
-        }
+    {
+        std::ofstream tail(path, std::ios::app);
+        tail << "task=" << result.records.size() << " dram";
     }
+    std::string error;
+    const std::optional<report::journal_artifact> artifact =
+        report::load_journal_file(path, error);
+    ASSERT_TRUE(artifact.has_value()) << error;
+    EXPECT_TRUE(artifact->truncated_tail);
+    EXPECT_EQ(artifact->skipped, 0u);
+    EXPECT_TRUE(artifact->cpu.completed.empty());
+    ASSERT_EQ(artifact->dram.completed.size(), result.records.size());
+    for (const auto& [index, record] : artifact->dram.completed) {
+        ASSERT_LT(index, result.records.size());
+        EXPECT_EQ(to_log_line(record), to_log_line(result.records[index]));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(journal_test, partial_tail_is_reported_not_parsed) {
@@ -315,14 +304,6 @@ TEST(journal_test, partial_tail_is_reported_not_parsed) {
         std::istringstream in(complete);
         const cpu_journal_replay replay = replay_cpu_journal(in);
         EXPECT_FALSE(replay.truncated_tail);
-    }
-    {
-        // DRAM replay honours the same contract.
-        std::istringstream in(std::string("task=0 dram"));
-        const dram_journal_replay replay = replay_dram_journal(in);
-        EXPECT_TRUE(replay.truncated_tail);
-        EXPECT_EQ(replay.completed.size(), 0u);
-        EXPECT_EQ(replay.skipped, 0u);
     }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "harness/framework.hpp"
+#include "harness/journal.hpp"
 #include "util/rng.hpp"
 #include "workloads/cpu_profiles.hpp"
 
@@ -94,24 +95,30 @@ TEST(logfile_test, raw_log_roundtrip_with_boot_noise) {
     const campaign_result result =
         framework.run_campaign(spec, find_cpu_benchmark("namd").loop);
 
-    // The wire: boot banner, records, a mid-stream reset banner, and a
-    // truncated final line (the board died mid-write).
+    // The journal the resume path replays: boot banner, records, a
+    // mid-stream reset banner, and a truncated final record (the board
+    // died mid-write; the newline came from the next boot).
     std::ostringstream wire;
     wire << "U-Boot 2016.01 (X-Gene2)\n";
-    write_raw_log(wire, result);
+    for (std::size_t i = 0; i < result.records.size(); ++i) {
+        wire << "task=" << i << ' ' << to_log_line(result.records[i])
+             << '\n';
+    }
     wire << "[watchdog] system reset\n";
-    wire << to_log_line(result.records.front()).substr(0, 10) << '\n';
+    wire << "task=0 " << to_log_line(result.records.front()).substr(0, 10)
+         << '\n';
 
     std::istringstream in(wire.str());
-    std::size_t skipped = 0;
-    const std::vector<run_record> recovered = parse_raw_log(in, &skipped);
-    ASSERT_EQ(recovered.size(), result.records.size());
-    EXPECT_EQ(skipped, 3u);
+    const cpu_journal_replay replay = replay_cpu_journal(in);
+    ASSERT_EQ(replay.completed.size(), result.records.size());
+    EXPECT_EQ(replay.skipped, 3u);
+    EXPECT_FALSE(replay.truncated_tail);
+    std::vector<run_record> recovered;
+    for (const auto& [index, record] : replay.completed) {
+        recovered.push_back(record);
+    }
     for (std::size_t i = 0; i < recovered.size(); ++i) {
-        EXPECT_EQ(recovered[i].benchmark, result.records[i].benchmark);
-        EXPECT_EQ(recovered[i].outcome, result.records[i].outcome);
-        EXPECT_DOUBLE_EQ(recovered[i].voltage.value,
-                         result.records[i].voltage.value);
+        EXPECT_EQ(to_log_line(recovered[i]), to_log_line(result.records[i]));
     }
 
     // The recovered records drive the same parsing phase.
@@ -142,7 +149,7 @@ TEST(logfile_test, doubles_roundtrip_exactly) {
     }
 }
 
-// --- Adversarial-input properties: the tolerant parsers must never crash
+// --- Adversarial-input properties: the line parsers must never crash
 // --- and must never resurrect a truncated line as a (wrong) record.
 
 TEST(logfile_property_test, cpu_line_truncated_at_every_offset) {
@@ -201,7 +208,7 @@ TEST(logfile_property_test, dram_line_truncated_at_every_offset) {
 }
 
 TEST(logfile_property_test, random_byte_flips_never_crash_the_parser) {
-    // A raw log whose lines are randomly shot at: parsing must survive
+    // Log lines randomly shot at: parse_log_line must survive
     // arbitrary garbage, and every untouched line's record must come back
     // intact, in order.
     std::vector<run_record> originals;
@@ -233,8 +240,13 @@ TEST(logfile_property_test, random_byte_flips_never_crash_the_parser) {
     }
 
     std::istringstream in(wire.str());
-    std::size_t skipped = 0;
-    const std::vector<run_record> recovered = parse_raw_log(in, &skipped);
+    std::vector<run_record> recovered;
+    for (std::string line; std::getline(in, line);) {
+        run_record record;
+        if (parse_log_line(line, record)) {
+            recovered.push_back(std::move(record));
+        }
+    }
 
     // Every untouched line is recovered, in order (flipped lines may or
     // may not survive -- either way they must not take the parser down).
@@ -263,9 +275,16 @@ TEST(logfile_test, dram_raw_log_roundtrip_with_noise) {
     wire << to_log_line(record).substr(0, 12) << '\n';
 
     std::istringstream in(wire.str());
+    std::vector<dram_run_record> recovered;
     std::size_t skipped = 0;
-    const std::vector<dram_run_record> recovered =
-        parse_dram_raw_log(in, &skipped);
+    for (std::string line; std::getline(in, line);) {
+        dram_run_record parsed;
+        if (parse_log_line(line, parsed)) {
+            recovered.push_back(std::move(parsed));
+        } else {
+            ++skipped;
+        }
+    }
     ASSERT_EQ(recovered.size(), 1u);
     EXPECT_EQ(skipped, 2u);
     EXPECT_EQ(recovered[0].outcome, dram_run_outcome::contained);

@@ -141,35 +141,6 @@ TEST_F(harness_test, profile_cache_returns_same_instance) {
     EXPECT_NE(&a, &c);
 }
 
-TEST_F(harness_test, run_mix_respects_pmd_frequencies) {
-    const std::vector<cpu_benchmark> mix = fig5_mix();
-    std::vector<program_assignment> programs;
-    for (int c = 0; c < 8; ++c) {
-        programs.push_back({c, &mix[static_cast<std::size_t>(c)].loop});
-    }
-    const std::array<megahertz, 4> frequencies{
-        megahertz{1200.0}, megahertz{1200.0}, nominal_core_frequency,
-        nominal_core_frequency};
-    const run_evaluation eval =
-        framework_.run_mix(programs, millivolts{900.0}, frequencies);
-    // Slowing the two weakest PMDs makes 900 mV safe for the mix.
-    EXPECT_EQ(eval.outcome, run_outcome::ok);
-}
-
-TEST_F(harness_test, analyze_mix_matches_chip_analysis) {
-    const std::vector<cpu_benchmark> mix = fig5_mix();
-    std::vector<program_assignment> programs;
-    for (int c = 0; c < 8; ++c) {
-        programs.push_back({c, &mix[static_cast<std::size_t>(c)].loop});
-    }
-    const std::array<megahertz, 4> nominal{
-        nominal_core_frequency, nominal_core_frequency,
-        nominal_core_frequency, nominal_core_frequency};
-    const vmin_analysis analysis = framework_.analyze_mix(programs, nominal);
-    EXPECT_GT(analysis.vmin.value, 900.0);
-    EXPECT_LT(analysis.vmin.value, 950.0);
-}
-
 TEST_F(harness_test, campaign_validates_spec) {
     campaign_spec empty;
     empty.repetitions = 1;

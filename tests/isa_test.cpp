@@ -172,9 +172,9 @@ TEST(pipeline_test, memory_bandwidth) {
     const pipeline_model pipeline(megahertz::from_gigahertz(2.4));
     kernel k{"stream", {opcode::load_dram}};
     const execution_profile profile = pipeline.execute(k, 1);
-    const double seconds = 181.0 / 2.4e9;
-    EXPECT_NEAR(profile.memory_bandwidth_bps(megahertz::from_gigahertz(2.4)),
-                64.0 / seconds, 1.0);
+    // One 64-byte line per 181-cycle DRAM access.
+    EXPECT_EQ(profile.counters.memory_bytes, 64u);
+    EXPECT_EQ(profile.counters.cycles, 181u);
 }
 
 TEST(pipeline_test, activity_fractions_bounded) {
