@@ -21,9 +21,9 @@ endforeach()
 
 set(state ${WORK_DIR}/fleet/state.json)
 set(control ${WORK_DIR}/fleet/control)
-# Ack backoff doubles from 10 ms: 12 retries give up after ~80 s, far past
-# a healthy daemon's first publish.
-set(ack_wait --ack-retries 12 --ack-base-ms 10)
+# Ack backoff doubles from 10 ms up to its 2 s cap: 16 retries give up
+# after ~18.5 s, far past a healthy (even sanitized) daemon's first publish.
+set(ack_wait --ack-retries 16 --ack-base-ms 10)
 
 if(ROLE STREQUAL "client")
     # fail(<message>...): ask the daemon to shut down, so the pipeline

@@ -110,7 +110,7 @@ TEST_F(server_test, undervolting_reduces_pmd_power_only) {
     EXPECT_DOUBLE_EQ(after.dram_power.value, before.dram_power.value);
 }
 
-TEST_F(server_test, execute_reports_outcomes_to_slimpro) {
+TEST_F(server_test, execute_reports_corrected_errors_below_vmin) {
     characterization_framework fw(server_.cpu(), 7);
     const execution_profile& profile = fw.profile_of(
         make_component_virus(cpu_component::l1d), nominal_core_frequency);
