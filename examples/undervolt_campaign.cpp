@@ -111,6 +111,22 @@ int main(int argc, char** argv) {
         journal_base = resume_base;
     }
 
+    // Open every journal up front, so an unwritable path fails before
+    // any characterization runs.
+    std::vector<std::unique_ptr<campaign_journal>> journals;
+    if (!journal_base.empty()) {
+        try {
+            for (const cpu_benchmark* entry : benchmarks) {
+                journals.push_back(std::make_unique<campaign_journal>(
+                    journal_path_for(journal_base, entry->name,
+                                     benchmarks.size())));
+            }
+        } catch (const std::runtime_error& e) {
+            std::cerr << "undervolt_campaign: " << e.what() << '\n';
+            return 2;
+        }
+    }
+
     chip_model chip(make_chip(corner), make_xgene2_pdn());
     characterization_framework framework(chip, /*seed=*/2018);
     std::cerr << "characterizing chip " << chip.config().name << ", "
@@ -128,8 +144,8 @@ int main(int argc, char** argv) {
     timeline_recorder timeline;
     const bool observing = trace_path || metrics_path;
 
-    for (const cpu_benchmark* entry : benchmarks) {
-        const cpu_benchmark& benchmark = *entry;
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+        const cpu_benchmark& benchmark = *benchmarks[b];
 
         // Initialization phase: voltage ladder from nominal down to well
         // below every Vmin, on the most robust core.
@@ -158,11 +174,8 @@ int main(int argc, char** argv) {
         if (status_path) {
             io.status_path = *status_path;
         }
-        std::unique_ptr<campaign_journal> journal;
-        if (!journal_base.empty()) {
-            journal = std::make_unique<campaign_journal>(journal_path_for(
-                journal_base, benchmark.name, benchmarks.size()));
-            io.journal = journal.get();
+        if (!journals.empty()) {
+            io.journal = journals[b].get();
         }
 
         campaign_result result;

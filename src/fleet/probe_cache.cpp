@@ -103,12 +103,6 @@ const std::vector<std::uint32_t>* probe_cache::provenance(
     return position == npos ? nullptr : rig_sets_[at(position).rigs];
 }
 
-void probe_cache::repair(std::uint64_t content, const probe_result& result,
-                         const std::vector<std::uint32_t>& rigs) {
-    insert(content, result, rigs);
-    ++repaired_;
-}
-
 bool probe_cache::mark_requested(std::uint64_t content) {
     const std::size_t position = find(content);
     GB_EXPECTS(position != npos);

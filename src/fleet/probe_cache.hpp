@@ -50,8 +50,10 @@ public:
     [[nodiscard]] const probe_result* peek(std::uint64_t content) const;
 
     /// Insert or overwrite (re-probing the same content is idempotent by
-    /// construction, so overwrite == insert) with the rigs that vouched
-    /// for the value (the configured quorum's assigned rigs, sorted).
+    /// construction, so overwrite == insert; audit and blacklist repairs
+    /// overwrite a poisoned value through here too) with the rigs that
+    /// vouched for the value (the configured quorum's assigned rigs,
+    /// sorted).
     /// Provenance drives blacklist repair: entries sourced only from
     /// blacklisted rigs re-execute.  An overwrite keeps the entry's
     /// requested bit.  The rig list is interned: entries with equal lists
@@ -67,23 +69,13 @@ public:
     [[nodiscard]] const std::vector<std::uint32_t>* provenance(
         std::uint64_t content) const;
 
-    /// Overwrite a poisoned entry with the arbitrated truth and its new
-    /// provenance, like `insert`.  Counts one repair.
-    void repair(std::uint64_t content, const probe_result& result,
-                const std::vector<std::uint32_t>& rigs);
-
     /// Mark an existing entry as requested this service lifetime; returns
     /// whether it already was (a repeat is a crash-invariant "scheduled
     /// hit", unlike a hit on a journal-restored entry).
     bool mark_requested(std::uint64_t content);
 
-    /// Count one outvoted dissent observed at admission time.
-    void record_dissent() { ++dissents_; }
-
     [[nodiscard]] std::uint64_t hits() const { return hits_; }
     [[nodiscard]] std::uint64_t misses() const { return misses_; }
-    [[nodiscard]] std::uint64_t dissents() const { return dissents_; }
-    [[nodiscard]] std::uint64_t repaired() const { return repaired_; }
     [[nodiscard]] std::uint64_t size() const { return size_; }
     /// Entries marked by `mark_requested`.
     [[nodiscard]] std::uint64_t requested() const { return requested_; }
@@ -136,8 +128,6 @@ private:
     std::vector<const std::vector<std::uint32_t>*> rig_sets_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t dissents_ = 0;
-    std::uint64_t repaired_ = 0;
     std::uint64_t requested_ = 0;
 };
 

@@ -153,41 +153,6 @@ std::string chained_probe_payload(const cohort_key& key,
     return line;
 }
 
-/// One line of a fleet journal as `read_journal` streams it.
-struct journal_line {
-    std::size_t lineno = 0;    ///< 1-based
-    std::uintmax_t offset = 0; ///< byte offset of the line's first byte
-    std::size_t size = 0;      ///< bytes before the '\n'
-    /// The file's last line has no '\n': a torn tail, never framed (a
-    /// prefix of a record can itself look like a record).
-    bool torn = false;
-    /// A well-formed `task=N ` prefix split into `serial` and `payload`.
-    bool framed = false;
-    std::size_t serial = 0;
-    std::string_view payload;
-};
-
-/// Stream the journal at `path` (none on first boot) in file order,
-/// `visit(line)` per line.  Every framing decision lives here, so each
-/// visitor only decides what to trust: the warm path validates every
-/// line, the repair and rewrite passes re-read a file that was validated
-/// on warm and appended since.
-template <typename Visit>
-void read_journal(const std::string& path, Visit&& visit) {
-    std::ifstream in(path, std::ios::binary);
-    journal_line line;
-    std::string text;
-    while (std::getline(in, text)) {
-        ++line.lineno;
-        line.size = text.size();
-        line.torn = in.eof();
-        line.framed = !line.torn &&
-                      parse_journal_prefix(text, line.serial, line.payload);
-        visit(line);
-        line.offset += text.size() + 1;
-    }
-}
-
 /// A probe record's identity and ledger as a journal re-read sees them.
 struct journaled_probe {
     cohort_key key;
@@ -302,7 +267,6 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
                 static_cast<std::uint32_t>(find_cohort(node.cohort)));
         }
     }
-    cohort_last_content_.assign(cohorts_.size(), 0);
     GB_EXPECTS(config_.integrity.quorum >= 1);
     effective_rigs_ = config_.integrity.rigs != 0
                           ? std::max<std::uint64_t>(
@@ -335,7 +299,12 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
     }
     if (!config_.journal_path.empty()) {
         warm_cache_from_journal();
-        journal_ = std::make_unique<campaign_journal>(config_.journal_path);
+        try {
+            journal_ =
+                std::make_unique<campaign_journal>(config_.journal_path);
+        } catch (const std::runtime_error& e) {
+            throw fleet_journal_error(e.what());
+        }
         journal_->set_chaos(config_.chaos);
     }
     if (config_.metrics != nullptr) {
@@ -391,14 +360,22 @@ std::size_t fleet_service::find_cohort(const cohort_key& key) const {
                : cohorts_.size();
 }
 
+double fleet_service::served_requirement_mv(
+    const cohort_state& cohort) const {
+    // Synthetic aging widens the *served* requirement only -- the
+    // cached/journaled characterization stays drift-free, so the
+    // timeline's drift-slope rules watch the same signal the binning
+    // serves.  The default 0 adds +0.0, which leaves every requirement
+    // but -0.0 bitwise unchanged.
+    return cohort.last.requirement_mv +
+           config_.aging_mv_per_epoch * static_cast<double>(epoch_ - 1);
+}
+
 void fleet_service::fan_out() {
-    // Per-cohort serving values.  Synthetic aging widens the *served*
-    // requirement only -- the cached/journaled characterization stays
-    // drift-free, so the timeline's drift-slope rules watch the same
-    // signal the binning serves.  (Guarded so the default 0 keeps bins
-    // bit-identical.)  Degraded cohorts serve the conservative answer:
-    // their nodes bin at the nominal cap -- no exploitation without
-    // characterization -- and contribute no measured power.
+    // Per-cohort serving values (`served_requirement_mv`).  Degraded
+    // cohorts serve the conservative answer: their nodes bin at the
+    // nominal cap -- no exploitation without characterization -- and
+    // contribute no measured power.
     struct serving {
         double served_mv = 0.0;
         double nominal_w = 0.0;
@@ -419,11 +396,7 @@ void fleet_service::fan_out() {
             degraded_nodes += cohort.members;
             continue;
         }
-        double served_mv = cohort.last.requirement_mv;
-        if (config_.aging_mv_per_epoch != 0.0) {
-            served_mv += config_.aging_mv_per_epoch *
-                         static_cast<double>(epoch_ - 1);
-        }
+        const double served_mv = served_requirement_mv(cohort);
         GB_EXPECTS(std::isfinite(served_mv));
         serve[c] = {served_mv, cohort.last.power_nominal_w,
                     cohort.last.power_point_w, false};
@@ -522,7 +495,8 @@ void fleet_service::warm_cache_from_journal() {
     bool have_prev = false;
     std::int64_t prev_sweep = 0;
     cohort_key prev_key{};
-    read_journal(config_.journal_path, [&](const journal_line& line) {
+    std::ifstream in(config_.journal_path, std::ios::binary);
+    for_each_journal_line(in, [&](const journal_line& line) {
         const auto reject = [&](const std::string& reason) {
             throw fleet_journal_error("fleet journal " +
                                       config_.journal_path + ":" +
@@ -530,7 +504,7 @@ void fleet_service::warm_cache_from_journal() {
                                       reason);
         };
         if (line.torn) {
-            healed_bytes_ += line.size;
+            healed_bytes_ += line.text.size();
             std::error_code ec;
             std::filesystem::resize_file(config_.journal_path, line.offset,
                                          ec);
@@ -546,8 +520,8 @@ void fleet_service::warm_cache_from_journal() {
         if (!line.framed) {
             reject("not a journal record");
         }
-        if (line.serial != journal_serial_) {
-            reject("task serial " + std::to_string(line.serial) +
+        if (line.task_index != journal_serial_) {
+            reject("task serial " + std::to_string(line.task_index) +
                    " out of sequence (expected " +
                    std::to_string(journal_serial_) + ")");
         }
@@ -764,7 +738,6 @@ probe_result fleet_service::execute_replica(const probe_result& honest) {
 
 void fleet_service::charge_dissent(
     std::uint64_t rig, std::set<std::uint64_t>& newly_blacklisted) {
-    cache_.record_dissent();
     if (reputation_.record_dissent(rig)) {
         newly_blacklisted.insert(rig);
     }
@@ -818,6 +791,22 @@ bool fleet_service::arbitrate(std::uint64_t content,
     return true;
 }
 
+void fleet_service::repair_entry(std::size_t cohort, std::uint64_t content,
+                                 const probe_result& truth,
+                                 const std::vector<std::uint32_t>& rigs,
+                                 bool& journal_dirty) {
+    cache_.insert(content, truth, rigs);
+    if (cohorts_[cohort].last_content == content) {
+        cohorts_[cohort].last = truth;
+    }
+    if (journal_) {
+        // Each cached content is journaled exactly once: the rewrite
+        // re-renders its record from the repaired entry.
+        ++repaired_entries_;
+        journal_dirty = true;
+    }
+}
+
 void fleet_service::audit_scheduled_hits(
     std::int64_t sweep_mv,
     const std::vector<std::pair<std::size_t, std::uint64_t>>& candidates,
@@ -855,17 +844,9 @@ void fleet_service::audit_scheduled_hits(
             if (const auto* provenance = cache_.provenance(content)) {
                 charged = *provenance;
             }
-            cache_.repair(content, truth, rigs);
-            if (cohort_last_content_[cohort_idx] == content) {
-                cohorts_[cohort_idx].last = truth;
-            }
+            repair_entry(cohort_idx, content, truth, rigs, journal_dirty);
             for (const std::uint32_t rig : charged) {
                 charge_dissent(rig, newly_blacklisted);
-            }
-            if (journal_) {
-                // Each cached content is journaled exactly once.
-                ++repaired_entries_;
-                journal_dirty = true;
             }
         } else {
             // The cache was right; the audit replica itself lied.
@@ -885,7 +866,8 @@ void fleet_service::repair_blacklisted_entries(
     // draws of the re-executions below.  The cache holds each journaled
     // content's current result and vouching rigs.
     const int quorum = std::max(1, config_.integrity.quorum);
-    read_journal(config_.journal_path, [&](const journal_line& line) {
+    std::ifstream in(config_.journal_path, std::ios::binary);
+    for_each_journal_line(in, [&](const journal_line& line) {
         journaled_probe probe;
         if (!trusted_probe(line, probe)) {
             return;
@@ -917,12 +899,8 @@ void fleet_service::repair_blacklisted_entries(
             ++sdc_corrected_;
         }
         if (value_changed || rigs != vouchers) {
-            ++repaired_entries_;
-            journal_dirty = true;
-            cache_.repair(probe.content, truth, rigs);
-            if (cohort_last_content_[cohort_idx] == probe.content) {
-                cohorts_[cohort_idx].last = truth;
-            }
+            repair_entry(cohort_idx, probe.content, truth, rigs,
+                         journal_dirty);
         }
     });
 }
@@ -943,18 +921,21 @@ void fleet_service::rewrite_journal() {
     std::ostringstream bytes;
     campaign_journal rewrite(bytes);
     std::uint64_t chain = chain_basis;
-    read_journal(config_.journal_path, [&](const journal_line& line) {
-        journaled_probe probe;
-        if (!trusted_probe(line, probe)) {
-            rewrite.append(line.serial, line.payload);
-            return;
-        }
-        rewrite.append(line.serial,
-                       chained_probe_payload(
-                           probe.key, probe.sweep_mv, probe.content,
-                           *cache_.peek(probe.content), probe.ledger,
-                           *cache_.provenance(probe.content), chain));
-    });
+    {
+        std::ifstream in(config_.journal_path, std::ios::binary);
+        for_each_journal_line(in, [&](const journal_line& line) {
+            journaled_probe probe;
+            if (!trusted_probe(line, probe)) {
+                rewrite.append(line.task_index, line.payload);
+                return;
+            }
+            rewrite.append(line.task_index,
+                           chained_probe_payload(
+                               probe.key, probe.sweep_mv, probe.content,
+                               *cache_.peek(probe.content), probe.ledger,
+                               *cache_.provenance(probe.content), chain));
+        });
+    }
     GB_ENSURES(rewrite.appended() == journal_serial_);
     if (!publish_atomic(config_.journal_path, bytes.str())) {
         return; // keep appending to the old (still-linked) journal
@@ -962,6 +943,15 @@ void fleet_service::rewrite_journal() {
     chain_ = chain;
     journal_ = std::make_unique<campaign_journal>(config_.journal_path);
     journal_->set_chaos(config_.chaos);
+}
+
+void fleet_service::fill_ledger_counters(campaign_status& status) const {
+    status.retries = ledger_stats_.retries;
+    status.injected_faults = ledger_stats_.injected_faults();
+    status.aborted_rig = ledger_stats_.aborted_rig;
+    status.replayed = scheduled_hits_;
+    status.rig_downtime_ms = static_cast<std::uint64_t>(
+        std::llround(ledger_stats_.rig_downtime_s * 1000.0));
 }
 
 void fleet_service::publish_live(std::uint64_t pending) const {
@@ -973,12 +963,7 @@ void fleet_service::publish_live(std::uint64_t pending) const {
     live.running = true;
     live.tasks_total = pending;
     live.tasks_done = 0;
-    live.retries = ledger_stats_.retries;
-    live.injected_faults = ledger_stats_.injected_faults();
-    live.aborted_rig = ledger_stats_.aborted_rig;
-    live.replayed = scheduled_hits_;
-    live.rig_downtime_ms = static_cast<std::uint64_t>(
-        std::llround(ledger_stats_.rig_downtime_s * 1000.0));
+    fill_ledger_counters(live);
     live.workers = resolve_worker_count(config_.workers);
     live.worker_task.assign(static_cast<std::size_t>(live.workers), -1);
     live.wall_elapsed_s = 0.0;
@@ -1009,7 +994,7 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
             cohort.last = *cached;
             cohort.probed = true;
             cohort.degraded = false;
-            cohort_last_content_[c] = content;
+            cohort.last_content = content;
             ++outcome.cache_hits;
             // A hit on a content already requested this lifetime is a
             // *scheduled* hit -- the only hit notion identical before and
@@ -1185,7 +1170,7 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         cohort.last = admitted;
         cohort.probed = true;
         cohort.degraded = false;
-        cohort_last_content_[entry.cohort] = entry.content;
+        cohort.last_content = entry.content;
         fold_ledger(ledger_stats_, ledgers[j]);
         fold_ledger(outcome.stats, ledgers[j]);
         if (journal_) {
@@ -1250,11 +1235,7 @@ fleet_service::observatory_samples() const {
         if (!cohort.probed) {
             continue;
         }
-        double vmin = cohort.last.requirement_mv;
-        if (config_.aging_mv_per_epoch != 0.0) {
-            vmin += config_.aging_mv_per_epoch *
-                    static_cast<double>(epoch_ - 1);
-        }
+        const double vmin = served_requirement_mv(cohort);
         std::string series = "vmin.";
         series += to_string(cohort.key.corner);
         series += '.' + std::to_string(cohort.key.workload_class);
@@ -1338,12 +1319,7 @@ std::string fleet_service::state_snapshot() const {
     status.running = false;
     status.tasks_total = probes_requested_;
     status.tasks_done = probes_requested_;
-    status.retries = ledger_stats_.retries;
-    status.injected_faults = ledger_stats_.injected_faults();
-    status.aborted_rig = ledger_stats_.aborted_rig;
-    status.replayed = scheduled_hits_;
-    status.rig_downtime_ms = static_cast<std::uint64_t>(
-        std::llround(ledger_stats_.rig_downtime_s * 1000.0));
+    fill_ledger_counters(status);
     std::string line = write_status_json(status);
     const std::size_t close = line.find_last_of('}');
     GB_ENSURES(close != std::string::npos);

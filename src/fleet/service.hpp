@@ -72,6 +72,7 @@
 namespace gb {
 class tracer;
 class metrics_registry;
+struct campaign_status;
 } // namespace gb
 
 namespace gb::fleet {
@@ -220,6 +221,8 @@ struct cohort_state {
     /// journaled, so the retry recurs deterministically.
     bool degraded = false;
     probe_result last;
+    /// Content id of `last`, so a repair of that cache entry refreshes it.
+    std::uint64_t last_content = 0;
 };
 
 /// What one `run_campaign` call did.
@@ -357,6 +360,11 @@ private:
     /// Position of `key` in the sorted `cohorts_`, or cohorts_.size()
     /// when this fleet has no such cohort.
     [[nodiscard]] std::size_t find_cohort(const cohort_key& key) const;
+    /// The requirement a probed cohort serves this epoch: its last probe
+    /// result plus the synthetic aging drift.  Shared by the fan-out and
+    /// the observatory's Vmin samples.
+    [[nodiscard]] double served_requirement_mv(
+        const cohort_state& cohort) const;
     /// Node fan-out of the current cohort results: rebuilds `bins_` and
     /// the two power sums (docs/FLEET.md "Fan-out").
     void fan_out();
@@ -395,6 +403,14 @@ private:
     /// uniqued) -- the provenance every admission and repair records.
     [[nodiscard]] std::vector<std::uint32_t> assigned_rigs(
         std::uint64_t content) const;
+    /// Overwrite a poisoned or unvouched cache entry with its arbitrated
+    /// `truth` and `rigs`, refresh the cohort serving it, and (with a
+    /// journal) count the repair and mark the journal for rewrite.  The
+    /// one repair path of the audit and blacklist sweeps.
+    void repair_entry(std::size_t cohort, std::uint64_t content,
+                      const probe_result& truth,
+                      const std::vector<std::uint32_t>& rigs,
+                      bool& journal_dirty);
     void audit_scheduled_hits(
         std::int64_t sweep_mv,
         const std::vector<std::pair<std::size_t, std::uint64_t>>& candidates,
@@ -411,6 +427,9 @@ private:
     void rewrite_journal();
     void charge_dissent(std::uint64_t rig,
                         std::set<std::uint64_t>& newly_blacklisted);
+    /// The fault-ledger and scheduled-hit counters every published
+    /// snapshot carries, live or final.
+    void fill_ledger_counters(campaign_status& status) const;
     /// Live (`running: true`) snapshot while a campaign's probes are in
     /// flight; scheduling-dependent by nature, like engine heartbeats.
     void publish_live(std::uint64_t pending) const;
@@ -458,9 +477,6 @@ private:
     std::uint64_t effective_rigs_ = 1;
     rig_reputation reputation_;
     std::uint64_t chain_ = chain_basis; ///< running journal chain hash
-    /// Content of each cohort's most recent resolved probe, so repair can
-    /// refresh `cohorts_[i].last` when its backing entry is rewritten.
-    std::vector<std::uint64_t> cohort_last_content_;
     std::uint64_t sdc_detected_ = 0;
     std::uint64_t sdc_outvoted_ = 0;
     std::uint64_t sdc_corrected_ = 0;

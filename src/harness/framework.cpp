@@ -61,13 +61,13 @@ campaign_result characterization_framework::run_campaign(
 campaign_result characterization_framework::resume_campaign(
     const campaign_spec& spec, const kernel& program,
     std::istream& journal_in, const campaign_io& io) {
-    const cpu_journal_replay replay = replay_cpu_journal(journal_in);
+    const journal_replay replay = replay_journal(journal_in);
     if (replay.skipped > 0) {
-        log_info(spec.benchmark, " resume: ", replay.completed.size(),
+        log_info(spec.benchmark, " resume: ", replay.cpu.size(),
                  " records restored, ", replay.skipped,
                  " journal lines unrecoverable (their tasks re-run)");
     }
-    return run_campaign_impl(spec, program, io, &replay.completed);
+    return run_campaign_impl(spec, program, io, &replay.cpu);
 }
 
 campaign_result characterization_framework::run_campaign_impl(

@@ -2,11 +2,11 @@
 
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 
 #include "harness/chaos/chaos.hpp"
 #include "harness/fault_injection.hpp"
 #include "harness/logfile.hpp"
-#include "util/contracts.hpp"
 #include "util/wire.hpp"
 
 namespace gb {
@@ -19,7 +19,9 @@ constexpr std::string_view task_prefix = "task=";
 
 campaign_journal::campaign_journal(const std::string& path)
     : file_(path, std::ios::out | std::ios::app), sink_(&file_) {
-    GB_EXPECTS(file_.is_open());
+    if (!file_.is_open()) {
+        throw std::runtime_error("cannot open journal " + path);
+    }
 }
 
 campaign_journal::campaign_journal(std::ostream& sink) : sink_(&sink) {}
@@ -97,31 +99,31 @@ bool parse_journal_prefix(std::string_view line, std::size_t& task_index,
     return true;
 }
 
-cpu_journal_replay replay_cpu_journal(std::istream& in) {
-    cpu_journal_replay replay;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof()) {
-            // The line had no trailing newline: a live writer may still be
-            // mid-append, so the bytes are a partial record, not
-            // corruption.  Never parse them (a prefix of a record can
-            // itself look like a record).
-            replay.truncated_tail = !line.empty();
-            break;
+journal_replay replay_journal(std::istream& in) {
+    journal_replay replay;
+    for_each_journal_line(in, [&](const journal_line& line) {
+        if (line.torn) {
+            replay.truncated_tail = true;
+            return;
         }
-        if (line.empty()) {
-            continue;
+        if (line.text.empty()) {
+            return;
         }
-        std::size_t index = 0;
-        std::string_view payload;
-        run_record record;
-        if (parse_journal_prefix(line, index, payload) &&
-            parse_log_line(payload, record)) {
-            replay.completed[index] = std::move(record);
-        } else {
-            ++replay.skipped;
+        ++replay.lines;
+        if (line.framed) {
+            run_record cpu_record;
+            if (parse_log_line(line.payload, cpu_record)) {
+                replay.cpu[line.task_index] = std::move(cpu_record);
+                return;
+            }
+            dram_run_record dram_record;
+            if (parse_log_line(line.payload, dram_record)) {
+                replay.dram[line.task_index] = std::move(dram_record);
+                return;
+            }
         }
-    }
+        ++replay.skipped;
+    });
     return replay;
 }
 

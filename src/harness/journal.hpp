@@ -15,12 +15,13 @@
 
 #include <cstdint>
 #include <fstream>
-#include <iosfwd>
+#include <istream>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "harness/campaign.hpp"
 #include "harness/dram_campaign.hpp"
@@ -36,6 +37,8 @@ class campaign_journal {
 public:
     /// Append to a file (created if missing, existing lines kept -- the
     /// resume path reads them first and keeps appending to the same file).
+    /// Throws std::runtime_error ("cannot open journal <path>") when the
+    /// file cannot be opened for appending.
     explicit campaign_journal(const std::string& path);
     /// Append to a caller-owned stream (tests, off-board pipes).
     explicit campaign_journal(std::ostream& sink);
@@ -78,29 +81,61 @@ private:
                                         std::size_t& task_index,
                                         std::string_view& payload);
 
-/// Replay of a (possibly truncated, possibly corrupted) journal: the
-/// records recovered per task index, last write winning.  `skipped` counts
-/// lines that were not recoverable records.
-///
-/// Live-tailed files: the writer appends whole lines ending in '\n', so a
-/// final line without a trailing newline is a record still being written
-/// (the fleet daemon ingests journals mid-append).  Such a tail is never
-/// parsed -- even if its bytes happen to form a valid record, more bytes
-/// may follow -- and is reported via `truncated_tail` instead of being
-/// counted as skipped corruption.
-struct cpu_journal_replay {
-    std::map<std::size_t, run_record> completed;
-    std::size_t skipped = 0;
-    bool truncated_tail = false;
+/// One line of a journal as `for_each_journal_line` streams it.  The views
+/// are valid only during the visit.
+struct journal_line {
+    std::size_t lineno = 0;    ///< 1-based
+    std::uintmax_t offset = 0; ///< byte offset of the line's first byte
+    std::string_view text;     ///< the bytes before the '\n'
+    /// The stream's last line has no '\n'.  The writer appends whole
+    /// lines, so this is a record still being written (a live tail) or
+    /// the torn write of a killed writer -- never a record: a prefix of a
+    /// record can itself look like a record, and more bytes may follow.
+    bool torn = false;
+    /// A complete line with a well-formed `task=N ` prefix, split into
+    /// `task_index` and `payload`.
+    bool framed = false;
+    std::size_t task_index = 0;
+    std::string_view payload;
 };
-[[nodiscard]] cpu_journal_replay replay_cpu_journal(std::istream& in);
 
-/// DRAM records of a journal, as gbreport's journal artifact reads them
-/// (report/artifacts.hpp).
-struct dram_journal_replay {
-    std::map<std::size_t, dram_run_record> completed;
-    std::size_t skipped = 0;
+/// Stream `in` in order, `visit(line)` per line, the torn tail included
+/// (flagged, never framed).  The only line loop over journal bytes: every
+/// reader shares this framing and decides only what to trust -- replay
+/// (below) is tolerant and skips what it cannot parse; the fleet's warm
+/// path is strict and heals the torn tail.
+template <typename Visit>
+void for_each_journal_line(std::istream& in, Visit&& visit) {
+    journal_line line;
+    std::string text;
+    while (std::getline(in, text)) {
+        ++line.lineno;
+        line.text = text;
+        line.torn = in.eof();
+        line.framed = !line.torn &&
+                      parse_journal_prefix(text, line.task_index,
+                                           line.payload);
+        visit(std::as_const(line));
+        line.offset += text.size() + 1;
+    }
+}
+
+/// Replay of a (possibly truncated, possibly corrupted) journal through
+/// the tolerant logfile parsers: the CPU (`run=`) and DRAM (`dram=`)
+/// records recovered per task index, last write winning, plus the line
+/// accounting.  A torn tail is reported via `truncated_tail` and is not
+/// counted in `lines` or `skipped`.
+struct journal_replay {
+    std::map<std::size_t, run_record> cpu;
+    std::map<std::size_t, dram_run_record> dram;
+    std::size_t lines = 0;   ///< complete non-empty lines
+    std::size_t skipped = 0; ///< of those, lines that were not records
     bool truncated_tail = false;
+
+    [[nodiscard]] std::size_t records() const {
+        return cpu.size() + dram.size();
+    }
 };
+[[nodiscard]] journal_replay replay_journal(std::istream& in);
 
 } // namespace gb

@@ -176,10 +176,10 @@ void render_summary(std::ostream& out, const journal_artifact& journal) {
         out << ", truncated tail (live)";
     }
     out << "\n";
-    if (!journal.cpu.completed.empty()) {
+    if (!journal.cpu.empty()) {
         std::map<std::tuple<std::string, std::string, double>, cpu_group>
             groups;
-        for (const auto& [index, record] : journal.cpu.completed) {
+        for (const auto& [index, record] : journal.cpu) {
             (void)index;
             cpu_group& group =
                 groups[{record.benchmark, format_cores(record.cores),
@@ -203,8 +203,8 @@ void render_summary(std::ostream& out, const journal_artifact& journal) {
                 at->second = at->second || disruptive;
             }
         }
-        out << "\nCPU campaigns (" << journal.cpu.completed.size()
-            << " run(s), " << journal.cpu.skipped << " skipped line(s))\n";
+        out << "\nCPU campaigns (" << journal.cpu.size()
+            << " run(s), " << journal.skipped << " skipped line(s))\n";
         text_table table({"benchmark", "cores", "f(MHz)", "runs", "ok", "ce",
                           "disrupt", "wdt", "safe Vmin(mV)"});
         for (const auto& [key, group] : groups) {
@@ -229,9 +229,9 @@ void render_summary(std::ostream& out, const journal_artifact& journal) {
         }
         table.render(out);
     }
-    if (!journal.dram.completed.empty()) {
+    if (!journal.dram.empty()) {
         std::map<double, dram_group> groups;
-        for (const auto& [index, record] : journal.dram.completed) {
+        for (const auto& [index, record] : journal.dram) {
             (void)index;
             dram_group& group = groups[record.temperature.value];
             ++group.records;
@@ -255,8 +255,8 @@ void render_summary(std::ostream& out, const journal_artifact& journal) {
                 at->second = at->second && safe;
             }
         }
-        out << "\nDRAM campaigns (" << journal.dram.completed.size()
-            << " record(s), " << journal.dram.skipped
+        out << "\nDRAM campaigns (" << journal.dram.size()
+            << " record(s), " << journal.skipped
             << " skipped line(s))\n";
         text_table table({"temp(C)", "records", "clean", "ce", "ue",
                           "aborted", "weak cells", "worst scan",

@@ -2,7 +2,6 @@
 
 #include <fstream>
 
-#include "harness/logfile.hpp"
 #include "harness/report/json.hpp"
 #include "util/wire.hpp"
 
@@ -335,41 +334,7 @@ std::optional<journal_artifact> load_journal_file(const std::string& path,
         error = tagged(path, "cannot open file");
         return std::nullopt;
     }
-    journal_artifact artifact;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof()) {
-            // No trailing newline: the journal is live and this line is
-            // still being appended.  Surface a clean truncated-tail
-            // indicator instead of mis-reporting the partial bytes as a
-            // skipped (corrupt) record.
-            artifact.truncated_tail = !line.empty();
-            break;
-        }
-        if (line.empty()) {
-            continue;
-        }
-        ++artifact.lines;
-        std::size_t index = 0;
-        std::string_view payload;
-        if (!parse_journal_prefix(line, index, payload)) {
-            ++artifact.skipped;
-            continue;
-        }
-        run_record cpu_record;
-        if (parse_log_line(payload, cpu_record)) {
-            artifact.cpu.completed[index] = std::move(cpu_record);
-            continue;
-        }
-        dram_run_record dram_record;
-        if (parse_log_line(payload, dram_record)) {
-            artifact.dram.completed[index] = std::move(dram_record);
-            continue;
-        }
-        ++artifact.skipped;
-    }
-    artifact.cpu.skipped = artifact.skipped;
-    artifact.dram.skipped = artifact.skipped;
+    journal_artifact artifact = replay_journal(in);
     if (artifact.records() == 0) {
         error = tagged(
             path,

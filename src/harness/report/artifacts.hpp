@@ -72,24 +72,10 @@ struct trace_artifact {
 
 // --- task journal -------------------------------------------------------
 
-/// Replay of one journal file through the tolerant wire-format parsers.
-/// CPU (`run=`) and DRAM (`dram=`) records can in principle share a file;
-/// the model keeps both maps and the line accounting.
-struct journal_artifact {
-    cpu_journal_replay cpu;
-    dram_journal_replay dram;
-    std::size_t lines = 0;   ///< non-empty lines seen
-    std::size_t skipped = 0; ///< lines that were not recoverable records
-    /// The file ended mid-line (no trailing newline): it is being tailed
-    /// while the writer appends.  The partial tail is not a parse error
-    /// and is excluded from `lines`/`skipped`/records -- re-read later for
-    /// the completed record.
-    bool truncated_tail = false;
-
-    [[nodiscard]] std::size_t records() const {
-        return cpu.completed.size() + dram.completed.size();
-    }
-};
+/// Replay of one journal file (journal.hpp's `replay_journal`): CPU and
+/// DRAM records can share a file; a live file's partial last line is a
+/// truncated tail, not a parse error -- re-read later for the record.
+using journal_artifact = journal_replay;
 
 /// Fails (with a diagnostic) when the file is unreadable or contains no
 /// recoverable record at all -- a journal that is *pure* corruption is an

@@ -1,8 +1,8 @@
 # Argument-rejection contract of the undervolt_campaign and fleet_binning
 # examples: a typoed flag, an unknown benchmark name, an out-of-range
-# --faults rate or a trailing argument exits 2 with a one-line diagnostic
-# quoting the offending input -- before any characterization runs, so each
-# case returns in well under a second.
+# --faults rate, an unopenable --journal path or a trailing argument exits
+# 2 with a one-line diagnostic quoting the offending input -- before any
+# characterization runs, so each case returns in well under a second.
 #
 # Driven from tests/CMakeLists.txt via
 #   cmake -DCAMPAIGN=... -DFLEET_BINNING=... -P examples_cli.cmake
@@ -42,6 +42,12 @@ expect_usage_error("'not_a_benchmark'" ${CAMPAIGN} milc not_a_benchmark)
 expect_usage_error("--faults" ${CAMPAIGN} milc --faults 1.5)
 expect_usage_error("--faults" ${CAMPAIGN} milc --faults abc)
 expect_usage_error("--journal" ${CAMPAIGN} milc --journal)
+# An unopenable journal (a directory, a file in a missing directory) is
+# reported before the first benchmark runs.
+expect_usage_error("undervolt_campaign: cannot open journal ${CMAKE_CURRENT_LIST_DIR}"
+    ${CAMPAIGN} milc --journal ${CMAKE_CURRENT_LIST_DIR})
+expect_usage_error("cannot open journal ${CMAKE_CURRENT_LIST_DIR}/no_such_dir/j.milc"
+    ${CAMPAIGN} milc namd --journal ${CMAKE_CURRENT_LIST_DIR}/no_such_dir/j)
 
 # fleet_binning takes one positional argument.
 expect_usage_error("'extra'" ${FLEET_BINNING} 4 extra)

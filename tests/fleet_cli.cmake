@@ -179,3 +179,13 @@ file(WRITE ${tamper_journal} "${text}\n")
 expect_fail(":2: chain hash mismatch"
     serve --state ${state} --journal ${tamper_journal} --nodes 2000
     --epochs 1)
+
+# An unopenable --journal path -- a directory, or a file in a missing
+# directory -- is a one-line diagnostic and exit 2, not an abort.
+file(REMOVE_RECURSE ${WORK_DIR}/missing)
+expect_fail("fleet_service: cannot open journal ${WORK_DIR}"
+    serve --state ${state} --journal ${WORK_DIR} --nodes 10 --epochs 0)
+expect_fail(
+    "fleet_service: cannot open journal ${WORK_DIR}/missing/probes.journal"
+    serve --state ${state} --journal ${WORK_DIR}/missing/probes.journal
+    --nodes 10 --epochs 0)

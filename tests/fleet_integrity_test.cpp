@@ -103,8 +103,7 @@ struct run_result {
     std::uint64_t stalemates = 0;
     std::uint64_t blacklisted = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t cache_dissents = 0;
-    std::uint64_t cache_repaired = 0;
+    std::uint64_t dissents = 0;
 };
 
 struct run_options {
@@ -157,8 +156,7 @@ run_result run_service(const std::string& journal_path,
     result.stalemates = service.quorum_stalemates();
     result.blacklisted = service.reputation().blacklisted_count();
     result.cache_hits = service.cache().hits();
-    result.cache_dissents = service.cache().dissents();
-    result.cache_repaired = service.cache().repaired();
+    result.dissents = service.reputation().dissents();
     return result;
 }
 
@@ -182,12 +180,9 @@ TEST(ProbeCacheTest, CountersAreExactAndProvenanceRoundTrips) {
     EXPECT_EQ(cache.provenance(999), nullptr);
     cache.insert(7, value, {1});
 
-    cache.record_dissent();
-    EXPECT_EQ(cache.dissents(), 1u);
     probe_result truth = value;
     truth.requirement_mv = 901.0;
-    cache.repair(42, truth, {6});
-    EXPECT_EQ(cache.repaired(), 1u);
+    cache.insert(42, truth, {6});
     EXPECT_DOUBLE_EQ(cache.peek(42)->requirement_mv, 901.0);
     EXPECT_EQ(*cache.provenance(42), (std::vector<std::uint32_t>{6}));
     EXPECT_EQ(cache.size(), 2u);
@@ -204,7 +199,7 @@ TEST(ProbeCacheTest, RequestedBitIsCountedOnceAndSurvivesOverwrites) {
     EXPECT_EQ(cache.requested(), 1u);
     value.requirement_mv = 901.0;
     cache.insert(42, value, {4});
-    cache.repair(42, value, {5});
+    cache.insert(42, value, {5});
     EXPECT_TRUE(cache.mark_requested(42));
     EXPECT_FALSE(cache.mark_requested(7));
     EXPECT_EQ(cache.requested(), 2u);
@@ -302,26 +297,23 @@ TEST(ProbeCacheTest, OverwriteAndRepairKeepRequestedBitAndCounters) {
     ASSERT_NE(cache.lookup(0), nullptr);
     EXPECT_EQ(cache.lookup(5), nullptr);
     EXPECT_FALSE(cache.mark_requested(0));
-    cache.record_dissent();
 
     probe_result changed = value;
     changed.requirement_mv = 905.0;
     changed.bucket = 2;
     cache.insert(0, changed, {4, 5, 6});
     EXPECT_TRUE(same_result(*cache.peek(0), changed));
-    cache.repair(0, value, {1, 2, 3});
-    cache.repair(42, changed, {7});
+    cache.insert(0, value, {1, 2, 3});
+    cache.insert(42, changed, {7});
     EXPECT_TRUE(same_result(*cache.peek(0), value));
     EXPECT_TRUE(same_result(*cache.peek(42), changed));
     EXPECT_EQ(*cache.provenance(42), (std::vector<std::uint32_t>{7}));
 
-    // Overwrites never add entries, move counters other than `repaired`,
-    // or clear the requested bit.
+    // Overwrites never add entries, move counters or clear the requested
+    // bit.
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.dissents(), 1u);
-    EXPECT_EQ(cache.repaired(), 2u);
     EXPECT_EQ(cache.requested(), 1u);
     EXPECT_TRUE(cache.mark_requested(0));
     EXPECT_FALSE(cache.mark_requested(42));
@@ -346,7 +338,7 @@ TEST(ProbeCacheTest, ProvenanceIsInternedAndEqualToWhatWasInserted) {
     // Re-pointing an entry at another set leaves the other entries' sets
     // alone and reuses the interned copy.
     const std::vector<std::uint32_t>* assigned = cache.provenance(2);
-    cache.repair(1, value, restored);
+    cache.insert(1, value, restored);
     EXPECT_EQ(*cache.provenance(1), restored);
     EXPECT_EQ(cache.provenance(1), cache.provenance(3));
     EXPECT_EQ(cache.provenance(2), assigned);
@@ -433,8 +425,7 @@ TEST(FleetIntegrityTest, AuditCatchesAndRepairsAPoisonedCacheBitwise) {
     EXPECT_EQ(attacked.corrected, 1u);
     EXPECT_EQ(attacked.escaped, 0u);
     EXPECT_GE(attacked.repaired, 1u);
-    EXPECT_EQ(attacked.cache_repaired, 1u);
-    EXPECT_EQ(attacked.cache_dissents, 1u);
+    EXPECT_EQ(attacked.dissents, 1u);
     EXPECT_EQ(attacked.journal, clean.journal);
     EXPECT_EQ(attacked.snapshot, clean.snapshot);
 }
@@ -670,7 +661,7 @@ TEST(FleetIntegrityTest, CountersAndBytesConvergeAcrossRestartWarm) {
     replay.fresh_journal = false; // warm over the repaired journal
     const run_result warmed = run_service(journal_path, replay);
     EXPECT_EQ(warmed.cache_hits, 72u); // both sweeps served from warm
-    EXPECT_EQ(warmed.cache_dissents, 0u);
+    EXPECT_EQ(warmed.dissents, 0u);
     EXPECT_EQ(warmed.audit_mismatches, 0u);
     EXPECT_EQ(warmed.journal, first.journal);
     EXPECT_EQ(warmed.snapshot, first.snapshot);

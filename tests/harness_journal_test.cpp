@@ -2,17 +2,21 @@
 // after K of N journal lines, resume from the truncated journal, and the
 // records and CSV are bitwise identical to the uninterrupted run -- at 1
 // and 8 workers, even when the fault plan was garbling journal lines.  A
-// DRAM campaign's journal reads back through gbreport's loader.
+// DRAM campaign's journal reads back through gbreport's loader, and every
+// reader of the shared line framing classifies a journal cut at any byte
+// offset the same way.
 #include "harness/journal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 
+#include "fleet/service.hpp"
 #include "harness/fault_injection.hpp"
 #include "harness/framework.hpp"
 #include "harness/logfile.hpp"
@@ -93,10 +97,10 @@ TEST(journal_test, replay_recovers_records_and_counts_skips) {
     std::string text = "U-Boot 2016.01 (X-Gene2)\n" + sink.str() +
                        "task=3 run=milc v=9\x01\n";
     std::istringstream in(text);
-    const cpu_journal_replay replay = replay_cpu_journal(in);
-    EXPECT_EQ(replay.completed.size(), result.records.size());
+    const journal_replay replay = replay_journal(in);
+    EXPECT_EQ(replay.cpu.size(), result.records.size());
     EXPECT_EQ(replay.skipped, 2u);
-    for (const auto& [index, record] : replay.completed) {
+    for (const auto& [index, record] : replay.cpu) {
         ASSERT_LT(index, result.records.size());
         EXPECT_EQ(to_log_line(record),
                   to_log_line(result.records[index]));
@@ -174,8 +178,8 @@ TEST(journal_test, resumed_run_keeps_journaling_the_remainder) {
 
     // The original prefix plus the resumed tail replay to the full run.
     std::istringstream combined(truncated + resumed_sink.str());
-    const cpu_journal_replay replay = replay_cpu_journal(combined);
-    EXPECT_EQ(replay.completed.size(), total);
+    const journal_replay replay = replay_journal(combined);
+    EXPECT_EQ(replay.cpu.size(), total);
     EXPECT_EQ(replay.skipped, 0u);
 }
 
@@ -259,9 +263,9 @@ TEST(journal_test, dram_journal_reads_back_through_the_report_loader) {
     ASSERT_TRUE(artifact.has_value()) << error;
     EXPECT_TRUE(artifact->truncated_tail);
     EXPECT_EQ(artifact->skipped, 0u);
-    EXPECT_TRUE(artifact->cpu.completed.empty());
-    ASSERT_EQ(artifact->dram.completed.size(), result.records.size());
-    for (const auto& [index, record] : artifact->dram.completed) {
+    EXPECT_TRUE(artifact->cpu.empty());
+    ASSERT_EQ(artifact->dram.size(), result.records.size());
+    for (const auto& [index, record] : artifact->dram) {
         ASSERT_LT(index, result.records.size());
         EXPECT_EQ(to_log_line(record), to_log_line(result.records[index]));
     }
@@ -284,27 +288,161 @@ TEST(journal_test, partial_tail_is_reported_not_parsed) {
 
     {
         std::istringstream in(complete + in_flight);
-        const cpu_journal_replay replay = replay_cpu_journal(in);
-        EXPECT_EQ(replay.completed.size(), 2u);
+        const journal_replay replay = replay_journal(in);
+        EXPECT_EQ(replay.cpu.size(), 2u);
         EXPECT_EQ(replay.skipped, 0u);
         EXPECT_TRUE(replay.truncated_tail);
-        EXPECT_FALSE(replay.completed.contains(2));
+        EXPECT_FALSE(replay.cpu.contains(2));
     }
     {
         // The writer finishes the line: re-reading recovers the record and
         // the tail indicator clears.
         std::istringstream in(complete + in_flight + "\n");
-        const cpu_journal_replay replay = replay_cpu_journal(in);
-        EXPECT_EQ(replay.completed.size(), 3u);
+        const journal_replay replay = replay_journal(in);
+        EXPECT_EQ(replay.cpu.size(), 3u);
         EXPECT_EQ(replay.skipped, 0u);
         EXPECT_FALSE(replay.truncated_tail);
     }
     {
         // A file ending exactly at a newline has no in-flight tail.
         std::istringstream in(complete);
-        const cpu_journal_replay replay = replay_cpu_journal(in);
+        const journal_replay replay = replay_journal(in);
         EXPECT_FALSE(replay.truncated_tail);
     }
+}
+
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+void write_raw(const std::string& path, std::string_view bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+TEST(journal_test, every_cut_offset_is_classified_once) {
+    // A CPU+DRAM task journal as the writer frames it, cut at every byte
+    // offset (the seed corpus of a journal fuzzer).  A cut at a line end
+    // is a complete journal; any other cut leaves a torn tail, which both
+    // the replay and gbreport's loader report -- never parse -- while
+    // restoring exactly the complete lines before it.
+    const std::vector<std::string> cpu_lines = {
+        "run=milc v=900 f=2400 cores=6 rep=0 outcome=OK margin=12 "
+        "path=logic wdt=0",
+        "run=milc v=890 f=2400 cores=6 rep=0 outcome=CRASH margin=-2 "
+        "path=logic wdt=1",
+        "run=milc v=880 f=2400 cores=6 rep=1 outcome=OK margin=2 "
+        "path=logic wdt=0"};
+    dram_run_record dram;
+    dram.temperature = celsius{60.0};
+    dram.refresh_period = milliseconds{2283.0};
+    dram.scan.failed_cells = 17;
+    dram.scan.ce_words = 15;
+    dram.scan.ue_words = 1;
+    dram.scan.per_bank_failures = {1, 2, 3, 4, 5, 0, 1, 1};
+    dram.outcome = dram_run_outcome::uncorrectable;
+    const std::string dram_line = to_log_line(dram);
+
+    // Task order: cpu, dram, cpu, dram, cpu.
+    std::ostringstream sink;
+    campaign_journal journal(sink);
+    std::vector<std::string> payloads;
+    for (std::size_t task = 0; task < 5; ++task) {
+        payloads.push_back(task % 2 == 0 ? cpu_lines[task / 2] : dram_line);
+        journal.append(task, payloads.back());
+    }
+    const std::string text = sink.str();
+    const std::string path =
+        ::testing::TempDir() + "gb_journal_test_cuts.journal";
+
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+        SCOPED_TRACE("cut=" + std::to_string(cut));
+        const std::string_view prefix = std::string_view(text).substr(0, cut);
+        const auto complete = static_cast<std::size_t>(
+            std::count(prefix.begin(), prefix.end(), '\n'));
+        const bool torn = cut > 0 && prefix.back() != '\n';
+
+        std::istringstream in{std::string(prefix)};
+        const journal_replay replay = replay_journal(in);
+        EXPECT_EQ(replay.truncated_tail, torn);
+        EXPECT_EQ(replay.lines, complete);
+        EXPECT_EQ(replay.skipped, 0u);
+        ASSERT_EQ(replay.records(), complete);
+        for (std::size_t task = 0; task < complete; ++task) {
+            const std::string got =
+                task % 2 == 0 ? to_log_line(replay.cpu.at(task))
+                              : to_log_line(replay.dram.at(task));
+            EXPECT_EQ(got, payloads[task]);
+        }
+
+        write_raw(path, prefix);
+        std::string error;
+        const std::optional<report::journal_artifact> artifact =
+            report::load_journal_file(path, error);
+        if (complete == 0) {
+            EXPECT_FALSE(artifact.has_value());
+            EXPECT_NE(error.find(torn ? "truncated tail" : "empty"),
+                      std::string::npos)
+                << error;
+            continue;
+        }
+        ASSERT_TRUE(artifact.has_value()) << error;
+        EXPECT_EQ(artifact->truncated_tail, torn);
+        EXPECT_EQ(artifact->lines, complete);
+        EXPECT_EQ(artifact->skipped, 0u);
+        EXPECT_EQ(artifact->cpu.size(), replay.cpu.size());
+        EXPECT_EQ(artifact->dram.size(), replay.dram.size());
+    }
+    std::remove(path.c_str());
+}
+
+TEST(journal_test, every_cut_of_a_fleet_journal_heals_on_warm) {
+    // A 4-record chained fleet journal cut at every byte offset: the
+    // strict warm path restores exactly the complete probe records and
+    // heals (truncates, on disk) exactly the bytes after the last '\n'.
+    fleet::fleet_spec spec;
+    for (std::uint16_t op = 0; op < 4; ++op) {
+        fleet::fleet_node node;
+        node.id = op;
+        node.cohort.operating_point = op;
+        node.seed = 100 + op;
+        spec.explicit_nodes.push_back(node);
+    }
+    const auto probe = [](const fleet::probe_request& request) {
+        fleet::probe_result result;
+        result.requirement_mv =
+            850.0 + static_cast<double>(request.content % 97);
+        result.power_nominal_w = 30.0;
+        result.power_point_w = 24.0;
+        return result;
+    };
+    const std::string path =
+        ::testing::TempDir() + "gb_journal_test_fleet_cuts.journal";
+    std::remove(path.c_str());
+    fleet::fleet_service_config config;
+    config.journal_path = path;
+    {
+        fleet::fleet_service service(spec, config, probe);
+        (void)service.run_campaign(0);
+    }
+    const std::string text = slurp(path);
+    ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+        SCOPED_TRACE("cut=" + std::to_string(cut));
+        const std::string_view prefix = std::string_view(text).substr(0, cut);
+        const std::size_t kept = prefix.rfind('\n') + 1; // npos + 1 == 0
+        write_raw(path, prefix);
+        const fleet::fleet_service warmed(spec, config, probe);
+        EXPECT_EQ(warmed.restored(), static_cast<std::uint64_t>(std::count(
+                                         prefix.begin(), prefix.end(), '\n')));
+        EXPECT_EQ(warmed.healed_bytes(), cut - kept);
+        EXPECT_EQ(slurp(path), prefix.substr(0, kept));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(journal_test, file_backed_journal_survives_reopening) {
@@ -323,11 +461,11 @@ TEST(journal_test, file_backed_journal_survives_reopening) {
                           "outcome=CRASH margin=-2 path=logic wdt=1");
     }
     std::ifstream in(path);
-    const cpu_journal_replay replay = replay_cpu_journal(in);
-    EXPECT_EQ(replay.completed.size(), 2u);
+    const journal_replay replay = replay_journal(in);
+    EXPECT_EQ(replay.cpu.size(), 2u);
     EXPECT_EQ(replay.skipped, 0u);
-    ASSERT_TRUE(replay.completed.contains(1));
-    EXPECT_EQ(replay.completed.at(1).outcome, run_outcome::crash);
+    ASSERT_TRUE(replay.cpu.contains(1));
+    EXPECT_EQ(replay.cpu.at(1).outcome, run_outcome::crash);
     std::remove(path.c_str());
 }
 

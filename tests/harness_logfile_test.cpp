@@ -109,12 +109,12 @@ TEST(logfile_test, raw_log_roundtrip_with_boot_noise) {
          << '\n';
 
     std::istringstream in(wire.str());
-    const cpu_journal_replay replay = replay_cpu_journal(in);
-    ASSERT_EQ(replay.completed.size(), result.records.size());
+    const journal_replay replay = replay_journal(in);
+    ASSERT_EQ(replay.cpu.size(), result.records.size());
     EXPECT_EQ(replay.skipped, 3u);
     EXPECT_FALSE(replay.truncated_tail);
     std::vector<run_record> recovered;
-    for (const auto& [index, record] : replay.completed) {
+    for (const auto& [index, record] : replay.cpu) {
         recovered.push_back(record);
     }
     for (std::size_t i = 0; i < recovered.size(); ++i) {
