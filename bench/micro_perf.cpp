@@ -3,16 +3,14 @@
 // scans, one GA generation, and the parallel campaign execution engine
 // (dispatch overhead and worker scaling).
 //
-// Each optimized kernel is benchmarked next to its retained reference twin
-// (worst_droop / execute / combined_trace and their *_reference forms), so
-// the speedup each rewrite buys is a measured artifact rather than a claim.
-// run_dpbench's twin is local to kernel_equivalence_test and is not timed
-// here.  With `--baseline <dir>` (or
-// GB_UPDATE_BASELINE) the binary skips google-benchmark and runs a fixed
-// reporter suite instead, emitting BENCH_micro_kernels.json for the CI perf
-// gate: old-vs-new wall medians per kernel, a batched-evaluation width
-// sweep, and a content hash over the kernels' outputs that doubles as an
-// equivalence check.
+// The optimized kernels' reference twins (execute, combined_trace and
+// run_dpbench as the pre-optimization code paths) are local to
+// kernel_equivalence_test, which holds them bitwise equal; they are not
+// timed here.  With `--baseline <dir>` (or GB_UPDATE_BASELINE) the binary
+// skips google-benchmark and runs a fixed reporter suite instead, emitting
+// BENCH_micro_kernels.json for the CI perf gate: wall medians per kernel,
+// a batched-vs-unbatched evaluation width sweep, and a content hash over
+// the kernels' outputs.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -92,15 +90,6 @@ void bm_pipeline_execute(benchmark::State& state) {
 }
 BENCHMARK(bm_pipeline_execute);
 
-void bm_pipeline_execute_reference(benchmark::State& state) {
-    const pipeline_model pipeline(nominal_core_frequency);
-    const kernel& loop = find_cpu_benchmark("milc").loop;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(pipeline.execute_reference(loop, 8192));
-    }
-}
-BENCHMARK(bm_pipeline_execute_reference);
-
 void bm_combined_trace(benchmark::State& state) {
     chip_model ttt(make_ttt_chip(), make_xgene2_pdn());
     const pipeline_model pipeline(nominal_core_frequency);
@@ -115,21 +104,6 @@ void bm_combined_trace(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_combined_trace)->Arg(1)->Arg(8);
-
-void bm_combined_trace_reference(benchmark::State& state) {
-    chip_model ttt(make_ttt_chip(), make_xgene2_pdn());
-    const pipeline_model pipeline(nominal_core_frequency);
-    const execution_profile profile =
-        pipeline.execute(find_cpu_benchmark("bwaves").loop, 8192);
-    std::vector<core_assignment> all;
-    for (int c = 0; c < static_cast<int>(state.range(0)); ++c) {
-        all.push_back({c, &profile, nominal_core_frequency});
-    }
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ttt.combined_trace_reference(all, 7));
-    }
-}
-BENCHMARK(bm_combined_trace_reference)->Arg(1)->Arg(8);
 
 // Batched ladder evaluation (one analyze() amortized over every (V, rep)
 // cell) against the unbatched per-cell form it replaced in find_vmin.
@@ -336,12 +310,11 @@ BENCHMARK(bm_engine_campaign_traced)
 // ---------------------------------------------------------------------------
 // Fixed reporter suite for the CI perf gate (BENCH_micro_kernels.json).
 //
-// Every optimized kernel and its reference twin run the same fixed workload
-// for the same repetition count, so the published wall medians compare
-// directly (old vs new ns/op is the gauge ratio).  Outputs are folded into
-// content.hash: any divergence between a kernel and its twin, or any drift
-// in the kernels' results, changes the hash and trips the zero-tolerance
-// counter gate.
+// Every kernel runs a fixed workload for a fixed repetition count, and the
+// batched ladder evaluation runs next to the unbatched form it replaced, so
+// the published wall medians compare directly.  Outputs are folded into
+// content.hash: any drift in the kernels' results changes the hash and
+// trips the zero-tolerance counter gate.
 
 constexpr int baseline_repetitions = 5;
 
@@ -373,20 +346,13 @@ int run_baseline_suite(bench::baseline_reporter& baseline) {
         benchmark::DoNotOptimize(pdn.worst_droop(square.current_trace));
     });
 
-    // Pipeline trace generation, tiled vs cycle-by-cycle.
+    // Pipeline trace generation.
     const execution_profile fast = pipeline.execute(milc, 8192);
-    const execution_profile slow = pipeline.execute_reference(milc, 8192);
-    baseline.counter("equiv.pipeline_execute",
-                     fast.counters.cycles == slow.counters.cycles &&
-                         fast.current_trace == slow.current_trace);
     baseline.counter("pipeline.milc_cycles", fast.counters.cycles);
     baseline.fold(fast.counters.cycles);
     baseline.fold(fast.counters.instructions);
     time_reps(baseline, "pipeline_execute", 100, [&] {
         benchmark::DoNotOptimize(pipeline.execute(milc, 8192));
-    });
-    time_reps(baseline, "pipeline_execute_reference", 100, [&] {
-        benchmark::DoNotOptimize(pipeline.execute_reference(milc, 8192));
     });
 
     // Chip-level aggregation and the batched-ladder width sweep.
@@ -397,10 +363,6 @@ int run_baseline_suite(bench::baseline_reporter& baseline) {
             cores.push_back({c, &fast, nominal_core_frequency});
         }
         const std::vector<double> combined = ttt.combined_trace(cores, 7);
-        const std::vector<double> combined_ref =
-            ttt.combined_trace_reference(cores, 7);
-        baseline.counter("equiv.combined_trace_w" + std::to_string(width),
-                         combined == combined_ref);
         baseline.fold(std::bit_cast<std::uint64_t>(combined.back()));
 
         const std::string suffix = "_w" + std::to_string(width);

@@ -159,38 +159,6 @@ std::vector<double> chip_model::combined_trace(
     return total;
 }
 
-std::vector<double> chip_model::combined_trace_reference(
-    std::span<const core_assignment> assignments,
-    std::uint64_t phase_seed) const {
-    GB_EXPECTS(!assignments.empty());
-    GB_EXPECTS(assignments.size() <=
-               static_cast<std::size_t>(cores_per_chip));
-
-    std::size_t length = 8192;
-    for (const core_assignment& a : assignments) {
-        GB_EXPECTS(a.profile != nullptr);
-        GB_EXPECTS(!a.profile->current_trace.empty());
-        GB_EXPECTS(a.core >= 0 && a.core < cores_per_chip);
-        length = std::max(length, a.profile->current_trace.size());
-    }
-
-    std::vector<double> total(length, 0.0);
-    rng phase_rng(phase_seed);
-    for (const core_assignment& a : assignments) {
-        const std::vector<double>& trace = a.profile->current_trace;
-        const std::size_t offset = phase_rng.uniform_index(trace.size());
-        for (std::size_t k = 0; k < length; ++k) {
-            total[k] += trace[(k + offset) % trace.size()];
-        }
-    }
-    const int idle_cores =
-        cores_per_chip - static_cast<int>(assignments.size());
-    for (double& i : total) {
-        i += static_cast<double>(idle_cores) * core_baseline_current_a;
-    }
-    return total;
-}
-
 std::vector<vmin_analysis> chip_model::core_requirements(
     std::span<const core_assignment> assignments,
     std::uint64_t phase_seed) const {

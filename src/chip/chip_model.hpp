@@ -70,6 +70,8 @@ enum class failure_path : std::uint8_t {
     sram,  ///< cache SRAM cells
 };
 
+inline constexpr std::size_t failure_path_count = 2;
+
 [[nodiscard]] std::string_view to_string(failure_path path);
 
 /// Everything the Vmin analysis of one run determines.
@@ -97,6 +99,8 @@ enum class run_outcome : std::uint8_t {
     hang,
     aborted_rig,
 };
+
+inline constexpr std::size_t run_outcome_count = 7;
 
 [[nodiscard]] std::string_view to_string(run_outcome outcome);
 [[nodiscard]] bool is_disruption(run_outcome outcome);
@@ -174,16 +178,9 @@ public:
     /// Aggregate per-cycle current of all 8 cores (active ones tiled with
     /// phase offsets, idle ones at baseline).  The accumulation loop walks
     /// each core's trace with a wrapped cursor instead of a per-cycle
-    /// modulo; addition order matches combined_trace_reference exactly, so
-    /// the two are bitwise-identical (held by kernel_equivalence_test).
+    /// modulo, in the addition order of a per-cycle modulo walk, so the two
+    /// are bitwise-identical (held by kernel_equivalence_test).
     [[nodiscard]] std::vector<double> combined_trace(
-        std::span<const core_assignment> assignments,
-        std::uint64_t phase_seed) const;
-
-    /// Retained reference implementation of combined_trace (per-cycle modulo
-    /// indexing, the pre-optimization code path).  Differential-testing twin
-    /// only.
-    [[nodiscard]] std::vector<double> combined_trace_reference(
         std::span<const core_assignment> assignments,
         std::uint64_t phase_seed) const;
 

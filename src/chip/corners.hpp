@@ -21,6 +21,8 @@ namespace gb {
 
 enum class process_corner : std::uint8_t { ttt, tff, tss };
 
+inline constexpr std::size_t process_corner_count = 3;
+
 [[nodiscard]] std::string_view to_string(process_corner corner);
 
 inline constexpr int cores_per_chip = 8;

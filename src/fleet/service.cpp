@@ -27,19 +27,6 @@ namespace {
 constexpr std::size_t max_cohort_slots = std::size_t{1} << 20;
 constexpr std::size_t max_voltage_classes = std::size_t{1} << 20;
 
-bool corner_from_string(std::string_view text, process_corner& corner) {
-    if (text == to_string(process_corner::ttt)) {
-        corner = process_corner::ttt;
-    } else if (text == to_string(process_corner::tff)) {
-        corner = process_corner::tff;
-    } else if (text == to_string(process_corner::tss)) {
-        corner = process_corner::tss;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 /// Fault-draw key for re-plan round `round` of a probe: round 0 draws
 /// exactly where a single-round plan would, later rounds re-key so the
 /// retry sees fresh draws.  A pure function of content, never of engine
@@ -121,97 +108,117 @@ probe_result apply_sdc(const probe_result& clean,
     return result;
 }
 
-/// One probe record's payload: identity, result, fault ledger, the
-/// vouching rigs and, LAST so it covers everything before it (provenance
-/// included), the link that advances `chain` over this record.
-std::string chained_probe_payload(const cohort_key& key,
-                                  std::int64_t sweep_mv, std::uint64_t content,
-                                  const probe_result& result,
-                                  const probe_ledger& ledger,
-                                  const std::vector<std::uint32_t>& rigs,
-                                  std::uint64_t& chain) {
-    std::string line = "probe corner=";
-    line += to_string(key.corner);
-    line += " class=" + std::to_string(key.workload_class);
-    line += " op=" + std::to_string(key.operating_point);
-    line += " variant=" + std::to_string(key.variant);
-    line += " sweep=" + std::to_string(sweep_mv);
-    line += " content=" + format_hex(content);
-    line += " req=" + format_double(result.requirement_mv);
-    line += " pnom=" + format_double(result.power_nominal_w);
-    line += " ppt=" + format_double(result.power_point_w);
-    line += " bucket=" + std::to_string(result.bucket);
-    line += " retries=" + std::to_string(ledger.retries);
-    line += " wdt=" + std::to_string(ledger.watchdog_timeouts);
-    line += " crash=" + std::to_string(ledger.board_crashes);
-    line += " pwr=" + std::to_string(ledger.power_switch_failures);
-    line += " xhst=" + std::to_string(ledger.exhausted);
-    line += " down=" + format_double(ledger.downtime_s);
-    line += " rigs=" + format_list(rigs, ':');
-    chain = chain_next(chain, line);
-    line += " chain=" + format_hex(chain);
-    return line;
-}
+// --- journal record formats (util/wire.hpp record codec) ---------------
 
-/// A probe record's identity and ledger as a journal re-read sees them.
-struct journaled_probe {
-    cohort_key key;
-    std::int64_t sweep_mv = 0;
-    std::uint64_t content = 0;
-    probe_ledger ledger;
+/// A probe record's fields; the ` chain=` link that closes its payload is
+/// computed over them (chained_probe_payload).
+struct probe_format {
+    static constexpr std::string_view kind = "probe";
+    static void fields(auto& field, auto& record) {
+        field("corner", named(record.key.corner, process_corner_count));
+        field("class", record.key.workload_class);
+        field("op", record.key.operating_point);
+        field("variant", record.key.variant);
+        field("sweep", record.sweep_mv);
+        field("content", as_hex(record.content));
+        field("req", record.result.requirement_mv);
+        field("pnom", record.result.power_nominal_w);
+        field("ppt", record.result.power_point_w);
+        field("bucket", record.result.bucket);
+        field("retries", record.ledger.retries);
+        field("wdt", record.ledger.watchdog_timeouts);
+        field("crash", record.ledger.board_crashes);
+        field("pwr", record.ledger.power_switch_failures);
+        field("xhst", record.ledger.exhausted);
+        field("down", record.ledger.downtime_s);
+        field("rigs", joined(record.rigs, ':'));
+    }
+};
+
+/// The probe fields before the ` rigs=` provenance: identity, result and
+/// ledger.
+constexpr std::size_t probe_fields_before_rigs = 16;
+
+/// The link closing a probe payload, one space after the fields it
+/// covers.
+struct chain_format {
+    static constexpr std::string_view kind = "";
+    static void fields(auto& field, auto& chain) {
+        field("chain", as_hex(chain));
+    }
+};
+
+constexpr std::string_view chain_field = " chain=";
+
+/// The observatory's journal records: one struct for all three formats,
+/// each naming the fields it writes.
+struct observatory_record {
+    std::uint64_t epoch = 0;
+    alert_event event;         ///< alert; tline: series, tick, value
+    std::uint64_t samples = 0; ///< tseal
+    std::uint64_t events = 0;  ///< tseal
+};
+
+/// One timeline sample.
+struct tline_format {
+    static constexpr std::string_view kind = "tline";
+    static void fields(auto& field, auto& record) {
+        field("epoch", record.epoch);
+        field("series", record.event.series);
+        field("tick", record.event.tick);
+        field("value", record.event.value);
+    }
+};
+
+/// One alert transition.
+struct alert_format {
+    static constexpr std::string_view kind = "alert";
+    static void fields(auto& field, auto& record) {
+        field("epoch", record.epoch);
+        field("rule", record.event.rule);
+        field("series", record.event.series);
+        field("state", flag(record.event.firing, "resolved", "firing"));
+        field("tick", record.event.tick);
+        field("value", record.event.value);
+    }
+};
+
+/// The seal closing an epoch's block, with its record counts.
+struct tseal_format {
+    static constexpr std::string_view kind = "tseal";
+    static void fields(auto& field, auto& record) {
+        field("epoch", record.epoch);
+        field("samples", record.samples);
+        field("events", record.events);
+    }
 };
 
 /// `line` of a validated journal as a probe record; false for
 /// observatory records.
-bool trusted_probe(const journal_line& line, journaled_probe& probe) {
+bool trusted_probe(const journal_line& line, probe_record& probe) {
     GB_ENSURES(line.framed);
-    probe_result result;
-    return parse_probe_line(line.payload, probe.key, probe.sweep_mv,
-                            probe.content, result, probe.ledger);
+    return parse_probe_line(line.payload, probe);
 }
 
 } // namespace
 
-bool parse_probe_line(std::string_view payload, cohort_key& key,
-                      std::int64_t& sweep_mv, std::uint64_t& content,
-                      probe_result& result, probe_ledger& ledger) {
-    const std::vector<std::string_view> tokens = split_fields(payload);
-    if (tokens.empty() || tokens.front() != "probe") {
-        return false;
-    }
-    std::string_view value;
-    return field_value(tokens, "corner", value) &&
-           corner_from_string(value, key.corner) &&
-           field_value(tokens, "class", value) &&
-           parse_int(value, key.workload_class) &&
-           field_value(tokens, "op", value) &&
-           parse_int(value, key.operating_point) &&
-           field_value(tokens, "variant", value) &&
-           parse_int(value, key.variant) &&
-           field_value(tokens, "sweep", value) &&
-           parse_int(value, sweep_mv) &&
-           field_value(tokens, "content", value) &&
-           parse_int(value, content, 16) &&
-           field_value(tokens, "req", value) &&
-           parse_double(value, result.requirement_mv) &&
-           field_value(tokens, "pnom", value) &&
-           parse_double(value, result.power_nominal_w) &&
-           field_value(tokens, "ppt", value) &&
-           parse_double(value, result.power_point_w) &&
-           field_value(tokens, "bucket", value) &&
-           parse_int(value, result.bucket) &&
-           field_value(tokens, "retries", value) &&
-           parse_int(value, ledger.retries) &&
-           field_value(tokens, "wdt", value) &&
-           parse_int(value, ledger.watchdog_timeouts) &&
-           field_value(tokens, "crash", value) &&
-           parse_int(value, ledger.board_crashes) &&
-           field_value(tokens, "pwr", value) &&
-           parse_int(value, ledger.power_switch_failures) &&
-           field_value(tokens, "xhst", value) &&
-           parse_int(value, ledger.exhausted) &&
-           field_value(tokens, "down", value) &&
-           parse_double(value, ledger.downtime_s);
+std::string chained_probe_payload(const probe_record& probe,
+                                  std::uint64_t& chain) {
+    // The link comes LAST so it covers everything before it, provenance
+    // included.
+    std::string line = render_record<probe_format>(probe);
+    chain = chain_next(chain, line);
+    line += ' ';
+    line += render_record<chain_format>(chain);
+    return line;
+}
+
+bool parse_probe_line(std::string_view payload, probe_record& probe) {
+    const std::size_t chain_at = payload.rfind(chain_field);
+    std::uint64_t chain = 0;
+    return chain_at != std::string_view::npos &&
+           parse_record<chain_format>(payload.substr(chain_at + 1), chain) &&
+           parse_record<probe_format>(payload.substr(0, chain_at), probe);
 }
 
 fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
@@ -534,78 +541,57 @@ void fleet_service::warm_cache_from_journal() {
         // suffix of a partial block) and replayed into the configured
         // recorder and alert engine.
         const std::string_view kind = payload.substr(0, payload.find(' '));
-        if (kind == "tline" || kind == "alert" || kind == "tseal") {
-            const std::vector<std::string_view> tokens = split_fields(payload);
-            std::string_view value;
-            std::uint64_t record_epoch = 0;
-            if (!field_value(tokens, "epoch", value) ||
-                !parse_int(value, record_epoch)) {
+        if (kind == tline_format::kind || kind == alert_format::kind ||
+            kind == tseal_format::kind) {
+            observatory_record record;
+            const record_read read =
+                kind == tline_format::kind
+                    ? read_record<tline_format>(payload, record)
+                : kind == alert_format::kind
+                    ? read_record<alert_format>(payload, record)
+                    : read_record<tseal_format>(payload, record);
+            if (read.fields == 0) { // the epoch leads every format
                 reject("unparseable observatory record");
             }
-            if (record_epoch <= sealed_through_) {
+            if (record.epoch <= sealed_through_) {
                 reject("observatory record after its epoch seal");
             }
-            if (record_epoch != open_.epoch) {
+            if (record.epoch != open_.epoch) {
                 reject("observatory record out of epoch order");
             }
-            if (kind == "tline") {
-                std::string_view series;
-                std::uint64_t tick = 0;
-                double sample = 0.0;
-                if (!field_value(tokens, "series", series) ||
-                    series.empty() || !field_value(tokens, "tick", value) ||
-                    !parse_int(value, tick) ||
-                    !field_value(tokens, "value", value) ||
-                    !parse_double(value, sample)) {
+            if (kind == tline_format::kind) {
+                if (!read.exact) {
                     reject("unparseable timeline record");
                 }
                 ++open_.tlines;
-                open_.tick = tick;
+                open_.tick = record.event.tick;
                 if (config_.timeline != nullptr) {
-                    config_.timeline->append(series, tick, sample);
+                    config_.timeline->append(record.event.series,
+                                             record.event.tick,
+                                             record.event.value);
                 }
-            } else if (kind == "alert") {
-                alert_event event;
-                std::string_view rule;
-                std::string_view series;
-                std::string_view state;
-                if (!field_value(tokens, "rule", rule) || rule.empty() ||
-                    !field_value(tokens, "series", series) ||
-                    series.empty() ||
-                    !field_value(tokens, "state", state) ||
-                    (state != "firing" && state != "resolved") ||
-                    !field_value(tokens, "tick", value) ||
-                    !parse_int(value, event.tick) ||
-                    !field_value(tokens, "value", value) ||
-                    !parse_double(value, event.value)) {
+            } else if (kind == alert_format::kind) {
+                if (!read.exact) {
                     reject("unparseable alert record");
                 }
-                event.rule = std::string(rule);
-                event.series = std::string(series);
-                event.firing = state == "firing";
                 ++open_.alerts;
                 if (config_.timeline != nullptr) {
-                    config_.timeline->observe_tick(event.tick);
+                    config_.timeline->observe_tick(record.event.tick);
                 }
                 if (alerts_ != nullptr) {
-                    alerts_->replay(event);
+                    alerts_->replay(record.event);
                 }
             } else {
-                std::uint64_t sealed_samples = 0;
-                std::uint64_t sealed_events = 0;
-                if (!field_value(tokens, "samples", value) ||
-                    !parse_int(value, sealed_samples) ||
-                    !field_value(tokens, "events", value) ||
-                    !parse_int(value, sealed_events)) {
+                if (!read.exact) {
                     reject("unparseable epoch seal");
                 }
-                if (sealed_samples != open_.tlines ||
-                    sealed_events != open_.alerts) {
+                if (record.samples != open_.tlines ||
+                    record.events != open_.alerts) {
                     reject("epoch seal counts disagree with the records "
                            "before it");
                 }
-                sealed_through_ = record_epoch;
-                open_ = open_epoch{record_epoch + 1};
+                sealed_through_ = record.epoch;
+                open_ = open_epoch{record.epoch + 1};
             }
             ++journal_serial_;
             // The block separates campaigns; the cohort-order invariant
@@ -613,64 +599,62 @@ void fleet_service::warm_cache_from_journal() {
             have_prev = false;
             return;
         }
-        cohort_key key;
-        std::int64_t sweep_mv = 0;
-        std::uint64_t content = 0;
-        probe_result result;
-        probe_ledger ledger;
-        if (!parse_probe_line(payload, key, sweep_mv, content, result,
-                              ledger)) {
+        // A probe record's fields are read first, then the ` chain=` link
+        // closing its payload, which folds the previous record's chain
+        // value over the bytes before it -- an in-place edit anywhere
+        // breaks every later link, which a torn-tail heal can never
+        // excuse -- and last the ` rigs=` provenance the link covers.
+        const std::size_t chain_at = payload.rfind(chain_field);
+        const std::string_view fields = payload.substr(0, chain_at);
+        probe_record probe;
+        const record_read read = read_record<probe_format>(fields, probe);
+        if (read.fields < probe_fields_before_rigs) {
             reject("unparseable probe record");
         }
-        // Every probe record closes with a ` chain=` link folding the
-        // previous record's chain value over this record's bytes -- an
-        // in-place edit anywhere breaks every later link, which a
-        // torn-tail heal can never excuse -- and carries the ` rigs=`
-        // provenance the link covers.
-        const std::size_t chain_at = payload.rfind(" chain=");
         if (chain_at == std::string_view::npos) {
             reject("missing chain hash");
         }
         std::uint64_t recorded = 0;
-        if (!parse_int(payload.substr(chain_at + 7), recorded, 16)) {
+        if (!parse_record<chain_format>(payload.substr(chain_at + 1),
+                                        recorded)) {
             reject("unparseable chain hash");
         }
-        const std::uint64_t expected =
-            chain_next(chain_, payload.substr(0, chain_at));
+        const std::uint64_t expected = chain_next(chain_, fields);
         if (recorded != expected) {
             reject("chain hash mismatch (in-place corruption upstream or "
                    "on this record)");
         }
         chain_ = expected;
-        std::string_view rigs_text;
-        std::vector<std::uint32_t> rigs;
-        if (!field_value(split_fields(payload), "rigs", rigs_text) ||
-            !parse_list(rigs_text, ':', rigs)) {
-            reject("unparseable rigs provenance");
+        if (!read.exact) {
+            reject(read.fields == probe_fields_before_rigs
+                       ? "unparseable rigs provenance"
+                       : "unparseable probe record");
         }
-        if (find_cohort(key) == cohorts_.size()) {
+        if (find_cohort(probe.key) == cohorts_.size()) {
             reject("probe for a cohort outside this fleet");
         }
         // The cache holds exactly the records read so far.
-        if (const probe_result* duplicate = cache_.peek(content)) {
-            reject(same_result(*duplicate, result)
-                       ? "duplicate entry for content " + format_hex(content)
+        if (const probe_result* duplicate = cache_.peek(probe.content)) {
+            reject(same_result(*duplicate, probe.result)
+                       ? "duplicate entry for content " +
+                             format_hex(probe.content)
                        : "contradictory re-execution of content " +
-                             format_hex(content));
+                             format_hex(probe.content));
         }
-        if (have_prev && sweep_mv == prev_sweep && !(prev_key < key)) {
+        if (have_prev && probe.sweep_mv == prev_sweep &&
+            !(prev_key < probe.key)) {
             reject("cohort order regressed within sweep " +
-                   std::to_string(sweep_mv));
+                   std::to_string(probe.sweep_mv));
         }
-        prev_sweep = sweep_mv;
-        prev_key = key;
+        prev_sweep = probe.sweep_mv;
+        prev_key = probe.key;
         have_prev = true;
         ++journal_serial_;
-        cache_.insert(content, result, rigs);
+        cache_.insert(probe.content, probe.result, probe.rigs);
         // Restored ledgers fold in journal order -- the exact order the
         // unfaulted run folds them at commit -- so the double-summed
         // downtime converges bitwise across a crash/restart.
-        fold_ledger(ledger_stats_, ledger);
+        fold_ledger(ledger_stats_, probe.ledger);
         ++restored_;
     });
 }
@@ -868,7 +852,7 @@ void fleet_service::repair_blacklisted_entries(
     const int quorum = std::max(1, config_.integrity.quorum);
     std::ifstream in(config_.journal_path, std::ios::binary);
     for_each_journal_line(in, [&](const journal_line& line) {
-        journaled_probe probe;
+        probe_record probe;
         if (!trusted_probe(line, probe)) {
             return;
         }
@@ -924,16 +908,15 @@ void fleet_service::rewrite_journal() {
     {
         std::ifstream in(config_.journal_path, std::ios::binary);
         for_each_journal_line(in, [&](const journal_line& line) {
-            journaled_probe probe;
+            probe_record probe;
             if (!trusted_probe(line, probe)) {
                 rewrite.append(line.task_index, line.payload);
                 return;
             }
+            probe.result = *cache_.peek(probe.content);
+            probe.rigs = *cache_.provenance(probe.content);
             rewrite.append(line.task_index,
-                           chained_probe_payload(
-                               probe.key, probe.sweep_mv, probe.content,
-                               *cache_.peek(probe.content), probe.ledger,
-                               *cache_.provenance(probe.content), chain));
+                           chained_probe_payload(probe, chain));
         });
     }
     GB_ENSURES(rewrite.appended() == journal_serial_);
@@ -1164,7 +1147,7 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
                            newly_blacklisted);
         }
         const probe_result& admitted = votes[tally.winner];
-        const std::vector<std::uint32_t> rigs = assigned_rigs(entry.content);
+        std::vector<std::uint32_t> rigs = assigned_rigs(entry.content);
         cache_.insert(entry.content, admitted, rigs);
         cache_.mark_requested(entry.content);
         cohort.last = admitted;
@@ -1174,10 +1157,11 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         fold_ledger(ledger_stats_, ledgers[j]);
         fold_ledger(outcome.stats, ledgers[j]);
         if (journal_) {
-            journal_->append(journal_serial_++,
-                             chained_probe_payload(cohort.key, sweep_mv,
-                                                   entry.content, admitted,
-                                                   ledgers[j], rigs, chain_));
+            journal_->append(
+                journal_serial_++,
+                chained_probe_payload({cohort.key, sweep_mv, entry.content,
+                                       admitted, ledgers[j], std::move(rigs)},
+                                      chain_));
         }
         ++executed;
     }
@@ -1270,14 +1254,16 @@ void fleet_service::observe_epoch() {
     // suffix -- and everything downstream -- lands on the same bytes.
     const std::uint64_t tick =
         open_.tlines > 0 ? open_.tick : timeline.advance();
+    observatory_record record;
+    record.epoch = epoch_;
     for (std::size_t s = static_cast<std::size_t>(open_.tlines);
          s < samples.size(); ++s) {
         const auto& [series, value] = samples[s];
         timeline.append(series, tick, value);
-        append_observatory_line(
-            "tline epoch=" + std::to_string(epoch_) + " series=" + series +
-            " tick=" + std::to_string(tick) +
-            " value=" + format_double(value));
+        record.event.series = series;
+        record.event.tick = tick;
+        record.event.value = value;
+        append_observatory_line(render_record<tline_format>(record));
     }
     // Transitions already journaled by a crashed lifetime were replayed
     // into the engine, so re-evaluating emits exactly the not-yet-
@@ -1287,18 +1273,14 @@ void fleet_service::observe_epoch() {
     if (alerts_ != nullptr) {
         for (const alert_event& event :
              alerts_->evaluate(timeline.snapshot(), tick)) {
-            append_observatory_line(
-                "alert epoch=" + std::to_string(epoch_) +
-                " rule=" + event.rule + " series=" + event.series +
-                " state=" + (event.firing ? "firing" : "resolved") +
-                " tick=" + std::to_string(event.tick) +
-                " value=" + format_double(event.value));
+            record.event = event;
+            append_observatory_line(render_record<alert_format>(record));
             ++events;
         }
     }
-    append_observatory_line("tseal epoch=" + std::to_string(epoch_) +
-                            " samples=" + std::to_string(samples.size()) +
-                            " events=" + std::to_string(events));
+    record.samples = samples.size();
+    record.events = events;
+    append_observatory_line(render_record<tseal_format>(record));
     sealed_through_ = epoch_;
     open_ = open_epoch{epoch_ + 1};
     publish_timeline();

@@ -535,16 +535,29 @@ private:
     } mh_;
 };
 
-/// Parse one fleet journal probe payload (the part after the `task=N `
-/// prefix) back into its probe identity, result and fault ledger.  Every
-/// field is required (`retries= wdt= crash= pwr= xhst= down=` included);
-/// the ` rigs=` provenance and ` chain=` link are checked by the warm path,
-/// not here.  Exposed for tests and external tailers; returns false on
-/// anything malformed.
+/// One fleet journal probe record: the probe's identity, its result, the
+/// fault ledger and the rigs that vouched for it.  Its payload (the part
+/// after the `task=N ` prefix) is these fields in one fixed order, closed
+/// by a ` chain=` link over everything before it.
+struct probe_record {
+    cohort_key key;
+    std::int64_t sweep_mv = 0;
+    std::uint64_t content = 0;
+    probe_result result;
+    probe_ledger ledger;
+    std::vector<std::uint32_t> rigs;
+};
+
+/// One probe payload as the service writes it: the record's fields, then
+/// the ` chain=` link that advances `chain` over them.
+[[nodiscard]] std::string chained_probe_payload(const probe_record& probe,
+                                                std::uint64_t& chain);
+
+/// Parse one probe payload.  True iff the payload is exactly what
+/// chained_probe_payload writes for some record and chain (the warm path,
+/// not this, checks the link against the journal's running chain).
+/// Exposed, with chained_probe_payload, for tests and external tailers.
 [[nodiscard]] bool parse_probe_line(std::string_view payload,
-                                    cohort_key& key, std::int64_t& sweep_mv,
-                                    std::uint64_t& content,
-                                    probe_result& result,
-                                    probe_ledger& ledger);
+                                    probe_record& probe);
 
 } // namespace gb::fleet

@@ -34,14 +34,7 @@ std::string_view to_string(chaos_site site) {
 }
 
 bool chaos_site_from_string(std::string_view text, chaos_site& site) {
-    for (std::size_t i = 0; i < site_count; ++i) {
-        const auto candidate = static_cast<chaos_site>(i);
-        if (text == to_string(candidate)) {
-            site = candidate;
-            return true;
-        }
-    }
-    return false;
+    return enum_from_name(text, site_count, site);
 }
 
 chaos_crash::chaos_crash(chaos_site site)

@@ -75,7 +75,7 @@ std::uint64_t dram_campaign_result::aborted_records() const {
 dram_campaign_result run_dram_campaign(memory_system& memory,
                                        thermal_testbed& testbed,
                                        const dram_campaign_spec& spec,
-                                       const dram_campaign_io& io) {
+                                       const campaign_io& io) {
     spec.validate();
     GB_EXPECTS(testbed.dimm_count() >= memory.geometry().dimms);
     GB_EXPECTS(io.retry_budget >= 1);
@@ -118,6 +118,7 @@ dram_campaign_result run_dram_campaign(memory_system& memory,
     options.retry_budget = io.retry_budget;
     options.trace = io.trace;
     options.metrics = io.metrics;
+    options.timeline = io.timeline;
     options.status_path = io.status_path;
     const execution_engine engine(options);
 

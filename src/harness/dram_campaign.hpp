@@ -44,6 +44,8 @@ enum class dram_run_outcome : std::uint8_t {
     aborted_rig    ///< rig retry budget exhausted; no scan data
 };
 
+inline constexpr std::size_t dram_run_outcome_count = 4;
+
 [[nodiscard]] std::string_view to_string(dram_run_outcome outcome);
 
 struct dram_run_record {
@@ -77,31 +79,6 @@ struct dram_campaign_result {
     [[nodiscard]] std::uint64_t aborted_records() const;
 };
 
-class campaign_journal;
-class fault_plan;
-class tracer;
-class metrics_registry;
-
-/// Rig I/O for a DRAM campaign: optional deterministic fault injection
-/// (run faults into the engine, thermocouple faults into the testbed) and
-/// journaling of completed scan records (read back by gbreport; a DRAM
-/// campaign is not resumed from its journal).
-struct dram_campaign_io {
-    const fault_plan* faults = nullptr;
-    campaign_journal* journal = nullptr;
-    /// ATTEMPTS per task, the first one included (>= 1); forwarded to
-    /// execution_options::retry_budget.  Unlike the fleet's retry_budget,
-    /// this is not a retry count: 1 means a faulted task aborts at once.
-    int retry_budget = 3;
-    /// Deterministic observability sinks, forwarded to the execution
-    /// engine (trace/trace.hpp); null disables.
-    tracer* trace = nullptr;
-    metrics_registry* metrics = nullptr;
-    /// Live-status heartbeat file, forwarded to the execution engine
-    /// (status.hpp); empty disables.
-    std::string status_path;
-};
-
 /// Run the campaign: the testbed soaks the DIMMs at each temperature
 /// (serial -- thermal state is shared), then the (period, pattern,
 /// repetition) grid of scans runs on the parallel execution engine.  Scans
@@ -112,7 +89,7 @@ struct dram_campaign_io {
 /// extremes.
 [[nodiscard]] dram_campaign_result run_dram_campaign(
     memory_system& memory, thermal_testbed& testbed,
-    const dram_campaign_spec& spec, const dram_campaign_io& io = {});
+    const dram_campaign_spec& spec, const campaign_io& io = {});
 
 /// Final CSV of the parsing phase.
 void write_dram_campaign_csv(std::ostream& out,

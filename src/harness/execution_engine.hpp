@@ -35,6 +35,7 @@
 
 namespace gb {
 
+class campaign_journal;
 class fault_plan;
 class tracer;
 class metrics_registry;
@@ -83,6 +84,23 @@ struct execution_options {
     /// before dispatch, so every live snapshot already carries the run's
     /// final retry, fault, abort, replay and downtime totals; only
     /// `tasks_done` and the `live` object advance.
+    std::string status_path;
+};
+
+/// Rig I/O for a CPU or DRAM campaign runner: optional deterministic fault
+/// injection, crash-safe journaling of completed records (journal.hpp; a
+/// DRAM journal is read back by gbreport, not resumed), and the sinks the
+/// runner forwards to its engine's execution_options.
+struct campaign_io {
+    const fault_plan* faults = nullptr;
+    campaign_journal* journal = nullptr;
+    /// ATTEMPTS per task, the first one included (>= 1); forwarded to
+    /// execution_options::retry_budget.  Unlike the fleet's retry_budget,
+    /// this is not a retry count: 1 means a faulted task aborts at once.
+    int retry_budget = 3;
+    tracer* trace = nullptr;
+    metrics_registry* metrics = nullptr;
+    timeline_recorder* timeline = nullptr;
     std::string status_path;
 };
 

@@ -169,14 +169,7 @@ std::string_view to_string(sdc_site site) {
 }
 
 bool sdc_site_from_string(std::string_view text, sdc_site& site) {
-    for (std::size_t i = 0; i < sdc_site_count; ++i) {
-        const auto candidate = static_cast<sdc_site>(i);
-        if (text == to_string(candidate)) {
-            site = candidate;
-            return true;
-        }
-    }
-    return false;
+    return enum_from_name(text, sdc_site_count, site);
 }
 
 sdc_plan::sdc_plan(sdc_plan_config config)

@@ -48,11 +48,6 @@ std::vector<core_assignment> characterization_framework::make_assignments(
 }
 
 campaign_result characterization_framework::run_campaign(
-    const campaign_spec& spec, const kernel& program) {
-    return run_campaign_impl(spec, program, {}, nullptr);
-}
-
-campaign_result characterization_framework::run_campaign(
     const campaign_spec& spec, const kernel& program,
     const campaign_io& io) {
     return run_campaign_impl(spec, program, io, nullptr);

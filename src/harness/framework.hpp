@@ -34,45 +34,19 @@
 
 namespace gb {
 
-class campaign_journal;
-class fault_plan;
-
-/// Rig I/O for a CPU campaign: optional deterministic fault injection and
-/// crash-safe journaling of completed run records (journal.hpp).
-struct campaign_io {
-    const fault_plan* faults = nullptr;
-    campaign_journal* journal = nullptr;
-    /// ATTEMPTS per task, the first one included (>= 1); forwarded to
-    /// execution_options::retry_budget.  Unlike the fleet's retry_budget,
-    /// this is not a retry count: 1 means a faulted task aborts at once.
-    int retry_budget = 3;
-    /// Deterministic observability sinks, forwarded to the execution
-    /// engine (trace/trace.hpp); null disables.
-    tracer* trace = nullptr;
-    metrics_registry* metrics = nullptr;
-    /// Deterministic time-series sink, forwarded to the execution engine
-    /// (timeseries/timeseries.hpp); null disables.
-    timeline_recorder* timeline = nullptr;
-    /// Live-status heartbeat file, forwarded to the execution engine
-    /// (status.hpp); empty disables.
-    std::string status_path;
-};
-
 class characterization_framework {
 public:
     characterization_framework(const chip_model& chip, std::uint64_t seed);
 
-    /// Execute a full campaign of one kernel.  The (setup x repetition)
+    /// Execute a full campaign of one kernel, with rig faults injected
+    /// and/or records journaled as `io` asks.  The (setup x repetition)
     /// grid runs on `spec.workers` engine workers; record order matches the
-    /// serial nested-loop order regardless of thread count.
-    [[nodiscard]] campaign_result run_campaign(const campaign_spec& spec,
-                                               const kernel& program);
-    /// Same, with rig faults injected and/or records journaled.  A task
-    /// whose rig retry budget is exhausted records run_outcome::aborted_rig
-    /// (the campaign never throws for injected faults).
+    /// serial nested-loop order regardless of thread count.  A task whose
+    /// rig retry budget is exhausted records run_outcome::aborted_rig (the
+    /// campaign never throws for injected faults).
     [[nodiscard]] campaign_result run_campaign(const campaign_spec& spec,
                                                const kernel& program,
-                                               const campaign_io& io);
+                                               const campaign_io& io = {});
 
     /// Resume a killed campaign from its journal: completed task indices
     /// are restored from `journal_in` (corrupt lines skipped and re-run)

@@ -13,7 +13,14 @@ namespace gb {
 
 namespace {
 
-constexpr std::string_view task_prefix = "task=";
+/// The `task=N` serial that opens every journal line, one space before
+/// the record it frames.
+struct task_format {
+    static constexpr std::string_view kind = "";
+    static void fields(auto& field, auto& task_index) {
+        field("task", task_index);
+    }
+};
 
 } // namespace
 
@@ -34,9 +41,7 @@ void campaign_journal::set_chaos(chaos_plan* chaos) {
 void campaign_journal::append(std::size_t task_index, std::string_view line,
                               const fault_plan* faults,
                               std::optional<chaos_site> seam) {
-    std::string full;
-    full += task_prefix;
-    full += std::to_string(task_index);
+    std::string full = render_record<task_format>(task_index);
     full += ' ';
     full += line;
     const bool corrupt =
@@ -84,18 +89,12 @@ std::uint64_t campaign_journal::corrupted() const {
 
 bool parse_journal_prefix(std::string_view line, std::size_t& task_index,
                           std::string_view& payload) {
-    if (!line.starts_with(task_prefix)) {
+    const std::size_t space = line.find(' ');
+    if (space == std::string_view::npos ||
+        !parse_record<task_format>(line.substr(0, space), task_index)) {
         return false;
     }
-    const std::string_view rest = line.substr(task_prefix.size());
-    const std::size_t space = rest.find(' ');
-    if (space == std::string_view::npos || space == 0) {
-        return false;
-    }
-    if (!parse_int(rest.substr(0, space), task_index)) {
-        return false;
-    }
-    payload = rest.substr(space + 1);
+    payload = line.substr(space + 1);
     return true;
 }
 

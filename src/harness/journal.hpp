@@ -5,12 +5,13 @@
 // run".  This module is that property for our campaign runners: every
 // completed task's record is serialized in the logfile wire format behind a
 // `task=<index>` routing prefix, appended under a mutex and flushed
-// line-by-line.  A killed campaign leaves a journal whose replay (through
-// the tolerant logfile parsers -- corrupted or truncated lines are simply
-// skipped and their tasks re-run) tells the resume path exactly which task
-// indices are done; the engine re-runs only the remainder, and because
-// doubles round-trip exactly, the resumed records and CSV are bitwise
-// identical to an uninterrupted run at any worker count.
+// line-by-line.  A killed campaign leaves a journal whose tolerant replay
+// (the logfile parsers accept only lines the writer writes; corrupted or
+// truncated lines are skipped and their tasks re-run) tells the resume
+// path exactly which task indices are done; the engine re-runs only the
+// remainder, and because doubles round-trip exactly, the resumed records
+// and CSV are bitwise identical to an uninterrupted run at any worker
+// count.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +77,8 @@ private:
 };
 
 /// Split a journal line into its task index and record payload.  Returns
-/// false for lines without a well-formed `task=<index> ` prefix.
+/// false for lines without a well-formed `task=<index> ` prefix (the
+/// index spelt as the writer spells it: no sign, no leading zero).
 [[nodiscard]] bool parse_journal_prefix(std::string_view line,
                                         std::size_t& task_index,
                                         std::string_view& payload);
@@ -120,11 +122,11 @@ void for_each_journal_line(std::istream& in, Visit&& visit) {
     }
 }
 
-/// Replay of a (possibly truncated, possibly corrupted) journal through
-/// the tolerant logfile parsers: the CPU (`run=`) and DRAM (`dram=`)
-/// records recovered per task index, last write winning, plus the line
-/// accounting.  A torn tail is reported via `truncated_tail` and is not
-/// counted in `lines` or `skipped`.
+/// Tolerant replay of a (possibly truncated, possibly corrupted) journal:
+/// the CPU (`run=`) and DRAM (`dram=`) records recovered per task index,
+/// last write winning, and every line the logfile parsers reject skipped,
+/// plus the line accounting.  A torn tail is reported via
+/// `truncated_tail` and is not counted in `lines` or `skipped`.
 struct journal_replay {
     std::map<std::size_t, run_record> cpu;
     std::map<std::size_t, dram_run_record> dram;

@@ -5,12 +5,17 @@
 // into the final CSV in a separate parsing phase -- so a crashed board or a
 // killed campaign loses at most the in-flight run.  This module provides
 // that wire format: one self-describing `run=` line per CPU record and one
-// `dram=` line per DRAM record, plus line parsers that reject boot noise
-// and truncated lines (the log of a crashing machine is never clean).
+// `dram=` line per DRAM record.  Each format is one field list of the
+// wire kernel's record codec (util/wire.hpp), which renders a record and
+// parses a line back from the same list, and parses exactly the lines it
+// renders: boot noise, truncated lines and any line the writer never
+// produces (a field missing, repeated, reordered or unknown, a number
+// spelt another way) are rejected (the log of a crashing machine is never
+// clean).
 //
-// Numbers follow the wire kernel (util/wire.hpp), so a parsed record is
-// bit-for-bit the record that was written -- the property the crash-safe
-// campaign journal's resume path is built on.
+// Numbers round-trip bit-exactly, so a parsed record is bit-for-bit the
+// record that was written -- the property the crash-safe campaign
+// journal's resume path is built on.
 #pragma once
 
 #include <string>
@@ -24,8 +29,8 @@ namespace gb {
 /// Serialize one record as a single log line (no trailing newline).
 [[nodiscard]] std::string to_log_line(const run_record& record);
 
-/// Parse one log line; returns false (leaving `record` untouched) for lines
-/// that are not well-formed run records -- boot messages, truncation,
+/// Parse one log line; returns false (leaving `record` untouched) for any
+/// line to_log_line does not write -- boot messages, truncation,
 /// corruption.
 [[nodiscard]] bool parse_log_line(std::string_view line, run_record& record);
 

@@ -149,86 +149,4 @@ execution_profile pipeline_model::execute(const kernel& k,
     return profile;
 }
 
-execution_profile pipeline_model::execute_reference(
-    const kernel& k, std::uint64_t min_cycles) const {
-    GB_EXPECTS(!k.empty());
-    GB_EXPECTS(min_cycles > 0);
-
-    execution_profile profile;
-    auto& counters = profile.counters;
-    std::array<std::uint64_t, cpu_component_count> active_cycles{};
-
-    const double cycle_ns = 1.0e3 / clock_.value; // MHz -> ns per cycle
-    // Generous upper bound so reserve covers stalls.
-    profile.current_trace.reserve(min_cycles + 4096);
-
-    while (counters.cycles < min_cycles) {
-        for (const opcode op : k.body) {
-            const op_traits& t = traits_of(op);
-
-            // Issue cycle.
-            profile.current_trace.push_back(core_baseline_current_a +
-                                            t.issue_current_a);
-            ++counters.cycles;
-            ++counters.instructions;
-            active_cycles[static_cast<std::size_t>(
-                cpu_component::fetch)] += 1;
-            if (t.component != cpu_component::none &&
-                t.component != cpu_component::fetch) {
-                active_cycles[static_cast<std::size_t>(t.component)] += 1;
-            }
-
-            if (t.is_fp) {
-                ++counters.fp_ops;
-            } else if (op == opcode::int_alu || op == opcode::int_mul) {
-                ++counters.int_ops;
-            }
-            if (op == opcode::branch) {
-                ++counters.branches;
-            }
-            if (t.is_load) {
-                ++counters.loads;
-            }
-            if (t.is_store) {
-                ++counters.stores;
-            }
-            if (t.component == cpu_component::l2) {
-                ++counters.l2_hits;
-            }
-            if (t.component == cpu_component::l3) {
-                ++counters.l3_hits;
-            }
-            if (t.component == cpu_component::dram) {
-                ++counters.dram_accesses;
-            }
-            counters.memory_bytes +=
-                static_cast<std::uint64_t>(t.memory_bytes);
-
-            // Stall cycles: fixed-cycle stalls (cache misses, dividers) plus
-            // wall-clock memory latency converted at the current frequency.
-            std::uint64_t stalls = static_cast<std::uint64_t>(t.stall_cycles);
-            if (t.memory_latency_ns > 0.0) {
-                stalls += static_cast<std::uint64_t>(
-                    std::ceil(t.memory_latency_ns / cycle_ns));
-            }
-            for (std::uint64_t s = 0; s < stalls; ++s) {
-                profile.current_trace.push_back(core_baseline_current_a +
-                                                t.stall_current_a);
-                ++counters.cycles;
-                if (t.component != cpu_component::none) {
-                    active_cycles[static_cast<std::size_t>(t.component)] += 1;
-                }
-            }
-        }
-    }
-
-    for (std::size_t c = 0; c < active_cycles.size(); ++c) {
-        profile.activity.utilization[c] =
-            static_cast<double>(active_cycles[c]) /
-            static_cast<double>(counters.cycles);
-    }
-    GB_ENSURES(profile.current_trace.size() == counters.cycles);
-    return profile;
-}
-
 } // namespace gb

@@ -73,16 +73,10 @@ public:
     /// implementation simulates exactly one iteration and tiles its current
     /// trace and counter deltas across the iteration count.  Counters are
     /// integer multiples and the trace is a byte-exact repetition, so the
-    /// profile is bitwise-identical to execute_reference's cycle-by-cycle
-    /// walk (held by kernel_equivalence_test over randomized kernels).
+    /// profile is bitwise-identical to a cycle-by-cycle walk (held by
+    /// kernel_equivalence_test over randomized kernels).
     [[nodiscard]] execution_profile execute(const kernel& k,
                                             std::uint64_t min_cycles) const;
-
-    /// Retained reference implementation of execute (one simulated cycle per
-    /// output cycle, the pre-optimization code path).  Differential-testing
-    /// twin only.
-    [[nodiscard]] execution_profile execute_reference(
-        const kernel& k, std::uint64_t min_cycles) const;
 
     [[nodiscard]] megahertz clock() const { return clock_; }
 

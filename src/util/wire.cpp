@@ -93,33 +93,6 @@ std::string json_escape(std::string_view text) {
     return out;
 }
 
-std::vector<std::string_view> split_fields(std::string_view line) {
-    std::vector<std::string_view> tokens;
-    std::size_t pos = 0;
-    while (pos < line.size()) {
-        const std::size_t space = line.find(' ', pos);
-        const std::size_t end =
-            space == std::string_view::npos ? line.size() : space;
-        if (end > pos) {
-            tokens.push_back(line.substr(pos, end - pos));
-        }
-        pos = end + 1;
-    }
-    return tokens;
-}
-
-bool field_value(const std::vector<std::string_view>& tokens,
-                 std::string_view key, std::string_view& value) {
-    for (const std::string_view token : tokens) {
-        if (token.size() > key.size() && token[key.size()] == '=' &&
-            token.starts_with(key)) {
-            value = token.substr(key.size() + 1);
-            return true;
-        }
-    }
-    return false;
-}
-
 std::optional<std::string> read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open()) {

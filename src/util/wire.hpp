@@ -12,7 +12,9 @@
 //                   "nan"/"inf" can never smuggle itself into a record;
 //                   integer lists join with one separator ("0+1+3");
 //   * JSON text  -- one escaper, control bytes as \u00XX;
-//   * fields     -- space-separated `key=value` tokens;
+//   * records    -- a kind word and `key=value` fields in one declared
+//                   order, rendered and parsed by one codec that accepts
+//                   exactly what it writes;
 //   * hashes     -- FNV-1a over bytes and little-endian 64-bit words;
 //   * files      -- whole-file reads;
 //   * triggers   -- the `site@at[/param]` fault-spec grammar and the
@@ -25,7 +27,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "util/units.hpp"
 
 namespace gb {
 
@@ -96,16 +102,212 @@ template <typename Int>
 /// backslash, \n \r \t by name, every other byte below 0x20 as \u00XX.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
-// --- key=value fields ------------------------------------------------------
+// --- key=value records -----------------------------------------------------
+//
+// Every journal record -- the `task=N` frame of each line, the campaign's
+// `run=`/`dram=` records, and the fleet's `probe` (closed by its `chain=`
+// link), `tline`, `alert` and `tseal` payloads -- is a kind word (empty
+// for all but the fleet's payloads) and `key=value` fields, joined by
+// single spaces.  A format declares its kind and field order once, as a stateless
+// struct that render and parse both walk:
+//
+//   struct seal_format {
+//       static constexpr std::string_view kind = "tseal";
+//       static void fields(auto& field, auto& record) {
+//           field("epoch", record.epoch);
+//           field("samples", record.samples);
+//       }
+//   };
+//
+// A field is a double, a unit quantity, an integer, a non-empty string or
+// one of the adaptors below.  A payload parses only if each field reads at
+// its place (doubles finite, strings non-empty, enum names known) and the
+// record renders back to exactly the payload's bytes, so a missing,
+// repeated, reordered or unknown field, another spelling of a value
+// ("900.0", "0900", a short hex) or trailing bytes leave it unparsed.
 
-/// The space-separated tokens of `line`; runs of spaces yield no empty
-/// tokens.
-[[nodiscard]] std::vector<std::string_view> split_fields(
-    std::string_view line);
+/// The enumerator among the first `count` values of `Enum` whose
+/// `to_string` spells `text`; `out` is assigned only on success.
+template <typename Enum>
+[[nodiscard]] bool enum_from_name(std::string_view text, std::size_t count,
+                                  Enum& out) {
+    for (std::size_t i = 0; i < count; ++i) {
+        if (text == to_string(static_cast<Enum>(i))) {
+            out = static_cast<Enum>(i);
+            return true;
+        }
+    }
+    return false;
+}
 
-/// Value of the first `key=value` token; false when no token has the key.
-[[nodiscard]] bool field_value(const std::vector<std::string_view>& tokens,
-                               std::string_view key, std::string_view& value);
+/// A 64-bit value as 16 lowercase hex digits (format_hex).
+template <typename T>
+struct as_hex {
+    T& value;
+    void write(std::string& out) const { out += format_hex(value); }
+    bool read(std::string_view text) const {
+        return parse_int(text, value, 16);
+    }
+};
+
+/// Integers joined by `sep`; a std::array reads back only at its size.
+template <typename List>
+struct joined {
+    List& values;
+    char sep;
+    void write(std::string& out) const { out += format_list(values, sep); }
+    bool read(std::string_view text) const {
+        std::vector<typename List::value_type> parsed;
+        if (!parse_list(text, sep, parsed)) {
+            return false;
+        }
+        if constexpr (std::is_same_v<List, decltype(parsed)>) {
+            values = std::move(parsed);
+        } else if (parsed.size() == values.size()) {
+            std::copy(parsed.begin(), parsed.end(), values.begin());
+        } else {
+            return false;
+        }
+        return true;
+    }
+};
+
+/// An enumerator by its `to_string` name, among the first `count`.
+template <typename Enum>
+struct named {
+    Enum& value;
+    std::size_t count;
+    void write(std::string& out) const { out += to_string(value); }
+    bool read(std::string_view text) const {
+        return enum_from_name(text, count, value);
+    }
+};
+
+/// A bool spelt `off` or `on`.
+template <typename Bool>
+struct flag {
+    Bool& value;
+    std::string_view off;
+    std::string_view on;
+    void write(std::string& out) const { out += value ? on : off; }
+    bool read(std::string_view text) const {
+        value = text == on;
+        return value || text == off;
+    }
+};
+
+/// How far read_record got through a payload.
+struct record_read {
+    std::size_t fields = 0; ///< leading fields read in place and valid
+    bool exact = false;     ///< all read, and the record renders as the payload
+};
+
+namespace wire_detail {
+
+template <typename T>
+void write_value(std::string& out, const T& value) {
+    if constexpr (std::is_same_v<T, double>) {
+        out += format_double(value);
+    } else if constexpr (std::is_integral_v<T>) {
+        out += std::to_string(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out += value;
+    } else if constexpr (std::is_base_of_v<quantity<T>, T>) {
+        out += format_double(value.value);
+    } else {
+        value.write(out);
+    }
+}
+
+template <typename T>
+bool read_value(std::string_view text, T& value) {
+    if constexpr (std::is_same_v<T, double>) {
+        return parse_double(text, value);
+    } else if constexpr (std::is_integral_v<T>) {
+        return parse_int(text, value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        value.assign(text);
+        return !text.empty();
+    } else if constexpr (std::is_base_of_v<quantity<T>, T>) {
+        return parse_double(text, value.value);
+    } else {
+        return value.read(text);
+    }
+}
+
+struct field_writer {
+    std::string& out;
+    template <typename Value>
+    void operator()(std::string_view key, const Value& value) {
+        if (!out.empty()) {
+            out += ' ';
+        }
+        out += key;
+        out += '=';
+        write_value(out, value);
+    }
+};
+
+struct field_reader {
+    std::string_view payload;
+    std::size_t pos; ///< end of the kind word or of the last field read
+    record_read read;
+    bool failed = false;
+
+    template <typename Value>
+    void operator()(std::string_view key, Value&& value) {
+        // A field opens the payload or follows one space.
+        failed = failed || (pos > 0 && payload.substr(pos, 1) != " ");
+        const std::size_t begin = std::min(pos + (pos > 0 ? 1 : 0),
+                                           payload.size());
+        pos = std::min(payload.find(' ', begin), payload.size());
+        const std::string_view field = payload.substr(begin, pos - begin);
+        failed = failed || !field.starts_with(key) ||
+                 field.substr(key.size(), 1) != "=" ||
+                 !read_value(field.substr(key.size() + 1), value);
+        read.fields += failed ? 0 : 1;
+    }
+};
+
+} // namespace wire_detail
+
+/// `record` in `Format`: its kind, then each field as `key=value`.
+template <typename Format, typename Record>
+[[nodiscard]] std::string render_record(const Record& record) {
+    std::string out(Format::kind);
+    wire_detail::field_writer writer{out};
+    Format::fields(writer, record);
+    return out;
+}
+
+/// Read `payload` into `record` in `Format`'s field order, stopping at the
+/// first field that is missing, out of place or invalid (which may be left
+/// changed): for diagnostics that depend on how far a payload got.
+/// parse_record is the all-or-nothing form.
+template <typename Format, typename Record>
+[[nodiscard]] record_read read_record(std::string_view payload,
+                                      Record& record) {
+    if (!payload.starts_with(Format::kind)) {
+        return {};
+    }
+    wire_detail::field_reader reader{payload, Format::kind.size(), {}, false};
+    Format::fields(reader, record);
+    reader.read.exact =
+        !reader.failed && render_record<Format>(record) == payload;
+    return reader.read;
+}
+
+/// True iff `payload` is exactly render_record of some record, which is
+/// then assigned to `record` (untouched otherwise).
+template <typename Format, typename Record>
+[[nodiscard]] bool parse_record(std::string_view payload, Record& record) {
+    Record parsed{};
+    if (!read_record<Format>(payload, parsed).exact) {
+        return false;
+    }
+    record = std::move(parsed);
+    return true;
+}
 
 // --- FNV-1a ----------------------------------------------------------------
 

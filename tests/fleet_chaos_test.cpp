@@ -29,6 +29,7 @@
 #include "harness/report/artifacts.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
+#include "record_mutations.hpp"
 #include "util/wire.hpp"
 
 namespace gb::fleet {
@@ -521,6 +522,94 @@ TEST_F(FleetJournalRejectionTest, ForeignCohortIsRejected) {
                   "outside this fleet");
 }
 
+TEST_F(FleetJournalRejectionTest, ProbeLinesTheWriterNeverWritesAreRejected) {
+    // The strictness corpus of the probe record.  parse_probe_line rejects
+    // every mutation of the payload, its ` chain=` link included; the warm
+    // path rejects every mutation of the fields the link covers, re-chained
+    // so that the record fails on its fields and not on a stale link.
+    const std::string line = payload(0);
+    probe_record probe;
+    ASSERT_TRUE(parse_probe_line(line, probe));
+    std::uint64_t chain = chain_basis;
+    EXPECT_EQ(chained_probe_payload(probe, chain), line);
+    const std::vector<test::record_mutation> corpus =
+        test::record_mutations(line);
+    EXPECT_GE(corpus.size(), 80U);
+    for (const test::record_mutation& mutation : corpus) {
+        EXPECT_FALSE(parse_probe_line(mutation.line, probe))
+            << mutation.what << ": " << mutation.line;
+    }
+    const std::size_t link = line.rfind(" chain=");
+    for (const test::record_mutation& mutation :
+         test::record_mutations(line.substr(0, link))) {
+        SCOPED_TRACE(mutation.what);
+        expect_reject(rechain({"task=0 " + mutation.line + line.substr(link)}),
+                      ":1: unparseable ");
+    }
+    // An earlier parser looked each field up by key, so it took these.
+    const std::string req = " req=" +
+                            format_double(probe.result.requirement_mv);
+    std::string duplicated = lines_[0];
+    duplicated.insert(duplicated.find(req) + req.size(), req);
+    expect_reject(rechain({duplicated}), ":1: unparseable probe record");
+    std::string extra = lines_[0];
+    extra.insert(extra.rfind(" chain="), " foo=1");
+    expect_reject(rechain({extra}), ":1: unparseable probe record");
+    // The content hash without its leading zeros (or, with none, cut to
+    // 15 digits).
+    const std::string content = format_hex(probe.content);
+    const std::size_t zeros = content.find_first_not_of('0');
+    expect_reject(rechain({with_field(lines_[0], "content",
+                                      content.substr(zeros == 0 ? 1 : zeros))}),
+                  ":1: unparseable probe record");
+    expect_reject("task=00 " + payload(0) + "\n", ":1: not a journal record");
+}
+
+TEST_F(FleetJournalRejectionTest,
+       ObservatoryLinesTheWriterNeverWritesAreRejected) {
+    // The strictness corpus of the three observatory records, each after
+    // the writer's own lines before it.
+    std::string error;
+    const auto rules = parse_alert_rules("alert hot vmin.* above 0\n",
+                                         "reject_rules", error);
+    ASSERT_TRUE(rules.has_value()) << error;
+    std::remove(journal_path_.c_str());
+    std::vector<std::string> observed;
+    {
+        timeline_recorder recorder;
+        fleet_service_config config;
+        config.journal_path = journal_path_;
+        config.timeline = &recorder;
+        config.alerts = *rules;
+        fleet_service service(small_fleet(), config, fake_probe);
+        (void)service.run_campaign(0);
+        observed = split_lines(slurp(journal_path_));
+    }
+    for (const std::string kind : {"tline", "alert", "tseal"}) {
+        SCOPED_TRACE(kind);
+        const auto first = std::find_if(
+            observed.begin(), observed.end(), [&](const std::string& line) {
+                return line.find(" " + kind + " ") != std::string::npos;
+            });
+        ASSERT_NE(first, observed.end());
+        std::string before;
+        for (auto it = observed.begin(); it != first; ++it) {
+            before += *it + "\n";
+        }
+        const std::size_t body = first->find(' ') + 1;
+        const std::string where =
+            ":" + std::to_string(first - observed.begin() + 1) +
+            ": unparseable ";
+        for (const test::record_mutation& mutation :
+             test::record_mutations(first->substr(body))) {
+            SCOPED_TRACE(mutation.what);
+            expect_reject(before + first->substr(0, body) + mutation.line +
+                              "\n",
+                          where);
+        }
+    }
+}
+
 // Observatory records carry no chain link, so they are appended raw.
 
 TEST_F(FleetJournalRejectionTest, UnparseableTimelineRecordIsRejected) {
@@ -794,14 +883,9 @@ TEST(FleetChaosTest, ReplanRoundsResolveProbesAndChargeBackoff) {
         std::size_t task_index = 0;
         std::string_view payload;
         ASSERT_TRUE(parse_journal_prefix(line, task_index, payload));
-        cohort_key key;
-        std::int64_t sweep = 0;
-        std::uint64_t content = 0;
-        probe_result result;
-        probe_ledger ledger;
-        ASSERT_TRUE(parse_probe_line(payload, key, sweep, content, result,
-                                     ledger))
-            << payload;
+        probe_record probe;
+        ASSERT_TRUE(parse_probe_line(payload, probe)) << payload;
+        const probe_ledger& ledger = probe.ledger;
         ledger_faults += ledger.retries + ledger.exhausted;
         if (ledger.exhausted > 0) {
             ++exhausted;

@@ -497,42 +497,30 @@ TEST(FleetServiceTest, JournalLinesRoundTripThroughTheParser) {
         std::size_t task_index = 0;
         std::string_view payload;
         ASSERT_TRUE(parse_journal_prefix(line, task_index, payload)) << line;
-        cohort_key key;
-        std::int64_t sweep = 0;
-        std::uint64_t content = 0;
-        probe_result result;
-        probe_ledger ledger;
-        ASSERT_TRUE(
-            parse_probe_line(payload, key, sweep, content, result, ledger))
-            << payload;
-        EXPECT_EQ(sweep, -15);
-        EXPECT_EQ(content, probe_content(key, sweep));
-        const probe_result* cached = service.cache().peek(content);
+        probe_record probe;
+        ASSERT_TRUE(parse_probe_line(payload, probe)) << payload;
+        EXPECT_EQ(probe.sweep_mv, -15);
+        EXPECT_EQ(probe.content, probe_content(probe.key, probe.sweep_mv));
+        const probe_result* cached = service.cache().peek(probe.content);
         ASSERT_NE(cached, nullptr);
         // Doubles round-trip exactly (to_chars shortest form).
-        EXPECT_EQ(result.requirement_mv, cached->requirement_mv);
-        EXPECT_EQ(result.power_nominal_w, cached->power_nominal_w);
-        EXPECT_EQ(result.power_point_w, cached->power_point_w);
-        EXPECT_EQ(result.bucket, cached->bucket);
+        EXPECT_EQ(probe.result.requirement_mv, cached->requirement_mv);
+        EXPECT_EQ(probe.result.power_nominal_w, cached->power_nominal_w);
+        EXPECT_EQ(probe.result.power_point_w, cached->power_point_w);
+        EXPECT_EQ(probe.result.bucket, cached->bucket);
         ++parsed;
     }
     EXPECT_EQ(parsed, 36U);
 }
 
 TEST(FleetServiceTest, ProbeLineParserRejectsMalformedPayloads) {
-    cohort_key key;
-    std::int64_t sweep = 0;
-    std::uint64_t content = 0;
-    probe_result result;
-    probe_ledger ledger;
-    EXPECT_FALSE(parse_probe_line("", key, sweep, content, result, ledger));
-    EXPECT_FALSE(parse_probe_line("run=1 core=0", key, sweep, content,
-                                  result, ledger));
-    EXPECT_FALSE(parse_probe_line("probe corner=XXX class=0 op=0 variant=0",
-                                  key, sweep, content, result, ledger));
+    probe_record probe;
+    EXPECT_FALSE(parse_probe_line("", probe));
+    EXPECT_FALSE(parse_probe_line("run=1 core=0", probe));
+    EXPECT_FALSE(
+        parse_probe_line("probe corner=XXX class=0 op=0 variant=0", probe));
     EXPECT_FALSE(parse_probe_line(
-        "probe corner=TTT class=0 op=0 variant=0 sweep=0", key, sweep,
-        content, result, ledger));
+        "probe corner=TTT class=0 op=0 variant=0 sweep=0", probe));
 }
 
 // --- the observatory ----------------------------------------------------

@@ -136,8 +136,8 @@ campaign_io cpu_io(sinks& s, const fault_plan& faults, int budget) {
     return io;
 }
 
-dram_campaign_io dram_io(sinks& s, const fault_plan& faults, int budget) {
-    dram_campaign_io io;
+campaign_io dram_io(sinks& s, const fault_plan& faults, int budget) {
+    campaign_io io;
     io.faults = &faults;
     io.retry_budget = budget;
     io.trace = &s.trace;

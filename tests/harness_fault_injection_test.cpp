@@ -207,7 +207,7 @@ TEST(fault_injection_test, dram_campaign_routes_thermocouple_faults) {
     spec.refresh_periods = {milliseconds{64.0}};
     spec.repetitions = 1;
     spec.workers = 2;
-    dram_campaign_io io;
+    campaign_io io;
     io.faults = &plan;
     const dram_campaign_result result =
         run_dram_campaign(memory, testbed, spec, io);
@@ -234,7 +234,7 @@ TEST(fault_injection_test, dram_aborts_count_and_stay_unsafe) {
     spec.temperatures = {celsius{55.0}};
     spec.refresh_periods = {milliseconds{64.0}, milliseconds{2283.0}};
     spec.repetitions = 2;
-    dram_campaign_io io;
+    campaign_io io;
     io.faults = &plan;
     const dram_campaign_result result =
         run_dram_campaign(memory, testbed, spec, io);

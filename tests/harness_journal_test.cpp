@@ -19,8 +19,10 @@
 #include "fleet/service.hpp"
 #include "harness/fault_injection.hpp"
 #include "harness/framework.hpp"
+#include "harness/integrity/integrity.hpp"
 #include "harness/logfile.hpp"
 #include "harness/report/artifacts.hpp"
+#include "util/wire.hpp"
 #include "workloads/cpu_profiles.hpp"
 
 namespace gb {
@@ -249,7 +251,7 @@ TEST(journal_test, dram_journal_reads_back_through_the_report_loader) {
                              2018, limits);
         thermal_testbed testbed(1, thermal_plant_config{}, 7);
         campaign_journal journal(path);
-        dram_campaign_io io;
+        campaign_io io;
         io.journal = &journal;
         result = run_dram_campaign(memory, testbed, dram_spec(8), io);
     }
@@ -377,6 +379,24 @@ TEST(journal_test, every_cut_offset_is_classified_once) {
                               : to_log_line(replay.dram.at(task));
             EXPECT_EQ(got, payloads[task]);
         }
+        // The torn tail is never restored; whatever of it still parses
+        // renders back to exactly its bytes (reject or round-trip).
+        const std::string_view tail = prefix.substr(prefix.rfind('\n') + 1);
+        std::size_t task_index = 0;
+        std::string_view payload;
+        if (parse_journal_prefix(tail, task_index, payload)) {
+            EXPECT_EQ("task=" + std::to_string(task_index) + " " +
+                          std::string(payload),
+                      tail);
+            run_record cpu;
+            if (parse_log_line(payload, cpu)) {
+                EXPECT_EQ(to_log_line(cpu), payload);
+            }
+            dram_run_record dram_record;
+            if (parse_log_line(payload, dram_record)) {
+                EXPECT_EQ(to_log_line(dram_record), payload);
+            }
+        }
 
         write_raw(path, prefix);
         std::string error;
@@ -441,6 +461,23 @@ TEST(journal_test, every_cut_of_a_fleet_journal_heals_on_warm) {
                                          prefix.begin(), prefix.end(), '\n')));
         EXPECT_EQ(warmed.healed_bytes(), cut - kept);
         EXPECT_EQ(slurp(path), prefix.substr(0, kept));
+
+        // Whatever of the torn tail still parses renders back, over the
+        // last complete record's link, to exactly its bytes.
+        std::uint64_t chain = chain_basis;
+        if (kept > 0) {
+            const std::string_view last = prefix.substr(0, kept - 1);
+            const std::string_view link =
+                last.substr(last.rfind(" chain=") + 7);
+            ASSERT_TRUE(parse_int(link, chain, 16)) << link;
+        }
+        std::size_t task_index = 0;
+        std::string_view payload;
+        fleet::probe_record record;
+        if (parse_journal_prefix(prefix.substr(kept), task_index, payload) &&
+            fleet::parse_probe_line(payload, record)) {
+            EXPECT_EQ(fleet::chained_probe_payload(record, chain), payload);
+        }
     }
     std::remove(path.c_str());
 }

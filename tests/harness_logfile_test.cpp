@@ -8,6 +8,7 @@
 
 #include "harness/framework.hpp"
 #include "harness/journal.hpp"
+#include "record_mutations.hpp"
 #include "util/rng.hpp"
 #include "workloads/cpu_profiles.hpp"
 
@@ -207,6 +208,95 @@ TEST(logfile_property_test, dram_line_truncated_at_every_offset) {
     }
 }
 
+dram_run_record sample_dram_record() {
+    dram_run_record record;
+    record.pattern = data_pattern::random_data;
+    record.temperature = celsius{60.0};
+    record.refresh_period = milliseconds{2283.0};
+    record.repetition = 3;
+    record.scan.failed_cells = 17;
+    record.scan.affected_words = 16;
+    record.scan.ce_words = 15;
+    record.scan.ue_words = 1;
+    record.scan.scanned_bits = 4096;
+    record.scan.per_bank_failures = {1, 2, 3, 4, 5, 0, 1, 1};
+    record.regulation_deviation_c = 0.62;
+    record.outcome = dram_run_outcome::uncorrectable;
+    return record;
+}
+
+TEST(logfile_test, writer_lines_are_the_only_lines_that_parse) {
+    // The strictness corpus of both campaign record types: from each
+    // writer line, every line with a field dropped, duplicated, swapped
+    // or unknown, or a value spelt another way ("900.0", "0900").
+    run_record crash = sample_record();
+    crash.voltage = millivolts{900.0};
+    crash.cores = {6};
+    crash.outcome = run_outcome::crash;
+    crash.path = failure_path::logic;
+    crash.watchdog_reset = true;
+    for (const run_record& record : {sample_record(), crash}) {
+        const std::string line = to_log_line(record);
+        run_record parsed;
+        ASSERT_TRUE(parse_log_line(line, parsed)) << line;
+        EXPECT_EQ(to_log_line(parsed), line);
+        const std::vector<test::record_mutation> corpus =
+            test::record_mutations(line);
+        EXPECT_GE(corpus.size(), 40U);
+        for (const test::record_mutation& mutation : corpus) {
+            EXPECT_FALSE(parse_log_line(mutation.line, parsed))
+                << mutation.what << ": " << mutation.line;
+        }
+    }
+    const std::string line = to_log_line(sample_dram_record());
+    dram_run_record parsed;
+    ASSERT_TRUE(parse_log_line(line, parsed)) << line;
+    EXPECT_EQ(to_log_line(parsed), line);
+    for (const test::record_mutation& mutation :
+         test::record_mutations(line)) {
+        EXPECT_FALSE(parse_log_line(mutation.line, parsed))
+            << mutation.what << ": " << mutation.line;
+    }
+}
+
+TEST(logfile_test, lines_the_writer_never_writes_are_rejected) {
+    // Lines an earlier, field-by-field parser restored as (wrong)
+    // records: f=0 and no cores, cores 6+7, v=100, and v=900.
+    const std::string full = "run=milc v=900 f=2400 cores=6 rep=0 "
+                             "outcome=OK margin=12 path=logic wdt=0";
+    run_record record;
+    ASSERT_TRUE(parse_log_line(full, record));
+    for (const char* line :
+         {"run=milc v=900 outcome=OK wdt=0",
+          "run=milc v=900 f=2400 cores=6 cores=7 rep=0 outcome=OK "
+          "margin=12 path=logic wdt=0",
+          "run=milc v=900 v=100 f=2400 cores=6 rep=0 outcome=OK margin=12 "
+          "path=logic wdt=0",
+          "run=milc v=900.0 f=2400 cores=6 rep=0 outcome=OK margin=12 "
+          "path=logic wdt=0",
+          "run=milc v=900 f=2400 cores=6 rep=0 outcome=OK margin=12 "
+          "path=logic wdt=2"}) {
+        EXPECT_FALSE(parse_log_line(line, record)) << line;
+    }
+    dram_run_record dram;
+    std::string dram_line = to_log_line(sample_dram_record());
+    dram_line.replace(dram_line.find(" t=60 "), 6, " t=60.0 ");
+    EXPECT_FALSE(parse_log_line(dram_line, dram)) << dram_line;
+
+    // The journal's task serial is spelt the writer's one way too.
+    std::size_t task_index = 0;
+    std::string_view payload;
+    const std::string framed = "task=7 " + full;
+    ASSERT_TRUE(parse_journal_prefix(framed, task_index, payload));
+    EXPECT_EQ(task_index, 7U);
+    EXPECT_EQ(payload, full);
+    for (const std::string prefix :
+         {"task=07 ", "task=+7 ", "task=7.0 ", "task= ", "Task=7 "}) {
+        EXPECT_FALSE(parse_journal_prefix(prefix + full, task_index, payload))
+            << prefix;
+    }
+}
+
 TEST(logfile_property_test, random_byte_flips_never_crash_the_parser) {
     // Log lines randomly shot at: parse_log_line must survive
     // arbitrary garbage, and every untouched line's record must come back
@@ -244,6 +334,9 @@ TEST(logfile_property_test, random_byte_flips_never_crash_the_parser) {
     for (std::string line; std::getline(in, line);) {
         run_record record;
         if (parse_log_line(line, record)) {
+            // A line that still parses is one the writer writes: its
+            // record renders back to exactly its bytes.
+            EXPECT_EQ(to_log_line(record), line);
             recovered.push_back(std::move(record));
         }
     }

@@ -1,8 +1,8 @@
 // Differential-equivalence harness for the optimized hot-path kernels.
 //
 // Every throughput rewrite in the pipeline / DRAM / chip-evaluation layers
-// keeps a retained reference twin (the pre-optimization code path): in the
-// library, or, for the DPBench scan, as a file-local function below.
+// keeps a retained reference twin (the pre-optimization code path) as a
+// file-local function below, written against the public API.
 // This suite drives both sides over seeded randomized inputs -- including the
 // degenerate corners (length 0/1, odd lengths, batch widths 1..8) -- and
 // requires *bitwise* equality: doubles are compared by bit pattern and
@@ -15,6 +15,7 @@
 #include <array>
 #include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -120,6 +121,92 @@ TEST(worst_droop_equivalence, empty_trace_rejected_by_both) {
 // ---------------------------------------------------------------------------
 // Pipeline execute: one-iteration tiling vs cycle-by-cycle reference.
 
+/// The cycle-by-cycle walk pipeline_model::execute tiles: one simulated
+/// cycle per output cycle (the pre-optimization code path).
+execution_profile execute_reference(const pipeline_model& pipeline,
+                                    const kernel& k,
+                                    std::uint64_t min_cycles) {
+    GB_EXPECTS(!k.empty());
+    GB_EXPECTS(min_cycles > 0);
+
+    execution_profile profile;
+    auto& counters = profile.counters;
+    std::array<std::uint64_t, cpu_component_count> active_cycles{};
+
+    const double cycle_ns =
+        1.0e3 / pipeline.clock().value; // MHz -> ns per cycle
+    // Generous upper bound so reserve covers stalls.
+    profile.current_trace.reserve(min_cycles + 4096);
+
+    while (counters.cycles < min_cycles) {
+        for (const opcode op : k.body) {
+            const op_traits& t = traits_of(op);
+
+            // Issue cycle.
+            profile.current_trace.push_back(core_baseline_current_a +
+                                            t.issue_current_a);
+            ++counters.cycles;
+            ++counters.instructions;
+            active_cycles[static_cast<std::size_t>(
+                cpu_component::fetch)] += 1;
+            if (t.component != cpu_component::none &&
+                t.component != cpu_component::fetch) {
+                active_cycles[static_cast<std::size_t>(t.component)] += 1;
+            }
+
+            if (t.is_fp) {
+                ++counters.fp_ops;
+            } else if (op == opcode::int_alu || op == opcode::int_mul) {
+                ++counters.int_ops;
+            }
+            if (op == opcode::branch) {
+                ++counters.branches;
+            }
+            if (t.is_load) {
+                ++counters.loads;
+            }
+            if (t.is_store) {
+                ++counters.stores;
+            }
+            if (t.component == cpu_component::l2) {
+                ++counters.l2_hits;
+            }
+            if (t.component == cpu_component::l3) {
+                ++counters.l3_hits;
+            }
+            if (t.component == cpu_component::dram) {
+                ++counters.dram_accesses;
+            }
+            counters.memory_bytes +=
+                static_cast<std::uint64_t>(t.memory_bytes);
+
+            // Stall cycles: fixed-cycle stalls (cache misses, dividers) plus
+            // wall-clock memory latency converted at the current frequency.
+            std::uint64_t stalls = static_cast<std::uint64_t>(t.stall_cycles);
+            if (t.memory_latency_ns > 0.0) {
+                stalls += static_cast<std::uint64_t>(
+                    std::ceil(t.memory_latency_ns / cycle_ns));
+            }
+            for (std::uint64_t s = 0; s < stalls; ++s) {
+                profile.current_trace.push_back(core_baseline_current_a +
+                                                t.stall_current_a);
+                ++counters.cycles;
+                if (t.component != cpu_component::none) {
+                    active_cycles[static_cast<std::size_t>(t.component)] += 1;
+                }
+            }
+        }
+    }
+
+    for (std::size_t c = 0; c < active_cycles.size(); ++c) {
+        profile.activity.utilization[c] =
+            static_cast<double>(active_cycles[c]) /
+            static_cast<double>(counters.cycles);
+    }
+    GB_ENSURES(profile.current_trace.size() == counters.cycles);
+    return profile;
+}
+
 void expect_profiles_bit_equal(const execution_profile& fast,
                                const execution_profile& slow) {
     EXPECT_EQ(fast.counters.cycles, slow.counters.cycles);
@@ -151,7 +238,7 @@ TEST(pipeline_equivalence, randomized_kernels_bitwise) {
         const std::uint64_t min_cycles =
             cycle_targets[r.uniform_index(std::size(cycle_targets))];
         expect_profiles_bit_equal(pipeline.execute(k, min_cycles),
-                                  pipeline.execute_reference(k, min_cycles));
+                                  execute_reference(pipeline, k, min_cycles));
     }
 }
 
@@ -159,11 +246,11 @@ TEST(pipeline_equivalence, component_viruses_and_suite_shapes) {
     const pipeline_model pipeline(nominal_core_frequency);
     for (const kernel& k : all_component_viruses()) {
         expect_profiles_bit_equal(pipeline.execute(k, 8192),
-                                  pipeline.execute_reference(k, 8192));
+                                  execute_reference(pipeline, k, 8192));
     }
     const kernel square = make_square_wave_kernel(24, 24);
     expect_profiles_bit_equal(pipeline.execute(square, 8191),
-                              pipeline.execute_reference(square, 8191));
+                              execute_reference(pipeline, square, 8191));
 }
 
 TEST(pipeline_equivalence, rejects_degenerate_inputs_identically) {
@@ -171,15 +258,48 @@ TEST(pipeline_equivalence, rejects_degenerate_inputs_identically) {
     const kernel empty{"empty", {}};
     const kernel one{"one", {opcode::int_alu}};
     EXPECT_THROW((void)pipeline.execute(empty, 100), contract_violation);
-    EXPECT_THROW((void)pipeline.execute_reference(empty, 100),
+    EXPECT_THROW((void)execute_reference(pipeline, empty, 100),
                  contract_violation);
     EXPECT_THROW((void)pipeline.execute(one, 0), contract_violation);
-    EXPECT_THROW((void)pipeline.execute_reference(one, 0),
+    EXPECT_THROW((void)execute_reference(pipeline, one, 0),
                  contract_violation);
 }
 
 // ---------------------------------------------------------------------------
 // Chip-level trace aggregation and batched evaluation.
+
+/// chip_model::combined_trace with per-cycle modulo indexing (the
+/// pre-optimization code path).
+std::vector<double> combined_trace_reference(
+    std::span<const core_assignment> assignments, std::uint64_t phase_seed) {
+    GB_EXPECTS(!assignments.empty());
+    GB_EXPECTS(assignments.size() <=
+               static_cast<std::size_t>(cores_per_chip));
+
+    std::size_t length = 8192;
+    for (const core_assignment& a : assignments) {
+        GB_EXPECTS(a.profile != nullptr);
+        GB_EXPECTS(!a.profile->current_trace.empty());
+        GB_EXPECTS(a.core >= 0 && a.core < cores_per_chip);
+        length = std::max(length, a.profile->current_trace.size());
+    }
+
+    std::vector<double> total(length, 0.0);
+    rng phase_rng(phase_seed);
+    for (const core_assignment& a : assignments) {
+        const std::vector<double>& trace = a.profile->current_trace;
+        const std::size_t offset = phase_rng.uniform_index(trace.size());
+        for (std::size_t k = 0; k < length; ++k) {
+            total[k] += trace[(k + offset) % trace.size()];
+        }
+    }
+    const int idle_cores =
+        cores_per_chip - static_cast<int>(assignments.size());
+    for (double& i : total) {
+        i += static_cast<double>(idle_cores) * core_baseline_current_a;
+    }
+    return total;
+}
 
 class chip_equivalence_test : public ::testing::Test {
 protected:
@@ -207,7 +327,7 @@ TEST_F(chip_equivalence_test, combined_trace_all_batch_widths_bitwise) {
             const std::uint64_t phase_seed = r();
             EXPECT_TRUE(traces_bit_equal(
                 chip_.combined_trace(assignments, phase_seed),
-                chip_.combined_trace_reference(assignments, phase_seed)))
+                combined_trace_reference(assignments, phase_seed)))
                 << "width " << width;
         }
     }

@@ -1,11 +1,12 @@
 // The wire kernel's contracts: bit-exact number round trips, strict
 // full-match parsing that rejects non-finite values, integer lists, the
-// FNV-1a test vectors, key=value fields, whole-file reads and the
-// trigger-spec grammar.
+// FNV-1a test vectors, the key=value record codec, whole-file reads and
+// the trigger-spec grammar.
 #include "util/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "record_mutations.hpp"
 #include "util/rng.hpp"
 
 namespace gb {
@@ -129,20 +131,174 @@ TEST(wire_test, fnv1a_matches_the_published_test_vectors) {
     static_assert(fnv1a_bytes(fnv1a_basis, "a") == 0xaf63dc4c8601ec8cULL);
 }
 
-TEST(wire_test, fields_split_on_spaces_and_find_the_first_key) {
-    const std::vector<std::string_view> tokens =
-        split_fields("  probe a=1  ab=2 a=3 b= ");
-    ASSERT_EQ(tokens.size(), 5U);
-    EXPECT_EQ(tokens[0], "probe");
-    std::string_view value;
-    ASSERT_TRUE(field_value(tokens, "a", value));
-    EXPECT_EQ(value, "1");
-    ASSERT_TRUE(field_value(tokens, "ab", value));
-    EXPECT_EQ(value, "2");
-    ASSERT_TRUE(field_value(tokens, "b", value));
-    EXPECT_EQ(value, "");
-    EXPECT_FALSE(field_value(tokens, "probe", value));
-    EXPECT_TRUE(split_fields("").empty());
+// --- the record codec ----------------------------------------------------
+
+enum class shade : std::uint8_t { light, dark };
+
+std::string_view to_string(shade tone) {
+    return tone == shade::light ? "light" : "dark";
+}
+
+/// One field of every kind the codec reads.
+struct sample_record {
+    std::string name;
+    millivolts level{0.0};
+    double ratio = 0.0;
+    std::int64_t offset = 0;
+    std::uint64_t id = 0;
+    std::vector<std::uint32_t> rigs;
+    std::array<int, 3> banks{};
+    shade tone = shade::light;
+    bool on = false;
+};
+
+struct sample_format {
+    static constexpr std::string_view kind = "smp";
+    static void fields(auto& field, auto& record) {
+        field("name", record.name);
+        field("level", record.level);
+        field("ratio", record.ratio);
+        field("offset", record.offset);
+        field("id", as_hex(record.id));
+        field("rigs", joined(record.rigs, ':'));
+        field("banks", joined(record.banks, '+'));
+        field("tone", named(record.tone, 2));
+        field("on", flag(record.on, "no", "yes"));
+    }
+};
+
+/// A format without a kind word: its first field opens the payload.
+struct bare_format {
+    static constexpr std::string_view kind = "";
+    static void fields(auto& field, auto& record) {
+        field("n", record.offset);
+        field("id", as_hex(record.id));
+    }
+};
+
+sample_record make_sample() {
+    sample_record record;
+    record.name = "milc";
+    record.level = millivolts{900.5};
+    record.ratio = 0.1;
+    record.offset = -15;
+    record.id = 0x4ce8fULL;
+    record.rigs = {4, 0, 17};
+    record.banks = {1, 20, 3};
+    record.tone = shade::dark;
+    record.on = true;
+    return record;
+}
+
+constexpr std::string_view sample_payload =
+    "smp name=milc level=900.5 ratio=0.1 offset=-15 id=000000000004ce8f "
+    "rigs=4:0:17 banks=1+20+3 tone=dark on=yes";
+
+TEST(wire_test, records_render_in_declared_order_and_parse_back_exactly) {
+    EXPECT_EQ(render_record<sample_format>(make_sample()), sample_payload);
+    sample_record parsed;
+    ASSERT_TRUE(parse_record<sample_format>(sample_payload, parsed));
+    EXPECT_EQ(parsed.name, "milc");
+    EXPECT_EQ(parsed.level.value, 900.5);
+    EXPECT_EQ(parsed.ratio, 0.1);
+    EXPECT_EQ(parsed.offset, -15);
+    EXPECT_EQ(parsed.id, 0x4ce8fULL);
+    EXPECT_EQ(parsed.rigs, (std::vector<std::uint32_t>{4, 0, 17}));
+    EXPECT_EQ(parsed.banks, (std::array<int, 3>{1, 20, 3}));
+    EXPECT_EQ(parsed.tone, shade::dark);
+    EXPECT_TRUE(parsed.on);
+    EXPECT_EQ(render_record<sample_format>(parsed), sample_payload);
+
+    sample_record bare;
+    bare.offset = 7;
+    EXPECT_EQ(render_record<bare_format>(bare), "n=7 id=0000000000000000");
+    ASSERT_TRUE(parse_record<bare_format>("n=7 id=0000000000000000", bare));
+    EXPECT_FALSE(parse_record<bare_format>(" n=7 id=0000000000000000", bare));
+}
+
+TEST(wire_test, records_parse_only_what_render_writes) {
+    // Each line of the strictness corpus, and each invalid value, leaves
+    // the target record untouched.
+    std::vector<std::string> rejected;
+    for (const test::record_mutation& mutation :
+         test::record_mutations(sample_payload)) {
+        rejected.push_back(mutation.line);
+    }
+    ASSERT_GE(rejected.size(), 40U);
+    const std::string payload(sample_payload);
+    const auto with = [&](std::string_view from, std::string_view to) {
+        std::string line = payload;
+        line.replace(line.find(from), from.size(), to);
+        return line;
+    };
+    for (const std::string& line :
+         {std::string(), std::string("smp"), payload + " ",
+          "smpx" + payload.substr(3), payload.substr(4), with(" ", "  "),
+          with("name=milc", "name="), with("ratio=0.1", "ratio=nan"),
+          with("ratio=0.1", "ratio=inf"), with("banks=1+20+3", "banks=1+20"),
+          with("banks=1+20+3", "banks=1+20+3+4"),
+          with("rigs=4:0:17", "rigs="), with("tone=dark", "tone=grey"),
+          with("on=yes", "on=1"), with("offset=-15", "offset=+15"),
+          with("id=000000000004ce8f", "id=0x00000000004ce8f")}) {
+        rejected.push_back(line);
+    }
+    for (const std::string& line : rejected) {
+        sample_record record;
+        record.name = "untouched";
+        EXPECT_FALSE(parse_record<sample_format>(line, record)) << line;
+        EXPECT_EQ(record.name, "untouched") << line;
+    }
+}
+
+TEST(wire_test, read_record_reports_how_far_a_payload_got) {
+    sample_record record;
+    record_read read = read_record<sample_format>(sample_payload, record);
+    EXPECT_EQ(read.fields, 9U);
+    EXPECT_TRUE(read.exact);
+    // Every field reads, but "900.50" is not how 900.5 is written.
+    std::string respelt(sample_payload);
+    respelt.replace(respelt.find("900.5"), 5, "900.50");
+    read = read_record<sample_format>(respelt, record);
+    EXPECT_EQ(read.fields, 9U);
+    EXPECT_FALSE(read.exact);
+    // The first three fields, then a cut.
+    read = read_record<sample_format>(sample_payload.substr(0, 35), record);
+    EXPECT_EQ(read.fields, 3U);
+    EXPECT_FALSE(read.exact);
+    read = read_record<sample_format>("tline name=milc", record);
+    EXPECT_EQ(read.fields, 0U);
+}
+
+TEST(wire_test, random_byte_flips_parse_only_as_their_own_rendering) {
+    // Whatever a flipped payload parses as renders back to the payload's
+    // exact bytes: the codec rejects or round-trips, never reinterprets.
+    rng noise(20180406);
+    std::size_t parsed = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::string line(sample_payload);
+        const int flips = 1 + static_cast<int>(noise.uniform_index(2));
+        for (int f = 0; f < flips; ++f) {
+            const std::size_t at = noise.uniform_index(line.size());
+            line[at] = static_cast<char>(
+                line[at] ^ static_cast<char>(1 + noise.uniform_index(255)));
+        }
+        sample_record record;
+        if (parse_record<sample_format>(line, record)) {
+            ++parsed;
+            EXPECT_EQ(render_record<sample_format>(record), line);
+        }
+    }
+    // Flips inside a name or a value's digits still parse, as themselves.
+    EXPECT_GT(parsed, 0U);
+}
+
+TEST(wire_test, enums_read_back_by_name_only) {
+    shade tone = shade::light;
+    ASSERT_TRUE(enum_from_name("dark", 2, tone));
+    EXPECT_EQ(tone, shade::dark);
+    EXPECT_FALSE(enum_from_name("Dark", 2, tone));
+    EXPECT_FALSE(enum_from_name("dark", 1, tone)); // outside the first 1
+    EXPECT_EQ(tone, shade::dark);
 }
 
 TEST(wire_test, json_escape_names_the_short_escapes_and_hexes_the_rest) {
