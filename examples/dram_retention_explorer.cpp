@@ -40,6 +40,9 @@ int main(int argc, char** argv) {
         double_arg(argc, argv, 1, 60.0, "temperature_c", 20.0, 90.0);
     const double max_relaxation =
         double_arg(argc, argv, 2, 35.0, "max_relaxation", 1.0, 64.0);
+    if (leftover_argument(argc, argv, 3)) {
+        return 2;
+    }
     const milliseconds max_period{64.0 * max_relaxation};
 
     // Heartbeat: the refresh ladder's steps are the exploration's tasks.

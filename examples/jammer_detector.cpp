@@ -39,6 +39,15 @@ int main(int argc, char** argv) {
         static_cast<int>(int_arg(argc, argv, 2, 8, "events", 0, 10000));
     const int epochs =
         static_cast<int>(int_arg(argc, argv, 3, 96, "epochs", 1, 100000));
+    if (leftover_argument(argc, argv, 4)) {
+        return 2;
+    }
+    // Each jam event needs its own slot of more than 8 windows.
+    if (windows <= 8 * events) {
+        std::cerr << "jammer_detector: windows (" << windows
+                  << ") must exceed 8 x events (" << events << ")\n";
+        return 2;
+    }
 
     // --- The application itself: spectrum monitoring. ---
     const jammer_detector detector{jammer_config{}};

@@ -43,6 +43,9 @@ int main(int argc, char** argv) {
         take_flag_value(argc, argv, "--metrics");
     const int phases =
         static_cast<int>(int_arg(argc, argv, 1, 48, "phases", 1, 100000));
+    if (leftover_argument(argc, argv, 2)) {
+        return 2;
+    }
 
     chip_model chip(make_ttt_chip(), make_xgene2_pdn());
     characterization_framework framework(chip, 2018);

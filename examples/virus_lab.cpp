@@ -35,6 +35,9 @@ int main(int argc, char** argv) {
         take_flag_value(argc, argv, "--status");
     const auto generations = static_cast<std::size_t>(
         int_arg(argc, argv, 1, 150, "generations", 1, 100000));
+    if (leftover_argument(argc, argv, 2)) {
+        return 2;
+    }
 
     // Heartbeat: the GA plus the three chip-margin analyses are the lab's
     // four tasks.

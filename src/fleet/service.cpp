@@ -1287,9 +1287,8 @@ void fleet_service::observe_epoch() {
 }
 
 std::string fleet_service::state_snapshot() const {
-    // The snapshot *is* a final `--status` document -- load_status
-    // ignores the extra "fleet" key -- so existing tooling (`gbreport
-    // status`) reads fleet state with no changes.  Every field is
+    // The snapshot *is* a final `--status` document with a `fleet` object,
+    // so `gbreport status` reads fleet state too.  Every field is
     // *content-pure*: a function of which probes the fleet's request
     // stream resolved, never of which service lifetime executed them, so
     // a crashed-and-recovered daemon's snapshot is bitwise identical to
@@ -1302,97 +1301,53 @@ std::string fleet_service::state_snapshot() const {
     status.tasks_total = probes_requested_;
     status.tasks_done = probes_requested_;
     fill_ledger_counters(status);
-    std::string line = write_status_json(status);
-    const std::size_t close = line.find_last_of('}');
-    GB_ENSURES(close != std::string::npos);
-    line.erase(close);
-
-    std::ostringstream fleet;
-    fleet << ",\"fleet\":{\"epoch\":" << epoch_
-          << ",\"nodes\":" << spec_.node_count()
-          << ",\"cohorts\":" << cohorts_.size()
-          << ",\"probes_executed\":" << cache_.requested()
-          << ",\"cache_hits\":" << scheduled_hits_
-          << ",\"cache_entries\":" << cache_.size()
-          << ",\"power_nominal_w\":" << format_double(power_nominal_w_)
-          << ",\"power_binned_w\":" << format_double(power_binned_w_)
-          << ",\"supervised_cohorts\":" << supervised_.size()
-          << ",\"supervised_epochs\":" << supervised_epochs_;
-    fleet << ",\"bins\":[";
-    bool first = true;
-    for (const auto& [voltage, count] : bins_) {
-        fleet << (first ? "" : ",") << '[' << voltage << ',' << count
-              << ']';
-        first = false;
-    }
-    fleet << ']';
-    // Quarantine roster: which cohorts are being served degraded (capped
-    // like cohorts_top; the counts always carry the truth).
-    std::uint64_t degraded_count = 0;
-    std::uint64_t degraded_nodes = 0;
+    fleet_status& fleet = status.fleet.emplace();
+    fleet.epoch = epoch_;
+    fleet.nodes = spec_.node_count();
+    fleet.cohorts = cohorts_.size();
+    fleet.probes_executed = cache_.requested();
+    fleet.cache_hits = scheduled_hits_;
+    fleet.cache_entries = cache_.size();
+    fleet.power_nominal_w = power_nominal_w_;
+    fleet.power_binned_w = power_binned_w_;
+    fleet.supervised_cohorts = supervised_.size();
+    fleet.supervised_epochs = supervised_epochs_;
+    fleet.bins.assign(bins_.begin(), bins_.end());
+    // The quarantine roster and the cohort detail are capped so
+    // variant-unique mega-fleets keep the endpoint small; the counts
+    // always carry the truth.
+    constexpr std::size_t max_detail = 64;
+    const auto name = [](const cohort_state& cohort) {
+        return status_cohort{std::string(to_string(cohort.key.corner)),
+                             cohort.key.workload_class,
+                             cohort.key.operating_point, cohort.key.variant,
+                             cohort.members};
+    };
     for (const cohort_state& cohort : cohorts_) {
         if (cohort.degraded) {
-            ++degraded_count;
-            degraded_nodes += cohort.members;
+            ++fleet.degraded.cohorts;
+            fleet.degraded.nodes += cohort.members;
+            if (fleet.degraded.quarantined.size() < max_detail) {
+                fleet.degraded.quarantined.push_back(name(cohort));
+            }
+        }
+        if (fleet.cohorts_top.size() < max_detail) {
+            fleet.cohorts_top.push_back(
+                {name(cohort), cohort.probes,
+                 cohort.probed ? cohort.last.requirement_mv : 0.0,
+                 cohort.probed ? cohort.last.bucket : -1});
         }
     }
-    constexpr std::size_t max_detail = 64;
-    fleet << ",\"degraded\":{\"cohorts\":" << degraded_count
-          << ",\"nodes\":" << degraded_nodes << ",\"quarantined\":[";
-    std::size_t listed = 0;
-    for (const cohort_state& cohort : cohorts_) {
-        if (!cohort.degraded || listed == max_detail) {
-            continue;
-        }
-        fleet << (listed == 0 ? "" : ",") << "{\"corner\":\""
-              << to_string(cohort.key.corner)
-              << "\",\"class\":" << cohort.key.workload_class
-              << ",\"op\":" << cohort.key.operating_point
-              << ",\"variant\":" << cohort.key.variant
-              << ",\"members\":" << cohort.members << '}';
-        ++listed;
-    }
-    fleet << "]}";
-    // Cohort detail is capped so variant-unique mega-fleets keep the
-    // endpoint small; `cohorts` above always carries the true count.
-    fleet << ",\"cohorts_top\":[";
-    const std::size_t detail = std::min(cohorts_.size(), max_detail);
-    for (std::size_t c = 0; c < detail; ++c) {
-        const cohort_state& cohort = cohorts_[c];
-        fleet << (c == 0 ? "" : ",") << "{\"corner\":\""
-              << to_string(cohort.key.corner) << "\",\"class\":"
-              << cohort.key.workload_class
-              << ",\"op\":" << cohort.key.operating_point
-              << ",\"variant\":" << cohort.key.variant
-              << ",\"members\":" << cohort.members
-              << ",\"probes\":" << cohort.probes << ",\"req_mv\":"
-              << format_double(cohort.probed ? cohort.last.requirement_mv
-                                             : 0.0)
-              << ",\"bucket\":" << (cohort.probed ? cohort.last.bucket : -1)
-              << '}';
-    }
-    fleet << ']';
-    // Observatory section, only when the timeline is configured (a
-    // disabled observatory keeps the snapshot bytes unchanged; `gbreport
-    // status` renders a stable placeholder for its absence).  Every field
-    // replays from the journal, so it is crash-invariant like the rest.
+    // Observatory rollup, only when the timeline is configured.  Every
+    // field replays from the journal, so it is crash-invariant like the
+    // rest.
     if (config_.timeline != nullptr) {
-        fleet << ",\"timeline\":{\"series\":"
-              << config_.timeline->series_count()
-              << ",\"samples\":" << config_.timeline->sample_count()
-              << ",\"rules\":" << alerts_->rules().size() << ",\"firing\":[";
-        bool first_label = true;
-        for (const std::string& label : alerts_->firing()) {
-            fleet << (first_label ? "" : ",") << '"' << json_escape(label)
-                  << '"';
-            first_label = false;
-        }
-        fleet << "],\"events\":" << alerts_->events().size() << '}';
+        fleet.timeline = status_timeline{
+            config_.timeline->series_count(), config_.timeline->sample_count(),
+            alerts_->rules().size(), alerts_->firing(),
+            alerts_->events().size()};
     }
-    fleet << '}';
-    line += fleet.str();
-    line += "}\n";
-    return line;
+    return write_status_json(status);
 }
 
 bool fleet_service::publish_state() const {

@@ -20,10 +20,11 @@
 //      and publish the fleet state snapshot.
 //
 // The query API is a polled file endpoint: `state_snapshot()` renders
-// deterministic bytes -- the `--status` heartbeat schema (status.hpp)
-// extended with a `"fleet"` object, so `gbreport status` keeps working on
-// fleet snapshots unchanged -- and `publish_state()` writes them with the
-// same atomic temp+rename discipline.  Probe seeds derive from probe
+// deterministic bytes -- a `--status` snapshot whose `fleet` section it
+// fills, written by status.hpp's one writer and read back by its one
+// reader (`gbreport status`, `fleet_service query`) -- and
+// `publish_state()` writes them with the same atomic temp+rename
+// discipline.  Probe seeds derive from probe
 // *content*, never from engine task indices, which is what makes the
 // snapshot and journal invariant under the worker count.
 //
@@ -250,8 +251,8 @@ public:
 
     // --- query API ------------------------------------------------------
     /// Deterministic fleet-state bytes: a final `--status` snapshot
-    /// (status.hpp schema, parseable by `gbreport status`) extended with
-    /// a "fleet" object.  Bitwise identical at any GB_JOBS.
+    /// (status.hpp) with its `fleet` section.  Bitwise identical at any
+    /// GB_JOBS.
     [[nodiscard]] std::string state_snapshot() const;
     /// Atomically publish `state_snapshot()` to the configured state
     /// path (temp + rename; false on I/O error or when unconfigured).

@@ -393,22 +393,23 @@ double utilization_report::imbalance() const {
 
 utilization_report simulate_utilization(const trace_model& model,
                                         int workers) {
-    // Campaigns run back to back (engine runs are sequential): a barrier
-    // separates them.  The placement policy itself is the shared list
-    // scheduler (harness/schedule.hpp).  Virtual time only --
-    // deterministic.
-    list_scheduler scheduler(workers);
+    utilization_report report;
+    report.workers = std::max(1, workers);
+    report.loads.assign(static_cast<std::size_t>(report.workers), {});
+    std::vector<std::uint64_t> finish(report.loads.size(), 0);
     for (const campaign_node& campaign : model.campaigns) {
         for (const task_node& task : campaign.tasks) {
-            scheduler.assign(task.ticks);
+            const auto pick = static_cast<std::size_t>(
+                std::min_element(finish.begin(), finish.end()) -
+                finish.begin());
+            finish[pick] += task.ticks;
+            report.loads[pick].busy_ticks += task.ticks;
+            ++report.loads[pick].tasks;
+            report.serial_ticks += task.ticks;
         }
-        scheduler.barrier();
+        report.makespan = *std::max_element(finish.begin(), finish.end());
+        std::fill(finish.begin(), finish.end(), report.makespan);
     }
-    utilization_report report;
-    report.workers = scheduler.workers();
-    report.serial_ticks = scheduler.serial_ticks();
-    report.makespan = scheduler.makespan();
-    report.loads = scheduler.loads();
     return report;
 }
 

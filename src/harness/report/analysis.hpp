@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "harness/report/artifacts.hpp"
-#include "harness/schedule.hpp"
 
 namespace gb::report {
 
@@ -95,14 +94,18 @@ void render_summary(std::ostream& out, const journal_artifact& journal);
 void render_critical_path(std::ostream& out, const trace_model& model,
                           std::size_t top = 5);
 
-/// Per-worker load of the simulated schedule (the scheduler's accounting
-/// type, see harness/schedule.hpp).
-using gb::worker_load;
+/// Per-worker accumulated load of a simulated schedule.
+struct worker_load {
+    std::uint64_t busy_ticks = 0;
+    std::uint64_t tasks = 0;
+};
 
 /// Deterministic list-scheduling simulation of the recorded task durations
-/// on `workers` workers -- the virtual-time answer to "where would an
-/// N-worker campaign lose time".  The policy is `gb::list_scheduler`
-/// (harness/schedule.hpp).
+/// on `workers` workers (clamped to at least 1) -- the virtual-time answer
+/// to "where would an N-worker campaign lose time".  Tasks are issued in
+/// index order, each to the earliest-finishing worker (ties to the lowest
+/// id), and a barrier follows each campaign: engine runs are sequential,
+/// so no task of the next campaign starts before the previous one drains.
 struct utilization_report {
     int workers = 1;
     std::uint64_t serial_ticks = 0; ///< sum of all task durations

@@ -17,16 +17,24 @@ std::string tagged(std::string_view what, std::string_view detail) {
     return out;
 }
 
-} // namespace
-
-std::optional<std::string> read_file(const std::string& path,
-                                     std::string& error) {
-    std::optional<std::string> text = gb::read_file(path);
+/// `load` over the whole file at `path`, its diagnostic tagged with the
+/// path.
+template <typename Load>
+auto load_file(const std::string& path, std::string& error, Load load)
+    -> decltype(load(std::string_view{}, error)) {
+    const std::optional<std::string> text = gb::read_file(path);
     if (!text) {
         error = tagged(path, "cannot open file");
+        return std::nullopt;
     }
-    return text;
+    auto artifact = load(*text, error);
+    if (!artifact) {
+        error = tagged(path, error);
+    }
+    return artifact;
 }
+
+} // namespace
 
 // --- trace --------------------------------------------------------------
 
@@ -46,15 +54,7 @@ std::optional<std::uint64_t> trace_event::arg_u64(
         return std::nullopt;
     }
     std::uint64_t parsed = 0;
-    std::size_t digits = 0;
-    for (const char c : *text) {
-        if (c < '0' || c > '9' || digits > 19) {
-            return std::nullopt;
-        }
-        parsed = parsed * 10 + static_cast<std::uint64_t>(c - '0');
-        ++digits;
-    }
-    if (digits == 0) {
+    if (!parse_int(*text, parsed)) {
         return std::nullopt;
     }
     return parsed;
@@ -197,15 +197,7 @@ std::optional<trace_artifact> load_trace(std::string_view text,
 
 std::optional<trace_artifact> load_trace_file(const std::string& path,
                                               std::string& error) {
-    const auto text = read_file(path, error);
-    if (!text) {
-        return std::nullopt;
-    }
-    auto artifact = load_trace(*text, error);
-    if (!artifact) {
-        error = tagged(path, error);
-    }
-    return artifact;
+    return load_file(path, error, load_trace);
 }
 
 // --- metrics ------------------------------------------------------------
@@ -314,15 +306,7 @@ std::optional<metrics_snapshot> load_metrics(std::string_view text,
 
 std::optional<metrics_snapshot> load_metrics_file(const std::string& path,
                                                   std::string& error) {
-    const auto text = read_file(path, error);
-    if (!text) {
-        return std::nullopt;
-    }
-    auto snapshot = load_metrics(*text, error);
-    if (!snapshot) {
-        error = tagged(path, error);
-    }
-    return snapshot;
+    return load_file(path, error, load_metrics);
 }
 
 // --- journal ------------------------------------------------------------
@@ -414,25 +398,6 @@ std::optional<std::string> close_torn_tail(std::string_view text) {
     std::string out(head);
     out.append(closers.rbegin(), closers.rend());
     return out;
-}
-
-/// True when a parse diagnostic ("byte <offset>: ...") points at or past
-/// the end of the input: the parser ran out of bytes, i.e. the document
-/// is a strict prefix (a tear), not mid-document corruption.
-bool parse_failed_at_end(const std::string& error, std::size_t size) {
-    if (error.rfind("byte ", 0) != 0) {
-        return false;
-    }
-    std::size_t offset = 0;
-    std::size_t digits = 0;
-    for (std::size_t i = 5; i < error.size() && error[i] != ':'; ++i) {
-        if (error[i] < '0' || error[i] > '9') {
-            return false;
-        }
-        offset = offset * 10 + static_cast<std::size_t>(error[i] - '0');
-        ++digits;
-    }
-    return digits > 0 && offset >= size;
 }
 
 bool parse_timeline_document(const json_value& root,
@@ -595,16 +560,16 @@ std::optional<timeline_artifact> load_timeline(std::string_view text,
         // document) from corruption: close the complete-line prefix and
         // retry.  Only an end-of-input tear gets this second chance.
         const std::string original_error = parsed.error;
+        const bool ran_out = parsed.error_offset >= text.size();
         const auto repaired = close_torn_tail(text);
         if (repaired) {
             parsed = parse_json(*repaired);
             torn = true;
         }
         if (!parsed.value) {
-            error = parse_failed_at_end(original_error, text.size())
-                        ? "timeline holds only a truncated tail (still "
-                          "being written?)"
-                        : tagged("timeline", original_error);
+            error = ran_out ? "timeline holds only a truncated tail (still "
+                              "being written?)"
+                            : tagged("timeline", original_error);
             return std::nullopt;
         }
     }
@@ -627,171 +592,14 @@ std::optional<timeline_artifact> load_timeline(std::string_view text,
 
 std::optional<timeline_artifact> load_timeline_file(const std::string& path,
                                                     std::string& error) {
-    const auto text = read_file(path, error);
-    if (!text) {
-        return std::nullopt;
-    }
-    auto artifact = load_timeline(*text, error);
-    if (!artifact) {
-        error = tagged(path, error);
-    }
-    return artifact;
+    return load_file(path, error, load_timeline);
 }
 
 // --- status -------------------------------------------------------------
 
-namespace {
-
-bool require_u64(const json_value& root, std::string_view key,
-                 std::uint64_t& out, std::string& error) {
-    const json_value* value = root.find(key);
-    const auto parsed = value != nullptr ? value->as_u64() : std::nullopt;
-    if (!parsed) {
-        error = "status: missing or invalid '" + std::string(key) + "'";
-        return false;
-    }
-    out = *parsed;
-    return true;
-}
-
-} // namespace
-
-std::optional<status_artifact> load_status(std::string_view text,
-                                           std::string& error) {
-    json_parse_result parsed = parse_json(text);
-    if (!parsed.value) {
-        error = tagged("status", parsed.error);
-        return std::nullopt;
-    }
-    const json_value& root = *parsed.value;
-    if (!root.is_object()) {
-        error = "status: top level is not an object";
-        return std::nullopt;
-    }
-    status_artifact status;
-    if (const json_value* campaign = root.find("campaign")) {
-        if (const auto name = campaign->as_string()) {
-            status.campaign = std::string(*name);
-        }
-    }
-    const json_value* running = root.find("running");
-    if (running == nullptr ||
-        running->type != json_value::kind::boolean) {
-        error = "status: missing or invalid 'running'";
-        return std::nullopt;
-    }
-    status.running = running->boolean;
-    if (!require_u64(root, "tasks_total", status.tasks_total, error) ||
-        !require_u64(root, "tasks_done", status.tasks_done, error) ||
-        !require_u64(root, "retries", status.retries, error) ||
-        !require_u64(root, "injected_faults", status.injected_faults,
-                     error) ||
-        !require_u64(root, "aborted_rig", status.aborted_rig, error) ||
-        !require_u64(root, "replayed", status.replayed, error) ||
-        !require_u64(root, "rig_downtime_ms", status.downtime_ms, error)) {
-        return std::nullopt;
-    }
-    if (const json_value* fleet = root.find("fleet")) {
-        // Fleet snapshots extend the heartbeat schema; the degraded
-        // quarantine is the part consumers must see to not trust stale
-        // characterization (optional: plain heartbeats lack it).
-        if (fleet->is_object()) {
-            if (const json_value* degraded = fleet->find("degraded")) {
-                if (!degraded->is_object()) {
-                    error = "status: fleet.degraded is not an object";
-                    return std::nullopt;
-                }
-                if (const json_value* cohorts = degraded->find("cohorts")) {
-                    status.degraded_cohorts = cohorts->as_u64().value_or(0);
-                }
-                if (const json_value* nodes = degraded->find("nodes")) {
-                    status.degraded_nodes = nodes->as_u64().value_or(0);
-                }
-            }
-            // The observatory rollup is newer than the degraded section:
-            // snapshots that predate it (or ran with the timeline off)
-            // simply lack the key, and `timeline_present` stays false.
-            if (const json_value* timeline = fleet->find("timeline")) {
-                if (!timeline->is_object()) {
-                    error = "status: fleet.timeline is not an object";
-                    return std::nullopt;
-                }
-                status.timeline_present = true;
-                if (const json_value* series = timeline->find("series")) {
-                    status.timeline_series = series->as_u64().value_or(0);
-                }
-                if (const json_value* samples =
-                        timeline->find("samples")) {
-                    status.timeline_samples = samples->as_u64().value_or(0);
-                }
-                if (const json_value* rules = timeline->find("rules")) {
-                    status.timeline_rules = rules->as_u64().value_or(0);
-                }
-                if (const json_value* events = timeline->find("events")) {
-                    status.timeline_events = events->as_u64().value_or(0);
-                }
-                if (const json_value* firing = timeline->find("firing")) {
-                    if (!firing->is_array()) {
-                        error = "status: fleet.timeline.firing is not an "
-                                "array";
-                        return std::nullopt;
-                    }
-                    for (const json_value& label : firing->items) {
-                        const auto text = label.as_string();
-                        if (!text) {
-                            error = "status: non-string firing label";
-                            return std::nullopt;
-                        }
-                        status.timeline_firing.emplace_back(*text);
-                    }
-                }
-            }
-        }
-    }
-    if (const json_value* live = root.find("live")) {
-        if (!live->is_object()) {
-            error = "status: 'live' is not an object";
-            return std::nullopt;
-        }
-        if (const json_value* workers = live->find("workers")) {
-            if (const auto count = workers->as_i64()) {
-                status.workers = static_cast<int>(*count);
-            }
-        }
-        if (const json_value* tasks = live->find("worker_task")) {
-            if (!tasks->is_array()) {
-                error = "status: live.worker_task is not an array";
-                return std::nullopt;
-            }
-            for (const json_value& task : tasks->items) {
-                const auto index = task.as_i64();
-                if (!index) {
-                    error = "status: non-integer live.worker_task entry";
-                    return std::nullopt;
-                }
-                status.worker_task.push_back(*index);
-            }
-        }
-        if (const json_value* wall = live->find("wall_elapsed_s")) {
-            if (const auto seconds = wall->as_number()) {
-                status.wall_elapsed_s = *seconds;
-            }
-        }
-    }
-    return status;
-}
-
-std::optional<status_artifact> load_status_file(const std::string& path,
+std::optional<campaign_status> load_status_file(const std::string& path,
                                                 std::string& error) {
-    const auto text = read_file(path, error);
-    if (!text) {
-        return std::nullopt;
-    }
-    auto status = load_status(*text, error);
-    if (!status) {
-        error = tagged(path, error);
-    }
-    return status;
+    return load_file(path, error, read_status_json);
 }
 
 } // namespace gb::report

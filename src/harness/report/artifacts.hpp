@@ -1,7 +1,7 @@
 // Typed in-memory models of the three observability artifact formats the
 // emit side produces -- Chrome trace_event JSON (trace/trace.cpp), flat
 // metrics JSON (trace/metrics.cpp) and the task journal (journal.cpp) --
-// plus the status-heartbeat snapshot (status.cpp).
+// plus the status-heartbeat snapshot (status.hpp owns that format).
 //
 // Every loader is total: it either returns a validated model or a one-line
 // diagnostic; corrupted, truncated or wrong-shape input (the rig-fault
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "harness/journal.hpp"
+#include "harness/status.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/trace/metrics.hpp"
 
@@ -122,47 +123,8 @@ struct timeline_artifact {
 
 // --- status heartbeat ---------------------------------------------------
 
-/// Parsed `--status` snapshot (status.hpp writes these atomically).
-struct status_artifact {
-    std::string campaign;
-    bool running = false;
-    std::uint64_t tasks_total = 0;
-    std::uint64_t tasks_done = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t injected_faults = 0;
-    std::uint64_t aborted_rig = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t downtime_ms = 0;
-    /// Fleet snapshots only (service.hpp "fleet.degraded" section):
-    /// cohorts/nodes currently quarantined in degraded mode.  Zero for
-    /// plain campaign heartbeats.
-    std::uint64_t degraded_cohorts = 0;
-    std::uint64_t degraded_nodes = 0;
-    /// Fleet observatory rollup ("fleet.timeline" section).  Optional
-    /// twice over: plain heartbeats have no fleet object, and fleet
-    /// snapshots written before the observatory existed (or with it off)
-    /// lack the section -- `timeline_present` stays false and renderers
-    /// show a stable placeholder instead of omitting the line.
-    bool timeline_present = false;
-    std::uint64_t timeline_series = 0;
-    std::uint64_t timeline_samples = 0;
-    std::uint64_t timeline_rules = 0;
-    std::uint64_t timeline_events = 0;
-    std::vector<std::string> timeline_firing;
-    /// Live-only (scheduling-dependent) fields; empty/zero in the final
-    /// snapshot, which is a pure function of campaign content.
-    int workers = 0;
-    std::vector<std::int64_t> worker_task;
-    double wall_elapsed_s = 0.0;
-};
-
-[[nodiscard]] std::optional<status_artifact> load_status(
-    std::string_view text, std::string& error);
-[[nodiscard]] std::optional<status_artifact> load_status_file(
+/// A `--status` snapshot file, read by status.hpp's strict reader.
+[[nodiscard]] std::optional<campaign_status> load_status_file(
     const std::string& path, std::string& error);
-
-/// Slurp a whole file; nullopt (with diagnostic) when unreadable.
-[[nodiscard]] std::optional<std::string> read_file(const std::string& path,
-                                                   std::string& error);
 
 } // namespace gb::report

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <limits>
 
 namespace gb::report {
 
@@ -36,32 +35,6 @@ std::optional<std::uint64_t> json_value::as_u64() const {
     return static_cast<std::uint64_t>(number);
 }
 
-std::optional<std::int64_t> json_value::as_i64() const {
-    if (type != kind::number) {
-        return std::nullopt;
-    }
-    if (integral) {
-        constexpr std::uint64_t max_i64 = 9223372036854775807ULL;
-        if (negative) {
-            if (integer > max_i64 + 1) {
-                return std::nullopt;
-            }
-            return integer == max_i64 + 1
-                       ? std::numeric_limits<std::int64_t>::min()
-                       : -static_cast<std::int64_t>(integer);
-        }
-        if (integer > max_i64) {
-            return std::nullopt;
-        }
-        return static_cast<std::int64_t>(integer);
-    }
-    if (!std::isfinite(number) || number != std::floor(number) ||
-        number < -9.2233720368547758e18 || number > 9.2233720368547758e18) {
-        return std::nullopt;
-    }
-    return static_cast<std::int64_t>(number);
-}
-
 std::optional<double> json_value::as_number() const {
     if (type != kind::number) {
         return std::nullopt;
@@ -90,14 +63,15 @@ public:
     json_parse_result run() {
         json_parse_result result;
         json_value value;
-        if (!parse_value(value, 0)) {
-            result.error = error_;
-            return result;
+        bool parsed = parse_value(value, 0);
+        if (parsed) {
+            skip_whitespace();
+            parsed = position_ == input_.size() ||
+                     fail("trailing bytes after the document");
         }
-        skip_whitespace();
-        if (position_ != input_.size()) {
-            fail("trailing bytes after the document");
+        if (!parsed) {
             result.error = error_;
+            result.error_offset = error_offset_;
             return result;
         }
         result.value = std::move(value);
@@ -107,6 +81,7 @@ public:
 private:
     bool fail(std::string_view reason) {
         if (error_.empty()) {
+            error_offset_ = position_;
             error_ = "byte " + std::to_string(position_) + ": " +
                      std::string(reason);
         }
@@ -423,6 +398,7 @@ private:
     std::string_view input_;
     std::size_t position_ = 0;
     std::string error_;
+    std::size_t error_offset_ = 0;
 };
 
 } // namespace

@@ -1,7 +1,7 @@
 // Minimal hardened JSON reader for the observability artifacts.
 //
-// The emit side (trace/trace.cpp, trace/metrics.cpp) writes three JSON
-// shapes -- Chrome trace_event, flat metrics, status snapshots -- and the
+// The emit side (trace/trace.cpp, trace/metrics.cpp, timeseries) writes
+// three JSON shapes -- Chrome trace_event, flat metrics, timelines -- and the
 // fault injector deliberately corrupts logs, so the consume side has to
 // assume every input byte is hostile.  This parser is a strict recursive
 // descent over the full JSON grammar with a hard nesting cap; any
@@ -52,7 +52,6 @@ public:
     // Typed accessors: nullopt when the value is not of the asked-for
     // shape (including numbers outside the integer range or non-integral).
     [[nodiscard]] std::optional<std::uint64_t> as_u64() const;
-    [[nodiscard]] std::optional<std::int64_t> as_i64() const;
     [[nodiscard]] std::optional<double> as_number() const;
     [[nodiscard]] std::optional<std::string_view> as_string() const;
 
@@ -61,10 +60,12 @@ public:
 };
 
 /// Parse outcome: either a value or a one-line diagnostic of the form
-/// "byte <offset>: <reason>".  Exactly one of the two is meaningful.
+/// "byte <offset>: <reason>" with that offset.  Exactly one of the two is
+/// meaningful.
 struct json_parse_result {
     std::optional<json_value> value;
     std::string error;
+    std::size_t error_offset = 0;
 };
 
 /// Parse a complete JSON document.  Trailing non-whitespace, unterminated

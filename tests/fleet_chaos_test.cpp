@@ -26,7 +26,7 @@
 #include "harness/fault_injection.hpp"
 #include "harness/integrity/integrity.hpp"
 #include "harness/journal.hpp"
-#include "harness/report/artifacts.hpp"
+#include "harness/status.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
 #include "record_mutations.hpp"
@@ -817,15 +817,17 @@ TEST(FleetChaosTest, ExhaustedProbesDegradeTheirCohortsDeterministically) {
     EXPECT_EQ(binned, service.node_count());
     EXPECT_GE(service.bins().at(cap), degraded_nodes);
 
-    // The snapshot exposes the quarantine and load_status parses it.
+    // The snapshot exposes the quarantine and the status reader reads it.
     const std::string snapshot = service.state_snapshot();
     EXPECT_NE(snapshot.find("\"degraded\":{"), std::string::npos);
     EXPECT_NE(snapshot.find("\"quarantined\":["), std::string::npos);
     std::string error;
-    const auto parsed = report::load_status(snapshot, error);
+    const auto parsed = read_status_json(snapshot, error);
     ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->degraded_cohorts, outcome.degraded);
-    EXPECT_EQ(parsed->degraded_nodes, degraded_nodes);
+    ASSERT_TRUE(parsed->fleet.has_value());
+    EXPECT_EQ(parsed->fleet->degraded.cohorts, outcome.degraded);
+    EXPECT_EQ(parsed->fleet->degraded.nodes, degraded_nodes);
+    EXPECT_EQ(parsed->fleet->degraded.quarantined.size(), outcome.degraded);
     // At retry 0, a probe either succeeded on its only attempt (clean
     // ledger) or degraded (ledger excluded from the snapshot): the
     // campaign outcome carries the fault totals, the snapshot does not.

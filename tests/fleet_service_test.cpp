@@ -26,6 +26,7 @@
 #include "harness/journal.hpp"
 #include "harness/report/artifacts.hpp"
 #include "harness/report/json.hpp"
+#include "harness/status.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
 #include "harness/trace/metrics.hpp"
@@ -380,8 +381,8 @@ TEST(FleetServiceTest, SnapshotAndJournalAreInvariantUnderWorkersAndShards) {
 }
 
 TEST(FleetServiceTest, SnapshotParsesAsAStatusHeartbeat) {
-    // The fleet snapshot extends the --status schema; `gbreport status`
-    // (via load_status) must keep parsing it, ignoring the fleet object.
+    // The fleet snapshot is a --status document with a fleet object; the
+    // one status reader reads it back whole.
     fleet_service_config config;
     config.campaign = "fleet_test";
     fleet_service service(mega_fleet(), config, fake_probe);
@@ -390,12 +391,19 @@ TEST(FleetServiceTest, SnapshotParsesAsAStatusHeartbeat) {
     EXPECT_NE(snapshot.find("\"fleet\":{"), std::string::npos);
 
     std::string error;
-    const auto parsed = report::load_status(snapshot, error);
+    const auto parsed = read_status_json(snapshot, error);
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(parsed->campaign, "fleet_test");
     EXPECT_FALSE(parsed->running);
     EXPECT_EQ(parsed->tasks_total, 36U);
     EXPECT_EQ(parsed->tasks_done, 36U);
+    ASSERT_TRUE(parsed->fleet.has_value());
+    EXPECT_EQ(parsed->fleet->epoch, 1U);
+    EXPECT_EQ(parsed->fleet->cohorts, 36U);
+    EXPECT_EQ(parsed->fleet->nodes, service.node_count());
+    EXPECT_EQ(parsed->fleet->cohorts_top.size(), 36U);
+    EXPECT_FALSE(parsed->fleet->timeline.has_value());
+    EXPECT_EQ(write_status_json(*parsed), snapshot);
 }
 
 TEST(FleetServiceTest, PublishedStateMatchesTheSnapshotBytes) {
@@ -447,10 +455,9 @@ TEST(FleetServiceTest, RestartWarmsTheCacheAndReExecutesNothing) {
     // original service after the same campaign sequence, except for the
     // restoration counter itself.
     std::string error;
-    const auto before = report::load_status(snapshot_before, error);
+    const auto before = read_status_json(snapshot_before, error);
     ASSERT_TRUE(before.has_value()) << error;
-    const auto after =
-        report::load_status(restarted.state_snapshot(), error);
+    const auto after = read_status_json(restarted.state_snapshot(), error);
     ASSERT_TRUE(after.has_value()) << error;
     EXPECT_EQ(after->tasks_total, before->tasks_total);
     EXPECT_EQ(after->tasks_done, before->tasks_done);
@@ -606,12 +613,13 @@ TEST(FleetObservatoryTest, SeededDriftFiresTheSlopeRuleDeterministically) {
     EXPECT_EQ(timeline->alert_rules, 2U);
     EXPECT_EQ(timeline->firing, run.firing);
     // And the snapshot's fleet.timeline section agrees.
-    const auto status = report::load_status(run.snapshot, error);
+    const auto status = read_status_json(run.snapshot, error);
     ASSERT_TRUE(status.has_value()) << error;
-    EXPECT_TRUE(status->timeline_present);
-    EXPECT_EQ(status->timeline_rules, 2U);
-    EXPECT_EQ(status->timeline_firing, run.firing);
-    EXPECT_EQ(status->timeline_series, 40U); // 36 vmin + 4 fleet.*
+    ASSERT_TRUE(status->fleet.has_value());
+    ASSERT_TRUE(status->fleet->timeline.has_value());
+    EXPECT_EQ(status->fleet->timeline->rules, 2U);
+    EXPECT_EQ(status->fleet->timeline->firing, run.firing);
+    EXPECT_EQ(status->fleet->timeline->series, 40U); // 36 vmin + 4 fleet.*
 }
 
 TEST(FleetObservatoryTest, RestartWarmsTheTimelineFromTheJournal) {
@@ -663,9 +671,10 @@ TEST(FleetObservatoryTest, HostileRuleNamesKeepBothArtifactsParseable) {
         const auto parsed = report::parse_json(bytes);
         EXPECT_TRUE(parsed.value.has_value()) << parsed.error;
     }
-    const auto status = report::load_status(service.state_snapshot(), error);
+    const auto status = read_status_json(service.state_snapshot(), error);
     ASSERT_TRUE(status.has_value()) << error;
-    EXPECT_EQ(status->timeline_firing, firing);
+    ASSERT_TRUE(status->fleet && status->fleet->timeline);
+    EXPECT_EQ(status->fleet->timeline->firing, firing);
     const auto timeline =
         report::load_timeline(service.timeline_snapshot(), error);
     ASSERT_TRUE(timeline.has_value()) << error;

@@ -2,9 +2,13 @@
 # campaign: 0 = clean, 1 = diff found a regression or missing metric,
 # 2 = usage error or malformed artifact (one-line diagnostic, no crash).
 #
+# The status cases read snapshots fleet_service writes: the status reader
+# accepts only bytes its writer renders.
+#
 # Driven from tests/CMakeLists.txt via
-#   cmake -DGBREPORT=... -DWORK_DIR=... -P gbreport_cli.cmake
-foreach(var GBREPORT WORK_DIR)
+#   cmake -DGBREPORT=... -DFLEET_SERVICE=... -DWORK_DIR=...
+#         -P gbreport_cli.cmake
+foreach(var GBREPORT FLEET_SERVICE WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "gbreport_cli.cmake needs -D${var}=...")
     endif()
@@ -105,19 +109,30 @@ function(expect_output pattern)
     endif()
 endfunction()
 
+# serve_snapshot(<state> <serve args...>): the state snapshot of a small
+# fleet_service run.
+function(serve_snapshot state)
+    execute_process(
+        COMMAND ${FLEET_SERVICE} serve --state ${state} --nodes 300 ${ARGN}
+        OUTPUT_QUIET
+        ERROR_VARIABLE stderr_text
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "fleet_service serve ${ARGN} exited ${rc}\n${stderr_text}")
+    endif()
+endfunction()
+
 # A fleet snapshot carrying a degraded section renders the quarantine
 # line (the degraded-mode serving contract of docs/ROBUSTNESS.md)...
 set(degraded_status ${WORK_DIR}/degraded_status.json)
-# ([=[ bracket: the JSON's "bins":[[...]] would close a plain [[ early.)
-file(WRITE ${degraded_status} [=[{"campaign":"fleet","running":false,"tasks_total":72,"tasks_done":72,"retries":3,"injected_faults":5,"aborted_rig":2,"replayed":36,"rig_downtime_ms":120000,"fleet":{"epoch":2,"nodes":10000,"cohorts":36,"probes_executed":34,"cache_hits":36,"cache_entries":34,"power_nominal_w":100,"power_binned_w":90,"supervised_cohorts":0,"supervised_epochs":0,"bins":[[980,5000]],"degraded":{"cohorts":2,"nodes":5000,"quarantined":[{"corner":"TTT","class":0,"op":0,"variant":0,"members":2500}]},"cohorts_top":[]}}
-]=])
-expect_output("degraded: 2 cohorts \\(5000 nodes\\) quarantined"
+serve_snapshot(${degraded_status} --fault-rate 0.8 --retry 0 --replan 0)
+expect_output("degraded: [1-9][0-9]* cohorts \\([1-9][0-9]* nodes\\) quarantined"
     status ${degraded_status})
 
 # ...a healthy fleet snapshot stays silent about degradation...
 set(healthy_status ${WORK_DIR}/healthy_status.json)
-file(WRITE ${healthy_status} [[{"campaign":"fleet","running":false,"tasks_total":36,"tasks_done":36,"retries":0,"injected_faults":0,"aborted_rig":0,"replayed":0,"rig_downtime_ms":0,"fleet":{"degraded":{"cohorts":0,"nodes":0,"quarantined":[]}}}
-]])
+serve_snapshot(${healthy_status})
 execute_process(
     COMMAND ${GBREPORT} status ${healthy_status}
     OUTPUT_VARIABLE healthy_stdout
@@ -130,9 +145,22 @@ endif()
 
 # ...and a malformed degraded section is a diagnostic, not a crash.
 set(bad_degraded ${WORK_DIR}/bad_degraded.json)
-file(WRITE ${bad_degraded} [[{"campaign":"fleet","running":false,"tasks_total":36,"tasks_done":36,"retries":0,"injected_faults":0,"aborted_rig":0,"replayed":0,"rig_downtime_ms":0,"fleet":{"degraded":42}}
-]])
-expect_exit(2 status ${bad_degraded})
+file(READ ${healthy_status} snapshot_text)
+string(REGEX REPLACE "\"degraded\":{[^}]*}" "\"degraded\":42"
+    snapshot_text "${snapshot_text}")
+file(WRITE ${bad_degraded} "${snapshot_text}")
+execute_process(
+    COMMAND ${GBREPORT} status ${bad_degraded}
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr_text
+    RESULT_VARIABLE rc)
+# One line naming the first byte that differs from the writer's rendering.
+if(NOT rc EQUAL 2 OR NOT stderr_text MATCHES
+        "^gbreport: [^\n]*bad_degraded.json: status: byte [0-9]+: [^\n]*\n$")
+    message(FATAL_ERROR
+        "gbreport status on a malformed degraded section exited ${rc}:\n"
+        "${stderr_text}")
+endif()
 
 # --- gbreport audit: the SDC integrity verdict ---------------------------
 # 0 = every injected corruption was caught, 1 = at least one escaped,
@@ -245,19 +273,23 @@ expect_exit(2 alerts)
 
 # --- gbreport status: timeline placeholder vs full section ---------------
 
-# Old-schema snapshots (pre-observatory) render a stable placeholder...
+# Snapshots with the observatory off render a stable placeholder...
 expect_output("timeline: \\(not recorded\\)" status ${healthy_status})
 # ...and a timeline-bearing snapshot renders the full line.
 set(observed_status ${WORK_DIR}/observed_status.json)
-file(WRITE ${observed_status} [=[{"campaign":"fleet","running":false,"tasks_total":36,"tasks_done":36,"retries":0,"injected_faults":0,"aborted_rig":0,"replayed":0,"rig_downtime_ms":0,"fleet":{"degraded":{"cohorts":0,"nodes":0,"quarantined":[]},"timeline":{"series":40,"samples":160,"rules":2,"firing":["vmin-drift:vmin.TTT.0.0.0"],"events":3}}}
-]=])
-expect_output("timeline: 40 series, 160 samples, 2 rules, 1 firing \\(3 events\\)"
+file(WRITE ${WORK_DIR}/drift.alert
+    "alert vmin-drift vmin.* slope 1.5 window 3\n")
+serve_snapshot(${observed_status} --timeline ${WORK_DIR}/observed.json
+    --alerts ${WORK_DIR}/drift.alert --aging 2.0 --epochs 4)
+expect_output("timeline: 40 series, 160 samples, 1 rules, 3 firing \\(11 events\\)"
     status ${observed_status})
-expect_output("FIRING vmin-drift:vmin.TTT.0.0.0" status ${observed_status})
+expect_output("FIRING vmin-drift:vmin.TSS.1.0.0" status ${observed_status})
 # A malformed timeline section is a diagnostic, not a crash.
 set(bad_timeline_status ${WORK_DIR}/bad_timeline_status.json)
-file(WRITE ${bad_timeline_status} [=[{"campaign":"fleet","running":false,"tasks_total":36,"tasks_done":36,"retries":0,"injected_faults":0,"aborted_rig":0,"replayed":0,"rig_downtime_ms":0,"fleet":{"timeline":42}}
-]=])
+file(READ ${observed_status} snapshot_text)
+string(REGEX REPLACE "\"timeline\":{[^}]*}" "\"timeline\":42"
+    snapshot_text "${snapshot_text}")
+file(WRITE ${bad_timeline_status} "${snapshot_text}")
 expect_exit(2 status ${bad_timeline_status})
 
 # Arguments no flag consumed are typos: a misspelled tolerance must not

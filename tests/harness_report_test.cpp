@@ -1,23 +1,28 @@
 // Consume-side tests for the observability stack: the hardened JSON
 // parser (exact 64-bit integers, hostile input), the artifact loaders,
-// the trace-model round-trip over the checked-in golden traces, and the
+// the trace-model round-trip over the checked-in golden traces, the
+// list-scheduling policy of the utilization simulation, and the
 // metrics-diff edge cases the CI perf gate depends on (zero baselines,
 // missing metrics, exactly-at-threshold changes, tolerance precedence).
 #include "harness/report/analysis.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/report/artifacts.hpp"
 #include "harness/report/json.hpp"
+#include "harness/status.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
+#include "util/rng.hpp"
 #include "util/wire.hpp"
 
 namespace gb::report {
@@ -56,14 +61,15 @@ TEST(ReportJson, PreservesExact64BitIntegers) {
 }
 
 TEST(ReportJson, SignedIntegerBounds) {
-    EXPECT_EQ(*parse_json("-5").value->as_i64(), -5);
-    EXPECT_EQ(*parse_json("9223372036854775807").value->as_i64(),
-              std::numeric_limits<std::int64_t>::max());
-    EXPECT_EQ(*parse_json("-9223372036854775808").value->as_i64(),
-              std::numeric_limits<std::int64_t>::min());
-    // One past either end is representable as u64 / rejected cleanly.
-    EXPECT_FALSE(parse_json("9223372036854775808").value->as_i64());
-    EXPECT_FALSE(parse_json("-9223372036854775809").value->as_i64());
+    // A negative integer keeps its exact magnitude, past the int64 range
+    // too; only the unsigned accessor reads integers back.
+    const auto lowest = parse_json("-9223372036854775808");
+    ASSERT_TRUE(lowest.value.has_value());
+    EXPECT_TRUE(lowest.value->integral && lowest.value->negative);
+    EXPECT_EQ(lowest.value->integer, 9223372036854775808ULL);
+    const auto below = parse_json("-9223372036854775809");
+    ASSERT_TRUE(below.value.has_value());
+    EXPECT_EQ(below.value->integer, 9223372036854775809ULL);
     EXPECT_FALSE(parse_json("-1").value->as_u64());
     EXPECT_EQ(*parse_json("-0").value->as_u64(), 0ULL);
 }
@@ -175,10 +181,135 @@ TEST(ReportTrace, GoldenCampaignTraceUtilization) {
     EXPECT_EQ(simulate_utilization(*model, 1).makespan, serial);
 }
 
+// --- utilization: the list-scheduling policy ----------------------------
+
+// Synthetic trace model: `simulate_utilization` only reads the campaign ->
+// task duration hierarchy, so a model built directly from durations stands
+// in for a parsed artifact.
+trace_model make_model(
+    const std::vector<std::vector<std::uint64_t>>& campaigns) {
+    trace_model model;
+    for (const std::vector<std::uint64_t>& durations : campaigns) {
+        campaign_node node;
+        node.name = "synthetic";
+        node.declared_tasks = durations.size();
+        for (const std::uint64_t ticks : durations) {
+            task_node task;
+            task.index = node.tasks.size();
+            task.ticks = ticks;
+            node.tasks.push_back(task);
+            node.task_ticks += ticks;
+        }
+        model.campaigns.push_back(std::move(node));
+    }
+    return model;
+}
+
+/// (busy ticks, tasks) per worker.
+using load_list = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+load_list loads_of(const utilization_report& report) {
+    load_list loads;
+    for (const worker_load& load : report.loads) {
+        loads.emplace_back(load.busy_ticks, load.tasks);
+    }
+    return loads;
+}
+
+TEST(ScheduleTest, IssuesInIndexOrderToEarliestFinishingWorker) {
+    // t0 -> w0 [0,5), t1 -> w1 [0,3), t2 -> earliest finisher w1 [3,7),
+    // t3 -> w0 [5,6).
+    const utilization_report report =
+        simulate_utilization(make_model({{5, 3, 4, 1}}), 2);
+    EXPECT_EQ(loads_of(report), (load_list{{6, 2}, {7, 2}}));
+    EXPECT_EQ(report.makespan, 7U);
+    EXPECT_EQ(report.serial_ticks, 13U);
+}
+
+TEST(ScheduleTest, TiesGoToTheLowestWorkerId) {
+    // All workers idle at 0: the first three tasks land on 0, 1, 2 in
+    // order, and the equal-finish tie afterwards resolves to worker 0.
+    const utilization_report report =
+        simulate_utilization(make_model({{2, 2, 2, 1}}), 3);
+    EXPECT_EQ(loads_of(report), (load_list{{3, 2}, {2, 1}, {2, 1}}));
+    EXPECT_EQ(report.makespan, 3U);
+}
+
+TEST(ScheduleTest, WorkerCountClampsToAtLeastOne) {
+    const utilization_report report =
+        simulate_utilization(make_model({{7}}), 0);
+    EXPECT_EQ(report.workers, 1);
+    EXPECT_EQ(report.makespan, 7U);
+    EXPECT_EQ(simulate_utilization(make_model({{7}}), -4).workers, 1);
+}
+
+TEST(ScheduleTest, BarrierAlignsEveryWorkerToTheMakespan) {
+    // Both workers restart at the first campaign's makespan, 10: the next
+    // campaign's task cannot begin before it fully drains, so it lands on
+    // worker 0 at 10 rather than on worker 1 at 2.
+    const utilization_report report =
+        simulate_utilization(make_model({{10, 2}, {1}}), 2);
+    EXPECT_EQ(loads_of(report), (load_list{{11, 2}, {2, 1}}));
+    EXPECT_EQ(report.makespan, 11U);
+}
+
+TEST(ScheduleTest, OneShotScheduleAccountsEveryTask) {
+    const utilization_report report =
+        simulate_utilization(make_model({{4, 1, 1, 1, 1}}), 2);
+    EXPECT_EQ(report.workers, 2);
+    EXPECT_EQ(report.serial_ticks, 8U);
+    EXPECT_EQ(report.makespan, 4U);
+    EXPECT_EQ(loads_of(report), (load_list{{4, 1}, {4, 4}}));
+}
+
+TEST(SchedulePropertyTest, RandomSchedulesSatisfyTheInvariants) {
+    rng seeds(2018);
+    for (int trial = 0; trial < 50; ++trial) {
+        const int workers = static_cast<int>(seeds.uniform_index(9)) + 1;
+        std::vector<std::vector<std::uint64_t>> campaigns(
+            seeds.uniform_index(4) + 1);
+        std::uint64_t serial = 0;
+        std::uint64_t tasks = 0;
+        std::uint64_t longest = 0;
+        for (std::vector<std::uint64_t>& durations : campaigns) {
+            for (std::size_t i = seeds.uniform_index(40) + 1; i > 0; --i) {
+                durations.push_back(seeds.uniform_index(500));
+                serial += durations.back();
+                longest = std::max(longest, durations.back());
+                ++tasks;
+            }
+        }
+        const trace_model model = make_model(campaigns);
+        const utilization_report report =
+            simulate_utilization(model, workers);
+        // Pure function: same input, same schedule.
+        EXPECT_EQ(loads_of(simulate_utilization(model, workers)),
+                  loads_of(report));
+        // Makespan bounds: no better than perfect division, no worse than
+        // serial, never shorter than the longest single task.
+        EXPECT_GE(report.makespan * static_cast<std::uint64_t>(workers),
+                  serial);
+        EXPECT_LE(report.makespan, serial);
+        EXPECT_GE(report.makespan, longest);
+        EXPECT_EQ(report.serial_ticks, serial);
+        // Load accounting closes.
+        ASSERT_EQ(report.loads.size(), static_cast<std::size_t>(workers));
+        std::uint64_t busy = 0;
+        std::uint64_t placed = 0;
+        for (const worker_load& load : report.loads) {
+            busy += load.busy_ticks;
+            placed += load.tasks;
+            EXPECT_LE(load.busy_ticks, report.makespan);
+        }
+        EXPECT_EQ(busy, serial);
+        EXPECT_EQ(placed, tasks);
+    }
+}
+
 TEST(ReportTrace, TruncatedTraceFailsWithDiagnostic) {
     std::string error;
-    auto whole = read_file(golden_path("engine_trace.json"), error);
-    ASSERT_TRUE(whole.has_value()) << error;
+    auto whole = gb::read_file(golden_path("engine_trace.json"));
+    ASSERT_TRUE(whole.has_value());
     // Cut mid-document: must fail cleanly, never crash.
     const auto cut = whole->substr(0, whole->size() / 2);
     EXPECT_FALSE(load_trace(cut, error).has_value());
@@ -285,78 +416,109 @@ TEST(ReportArtifacts, JournalRejectsNonFiniteNumbers) {
     EXPECT_EQ(journal->skipped, 2U);
 }
 
+TEST(ReportArtifacts, TraceArgsReadOnlyIntegersThatFit) {
+    trace_event event;
+    event.args = {{"tasks", "18446744073709551615"},
+                  {"index", "18446744073709551616"},
+                  {"bucket", "18446744073709551621"},
+                  {"first_index", "12x"}};
+    EXPECT_EQ(event.arg_u64("tasks"), 18446744073709551615ULL);
+    EXPECT_FALSE(event.arg_u64("index").has_value());
+    EXPECT_FALSE(event.arg_u64("bucket").has_value());
+    EXPECT_FALSE(event.arg_u64("first_index").has_value());
+    EXPECT_FALSE(event.arg_u64("absent").has_value());
+}
+
+/// A finished heartbeat as write_status_json renders it.
+campaign_status finished_heartbeat() {
+    campaign_status status;
+    status.campaign = "milc";
+    status.tasks_total = 150;
+    status.tasks_done = 150;
+    status.retries = 3;
+    status.injected_faults = 3;
+    status.rig_downtime_ms = 110000;
+    return status;
+}
+
+/// A fleet snapshot with no observatory, as the service writes it.
+campaign_status fleet_heartbeat() {
+    campaign_status status;
+    status.campaign = "fleet";
+    status.tasks_total = 36;
+    status.tasks_done = 36;
+    fleet_status& fleet = status.fleet.emplace();
+    fleet.epoch = 1;
+    fleet.nodes = 10000;
+    fleet.cohorts = 36;
+    fleet.degraded.cohorts = 2;
+    fleet.degraded.nodes = 500;
+    fleet.degraded.quarantined = {{"TTT", 0, 0, 0, 250},
+                                  {"TSS", 0, 0, 0, 250}};
+    return status;
+}
+
 TEST(ReportArtifacts, StatusLoaderRequiresCounters) {
     std::string error;
-    EXPECT_FALSE(load_status("{\"campaign\": \"x\"}", error).has_value());
-    EXPECT_FALSE(error.empty());
+    const std::string partial =
+        temp_file("status_partial.json", "{\"campaign\": \"x\"}");
+    EXPECT_FALSE(load_status_file(partial, error).has_value());
+    EXPECT_EQ(error, partial + ": status: byte 12: not what the status "
+                               "writer renders");
     error.clear();
-    const auto status = load_status(
-        "{\"campaign\":\"milc\",\"running\":false,\"tasks_total\":150,"
-        "\"tasks_done\":150,\"retries\":3,\"injected_faults\":3,"
-        "\"aborted_rig\":0,\"replayed\":0,\"rig_downtime_ms\":110000}",
+    const auto status = load_status_file(
+        temp_file("status_final.json",
+                  write_status_json(finished_heartbeat())),
         error);
     ASSERT_TRUE(status.has_value()) << error;
     EXPECT_EQ(status->tasks_done, 150U);
+    EXPECT_EQ(status->rig_downtime_ms, 110000U);
     EXPECT_FALSE(status->running);
 }
 
 TEST(ReportStatus, OldSchemaSnapshotsRenderATimelinePlaceholder) {
-    // Snapshots written before the observatory existed -- plain
-    // heartbeats and fleet snapshots alike -- must keep loading, with
-    // `timeline_present` false so renderers show a stable placeholder
-    // instead of omitting the section.
+    // Plain heartbeats and fleet snapshots written with the observatory
+    // off carry no timeline section, so renderers show a stable
+    // placeholder instead of omitting it.
     std::string error;
-    const auto plain = load_status(
-        "{\"campaign\":\"milc\",\"running\":false,\"tasks_total\":150,"
-        "\"tasks_done\":150,\"retries\":0,\"injected_faults\":0,"
-        "\"aborted_rig\":0,\"replayed\":0,\"rig_downtime_ms\":0}",
-        error);
+    const auto plain =
+        read_status_json(write_status_json(finished_heartbeat()), error);
     ASSERT_TRUE(plain.has_value()) << error;
-    EXPECT_FALSE(plain->timeline_present);
-    EXPECT_EQ(plain->timeline_series, 0U);
+    EXPECT_FALSE(plain->fleet.has_value());
 
-    const auto old_fleet = load_status(
-        "{\"campaign\":\"fleet\",\"running\":false,\"tasks_total\":36,"
-        "\"tasks_done\":36,\"retries\":0,\"injected_faults\":0,"
-        "\"aborted_rig\":0,\"replayed\":0,\"rig_downtime_ms\":0,"
-        "\"fleet\":{\"degraded\":{\"cohorts\":2,\"nodes\":500}}}",
-        error);
+    const auto old_fleet =
+        read_status_json(write_status_json(fleet_heartbeat()), error);
     ASSERT_TRUE(old_fleet.has_value()) << error;
-    EXPECT_FALSE(old_fleet->timeline_present);
-    EXPECT_EQ(old_fleet->degraded_cohorts, 2U);
+    ASSERT_TRUE(old_fleet->fleet.has_value());
+    EXPECT_FALSE(old_fleet->fleet->timeline.has_value());
+    EXPECT_EQ(old_fleet->fleet->degraded.cohorts, 2U);
 }
 
 TEST(ReportStatus, ParsesTheFleetTimelineSection) {
+    campaign_status observed = fleet_heartbeat();
+    observed.fleet->timeline =
+        status_timeline{40, 240, 2, {"vmin-drift:vmin.TTT.0.0.0"}, 3};
+    const std::string snapshot = write_status_json(observed);
     std::string error;
-    const auto status = load_status(
-        "{\"campaign\":\"fleet\",\"running\":false,\"tasks_total\":36,"
-        "\"tasks_done\":36,\"retries\":0,\"injected_faults\":0,"
-        "\"aborted_rig\":0,\"replayed\":0,\"rig_downtime_ms\":0,"
-        "\"fleet\":{\"degraded\":{\"cohorts\":0,\"nodes\":0},"
-        "\"timeline\":{\"series\":40,\"samples\":240,\"rules\":2,"
-        "\"firing\":[\"vmin-drift:vmin.TTT.0.0.0\"],\"events\":3}}}",
-        error);
+    const auto status = read_status_json(snapshot, error);
     ASSERT_TRUE(status.has_value()) << error;
-    EXPECT_TRUE(status->timeline_present);
-    EXPECT_EQ(status->timeline_series, 40U);
-    EXPECT_EQ(status->timeline_samples, 240U);
-    EXPECT_EQ(status->timeline_rules, 2U);
-    EXPECT_EQ(status->timeline_events, 3U);
-    ASSERT_EQ(status->timeline_firing.size(), 1U);
-    EXPECT_EQ(status->timeline_firing.front(),
-              "vmin-drift:vmin.TTT.0.0.0");
+    ASSERT_TRUE(status->fleet && status->fleet->timeline);
+    const status_timeline& timeline = *status->fleet->timeline;
+    EXPECT_EQ(timeline.series, 40U);
+    EXPECT_EQ(timeline.samples, 240U);
+    EXPECT_EQ(timeline.rules, 2U);
+    EXPECT_EQ(timeline.events, 3U);
+    ASSERT_EQ(timeline.firing.size(), 1U);
+    EXPECT_EQ(timeline.firing.front(), "vmin-drift:vmin.TTT.0.0.0");
 
     // A malformed section is a diagnostic, not a crash.
+    const std::size_t section = snapshot.find("\"timeline\":") + 11;
+    std::string malformed = snapshot;
+    malformed.replace(section, snapshot.size() - 3 - section, "42");
     error.clear();
-    EXPECT_FALSE(load_status(
-                     "{\"campaign\":\"fleet\",\"running\":false,"
-                     "\"tasks_total\":1,\"tasks_done\":1,\"retries\":0,"
-                     "\"injected_faults\":0,\"aborted_rig\":0,"
-                     "\"replayed\":0,\"rig_downtime_ms\":0,"
-                     "\"fleet\":{\"timeline\":42}}",
-                     error)
-                     .has_value());
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(read_status_json(malformed, error).has_value());
+    EXPECT_EQ(error, "status: byte " + std::to_string(section) +
+                         ": not what the status writer renders");
 }
 
 // --- timeline artifact --------------------------------------------------

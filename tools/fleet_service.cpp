@@ -64,8 +64,9 @@
 // (`gbreport status FILE` renders it too).
 //
 // Exit codes: 0 success, 1 ack timeout (query --command), 2 usage error
-// (an unknown argument included) or malformed input; --chaos kills exit
-// with --chaos-exit.
+// (an unknown argument included) or malformed input -- a snapshot the
+// status writer would not render byte for byte included; --chaos kills
+// exit with --chaos-exit.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -82,7 +83,7 @@
 #include "fleet/service.hpp"
 #include "harness/chaos/chaos.hpp"
 #include "harness/fault_injection.hpp"
-#include "harness/report/json.hpp"
+#include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
 #include "util/cli.hpp"
@@ -411,20 +412,6 @@ int run_serve(int argc, char** argv) {
     return exit_ok;
 }
 
-const report::json_value* member(const report::json_value& object,
-                                 std::string_view key) {
-    return object.find(key);
-}
-
-std::uint64_t u64_of(const report::json_value& object,
-                     std::string_view key) {
-    const report::json_value* value = member(object, key);
-    if (value == nullptr) {
-        return 0;
-    }
-    return value->as_u64().value_or(0);
-}
-
 int run_query(int argc, char** argv) {
     const auto state_path = take_flag_value(argc, argv, "--state");
     const bool show_bins = take_flag(argc, argv, "--bins");
@@ -475,119 +462,77 @@ int run_query(int argc, char** argv) {
     if (!text) {
         return fail("cannot read " + *state_path);
     }
-    const report::json_parse_result parsed = report::parse_json(*text);
-    if (!parsed.value) {
-        return fail(*state_path + ": " + parsed.error);
+    std::string error;
+    const std::optional<campaign_status> status =
+        read_status_json(*text, error);
+    if (!status) {
+        return fail(*state_path + ": " + error);
     }
-    const report::json_value& root = *parsed.value;
-    const report::json_value* fleet = member(root, "fleet");
-    if (fleet == nullptr || !fleet->is_object()) {
+    if (!status->fleet) {
         return fail(*state_path + ": not a fleet-state snapshot (no "
                                   "\"fleet\" object)");
     }
+    const fleet_status& fleet = *status->fleet;
 
-    const report::json_value* campaign = member(root, "campaign");
-    std::cout << "fleet \""
-              << (campaign != nullptr
-                      ? std::string(campaign->as_string().value_or(""))
-                      : std::string())
-              << "\": epoch " << u64_of(*fleet, "epoch") << ", "
-              << u64_of(*fleet, "nodes") << " nodes in "
-              << u64_of(*fleet, "cohorts") << " cohorts\n";
-    std::cout << "probes: " << u64_of(root, "tasks_total") << " served, "
-              << u64_of(*fleet, "probes_executed") << " executed, "
-              << u64_of(*fleet, "cache_hits") << " cache hits ("
-              << u64_of(*fleet, "cache_entries") << " entries)\n";
-    const report::json_value* degraded = member(*fleet, "degraded");
-    if (degraded != nullptr && degraded->is_object() &&
-        u64_of(*degraded, "cohorts") > 0) {
-        std::cout << "DEGRADED: " << u64_of(*degraded, "cohorts")
-                  << " cohorts (" << u64_of(*degraded, "nodes")
+    std::cout << "fleet \"" << status->campaign << "\": epoch "
+              << fleet.epoch << ", " << fleet.nodes << " nodes in "
+              << fleet.cohorts << " cohorts\n";
+    std::cout << "probes: " << status->tasks_total << " served, "
+              << fleet.probes_executed << " executed, " << fleet.cache_hits
+              << " cache hits (" << fleet.cache_entries << " entries)\n";
+    if (fleet.degraded.cohorts > 0) {
+        std::cout << "DEGRADED: " << fleet.degraded.cohorts << " cohorts ("
+                  << fleet.degraded.nodes
                   << " nodes) quarantined at the nominal bin cap\n";
     }
-    const report::json_value* nominal =
-        member(*fleet, "power_nominal_w");
-    const report::json_value* binned = member(*fleet, "power_binned_w");
-    if (nominal != nullptr && binned != nullptr) {
-        const double nominal_w = nominal->as_number().value_or(0.0);
-        const double binned_w = binned->as_number().value_or(0.0);
-        std::cout << "power: " << format_number(nominal_w, 0)
-                  << " W nominal vs " << format_number(binned_w, 0)
-                  << " W at revealed points";
-        if (nominal_w > 0.0) {
-            std::cout << " ("
-                      << format_percent(1.0 - binned_w / nominal_w, 1)
-                      << " saved)";
-        }
-        std::cout << "\n";
+    std::cout << "power: " << format_number(fleet.power_nominal_w, 0)
+              << " W nominal vs " << format_number(fleet.power_binned_w, 0)
+              << " W at revealed points";
+    if (fleet.power_nominal_w > 0.0) {
+        std::cout << " ("
+                  << format_percent(
+                         1.0 - fleet.power_binned_w / fleet.power_nominal_w,
+                         1)
+                  << " saved)";
     }
-    if (u64_of(*fleet, "supervised_cohorts") > 0) {
-        std::cout << "supervision: " << u64_of(*fleet, "supervised_cohorts")
-                  << " cohorts, " << u64_of(*fleet, "supervised_epochs")
+    std::cout << "\n";
+    if (fleet.supervised_cohorts > 0) {
+        std::cout << "supervision: " << fleet.supervised_cohorts
+                  << " cohorts, " << fleet.supervised_epochs
                   << " supervised epochs\n";
     }
-    const report::json_value* timeline = member(*fleet, "timeline");
-    if (timeline != nullptr && timeline->is_object()) {
-        std::cout << "timeline: " << u64_of(*timeline, "series")
-                  << " series, " << u64_of(*timeline, "samples")
-                  << " samples, " << u64_of(*timeline, "rules") << " rules";
-        const report::json_value* firing = member(*timeline, "firing");
-        if (firing != nullptr && firing->is_array() &&
-            !firing->items.empty()) {
+    if (const auto& timeline = fleet.timeline) {
+        std::cout << "timeline: " << timeline->series << " series, "
+                  << timeline->samples << " samples, " << timeline->rules
+                  << " rules";
+        if (!timeline->firing.empty()) {
             std::cout << "; FIRING:";
-            for (const report::json_value& item : firing->items) {
-                std::cout << ' ' << item.as_string().value_or("?");
+            for (const std::string& label : timeline->firing) {
+                std::cout << ' ' << label;
             }
         }
         std::cout << "\n";
     }
 
-    if (show_bins) {
-        const report::json_value* bins = member(*fleet, "bins");
-        if (bins != nullptr && bins->is_array() && !bins->items.empty()) {
-            std::cout << "\n";
-            text_table table({"voltage class mV", "nodes"});
-            for (const report::json_value& entry : bins->items) {
-                if (!entry.is_array() || entry.items.size() != 2) {
-                    continue;
-                }
-                table.add_row(
-                    {std::to_string(entry.items[0].as_i64().value_or(0)),
-                     std::to_string(entry.items[1].as_u64().value_or(0))});
-            }
-            table.render(std::cout);
+    if (show_bins && !fleet.bins.empty()) {
+        std::cout << "\n";
+        text_table table({"voltage class mV", "nodes"});
+        for (const auto& [voltage, nodes] : fleet.bins) {
+            table.add_row({std::to_string(voltage), std::to_string(nodes)});
         }
+        table.render(std::cout);
     }
-    if (show_cohorts) {
-        const report::json_value* cohorts = member(*fleet, "cohorts_top");
-        if (cohorts != nullptr && cohorts->is_array() &&
-            !cohorts->items.empty()) {
-            std::cout << "\n";
-            text_table table(
-                {"corner", "class", "op", "members", "req mV"});
-            for (const report::json_value& entry : cohorts->items) {
-                if (!entry.is_object()) {
-                    continue;
-                }
-                const report::json_value* corner =
-                    member(entry, "corner");
-                const report::json_value* requirement =
-                    member(entry, "req_mv");
-                table.add_row(
-                    {corner != nullptr
-                         ? std::string(corner->as_string().value_or("?"))
-                         : "?",
-                     std::to_string(u64_of(entry, "class")),
-                     std::to_string(u64_of(entry, "op")),
-                     std::to_string(u64_of(entry, "members")),
-                     format_number(requirement != nullptr
-                                       ? requirement->as_number().value_or(
-                                             0.0)
-                                       : 0.0,
-                                   1)});
-            }
-            table.render(std::cout);
+    if (show_cohorts && !fleet.cohorts_top.empty()) {
+        std::cout << "\n";
+        text_table table({"corner", "class", "op", "members", "req mV"});
+        for (const status_cohort_probe& row : fleet.cohorts_top) {
+            table.add_row({row.cohort.corner,
+                           std::to_string(row.cohort.workload_class),
+                           std::to_string(row.cohort.operating_point),
+                           std::to_string(row.cohort.members),
+                           format_number(row.req_mv, 1)});
         }
+        table.render(std::cout);
     }
     return exit_ok;
 }

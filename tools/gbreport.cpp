@@ -26,6 +26,7 @@
 
 #include "harness/report/analysis.hpp"
 #include "harness/report/artifacts.hpp"
+#include "harness/status.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "util/cli.hpp"
 
@@ -293,23 +294,24 @@ int run_status(int argc, char** argv) {
               << "rig faults: " << status->injected_faults << " ("
               << status->retries << " retries, " << status->aborted_rig
               << " aborted), " << status->replayed << " replayed, "
-              << status->downtime_ms << " ms simulated downtime\n";
-    if (status->degraded_cohorts > 0) {
-        std::cout << "degraded: " << status->degraded_cohorts
-                  << " cohorts (" << status->degraded_nodes
+              << status->rig_downtime_ms << " ms simulated downtime\n";
+    const fleet_status* fleet = status->fleet ? &*status->fleet : nullptr;
+    if (fleet != nullptr && fleet->degraded.cohorts > 0) {
+        std::cout << "degraded: " << fleet->degraded.cohorts << " cohorts ("
+                  << fleet->degraded.nodes
                   << " nodes) quarantined at the nominal bin cap\n";
     }
-    // The observatory section is optional (older snapshots predate it;
-    // plain heartbeats never carry it): render a stable placeholder
+    // The observatory section is optional (plain heartbeats and fleets
+    // without a timeline never carry it): render a stable placeholder
     // rather than omitting the line, so consumers that key on it see the
-    // same shape across schema generations.
-    if (status->timeline_present) {
-        std::cout << "timeline: " << status->timeline_series << " series, "
-                  << status->timeline_samples << " samples, "
-                  << status->timeline_rules << " rules, "
-                  << status->timeline_firing.size() << " firing ("
-                  << status->timeline_events << " events)\n";
-        for (const std::string& label : status->timeline_firing) {
+    // same shape either way.
+    if (fleet != nullptr && fleet->timeline) {
+        const status_timeline& timeline = *fleet->timeline;
+        std::cout << "timeline: " << timeline.series << " series, "
+                  << timeline.samples << " samples, " << timeline.rules
+                  << " rules, " << timeline.firing.size() << " firing ("
+                  << timeline.events << " events)\n";
+        for (const std::string& label : timeline.firing) {
             std::cout << "  FIRING " << label << "\n";
         }
     } else {
