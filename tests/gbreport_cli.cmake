@@ -2,8 +2,8 @@
 # campaign: 0 = clean, 1 = diff found a regression or missing metric,
 # 2 = usage error or malformed artifact (one-line diagnostic, no crash).
 #
-# The status cases read snapshots fleet_service writes: the status reader
-# accepts only bytes its writer renders.
+# The status reader accepts only bytes its writer renders, so the status
+# cases read snapshots fleet_service writes or exact copies of them.
 #
 # Driven from tests/CMakeLists.txt via
 #   cmake -DGBREPORT=... -DFLEET_SERVICE=... -DWORK_DIR=...
@@ -125,9 +125,12 @@ endfunction()
 
 # A fleet snapshot carrying a degraded section renders the quarantine
 # line (the degraded-mode serving contract of docs/ROBUSTNESS.md)...
+# The fixture is byte for byte what the status writer renders.
 set(degraded_status ${WORK_DIR}/degraded_status.json)
-serve_snapshot(${degraded_status} --fault-rate 0.8 --retry 0 --replan 0)
-expect_output("degraded: [1-9][0-9]* cohorts \\([1-9][0-9]* nodes\\) quarantined"
+# ([=[ bracket: the JSON's "bins":[[...]] would close a plain [[ early.)
+file(WRITE ${degraded_status} [=[{"campaign":"fleet","running":false,"tasks_total":72,"tasks_done":72,"retries":3,"injected_faults":5,"aborted_rig":2,"replayed":36,"rig_downtime_ms":120000,"fleet":{"epoch":2,"nodes":10000,"cohorts":36,"probes_executed":34,"cache_hits":36,"cache_entries":34,"power_nominal_w":100,"power_binned_w":90,"supervised_cohorts":0,"supervised_epochs":0,"bins":[[980,5000]],"degraded":{"cohorts":2,"nodes":5000,"quarantined":[{"corner":"TTT","class":0,"op":0,"variant":0,"members":2500}]},"cohorts_top":[]}}
+]=])
+expect_output("degraded: 2 cohorts \\(5000 nodes\\) quarantined"
     status ${degraded_status})
 
 # ...a healthy fleet snapshot stays silent about degradation...
