@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -15,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -41,6 +41,12 @@ inline std::string temp_path(const std::string& name) {
            "/" + name;
 }
 
+/// The binary's file name, for diagnostics.
+inline std::string tool_name(char** argv) {
+    const std::string path = argv[0];
+    return path.substr(path.rfind('/') + 1);
+}
+
 /// Optional `--metrics <path>` reporting for bench binaries: the flag is
 /// stripped from argv up front, counters are recorded into `registry()`
 /// during the (serial) run, and `emit()` writes the merged registry as
@@ -50,25 +56,30 @@ inline std::string temp_path(const std::string& name) {
 class metrics_reporter {
 public:
     metrics_reporter(int& argc, char** argv)
-        : path_(take_flag_value(argc, argv, "--metrics")) {}
+        : tool_(tool_name(argv)),
+          path_(take_flag_value(argc, argv, "--metrics")) {}
 
     [[nodiscard]] metrics_registry& registry() { return registry_; }
 
     /// Serial shard for all bench recording.
     static constexpr std::size_t shard = 0;
 
-    /// Write the registry if --metrics was given; true when written.
+    /// Write the registry if --metrics was given; true when written.  A
+    /// failed write exits 2.
     bool emit() const {
         if (!path_) {
             return false;
         }
-        std::ofstream out(*path_);
-        write_metrics_json(out, registry_);
+        if (!publish_artifact(tool_, *path_,
+                              write_metrics_json(registry_.snapshot()))) {
+            std::exit(2);
+        }
         std::cerr << "metrics written to " << *path_ << '\n';
         return true;
     }
 
 private:
+    std::string tool_;
     std::optional<std::string> path_;
     metrics_registry registry_{1}; // bench binaries record serially
 };
@@ -89,7 +100,7 @@ private:
 class baseline_reporter {
 public:
     baseline_reporter(int& argc, char** argv, std::string name)
-        : name_(std::move(name)),
+        : tool_(tool_name(argv)), name_(std::move(name)),
           dir_(take_flag_value(argc, argv, "--baseline")) {
         if (!dir_) {
             if (const char* env = std::getenv("GB_UPDATE_BASELINE")) {
@@ -135,7 +146,8 @@ public:
                    .count());
     }
 
-    /// Write BENCH_<name>.json when enabled; true when written.
+    /// Write BENCH_<name>.json when enabled; true when written.  A failed
+    /// write exits 2.
     bool emit() {
         if (!dir_) {
             return false;
@@ -157,17 +169,15 @@ public:
                                          p95(values));
         }
         const std::string path = *dir_ + "/BENCH_" + name_ + ".json";
-        std::ofstream out(path);
-        if (!out) {
-            std::cerr << "cannot write baseline " << path << '\n';
-            return false;
+        if (!publish_artifact(tool_, path, write_metrics_json(snapshot))) {
+            std::exit(2);
         }
-        write_metrics_json(out, snapshot);
         std::cerr << "baseline written to " << path << '\n';
         return true;
     }
 
 private:
+    std::string tool_;
     std::string name_;
     std::optional<std::string> dir_;
     std::uint64_t hash_ = fnv1a_basis;

@@ -28,7 +28,6 @@
 //     --audit <k>       re-verify every k-th scheduled cache hit
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -40,6 +39,7 @@
 #include "ga/virus_search.hpp"
 #include "harness/fault_injection.hpp"
 #include "harness/framework.hpp"
+#include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
 #include "util/cli.hpp"
@@ -236,14 +236,18 @@ int main(int argc, char** argv) {
                   << service.sdc_escaped() << " escaped\n";
     }
     if (trace_path) {
-        std::ofstream out(*trace_path);
-        write_chrome_trace(out, trace);
+        if (!publish_artifact("fleet_binning", *trace_path,
+                              write_chrome_trace(trace))) {
+            return 2;
+        }
         std::cerr << "trace written to " << *trace_path << " ("
                   << trace.size() << " events)\n";
     }
     if (metrics_path) {
-        std::ofstream out(*metrics_path);
-        write_metrics_json(out, metrics);
+        if (!publish_artifact("fleet_binning", *metrics_path,
+                              write_metrics_json(metrics.snapshot()))) {
+            return 2;
+        }
         std::cerr << "metrics written to " << *metrics_path << '\n';
     }
     return 0;

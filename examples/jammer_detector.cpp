@@ -9,7 +9,6 @@
 //   $ ./jammer_detector [windows] [events] [epochs] [--trace <path>]
 //                       [--metrics <path>] [--status <path>]
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <optional>
 
@@ -196,7 +195,10 @@ int main(int argc, char** argv) {
         final_status.tasks_done = health.epochs;
         final_status.replayed = health.replayed;
         final_status.aborted_rig = health.aborted;
-        publish_status(*status_path, final_status);
+        if (!publish_artifact("jammer_detector", *status_path,
+                              write_status_json(final_status))) {
+            return 2;
+        }
     }
     const double overhead_w_epochs = health.sentinel_overhead_w_epochs +
                                      health.degradation_overhead_w_epochs;
@@ -221,15 +223,19 @@ int main(int argc, char** argv) {
               << " W), final state " << to_string(supervisor.state())
               << '\n';
     if (trace_path) {
-        std::ofstream out(*trace_path);
-        write_chrome_trace(out, trace);
+        if (!publish_artifact("jammer_detector", *trace_path,
+                              write_chrome_trace(trace))) {
+            return 2;
+        }
         std::cerr << "trace written to " << *trace_path << " ("
                   << trace.size() << " events)\n";
     }
     if (metrics_path) {
         health.publish(metrics, 0, health.epochs);
-        std::ofstream out(*metrics_path);
-        write_metrics_json(out, metrics);
+        if (!publish_artifact("jammer_detector", *metrics_path,
+                              write_metrics_json(metrics.snapshot()))) {
+            return 2;
+        }
         std::cerr << "metrics written to " << *metrics_path << '\n';
     }
     if (!health.balanced()) {

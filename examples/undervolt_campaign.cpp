@@ -36,6 +36,7 @@
 #include "harness/fault_injection.hpp"
 #include "harness/framework.hpp"
 #include "harness/journal.hpp"
+#include "harness/status.hpp"
 #include "harness/timeseries/timeseries.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
@@ -214,19 +215,25 @@ int main(int argc, char** argv) {
     std::cerr << "total watchdog resets this session: "
               << framework.watchdog_resets() << '\n';
     if (trace_path) {
-        std::ofstream out(*trace_path);
-        write_chrome_trace(out, trace);
+        if (!publish_artifact("undervolt_campaign", *trace_path,
+                              write_chrome_trace(trace))) {
+            return 2;
+        }
         std::cerr << "trace written to " << *trace_path << " ("
                   << trace.size() << " events)\n";
     }
     if (metrics_path) {
-        std::ofstream out(*metrics_path);
-        write_metrics_json(out, metrics);
+        if (!publish_artifact("undervolt_campaign", *metrics_path,
+                              write_metrics_json(metrics.snapshot()))) {
+            return 2;
+        }
         std::cerr << "metrics written to " << *metrics_path << '\n';
     }
     if (timeline_path) {
-        std::ofstream out(*timeline_path);
-        write_timeline_json(out, timeline);
+        if (!publish_artifact("undervolt_campaign", *timeline_path,
+                              write_timeline_json(timeline))) {
+            return 2;
+        }
         std::cerr << "timeline written to " << *timeline_path << " ("
                   << timeline.series_count() << " series, "
                   << timeline.sample_count() << " samples)\n";

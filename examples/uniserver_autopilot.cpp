@@ -17,7 +17,6 @@
 // the exploiting state, with every epoch accounted.
 //
 //   $ ./uniserver_autopilot [phases] [--trace <path>] [--metrics <path>]
-#include <fstream>
 #include <iostream>
 #include <optional>
 
@@ -28,6 +27,7 @@
 #include "core/supervisor.hpp"
 #include "dram/power.hpp"
 #include "fleet/service.hpp"
+#include "harness/status.hpp"
 #include "harness/trace/trace.hpp"
 #include "thermal/testbed.hpp"
 #include "util/cli.hpp"
@@ -278,15 +278,19 @@ int main(int argc, char** argv) {
               << " (stage " << supervisor.stage() << ")\n";
 
     if (trace_path) {
-        std::ofstream out(*trace_path);
-        write_chrome_trace(out, trace);
+        if (!publish_artifact("uniserver_autopilot", *trace_path,
+                              write_chrome_trace(trace))) {
+            return 2;
+        }
         std::cerr << "trace written to " << *trace_path << " ("
                   << trace.size() << " events)\n";
     }
     if (metrics_path) {
         health.publish(metrics, 0, health.epochs);
-        std::ofstream out(*metrics_path);
-        write_metrics_json(out, metrics);
+        if (!publish_artifact("uniserver_autopilot", *metrics_path,
+                              write_metrics_json(metrics.snapshot()))) {
+            return 2;
+        }
         std::cerr << "metrics written to " << *metrics_path << '\n';
     }
 

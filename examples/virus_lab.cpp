@@ -10,7 +10,6 @@
 //                       the final snapshot is deterministic
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -170,17 +169,24 @@ int main(int argc, char** argv) {
         final_status.campaign = "virus_lab";
         final_status.tasks_total = 4;
         final_status.tasks_done = task_index;
-        publish_status(*status_path, final_status);
+        if (!publish_artifact("virus_lab", *status_path,
+                              write_status_json(final_status))) {
+            return 2;
+        }
     }
     if (trace_path) {
-        std::ofstream out(*trace_path);
-        write_chrome_trace(out, trace);
+        if (!publish_artifact("virus_lab", *trace_path,
+                              write_chrome_trace(trace))) {
+            return 2;
+        }
         std::cerr << "trace written to " << *trace_path << " ("
                   << trace.size() << " events)\n";
     }
     if (metrics_path) {
-        std::ofstream out(*metrics_path);
-        write_metrics_json(out, metrics);
+        if (!publish_artifact("virus_lab", *metrics_path,
+                              write_metrics_json(metrics.snapshot()))) {
+            return 2;
+        }
         std::cerr << "metrics written to " << *metrics_path << '\n';
     }
     return 0;

@@ -1362,9 +1362,7 @@ std::string fleet_service::timeline_snapshot() const {
     if (config_.timeline == nullptr) {
         return {};
     }
-    std::ostringstream out;
-    write_timeline_json(out, *config_.timeline, alerts_.get());
-    return out.str();
+    return write_timeline_json(*config_.timeline, alerts_.get());
 }
 
 bool fleet_service::publish_timeline() const {

@@ -121,4 +121,9 @@ bool publish_atomic(const std::string& path, std::string_view bytes,
 /// Atomically publish a snapshot to `path` (publish_atomic, no chaos).
 bool publish_status(const std::string& path, const campaign_status& status);
 
+/// publish_atomic for a command-line tool's artifact: false, with
+/// "<tool>: cannot write <path>" on stderr, when the bytes did not land.
+bool publish_artifact(std::string_view tool, const std::string& path,
+                      std::string_view bytes);
+
 } // namespace gb

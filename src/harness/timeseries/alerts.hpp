@@ -66,15 +66,6 @@ struct alert_rule {
 [[nodiscard]] std::optional<std::vector<alert_rule>> load_alert_rules_file(
     const std::string& path, std::string& error);
 
-/// One firing/resolved transition of a (rule, series) pair.
-struct alert_event {
-    std::uint64_t tick = 0;
-    std::string rule;
-    std::string series;
-    bool firing = false; ///< false = resolved
-    double value = 0.0;  ///< the measure at the transition
-};
-
 /// A stateless evaluation result: a (rule, series) pair currently over
 /// threshold, with its measure.
 struct alert_match {

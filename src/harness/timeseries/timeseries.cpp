@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 #include "harness/timeseries/alerts.hpp"
 #include "util/contracts.hpp"
-#include "util/wire.hpp"
+#include "util/json_codec.hpp"
 
 namespace gb {
 
@@ -119,58 +118,124 @@ std::vector<series_snapshot> timeline_recorder::snapshot() const {
     return out; // std::map iteration is already name-sorted
 }
 
-void write_timeline_json(std::ostream& out, const timeline_recorder& recorder,
-                         const alert_engine* alerts) {
-    const std::vector<series_snapshot> series = recorder.snapshot();
-    out << "{\n  \"series\": {";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const series_snapshot& s = series[i];
-        out << (i > 0 ? "," : "") << "\n    \"" << json_escape(s.name)
-            << "\": {\"count\": " << s.count
-            << ", \"min\": " << format_double(s.min)
-            << ", \"max\": " << format_double(s.max)
-            << ", \"last\": " << format_double(s.last) << ", \"samples\": [";
-        for (std::size_t j = 0; j < s.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << '[' << s.samples[j].tick << ','
-                << format_double(s.samples[j].value) << ']';
-        }
-        out << "], \"evicted\": {\"bounds\": [";
-        for (std::size_t j = 0; j < s.evicted.bounds.size(); ++j) {
-            out << (j > 0 ? "," : "") << s.evicted.bounds[j];
-        }
-        out << "], \"counts\": [";
-        for (std::size_t j = 0; j < s.evicted.counts.size(); ++j) {
-            out << (j > 0 ? "," : "") << s.evicted.counts[j];
-        }
-        out << "], \"count\": " << s.evicted.count
-            << ", \"sum\": " << s.evicted.sum << "}}";
+// --- the timeline format ---------------------------------------------------
+
+template <>
+struct json_object<ts_sample> {
+    static constexpr json_layout layout = json_tuple;
+    static void fields(auto& field, auto& sample) {
+        field("tick", sample.tick);
+        field("value", sample.value);
     }
-    out << (series.empty() ? "" : "\n  ") << "},\n  \"alerts\": {\"rules\": "
-        << (alerts != nullptr ? alerts->rules().size() : 0)
-        << ", \"firing\": [";
+};
+
+template <>
+struct json_object<series_snapshot> {
+    static constexpr json_layout layout = json_spaced;
+    static void fields(auto& field, auto& series) {
+        field("count", series.count);
+        field("min", series.min);
+        field("max", series.max);
+        field("last", series.last);
+        field("samples", series.samples);
+        field("evicted", series.evicted);
+    }
+};
+
+template <>
+struct json_object<alert_event> {
+    static constexpr json_layout layout = json_spaced;
+    static void fields(auto& field, auto& event) {
+        field("tick", event.tick);
+        field("rule", event.rule);
+        field("series", event.series);
+        field("state", flag{event.firing, "resolved", "firing"});
+        field("value", event.value);
+    }
+};
+
+namespace {
+
+/// The `alerts` object; timeline_artifact keeps its fields flat.
+template <typename Timeline>
+struct alerts_view {
+    Timeline& timeline;
+};
+
+/// One event per line.
+constexpr json_layout event_lines{
+    .brackets = "[]", .indent = "\n    ", .outdent = "\n  "};
+
+} // namespace
+
+template <typename Timeline>
+struct json_object<alerts_view<Timeline>> {
+    static constexpr json_layout layout = json_spaced;
+    static void fields(auto& field, auto& alerts) {
+        field("rules", alerts.timeline.alert_rules);
+        field("firing", alerts.timeline.firing);
+        field("events", json_items{alerts.timeline.events, event_lines});
+    }
+};
+
+template <>
+struct json_object<timeline_artifact> {
+    static constexpr json_layout layout = json_document;
+    static void fields(auto& field, auto& timeline) {
+        field("series", json_named{timeline.series, json_section});
+        field("alerts", alerts_view{timeline});
+    }
+};
+
+const series_snapshot* timeline_artifact::find(std::string_view name) const {
+    for (const series_snapshot& s : series) {
+        if (s.name == name) {
+            return &s;
+        }
+    }
+    return nullptr;
+}
+
+std::size_t timeline_artifact::samples() const {
+    std::size_t total = 0;
+    for (const series_snapshot& s : series) {
+        total += s.samples.size();
+    }
+    return total;
+}
+
+std::string write_timeline_json(const timeline_recorder& recorder,
+                                const alert_engine* alerts) {
+    timeline_artifact timeline;
+    timeline.series = recorder.snapshot();
     if (alerts != nullptr) {
-        const std::vector<std::string> firing = alerts->firing();
-        for (std::size_t i = 0; i < firing.size(); ++i) {
-            out << (i > 0 ? "," : "") << '"' << json_escape(firing[i]) << '"';
-        }
+        timeline.alert_rules = alerts->rules().size();
+        timeline.firing = alerts->firing();
+        timeline.events = alerts->events();
     }
-    out << "], \"events\": [";
-    if (alerts != nullptr) {
-        const auto& events = alerts->events();
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            const alert_event& event = events[i];
-            out << (i > 0 ? "," : "") << "\n    {\"tick\": " << event.tick
-                << ", \"rule\": \"" << json_escape(event.rule)
-                << "\", \"series\": \"" << json_escape(event.series)
-                << "\", \"state\": \""
-                << (event.firing ? "firing" : "resolved")
-                << "\", \"value\": " << format_double(event.value) << '}';
-        }
-        if (!events.empty()) {
-            out << "\n  ";
-        }
+    return write_json(timeline);
+}
+
+std::optional<timeline_artifact> read_timeline_json(std::string_view text,
+                                                    std::string& error) {
+    timeline_artifact timeline;
+    const json_read read = read_json_into(text, timeline);
+    if (read.exact) {
+        return timeline;
     }
-    out << "]}\n}\n";
+    if (read.stop < text.size()) {
+        error = json_mismatch("timeline", read.stop);
+        return std::nullopt;
+    }
+    if (timeline.series.empty()) {
+        error = "timeline holds only a truncated tail (still being "
+                "written?)";
+        return std::nullopt;
+    }
+    timeline_artifact salvaged;
+    salvaged.series = std::move(timeline.series);
+    salvaged.truncated_tail = true;
+    return salvaged;
 }
 
 } // namespace gb

@@ -24,8 +24,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -110,13 +110,52 @@ private:
     std::uint64_t samples_ = 0;
 };
 
+/// One firing/resolved transition of a (rule, series) pair.
+struct alert_event {
+    std::uint64_t tick = 0;
+    std::string rule;
+    std::string series;
+    bool firing = false; ///< false = resolved
+    double value = 0.0;  ///< the measure at the transition
+};
+
 /// The timeline artifact (`timeline.json`): name-sorted series with
 /// their retained samples, summaries and evicted histograms, plus the
-/// alert section (rule count, sorted firing list, events in append
-/// order).  Pure function of recorder + engine state, so the bytes are
-/// bitwise identical at any GB_JOBS/shard count.  `alerts` may be null
-/// (the section renders empty).
-void write_timeline_json(std::ostream& out, const timeline_recorder& recorder,
-                         const alert_engine* alerts = nullptr);
+/// alert section.  Series read back into the emit side's snapshot type,
+/// so `gbreport alerts --rules` can re-run the stateless alert evaluator
+/// over them.
+struct timeline_artifact {
+    std::vector<series_snapshot> series; ///< name-sorted
+    std::uint64_t alert_rules = 0;       ///< rules loaded by the producer
+    std::vector<std::string> firing;     ///< sorted "rule:series" labels
+    std::vector<alert_event> events;     ///< transition history, in order
+    /// Not rendered: the text ended mid-write (a crashed writer leaves a
+    /// strict byte prefix), and the reader kept only the series it read
+    /// whole.  Mirrors the journal's `truncated_tail` -- not a parse
+    /// error, re-read later for the full document.
+    bool truncated_tail = false;
+
+    /// Series lookup by exact name; null when absent.
+    [[nodiscard]] const series_snapshot* find(std::string_view name) const;
+
+    [[nodiscard]] std::size_t samples() const;
+};
+
+/// The timeline artifact of recorder + engine state (rule count, sorted
+/// firing list, events in append order): bitwise identical at any
+/// GB_JOBS/shard count.  `alerts` may be null (the section renders
+/// empty).
+[[nodiscard]] std::string write_timeline_json(
+    const timeline_recorder& recorder, const alert_engine* alerts = nullptr);
+
+/// The timeline `text` holds, if write_timeline_json renders it back to
+/// exactly `text`.  A text that matches the writer's bytes up to its last
+/// byte is a torn tail: it reads with `truncated_tail` set and every
+/// series read whole, or fails with a truncated-tail diagnostic when
+/// there is none.  Otherwise nullopt, and `error` reads "timeline: byte
+/// N: ..." with N the first byte that differs from the writer's
+/// rendering.
+[[nodiscard]] std::optional<timeline_artifact> read_timeline_json(
+    std::string_view text, std::string& error);
 
 } // namespace gb

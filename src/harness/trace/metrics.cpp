@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <ostream>
 
-#include "harness/trace/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/wire.hpp"
 
@@ -23,24 +22,6 @@ std::uint32_t find_or_append(std::vector<std::string>& names,
 }
 
 } // namespace
-
-histogram_snapshot merge(const histogram_snapshot& a,
-                         const histogram_snapshot& b) {
-    if (a.counts.empty()) {
-        return b;
-    }
-    if (b.counts.empty()) {
-        return a;
-    }
-    GB_EXPECTS(a.bounds == b.bounds);
-    histogram_snapshot out = a;
-    for (std::size_t i = 0; i < out.counts.size(); ++i) {
-        out.counts[i] += b.counts[i];
-    }
-    out.count += b.count;
-    out.sum += b.sum;
-    return out;
-}
 
 std::uint64_t metrics_snapshot::counter_value(std::string_view name) const {
     for (const auto& [n, v] : counters) {
@@ -202,42 +183,23 @@ metrics_snapshot metrics_registry::snapshot() const {
     return out;
 }
 
-void write_metrics_json(std::ostream& out,
-                        const metrics_snapshot& snapshot) {
-    out << "{\n  \"counters\": {";
-    for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-        out << (i > 0 ? "," : "") << "\n    \""
-            << json_escape(snapshot.counters[i].first)
-            << "\": " << snapshot.counters[i].second;
+template <>
+struct json_object<metrics_snapshot> {
+    static constexpr json_layout layout = json_document;
+    static void fields(auto& field, auto& snapshot) {
+        field("counters", json_named{snapshot.counters, json_section});
+        field("gauges", json_named{snapshot.gauges, json_section});
+        field("histograms", json_named{snapshot.histograms, json_section});
     }
-    out << (snapshot.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-    for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-        out << (i > 0 ? "," : "") << "\n    \""
-            << json_escape(snapshot.gauges[i].first)
-            << "\": " << format_double(snapshot.gauges[i].second);
-    }
-    out << (snapshot.gauges.empty() ? "" : "\n  ")
-        << "},\n  \"histograms\": {";
-    for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-        const histogram_snapshot& h = snapshot.histograms[i].second;
-        out << (i > 0 ? "," : "") << "\n    \""
-            << json_escape(snapshot.histograms[i].first)
-            << "\": {\"bounds\": [";
-        for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-            out << (b > 0 ? "," : "") << h.bounds[b];
-        }
-        out << "], \"counts\": [";
-        for (std::size_t b = 0; b < h.counts.size(); ++b) {
-            out << (b > 0 ? "," : "") << h.counts[b];
-        }
-        out << "], \"count\": " << h.count << ", \"sum\": " << h.sum << "}";
-    }
-    out << (snapshot.histograms.empty() ? "" : "\n  ") << "}\n}\n";
+};
+
+std::string write_metrics_json(const metrics_snapshot& snapshot) {
+    return write_json(snapshot);
 }
 
-void write_metrics_json(std::ostream& out,
-                        const metrics_registry& registry) {
-    write_metrics_json(out, registry.snapshot());
+std::optional<metrics_snapshot> read_metrics_json(std::string_view text,
+                                                  std::string& error) {
+    return read_json<metrics_snapshot>(text, "metrics", error);
 }
 
 namespace {

@@ -20,10 +20,13 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/json_codec.hpp"
 
 namespace gb {
 
@@ -47,10 +50,18 @@ struct histogram_snapshot {
     std::uint64_t sum = 0;
 };
 
-/// Exact (integer) merge; associative and commutative.  Both operands
-/// must share bounds.
-[[nodiscard]] histogram_snapshot merge(const histogram_snapshot& a,
-                                       const histogram_snapshot& b);
+/// `{"bounds": [...], "counts": [...], "count": N, "sum": N}`, in the
+/// metrics document and the timeline's evicted histograms alike.
+template <>
+struct json_object<histogram_snapshot> {
+    static constexpr json_layout layout = json_spaced;
+    static void fields(auto& field, auto& histogram) {
+        field("bounds", histogram.bounds);
+        field("counts", histogram.counts);
+        field("count", histogram.count);
+        field("sum", histogram.sum);
+    }
+};
 
 /// Deterministic merged view of a registry, sorted by metric name.
 struct metrics_snapshot {
@@ -124,10 +135,17 @@ private:
 };
 
 /// Flat metrics JSON: one object with name-sorted "counters", "gauges"
-/// and "histograms" sections.  Gauges use shortest round-trip formatting,
-/// everything else is integral, so the bytes are deterministic.
-void write_metrics_json(std::ostream& out, const metrics_snapshot& snapshot);
-void write_metrics_json(std::ostream& out, const metrics_registry& registry);
+/// and "histograms" sections, one metric per line.  Gauges use shortest
+/// round-trip formatting, everything else is integral, so the bytes are
+/// deterministic.
+[[nodiscard]] std::string write_metrics_json(const metrics_snapshot& snapshot);
+
+/// The snapshot `text` holds, if write_metrics_json renders it back to
+/// exactly `text` (so each section's names strictly increase).  Otherwise
+/// nullopt, and `error` reads "metrics: byte N: ..." with N the first
+/// byte that differs from the writer's rendering.
+[[nodiscard]] std::optional<metrics_snapshot> read_metrics_json(
+    std::string_view text, std::string& error);
 
 /// Prometheus text exposition (version 0.0.4) of a snapshot, so external
 /// scrapers can consume live fleet state.  Metric names are prefixed

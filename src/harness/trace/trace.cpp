@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <ostream>
 #include <tuple>
 
 #include "util/contracts.hpp"
+#include "util/json_codec.hpp"
 
 namespace gb {
 
@@ -55,20 +55,85 @@ std::vector<trace_span> tracer::ordered_spans() const {
     return merged;
 }
 
-namespace {
-
-void write_args(std::ostream& out, const trace_span& span) {
-    out << "\"args\":{";
-    for (std::size_t i = 0; i < span.args.size(); ++i) {
-        out << (i > 0 ? "," : "") << '"' << json_escape(span.args[i].first)
-            << "\":\"" << json_escape(span.args[i].second) << '"';
+const std::string* trace_event::arg(std::string_view key) const {
+    for (const auto& [name, value] : args) {
+        if (name == key) {
+            return &value;
+        }
     }
-    out << '}';
+    return nullptr;
 }
 
-} // namespace
+std::optional<std::uint64_t> trace_event::arg_u64(
+    std::string_view key) const {
+    const std::string* text = arg(key);
+    std::uint64_t parsed = 0;
+    if (text == nullptr || !parse_int(*text, parsed)) {
+        return std::nullopt;
+    }
+    return parsed;
+}
 
-void write_chrome_trace(std::ostream& out, const tracer& trace) {
+std::string_view to_string(trace_event::phase ph) {
+    switch (ph) {
+    case trace_event::phase::complete: return "X";
+    case trace_event::phase::instant: return "i";
+    case trace_event::phase::metadata: return "M";
+    }
+    return "?";
+}
+
+std::vector<const trace_event*> trace_artifact::on_track(
+    std::uint32_t track) const {
+    std::vector<const trace_event*> out;
+    for (const trace_event& event : events) {
+        if (event.track == track &&
+            event.ph != trace_event::phase::metadata) {
+            out.push_back(&event);
+        }
+    }
+    return out;
+}
+
+// --- the trace format ------------------------------------------------------
+
+template <>
+struct json_object<trace_event> {
+    static void fields(auto& field, auto& event) {
+        using phase = trace_event::phase;
+        field("ph", named{event.ph, 3});
+        field("pid", json_verbatim{"0"});
+        field("tid", event.track);
+        if (event.ph != phase::metadata) {
+            field("ts", event.ts);
+        }
+        if (event.ph == phase::complete) {
+            field("dur", event.dur);
+        }
+        if (event.ph == phase::instant) {
+            field("s", json_verbatim{"\"t\""});
+        }
+        field("name", event.name);
+        if (event.ph != phase::metadata) {
+            field("cat", event.category);
+        }
+        field("args", json_named{event.args, json_compact, false});
+    }
+};
+
+/// One record per line, the first after the opening bracket.
+constexpr json_layout trace_lines{
+    .brackets = "[]", .indent = "\n", .outdent = "\n", .empty = "\n"};
+
+template <>
+struct json_object<trace_artifact> {
+    static void fields(auto& field, auto& trace) {
+        field("traceEvents", json_items{trace.events, trace_lines});
+        field("displayTimeUnit", json_verbatim{"\"ms\""});
+    }
+};
+
+std::string write_chrome_trace(const tracer& trace) {
     const std::vector<trace_span> spans = trace.ordered_spans();
 
     // Slot layout: within one track, every (phase, major) scope gets a
@@ -99,15 +164,7 @@ void write_chrome_trace(std::ostream& out, const tracer& trace) {
         track_cursor += width;
     }
 
-    out << "{\"traceEvents\":[";
-    bool first = true;
-    const auto comma = [&] {
-        if (!first) {
-            out << ",";
-        }
-        first = false;
-        out << "\n";
-    };
+    trace_artifact artifact;
     // Track-name metadata first, in track order.
     std::map<std::uint32_t, std::string> names;
     for (const trace_span& span : spans) {
@@ -119,30 +176,31 @@ void write_chrome_trace(std::ostream& out, const tracer& trace) {
                               : "track " + std::to_string(span.at.track));
     }
     for (const auto& [track, name] : names) {
-        comma();
-        out << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << track
-            << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-            << json_escape(name) << "\"}}";
+        trace_event& event = artifact.events.emplace_back();
+        event.ph = trace_event::phase::metadata;
+        event.track = track;
+        event.name = "thread_name";
+        event.args = {{"name", name}};
     }
     for (const trace_span& span : spans) {
-        const std::uint64_t ts =
+        trace_event& event = artifact.events.emplace_back();
+        event.ph = span.instant ? trace_event::phase::instant
+                                : trace_event::phase::complete;
+        event.track = span.at.track;
+        event.ts =
             base[slot_key{span.at.track, span.at.phase, span.at.major}] +
             span.start_ticks;
-        comma();
-        out << "{\"ph\":\"" << (span.instant ? 'i' : 'X')
-            << "\",\"pid\":0,\"tid\":" << span.at.track << ",\"ts\":" << ts;
-        if (!span.instant) {
-            out << ",\"dur\":" << span.duration_ticks;
-        } else {
-            out << ",\"s\":\"t\"";
-        }
-        out << ",\"name\":\"" << json_escape(span.name) << "\",\"cat\":\""
-            << json_escape(span.category.empty() ? "gb" : span.category)
-            << "\",";
-        write_args(out, span);
-        out << '}';
+        event.dur = span.duration_ticks;
+        event.name = span.name;
+        event.category = span.category.empty() ? "gb" : span.category;
+        event.args = span.args;
     }
-    out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    return write_json(artifact);
+}
+
+std::optional<trace_artifact> read_chrome_trace(std::string_view text,
+                                                std::string& error) {
+    return read_json<trace_artifact>(text, "trace", error);
 }
 
 } // namespace gb

@@ -25,12 +25,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
-
-#include "util/wire.hpp" // json_escape, for the JSON emitters
 
 namespace gb {
 
@@ -102,10 +101,50 @@ private:
     std::uint32_t next_phase_ = 0;
 };
 
+/// One record of a Chrome trace_event document.  `ts`/`dur` are the
+/// exporter's deterministic virtual timestamps (per-track layout, see
+/// write_chrome_trace); they are comparable within a track, not across
+/// tracks.  A metadata record names its track: `name` "thread_name" and
+/// the label in its `name` arg.
+struct trace_event {
+    enum class phase : std::uint8_t { complete, instant, metadata };
+    phase ph = phase::complete;
+    std::uint32_t track = 0;
+    std::uint64_t ts = 0;  ///< not rendered for metadata
+    std::uint64_t dur = 0; ///< rendered for complete spans only
+    std::string name;
+    std::string category; ///< not rendered for metadata
+    std::vector<std::pair<std::string, std::string>> args;
+
+    /// Arg lookup; null when absent.
+    [[nodiscard]] const std::string* arg(std::string_view key) const;
+    [[nodiscard]] std::optional<std::uint64_t> arg_u64(
+        std::string_view key) const;
+};
+
+/// "X", "i" or "M": the `ph` of a Chrome trace record.
+[[nodiscard]] std::string_view to_string(trace_event::phase ph);
+
+/// A Chrome trace_event document: the track-name metadata, then every
+/// span in layout order (deterministic submission order per track).
+struct trace_artifact {
+    std::vector<trace_event> events;
+
+    /// The spans and instants on `track`, metadata excluded.
+    [[nodiscard]] std::vector<const trace_event*> on_track(
+        std::uint32_t track) const;
+};
+
 /// Chrome trace_event JSON (open with chrome://tracing or Perfetto).
 /// Slots are laid out end-to-end per track in key order, so the output is
 /// a pure function of the recorded spans -- byte-identical at any worker
 /// count for a deterministic producer.
-void write_chrome_trace(std::ostream& out, const tracer& trace);
+[[nodiscard]] std::string write_chrome_trace(const tracer& trace);
+
+/// The trace `text` holds, if the trace writer renders it back to
+/// exactly `text`.  Otherwise nullopt, and `error` reads "trace: byte N:
+/// ..." with N the first byte that differs from the writer's rendering.
+[[nodiscard]] std::optional<trace_artifact> read_chrome_trace(
+    std::string_view text, std::string& error);
 
 } // namespace gb

@@ -7,7 +7,8 @@
 # Then every --status writer -- the five examples that take --status and
 # fleet_service serve with an observatory and degraded -- leaves a
 # snapshot that `gbreport status` reads, and each fleet snapshot also
-# reads through `fleet_service query --bins --cohorts`.
+# reads through `fleet_service query --bins --cohorts`.  Last, an artifact
+# path that cannot be written exits 2 and names the path.
 #
 # Driven from tests/CMakeLists.txt via
 #   cmake -DCAMPAIGN=... -DFLEET_BINNING=... -DVIRUS_LAB=...
@@ -110,4 +111,29 @@ foreach(name fleet_binning observed degraded)
     expect_ok(${GBREPORT} status ${WORK_DIR}/${name}.json)
     expect_ok(${FLEET_SERVICE} query --state ${WORK_DIR}/${name}.json
         --bins --cohorts)
+endforeach()
+
+# --- an artifact path that cannot be written exits 2 ---------------------
+# Nothing can be created under a regular file, not even by root.
+set(plain ${WORK_DIR}/plain.txt)
+file(WRITE ${plain} "a regular file\n")
+foreach(case
+        "jammer_detector|${JAMMER}|600|8|96|--metrics"
+        "jammer_detector|${JAMMER}|600|8|96|--trace"
+        "jammer_detector|${JAMMER}|600|8|96|--status"
+        "undervolt_campaign|${CAMPAIGN}|milc|--metrics"
+        "undervolt_campaign|${CAMPAIGN}|milc|--trace"
+        "undervolt_campaign|${CAMPAIGN}|milc|--timeline"
+        "virus_lab|${VIRUS_LAB}|2|--trace"
+        "virus_lab|${VIRUS_LAB}|2|--status"
+        "dram_retention_explorer|${DRAM_EXPLORER}|60|4|--metrics"
+        "dram_retention_explorer|${DRAM_EXPLORER}|60|4|--status"
+        "fleet_binning|${FLEET_BINNING}|1|--trace"
+        "fleet_binning|${FLEET_BINNING}|1|--metrics"
+        "uniserver_autopilot|${AUTOPILOT}|2|--trace"
+        "uniserver_autopilot|${AUTOPILOT}|2|--metrics")
+    string(REPLACE "|" ";" case "${case}")
+    list(POP_FRONT case tool binary)
+    expect_usage_error("${tool}: cannot write ${plain}/artifact.json"
+        ${binary} ${case} ${plain}/artifact.json)
 endforeach()

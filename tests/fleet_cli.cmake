@@ -3,7 +3,8 @@
 # one-line stderr diagnostic that quotes the offending token -- never a
 # crash, never a silently-ignored trigger.  Two end-to-end smoke stages
 # follow: the quorum outvoting a Byzantine rig bitwise, and degraded-mode
-# serving under a hostile rig.
+# serving under a hostile rig.  Last, an artifact path that cannot be
+# written exits 2 and names the path.
 #
 # Driven from tests/CMakeLists.txt via
 #   cmake -DFLEET_SERVICE=... -DGBREPORT=... -DWORK_DIR=... -P fleet_cli.cmake
@@ -189,3 +190,14 @@ expect_fail(
     "fleet_service: cannot open journal ${WORK_DIR}/missing/probes.journal"
     serve --state ${state} --journal ${WORK_DIR}/missing/probes.journal
     --nodes 10 --epochs 0)
+
+# --- an artifact path that cannot be written exits 2 ---------------------
+# Nothing can be created under a regular file, not even by root.
+set(plain ${WORK_DIR}/plain.txt)
+file(WRITE ${plain} "a regular file\n")
+expect_fail("fleet_service: cannot write ${plain}/state.json"
+    serve --state ${plain}/state.json --nodes 300)
+foreach(flag --trace --metrics --prom --timeline)
+    expect_fail("fleet_service: cannot write ${plain}/artifact.json"
+        serve --state ${state} --nodes 300 ${flag} ${plain}/artifact.json)
+endforeach()

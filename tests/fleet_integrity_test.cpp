@@ -947,14 +947,10 @@ TEST(FleetIntegrityTest, OneEngineRunPerRoundKeepsTraceAndMetricsBytes) {
             replanned += service.run_campaign(sweep).replanned;
         }
         EXPECT_GT(replanned, 0u);
-        std::ostringstream trace_json;
-        write_chrome_trace(trace_json, trace);
-        std::ostringstream metrics_json;
-        write_metrics_json(metrics_json, metrics);
         const std::uint64_t trace_digest =
-            fnv1a_bytes(fnv1a_basis, trace_json.str());
-        const std::uint64_t metrics_digest =
-            fnv1a_bytes(fnv1a_basis, metrics_json.str());
+            fnv1a_bytes(fnv1a_basis, write_chrome_trace(trace));
+        const std::uint64_t metrics_digest = fnv1a_bytes(
+            fnv1a_basis, write_metrics_json(metrics.snapshot()));
         EXPECT_EQ(trace_digest, expected_trace) << trace_digest << "ULL";
         EXPECT_EQ(metrics_digest, expected_metrics)
             << metrics_digest << "ULL";
@@ -982,10 +978,9 @@ TEST(FleetIntegrityTest, DefaultConfigChainsTheJournalButRegistersNoGauges) {
         EXPECT_NE(line.find(" chain="), std::string::npos) << line;
     }
     EXPECT_EQ(service.state_snapshot().find("integrity"), std::string::npos);
-    std::ostringstream json;
-    write_metrics_json(json, metrics);
-    EXPECT_NE(json.str().find("fleet.chips"), std::string::npos);
-    EXPECT_EQ(json.str().find("integrity."), std::string::npos);
+    const std::string json = write_metrics_json(metrics.snapshot());
+    EXPECT_NE(json.find("fleet.chips"), std::string::npos);
+    EXPECT_EQ(json.find("integrity."), std::string::npos);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,11 +26,12 @@
 #include "harness/fault_injection.hpp"
 #include "harness/journal.hpp"
 #include "harness/report/artifacts.hpp"
-#include "harness/report/json.hpp"
 #include "harness/status.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/timeseries/timeseries.hpp"
 #include "harness/trace/metrics.hpp"
+#include "harness/trace/trace.hpp"
+#include "record_mutations.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -608,7 +610,7 @@ TEST(FleetObservatoryTest, SeededDriftFiresTheSlopeRuleDeterministically) {
     }
     // The artifact carries the same verdict.
     std::string error;
-    const auto timeline = report::load_timeline(run.timeline, error);
+    const auto timeline = read_timeline_json(run.timeline, error);
     ASSERT_TRUE(timeline.has_value()) << error;
     EXPECT_EQ(timeline->alert_rules, 2U);
     EXPECT_EQ(timeline->firing, run.firing);
@@ -666,19 +668,80 @@ TEST(FleetObservatoryTest, HostileRuleNamesKeepBothArtifactsParseable) {
     const std::vector<std::string> firing = service.alert_state()->firing();
     ASSERT_FALSE(firing.empty());
 
-    for (const std::string& bytes :
-         {service.state_snapshot(), service.timeline_snapshot()}) {
-        const auto parsed = report::parse_json(bytes);
-        EXPECT_TRUE(parsed.value.has_value()) << parsed.error;
-    }
     const auto status = read_status_json(service.state_snapshot(), error);
     ASSERT_TRUE(status.has_value()) << error;
     ASSERT_TRUE(status->fleet && status->fleet->timeline);
     EXPECT_EQ(status->fleet->timeline->firing, firing);
     const auto timeline =
-        report::load_timeline(service.timeline_snapshot(), error);
+        read_timeline_json(service.timeline_snapshot(), error);
     ASSERT_TRUE(timeline.has_value()) << error;
     EXPECT_EQ(timeline->firing, firing);
+}
+
+TEST(FleetObservatoryTest, WrittenArtifactsRejectEveryMutation) {
+    // The json_mutations corpus of a defended, observed fleet's trace,
+    // metrics and timeline: a mutation reads only where it moved a member
+    // of an object keyed by data (trace args, metric and series names).
+    tracer trace;
+    metrics_registry metrics;
+    timeline_recorder recorder;
+    fleet_service_config config;
+    config.trace = &trace;
+    config.metrics = &metrics;
+    config.timeline = &recorder;
+    config.alerts = drift_rules();
+    config.aging_mv_per_epoch = 2.0;
+    config.integrity.quorum = 3;
+    config.integrity.audit_stride = 4;
+    fleet_spec spec;
+    spec.nodes = 2000;
+    fleet_service service(spec, config, fake_probe);
+    service.run_campaign(0);
+    service.run_campaign(0);
+    std::string error;
+
+    const std::string trace_text = write_chrome_trace(trace);
+    const auto trace_read = read_chrome_trace(trace_text, error);
+    ASSERT_TRUE(trace_read.has_value()) << error;
+    std::set<std::string> args;
+    for (const trace_event& event : trace_read->events) {
+        for (const auto& [key, value] : event.args) {
+            args.insert(test::quoted(key));
+        }
+    }
+    EXPECT_EQ(test::accepted_mutations(trace_text, read_chrome_trace, args,
+                                       false),
+              std::vector<std::string>{});
+
+    const metrics_snapshot snapshot = metrics.snapshot();
+    ASSERT_FALSE(snapshot.histograms.empty());
+    std::set<std::string> names;
+    for (const auto& [name, value] : snapshot.counters) {
+        names.insert(test::quoted(name));
+    }
+    for (const auto& [name, value] : snapshot.gauges) {
+        names.insert(test::quoted(name));
+    }
+    for (const auto& [name, value] : snapshot.histograms) {
+        names.insert(test::quoted(name));
+    }
+    EXPECT_EQ(test::accepted_mutations(write_metrics_json(snapshot),
+                                       read_metrics_json, names, true),
+              std::vector<std::string>{});
+
+    const std::string timeline_text = service.timeline_snapshot();
+    std::set<std::string> series;
+    for (const series_snapshot& s : recorder.snapshot()) {
+        series.insert(test::quoted(s.name));
+    }
+    // A cut reads as a torn tail, not as the document.
+    const auto whole_timeline = [](std::string_view text, std::string& e) {
+        auto read = read_timeline_json(text, e);
+        return read && !read->truncated_tail ? read : std::nullopt;
+    };
+    EXPECT_EQ(
+        test::accepted_mutations(timeline_text, whole_timeline, series, true),
+        std::vector<std::string>{});
 }
 
 TEST(FleetObservatoryTest, DisabledObservatoryKeepsLegacyBytes) {

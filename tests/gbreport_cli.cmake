@@ -2,8 +2,9 @@
 # campaign: 0 = clean, 1 = diff found a regression or missing metric,
 # 2 = usage error or malformed artifact (one-line diagnostic, no crash).
 #
-# The status reader accepts only bytes its writer renders, so the status
-# cases read snapshots fleet_service writes or exact copies of them.
+# Every reader accepts only bytes its writer renders, so each fixture that
+# must load is byte for byte what its writer renders, or an artifact
+# fleet_service wrote.  Hand edits of written artifacts exit 2.
 #
 # Driven from tests/CMakeLists.txt via
 #   cmake -DGBREPORT=... -DFLEET_SERVICE=... -DWORK_DIR=...
@@ -32,8 +33,13 @@ endfunction()
 
 set(baseline ${WORK_DIR}/baseline.json)
 file(WRITE ${baseline} [[{
-  "counters": {"content.hash": 4857721278376709091, "runs.total": 100},
-  "gauges": {"wall.run_ms": 100.0},
+  "counters": {
+    "content.hash": 4857721278376709091,
+    "runs.total": 100
+  },
+  "gauges": {
+    "wall.run_ms": 100
+  },
   "histograms": {}
 }
 ]])
@@ -44,8 +50,13 @@ expect_exit(0 diff ${baseline} ${baseline})
 # 2% wall regression: caught at default (exact) tolerance...
 set(slower ${WORK_DIR}/slower.json)
 file(WRITE ${slower} [[{
-  "counters": {"content.hash": 4857721278376709091, "runs.total": 100},
-  "gauges": {"wall.run_ms": 102.0},
+  "counters": {
+    "content.hash": 4857721278376709091,
+    "runs.total": 100
+  },
+  "gauges": {
+    "wall.run_ms": 102
+  },
   "histograms": {}
 }
 ]])
@@ -58,8 +69,13 @@ expect_exit(0 diff ${baseline} ${slower} --tolerance wall.*=0.05)
 # content change.
 set(hashbump ${WORK_DIR}/hashbump.json)
 file(WRITE ${hashbump} [[{
-  "counters": {"content.hash": 4857721278376709092, "runs.total": 100},
-  "gauges": {"wall.run_ms": 100.0},
+  "counters": {
+    "content.hash": 4857721278376709092,
+    "runs.total": 100
+  },
+  "gauges": {
+    "wall.run_ms": 100
+  },
   "histograms": {}
 }
 ]])
@@ -69,7 +85,10 @@ expect_exit(1 diff ${baseline} ${hashbump} --tolerance wall.*=0.05)
 # A metric missing from the candidate fails regardless of tolerance.
 set(shrunk ${WORK_DIR}/shrunk.json)
 file(WRITE ${shrunk} [[{
-  "counters": {"content.hash": 4857721278376709091, "runs.total": 100},
+  "counters": {
+    "content.hash": 4857721278376709091,
+    "runs.total": 100
+  },
   "gauges": {},
   "histograms": {}
 }
@@ -171,13 +190,20 @@ endif()
 set(audit_clean ${WORK_DIR}/audit_clean.json)
 file(WRITE ${audit_clean} [[{
   "counters": {},
-  "gauges": {"integrity.sdc_injected": 3.0, "integrity.sdc_detected": 3.0,
-             "integrity.sdc_outvoted": 2.0, "integrity.audit_mismatches": 1.0,
-             "integrity.quorum_stalemates": 0.0, "integrity.sdc_corrected": 1.0,
-             "integrity.sdc_escaped": 0.0, "integrity.audits": 36.0,
-             "integrity.dissents": 2.0, "integrity.blacklisted_rigs": 1.0,
-             "integrity.repaired_entries": 2.0,
-             "integrity.replica_executions": 108.0},
+  "gauges": {
+    "integrity.audit_mismatches": 1,
+    "integrity.audits": 36,
+    "integrity.blacklisted_rigs": 1,
+    "integrity.dissents": 2,
+    "integrity.quorum_stalemates": 0,
+    "integrity.repaired_entries": 2,
+    "integrity.replica_executions": 108,
+    "integrity.sdc_corrected": 1,
+    "integrity.sdc_detected": 3,
+    "integrity.sdc_escaped": 0,
+    "integrity.sdc_injected": 3,
+    "integrity.sdc_outvoted": 2
+  },
   "histograms": {}
 }
 ]])
@@ -189,8 +215,11 @@ expect_output("verdict: clean -- every injected corruption was caught"
 set(audit_escaped ${WORK_DIR}/audit_escaped.json)
 file(WRITE ${audit_escaped} [[{
   "counters": {},
-  "gauges": {"integrity.sdc_injected": 2.0, "integrity.sdc_detected": 1.0,
-             "integrity.sdc_escaped": 1.0},
+  "gauges": {
+    "integrity.sdc_detected": 1,
+    "integrity.sdc_escaped": 1,
+    "integrity.sdc_injected": 2
+  },
   "histograms": {}
 }
 ]])
@@ -204,7 +233,8 @@ expect_exit(2 audit)
 
 # --- gbreport timeline / alerts: the observatory surface -----------------
 
-# A hand-written two-series artifact with one firing drift rule.
+# A two-series artifact with one firing drift rule, as the writer renders
+# it.
 set(timeline ${WORK_DIR}/timeline.json)
 file(WRITE ${timeline} [=[{
   "series": {
@@ -301,3 +331,82 @@ expect_exit(2 status ${bad_timeline_status})
 expect_exit(2 diff ${baseline} ${baseline} --tolerence 0.5)
 expect_exit(2 status ${healthy_status} --bogus 3)
 expect_exit(2 timeline ${timeline} --bogus)
+
+# --- hand edits of written artifacts --------------------------------------
+# Each edit leaves bytes no writer renders: gbreport exits 2 on it rather
+# than reading a value the producer never wrote.
+set(edits ${WORK_DIR}/edits)
+file(MAKE_DIRECTORY ${edits})
+serve_snapshot(${edits}/state.json --quorum 3 --audit 4 --epochs 2
+    --aging 2.0 --timeline ${edits}/timeline.json
+    --alerts ${WORK_DIR}/drift.alert
+    --trace ${edits}/trace.json --metrics ${edits}/metrics.json)
+foreach(artifact trace metrics timeline state)
+    file(READ ${edits}/${artifact}.json ${artifact}_text)
+endforeach()
+# The unedited artifacts read.
+expect_exit(0 critical-path --trace ${edits}/trace.json)
+expect_exit(0 diff ${edits}/metrics.json ${edits}/metrics.json)
+expect_output("timeline: 40 series" timeline ${edits}/timeline.json)
+
+# expect_edit(<artifact> <name> <regex> <replacement> <gbreport args>):
+# the artifact with every <regex> match replaced must exit 2 when
+# gbreport reads it as FILE in <gbreport args>.
+function(expect_edit artifact name regex replacement)
+    string(REGEX REPLACE "${regex}" "${replacement}" edited
+        "${${artifact}_text}")
+    if(edited STREQUAL "${${artifact}_text}")
+        message(FATAL_ERROR "edit ${name} changed nothing in ${artifact}")
+    endif()
+    set(file ${edits}/${name}.json)
+    file(WRITE ${file} "${edited}")
+    string(REPLACE "FILE" "${file}" args "${ARGN}")
+    expect_exit(2 ${args})
+endfunction()
+
+set(read_trace critical-path --trace FILE)
+set(read_metrics diff ${edits}/metrics.json FILE)
+set(read_timeline timeline FILE)
+set(read_state status FILE)
+
+# Members no writer renders.
+expect_edit(metrics histogram_member ", \"sum\": " ", \"foo\": 1, \"sum\": "
+    ${read_metrics})
+expect_edit(timeline evicted_member ", \"sum\": " ", \"foo\": 1, \"sum\": "
+    ${read_timeline})
+expect_edit(timeline series_member "{\"count\": " "{\"foo\": 1, \"count\": "
+    ${read_timeline})
+expect_edit(trace event_member "{\"ph\":\"X\"," "{\"ph\":\"X\",\"foo\":1,"
+    ${read_trace})
+expect_edit(metrics section_member "\n  \"histograms\": "
+    "\n  \"extra\": {},\n  \"histograms\": " ${read_metrics})
+expect_edit(trace duplicated_tid "(\"tid\":[0-9]+,)" "\\1\\1" ${read_trace})
+# Values spelt another way, or of another type.
+expect_edit(metrics counter_decimal "(\"fleet.chips\": [0-9]+)" "\\1.0"
+    ${read_metrics})
+expect_edit(metrics counter_leading_zero "\"fleet.chips\": "
+    "\"fleet.chips\": 0" ${read_metrics})
+expect_edit(timeline tick_leading_zero "\\[\\[" "[[0" ${read_timeline})
+expect_edit(trace pid_5 "\"pid\":0" "\"pid\":5" ${read_trace})
+expect_edit(trace cat_7 "\"cat\":\"[a-z]+\"" "\"cat\":7" ${read_trace})
+expect_edit(trace ts_exponent "\"ts\":[0-9]+" "\"ts\":1.0e2" ${read_trace})
+# Members in another order.
+expect_edit(metrics count_sum_swapped
+    "\"count\": ([0-9]+), \"sum\": ([0-9]+)"
+    "\"sum\": \\2, \"count\": \\1" ${read_metrics})
+expect_edit(timeline evicted_count_sum_swapped
+    "\"count\": ([0-9]+), \"sum\": ([0-9]+)"
+    "\"sum\": \\2, \"count\": \\1" ${read_timeline})
+# Whitespace: a missing trailing newline (a timeline without one is a torn
+# tail instead), or all of it stripped.
+expect_edit(trace trace_no_newline "\n$" "" ${read_trace})
+expect_edit(metrics metrics_no_newline "\n$" "" ${read_metrics})
+expect_edit(state state_no_newline "\n$" "" ${read_state})
+expect_edit(trace trace_stripped "\n" "" ${read_trace})
+expect_edit(metrics metrics_stripped "[ \n]" "" ${read_metrics})
+expect_edit(timeline timeline_stripped "[ \n]" "" ${read_timeline})
+# A rule count that is no count, and a counter written twice.
+expect_edit(timeline rules_x "\"rules\": [0-9]+" "\"rules\": \"x\""
+    ${read_timeline})
+expect_edit(metrics duplicated_counter "(\n    \"fleet.chips\": [0-9]+,)"
+    "\\1\\1" ${read_metrics})

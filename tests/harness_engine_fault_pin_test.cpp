@@ -59,16 +59,10 @@ public:
     }
 
     void fold_sinks(const sinks& s, bool with_timeline) {
-        std::ostringstream trace_out;
-        write_chrome_trace(trace_out, s.trace);
-        fold("trace", trace_out.str());
-        std::ostringstream metrics_out;
-        write_metrics_json(metrics_out, s.metrics);
-        fold("metrics", metrics_out.str());
+        fold("trace", write_chrome_trace(s.trace));
+        fold("metrics", write_metrics_json(s.metrics.snapshot()));
         if (with_timeline) {
-            std::ostringstream timeline_out;
-            write_timeline_json(timeline_out, s.timeline);
-            fold("timeline", timeline_out.str());
+            fold("timeline", write_timeline_json(s.timeline));
         }
         std::ifstream in(s.status_path, std::ios::binary);
         EXPECT_TRUE(in.good()) << "no status file at " << s.status_path;

@@ -83,11 +83,7 @@ TEST(TimeseriesTest, ReplayingAPrefixReproducesTheState) {
     for (std::size_t i = 0; i < std::size(values); ++i) {
         b.append("x", static_cast<std::uint64_t>(i + 1), values[i]);
     }
-    std::ostringstream out_a;
-    std::ostringstream out_b;
-    write_timeline_json(out_a, a);
-    write_timeline_json(out_b, b);
-    EXPECT_EQ(out_a.str(), out_b.str());
+    EXPECT_EQ(write_timeline_json(a), write_timeline_json(b));
     // The replayed clock caught up: the next tick continues the sequence.
     EXPECT_EQ(b.next_tick(), a.next_tick());
 }
@@ -103,9 +99,7 @@ TEST(TimeseriesTest, ObserveTickKeepsTheClockAhead) {
 TEST(TimeseriesTest, TimelineJsonShape) {
     timeline_recorder recorder;
     recorder.append("a.b", recorder.advance(), 1.5);
-    std::ostringstream out;
-    write_timeline_json(out, recorder);
-    const std::string text = out.str();
+    const std::string text = write_timeline_json(recorder);
     EXPECT_NE(text.find("\"series\": {"), std::string::npos);
     EXPECT_NE(text.find("\"a.b\": {\"count\": 1"), std::string::npos);
     EXPECT_NE(text.find("\"samples\": [[1,1.5]]"), std::string::npos);
@@ -318,13 +312,9 @@ TEST(AlertEngineTest, ReplayRestoresFiringStateWithoutEvaluation) {
     EXPECT_TRUE(warmed.evaluate(recorder.snapshot(), 2).empty());
 
     // The timeline artifact renders both identically.
-    std::ostringstream from_live;
-    std::ostringstream from_warm;
-    write_timeline_json(from_live, recorder, &live);
-    write_timeline_json(from_warm, recorder, &warmed);
-    EXPECT_EQ(from_live.str(), from_warm.str());
-    EXPECT_NE(from_live.str().find("\"firing\": [\"hot:v\"]"),
-              std::string::npos);
+    const std::string from_live = write_timeline_json(recorder, &live);
+    EXPECT_EQ(from_live, write_timeline_json(recorder, &warmed));
+    EXPECT_NE(from_live.find("\"firing\": [\"hot:v\"]"), std::string::npos);
 }
 
 // --- prometheus exposition ----------------------------------------------

@@ -1,7 +1,7 @@
 // Strictness corpora: from one line a writer produced, the lines no writer
 // produces.  A parser must reject every one of them.  record_mutations
 // serves the journal record codec (util/wire.hpp), json_mutations the
-// status snapshot (harness/status.hpp).
+// JSON artifacts (util/json_codec.hpp).
 //
 // A line is an optional kind word (a leading token without '=') and
 // space-separated `key=value` fields.  The corpus holds each field
@@ -16,6 +16,8 @@
 #include <cctype>
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,20 +125,26 @@ inline std::vector<record_mutation> record_mutations(std::string_view line) {
     return out;
 }
 
-/// The corpus of a one-line JSON document with no whitespace: for each
-/// member of each object, the member dropped, duplicated, swapped with
-/// its next sibling and preceded by an unknown `"foo":1`; each number
-/// given a leading zero, and an integer a trailing ".0" or a decimal a
-/// trailing "0"; and the document with no trailing newline, with a space
-/// after its first colon, and with a second newline.
+/// The corpus of a JSON document: for each member of each object, the
+/// member dropped, duplicated, swapped with its next sibling and preceded
+/// by an unknown `"foo":1`; each number given a leading zero, and an
+/// integer a trailing ".0" or a decimal a trailing "0"; and the document
+/// with no trailing newline, with a space after its first colon, and with
+/// a second newline.  Spaces and newlines between tokens stay where they
+/// are.
 inline std::vector<record_mutation> json_mutations(std::string_view document) {
     struct member {
         std::size_t begin; ///< opening quote of the key
+        std::size_t key;   ///< one past the key's closing quote
         std::size_t value; ///< first byte of the value
         std::size_t end;   ///< one past the value
     };
     std::vector<std::vector<member>> objects;
     std::vector<std::pair<std::size_t, std::size_t>> numbers;
+    const auto skip = [&](std::size_t pos) {
+        return std::min(document.find_first_not_of(" \n", pos),
+                        document.size());
+    };
     // The end of the value at `pos`, recording objects and numbers inside.
     std::function<std::size_t(std::size_t)> scan = [&](std::size_t pos) {
         const char open = document[pos];
@@ -147,23 +155,25 @@ inline std::vector<record_mutation> json_mutations(std::string_view document) {
             return pos + 1;
         }
         if (open != '{' && open != '[') {
-            const std::size_t end = document.find_first_of(",]}", pos);
+            const std::size_t end = document.find_first_of(",]} \n", pos);
             if (open == '-' || std::isdigit(open) != 0) {
                 numbers.emplace_back(pos, end);
             }
             return end;
         }
         std::vector<member> members;
-        for (++pos; document[pos] != (open == '{' ? '}' : ']');) {
-            pos += document[pos] == ',' ? 1 : 0;
+        for (pos = skip(pos + 1); document[pos] != (open == '{' ? '}' : ']');
+             pos = skip(pos)) {
+            pos = document[pos] == ',' ? skip(pos + 1) : pos;
             if (open == '[') {
                 pos = scan(pos);
                 continue;
             }
             const std::size_t begin = pos;
-            const std::size_t value = scan(pos) + 1;
+            const std::size_t key = scan(pos);
+            const std::size_t value = skip(skip(key) + 1);
             pos = scan(value);
-            members.push_back({begin, value, pos});
+            members.push_back({begin, key, value, pos});
         }
         if (open == '{') {
             objects.push_back(std::move(members));
@@ -186,7 +196,7 @@ inline std::vector<record_mutation> json_mutations(std::string_view document) {
     for (const std::vector<member>& members : objects) {
         for (std::size_t i = 0; i < members.size(); ++i) {
             const member& m = members[i];
-            const std::string key = text(m.begin, m.value - 1);
+            const std::string key = text(m.begin, m.key);
             const std::string whole = text(m.begin, m.end);
             // Each member leaves with the comma that joins it.
             const std::size_t cut_begin =
@@ -199,10 +209,10 @@ inline std::vector<record_mutation> json_mutations(std::string_view document) {
             add("\"foo\":1 before " + key, m.begin, 0, "\"foo\":1,");
             if (i + 1 < members.size()) {
                 const member& next = members[i + 1];
-                add("swapped " + key + " and " +
-                        text(next.begin, next.value - 1),
+                add("swapped " + key + " and " + text(next.begin, next.key),
                     m.begin, next.end - m.begin,
-                    text(next.begin, next.end) + "," + whole);
+                    text(next.begin, next.end) + text(m.end, next.begin) +
+                        whole);
             }
         }
     }
@@ -223,6 +233,43 @@ inline std::vector<record_mutation> json_mutations(std::string_view document) {
     add("a space after the first colon", colon + 1, 0, " ");
     add("a second newline", line.size(), 0, "\n");
     return out;
+}
+
+/// The json_mutations of `document` that `read(text, error)` accepts,
+/// leaving out those that only move a member whose key is in `data_keys`:
+/// in an object keyed by data (metric names, series names, trace args)
+/// such a move leaves another document the writer renders.  A drop always
+/// does; a duplicate or a swap does only where the keys need not ascend
+/// (`ascending` false).
+template <typename Read>
+std::vector<std::string> accepted_mutations(
+    std::string_view document, Read read,
+    const std::set<std::string>& data_keys, bool ascending) {
+    std::vector<std::string> accepted;
+    std::string error;
+    for (const auto& [what, mutated] : json_mutations(document)) {
+        if (!read(mutated, error).has_value()) {
+            continue;
+        }
+        const std::size_t quote = what.find('"');
+        const bool moved =
+            what.starts_with("dropped ") ||
+            (!ascending && (what.starts_with("duplicated ") ||
+                            what.starts_with("swapped ")));
+        const std::string key =
+            quote == std::string::npos
+                ? std::string()
+                : what.substr(quote, what.find('"', quote + 1) + 1 - quote);
+        if (!moved || !data_keys.contains(key)) {
+            accepted.push_back(what);
+        }
+    }
+    return accepted;
+}
+
+/// `name` as a member key: in quotes.
+inline std::string quoted(std::string_view name) {
+    return '"' + std::string(name) + '"';
 }
 
 } // namespace gb::test

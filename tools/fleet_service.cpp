@@ -69,7 +69,6 @@
 // exit with --chaos-exit.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -291,7 +290,9 @@ int run_serve(int argc, char** argv) {
     for (long long e = 0; e < *epochs; ++e) {
         run_one(service, sweep_of(service.epoch()));
     }
-    service.publish_state();
+    if (!service.publish_state()) {
+        return fail("cannot write " + *state_path);
+    }
 
     if (control_path) {
         // Daemon loop: idle on the control file until `shutdown`.  A
@@ -374,21 +375,29 @@ int run_serve(int argc, char** argv) {
         std::remove(control_path->c_str());
     }
 
-    service.publish_state();
-    if (trace_path) {
-        std::ofstream out(*trace_path);
-        write_chrome_trace(out, trace);
+    if (!service.publish_state()) {
+        return fail("cannot write " + *state_path);
     }
-    if (metrics_path) {
-        std::ofstream out(*metrics_path);
-        write_metrics_json(out, metrics);
+    if (trace_path && !publish_artifact("fleet_service", *trace_path,
+                                        write_chrome_trace(trace))) {
+        return exit_usage;
+    }
+    if (metrics_path &&
+        !publish_artifact("fleet_service", *metrics_path,
+                          write_metrics_json(metrics.snapshot()))) {
+        return exit_usage;
     }
     if (prom_path) {
-        std::ofstream out(*prom_path);
-        write_prometheus_text(out, metrics);
+        std::ostringstream prom;
+        write_prometheus_text(prom, metrics);
+        if (!publish_artifact("fleet_service", *prom_path, prom.str())) {
+            return exit_usage;
+        }
     }
     if (timeline_path) {
-        service.publish_timeline();
+        if (!service.publish_timeline()) {
+            return fail("cannot write " + *timeline_path);
+        }
         const alert_engine* alerts = service.alert_state();
         std::cerr << "fleet_service: timeline " << timeline.series_count()
                   << " series, " << timeline.sample_count() << " samples";
