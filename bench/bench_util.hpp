@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "harness/status.hpp"
+#include "harness/publish.hpp"
 #include "harness/trace/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"

@@ -18,6 +18,7 @@
 
 #include "core/explorer.hpp"
 #include "dram/power.hpp"
+#include "harness/publish.hpp"
 #include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"

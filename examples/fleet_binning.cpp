@@ -39,7 +39,7 @@
 #include "ga/virus_search.hpp"
 #include "harness/fault_injection.hpp"
 #include "harness/framework.hpp"
-#include "harness/status.hpp"
+#include "harness/publish.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
 #include "util/cli.hpp"
@@ -234,6 +234,12 @@ int main(int argc, char** argv) {
                   << " outvoted by the quorum of " << *quorum << ", "
                   << service.audit_mismatches() << " audit-caught), "
                   << service.sdc_escaped() << " escaped\n";
+    }
+    // run_campaign publishes the state as it goes without checking;
+    // republishing its final snapshot does.
+    if (status_path && !publish_artifact("fleet_binning", *status_path,
+                                         service.state_snapshot())) {
+        return 2;
     }
     if (trace_path) {
         if (!publish_artifact("fleet_binning", *trace_path,

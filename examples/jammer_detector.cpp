@@ -15,6 +15,7 @@
 #include "core/savings.hpp"
 #include "core/supervisor.hpp"
 #include "harness/framework.hpp"
+#include "harness/publish.hpp"
 #include "harness/status.hpp"
 #include "harness/trace/trace.hpp"
 #include "util/cli.hpp"

@@ -36,6 +36,7 @@
 #include "harness/fault_injection.hpp"
 #include "harness/framework.hpp"
 #include "harness/journal.hpp"
+#include "harness/publish.hpp"
 #include "harness/status.hpp"
 #include "harness/timeseries/timeseries.hpp"
 #include "harness/trace/metrics.hpp"
@@ -124,6 +125,17 @@ int main(int argc, char** argv) {
             }
         } catch (const std::runtime_error& e) {
             std::cerr << "undervolt_campaign: " << e.what() << '\n';
+            return 2;
+        }
+    }
+    // The same for the heartbeat: a first live snapshot, which the
+    // engine's heartbeats replace, proves the status path writable.
+    if (status_path) {
+        campaign_status starting;
+        starting.campaign = "undervolt_campaign";
+        starting.running = true;
+        if (!publish_artifact("undervolt_campaign", *status_path,
+                              write_status_json(starting))) {
             return 2;
         }
     }

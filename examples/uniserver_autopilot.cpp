@@ -27,7 +27,7 @@
 #include "core/supervisor.hpp"
 #include "dram/power.hpp"
 #include "fleet/service.hpp"
-#include "harness/status.hpp"
+#include "harness/publish.hpp"
 #include "harness/trace/trace.hpp"
 #include "thermal/testbed.hpp"
 #include "util/cli.hpp"

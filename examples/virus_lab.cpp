@@ -17,6 +17,7 @@
 #include "chip/chip_model.hpp"
 #include "em/em_probe.hpp"
 #include "ga/virus_search.hpp"
+#include "harness/publish.hpp"
 #include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"

@@ -11,6 +11,7 @@
 
 #include "harness/chaos/chaos.hpp"
 #include "harness/fault_injection.hpp"
+#include "harness/publish.hpp"
 #include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"

@@ -1,8 +1,8 @@
 // Live-status heartbeat for long campaigns: a single-file JSON snapshot a
 // dashboard (or `gbreport status`) can poll while the rig grinds through a
-// sweep.  Snapshots are published atomically -- written to a sibling temp
-// file and renamed over the target -- so a reader never observes a
-// half-written document, even mid-crash.
+// sweep.  Snapshots are published atomically (harness/publish.hpp) --
+// written to a sibling temp file and renamed over the target -- so a
+// reader never observes a half-written document, even mid-crash.
 //
 // Two snapshot flavours share one schema:
 //   * live  (`running: true`)  -- progress counters plus a `live` object
@@ -109,21 +109,7 @@ struct campaign_status {
 [[nodiscard]] std::optional<campaign_status> read_status_json(
     std::string_view text, std::string& error);
 
-class chaos_plan;
-
-/// Atomically replace `path` with `bytes` via a sibling `path.tmp` and
-/// rename(2).  Returns false (and leaves any previous file intact) on I/O
-/// errors.  With a `chaos` plan, the snapshot_temp and snapshot_rename
-/// kill-points fire here.
-bool publish_atomic(const std::string& path, std::string_view bytes,
-                    chaos_plan* chaos = nullptr);
-
 /// Atomically publish a snapshot to `path` (publish_atomic, no chaos).
 bool publish_status(const std::string& path, const campaign_status& status);
-
-/// publish_atomic for a command-line tool's artifact: false, with
-/// "<tool>: cannot write <path>" on stderr, when the bytes did not land.
-bool publish_artifact(std::string_view tool, const std::string& path,
-                      std::string_view bytes);
 
 } // namespace gb

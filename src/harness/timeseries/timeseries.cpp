@@ -232,6 +232,8 @@ std::optional<timeline_artifact> read_timeline_json(std::string_view text,
                 "written?)";
         return std::nullopt;
     }
+    // Only whole series survive; a cut number may already have landed in
+    // the alert section, so none of it does.
     timeline_artifact salvaged;
     salvaged.series = std::move(timeline.series);
     salvaged.truncated_tail = true;

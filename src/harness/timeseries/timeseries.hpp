@@ -131,8 +131,10 @@ struct timeline_artifact {
     std::vector<alert_event> events;     ///< transition history, in order
     /// Not rendered: the text ended mid-write (a crashed writer leaves a
     /// strict byte prefix), and the reader kept only the series it read
-    /// whole.  Mirrors the journal's `truncated_tail` -- not a parse
-    /// error, re-read later for the full document.
+    /// whole.  The alert section is not read (no rules, firing labels or
+    /// events), so an alert verdict must refuse the artifact.  Mirrors
+    /// the journal's `truncated_tail` -- not a parse error, re-read later
+    /// for the full document.
     bool truncated_tail = false;
 
     /// Series lookup by exact name; null when absent.
@@ -150,11 +152,11 @@ struct timeline_artifact {
 
 /// The timeline `text` holds, if write_timeline_json renders it back to
 /// exactly `text`.  A text that matches the writer's bytes up to its last
-/// byte is a torn tail: it reads with `truncated_tail` set and every
-/// series read whole, or fails with a truncated-tail diagnostic when
-/// there is none.  Otherwise nullopt, and `error` reads "timeline: byte
-/// N: ..." with N the first byte that differs from the writer's
-/// rendering.
+/// byte is a torn tail: it reads with `truncated_tail` set, every series
+/// read whole and an empty alert section, or fails with a truncated-tail
+/// diagnostic when there is no whole series.  Otherwise nullopt, and
+/// `error` reads "timeline: byte N: ..." with N the first byte that
+/// differs from the writer's rendering.
 [[nodiscard]] std::optional<timeline_artifact> read_timeline_json(
     std::string_view text, std::string& error);
 

@@ -124,12 +124,14 @@ foreach(case
         "undervolt_campaign|${CAMPAIGN}|milc|--metrics"
         "undervolt_campaign|${CAMPAIGN}|milc|--trace"
         "undervolt_campaign|${CAMPAIGN}|milc|--timeline"
+        "undervolt_campaign|${CAMPAIGN}|milc|--status"
         "virus_lab|${VIRUS_LAB}|2|--trace"
         "virus_lab|${VIRUS_LAB}|2|--status"
         "dram_retention_explorer|${DRAM_EXPLORER}|60|4|--metrics"
         "dram_retention_explorer|${DRAM_EXPLORER}|60|4|--status"
         "fleet_binning|${FLEET_BINNING}|1|--trace"
         "fleet_binning|${FLEET_BINNING}|1|--metrics"
+        "fleet_binning|${FLEET_BINNING}|1|--status"
         "uniserver_autopilot|${AUTOPILOT}|2|--trace"
         "uniserver_autopilot|${AUTOPILOT}|2|--metrics")
     string(REPLACE "|" ";" case "${case}")

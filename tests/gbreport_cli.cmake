@@ -290,6 +290,10 @@ string(SUBSTRING "${timeline_bytes}" 0 ${torn_keep} torn_bytes)
 set(torn ${WORK_DIR}/torn_timeline.json)
 file(WRITE ${torn} "${torn_bytes}")
 expect_output("truncated tail: partial write dropped" timeline ${torn})
+# ...but its alert section is gone, so the alert gate refuses it.
+expect_output("alerts: not read \\(truncated tail\\)" timeline ${torn})
+expect_exit(2 alerts ${torn})
+expect_exit(2 alerts ${torn} --rules ${quiet_rules})
 
 # Mid-document corruption is a diagnostic, not a salvage.
 set(corrupt ${WORK_DIR}/corrupt_timeline.json)
@@ -408,5 +412,14 @@ expect_edit(timeline timeline_stripped "[ \n]" "" ${read_timeline})
 # A rule count that is no count, and a counter written twice.
 expect_edit(timeline rules_x "\"rules\": [0-9]+" "\"rules\": \"x\""
     ${read_timeline})
+
+# A written timeline with alerts firing, cut by its last byte, is a torn
+# tail: the alert gate must not pass it.
+expect_exit(1 alerts ${WORK_DIR}/observed.json)
+file(READ ${WORK_DIR}/observed.json observed_text)
+string(REGEX REPLACE "\n$" "" cut_text "${observed_text}")
+file(WRITE ${edits}/observed_cut.json "${cut_text}")
+expect_output("truncated tail" timeline ${edits}/observed_cut.json)
+expect_exit(2 alerts ${edits}/observed_cut.json)
 expect_edit(metrics duplicated_counter "(\n    \"fleet.chips\": [0-9]+,)"
     "\\1\\1" ${read_metrics})

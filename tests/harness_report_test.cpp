@@ -196,32 +196,37 @@ TEST(ReportJson, GoldenArtifactsRejectEveryMutation) {
     // data: trace args, series names.
     std::string error;
     const std::string trace = *read_file(golden_path("engine_trace.json"));
-    const auto trace_read = read_chrome_trace(trace, error);
-    ASSERT_TRUE(trace_read.has_value()) << error;
-    std::set<std::string> args;
-    for (const trace_event& event : trace_read->events) {
-        for (const auto& [key, value] : event.args) {
-            args.insert(test::quoted(key));
-        }
-    }
-    EXPECT_EQ(test::accepted_mutations(trace, read_chrome_trace, args, false),
+    ASSERT_TRUE(read_chrome_trace(trace, error).has_value()) << error;
+    EXPECT_EQ(test::accepted_mutations(trace, read_chrome_trace,
+                                       {{"traceEvents", "args"}}, false),
               std::vector<std::string>{});
 
     const std::string timeline =
         *read_file(golden_path("fleet_timeline.json"));
-    const auto timeline_read = read_timeline_json(timeline, error);
-    ASSERT_TRUE(timeline_read.has_value()) << error;
-    std::set<std::string> series;
-    for (const series_snapshot& s : timeline_read->series) {
-        series.insert(test::quoted(s.name));
-    }
+    ASSERT_TRUE(read_timeline_json(timeline, error).has_value()) << error;
     // A cut reads as a torn tail, not as the document.
     const auto whole_timeline = [](std::string_view text, std::string& e) {
         auto read = read_timeline_json(text, e);
         return read && !read->truncated_tail ? read : std::nullopt;
     };
-    EXPECT_EQ(test::accepted_mutations(timeline, whole_timeline, series, true),
-              std::vector<std::string>{});
+    EXPECT_EQ(
+        test::accepted_mutations(timeline, whole_timeline, {{"series"}}, true),
+        std::vector<std::string>{});
+}
+
+TEST(ReportJson, CorpusPlacesEachMemberInItsObject) {
+    // accepted_mutations exempts a moved member by the object it lies in,
+    // so an event's "name" is never mistaken for an arg called "name".
+    std::set<std::vector<std::string>> dropped_name_in;
+    for (const test::json_mutation& mutation : test::json_mutations(
+             "{\"traceEvents\":[{\"name\":\"x\",\"args\":{\"name\":\"y\"}}]}"
+             "\n")) {
+        if (mutation.what == "dropped \"name\"") {
+            dropped_name_in.insert(mutation.in);
+        }
+    }
+    EXPECT_EQ(dropped_name_in, (std::set<std::vector<std::string>>{
+                                   {"traceEvents"}, {"traceEvents", "args"}}));
 }
 
 // --- golden-trace round trip --------------------------------------------
@@ -663,7 +668,7 @@ TEST(ReportTimeline, RoundTripsTheEmitterBytes) {
 
 TEST(ReportTimeline, SalvagesATornTail) {
     // A crashed writer leaves a strict byte prefix.  Every cut that still
-    // contains at least one complete series line must load with
+    // contains at least one complete series must load with
     // `truncated_tail` set; cuts before that must fail with the
     // truncated-tail diagnostic, not a JSON error.  Both the sample and a
     // fleet daemon's golden timeline, cut at every byte.
@@ -687,9 +692,12 @@ TEST(ReportTimeline, SalvagesATornTail) {
                     << "cut at " << cut << ": " << error;
                 continue;
             }
-            if (cut < text.size() - 1) {
-                EXPECT_TRUE(torn->truncated_tail) << "cut at " << cut;
-            }
+            // Even a cut of the last newline alone is torn, and a torn
+            // read carries no alert section: alert verdicts refuse it.
+            EXPECT_TRUE(torn->truncated_tail) << "cut at " << cut;
+            EXPECT_EQ(torn->alert_rules, 0U) << "cut at " << cut;
+            EXPECT_TRUE(torn->firing.empty()) << "cut at " << cut;
+            EXPECT_TRUE(torn->events.empty()) << "cut at " << cut;
             EXPECT_LE(torn->series.size(), whole->series.size());
             // Salvaged series are bit-exact prefixes of the full document.
             for (const series_snapshot& series : torn->series) {

@@ -144,12 +144,16 @@ TEST(StatusTest, ReaderAcceptsOnlyWhatTheWriterRenders) {
         const std::string snapshot = write_status_json(status);
         std::string error;
         ASSERT_TRUE(read_status_json(snapshot, error).has_value()) << error;
-        for (const auto& [what, mutated] : test::json_mutations(snapshot)) {
+        for (const test::json_mutation& mutation :
+             test::json_mutations(snapshot)) {
+            const std::string& what = mutation.what;
+            const std::string& mutated = mutation.line;
             const auto parsed = read_status_json(mutated, error);
             // The two optional sections may go: the writer renders their
             // absence too.
-            if (what == "dropped \"fleet\"" ||
-                what == "dropped \"timeline\"") {
+            const std::vector<std::string> fleet{"fleet"};
+            if ((what == "dropped \"fleet\"" && mutation.in.empty()) ||
+                (what == "dropped \"timeline\"" && mutation.in == fleet)) {
                 ASSERT_TRUE(parsed.has_value()) << what << ": " << error;
                 EXPECT_EQ(write_status_json(*parsed), mutated) << what;
                 continue;

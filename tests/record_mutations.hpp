@@ -125,6 +125,16 @@ inline std::vector<record_mutation> record_mutations(std::string_view line) {
     return out;
 }
 
+/// One json_mutations entry.
+struct json_mutation {
+    std::string what; ///< how the document was changed
+    std::string line; ///< the changed document
+    /// Where a dropped, duplicated, swapped or preceded member lies: the
+    /// keys from the root down to its object (array positions left out).
+    /// Empty for a respelt number or changed whitespace.
+    std::vector<std::string> in;
+};
+
 /// The corpus of a JSON document: for each member of each object, the
 /// member dropped, duplicated, swapped with its next sibling and preceded
 /// by an unknown `"foo":1`; each number given a leading zero, and an
@@ -132,68 +142,77 @@ inline std::vector<record_mutation> record_mutations(std::string_view line) {
 /// with no trailing newline, with a space after its first colon, and with
 /// a second newline.  Spaces and newlines between tokens stay where they
 /// are.
-inline std::vector<record_mutation> json_mutations(std::string_view document) {
+inline std::vector<json_mutation> json_mutations(std::string_view document) {
     struct member {
         std::size_t begin; ///< opening quote of the key
         std::size_t key;   ///< one past the key's closing quote
         std::size_t value; ///< first byte of the value
         std::size_t end;   ///< one past the value
     };
-    std::vector<std::vector<member>> objects;
+    struct object {
+        std::vector<std::string> path;
+        std::vector<member> members;
+    };
+    std::vector<object> objects;
     std::vector<std::pair<std::size_t, std::size_t>> numbers;
     const auto skip = [&](std::size_t pos) {
         return std::min(document.find_first_not_of(" \n", pos),
                         document.size());
     };
-    // The end of the value at `pos`, recording objects and numbers inside.
-    std::function<std::size_t(std::size_t)> scan = [&](std::size_t pos) {
-        const char open = document[pos];
-        if (open == '"') {
-            for (++pos; document[pos] != '"';) {
-                pos += document[pos] == '\\' ? 2 : 1;
+    // The end of the value at `pos`, found at `path`, recording objects
+    // and numbers inside.
+    std::function<std::size_t(std::size_t, const std::vector<std::string>&)>
+        scan = [&](std::size_t pos, const std::vector<std::string>& path) {
+            const char open = document[pos];
+            if (open == '"') {
+                for (++pos; document[pos] != '"';) {
+                    pos += document[pos] == '\\' ? 2 : 1;
+                }
+                return pos + 1;
+            }
+            if (open != '{' && open != '[') {
+                const std::size_t end = document.find_first_of(",]} \n", pos);
+                if (open == '-' || std::isdigit(open) != 0) {
+                    numbers.emplace_back(pos, end);
+                }
+                return end;
+            }
+            std::vector<member> members;
+            for (pos = skip(pos + 1);
+                 document[pos] != (open == '{' ? '}' : ']'); pos = skip(pos)) {
+                pos = document[pos] == ',' ? skip(pos + 1) : pos;
+                if (open == '[') {
+                    pos = scan(pos, path);
+                    continue;
+                }
+                const std::size_t begin = pos;
+                const std::size_t key = scan(pos, path);
+                const std::size_t value = skip(skip(key) + 1);
+                std::vector<std::string> inner = path;
+                inner.emplace_back(document.substr(begin + 1, key - begin - 2));
+                pos = scan(value, inner);
+                members.push_back({begin, key, value, pos});
+            }
+            if (open == '{') {
+                objects.push_back({path, std::move(members)});
             }
             return pos + 1;
-        }
-        if (open != '{' && open != '[') {
-            const std::size_t end = document.find_first_of(",]} \n", pos);
-            if (open == '-' || std::isdigit(open) != 0) {
-                numbers.emplace_back(pos, end);
-            }
-            return end;
-        }
-        std::vector<member> members;
-        for (pos = skip(pos + 1); document[pos] != (open == '{' ? '}' : ']');
-             pos = skip(pos)) {
-            pos = document[pos] == ',' ? skip(pos + 1) : pos;
-            if (open == '[') {
-                pos = scan(pos);
-                continue;
-            }
-            const std::size_t begin = pos;
-            const std::size_t key = scan(pos);
-            const std::size_t value = skip(skip(key) + 1);
-            pos = scan(value);
-            members.push_back({begin, key, value, pos});
-        }
-        if (open == '{') {
-            objects.push_back(std::move(members));
-        }
-        return pos + 1;
-    };
-    scan(0);
+        };
+    scan(0, {});
 
     const std::string line(document);
-    std::vector<record_mutation> out;
+    std::vector<json_mutation> out;
     const auto add = [&](std::string what, std::size_t at, std::size_t cut,
-                         std::string_view insert) {
+                         std::string_view insert,
+                         const std::vector<std::string>& in = {}) {
         std::string mutated = line;
         mutated.replace(at, cut, insert);
-        out.push_back({std::move(what), std::move(mutated)});
+        out.push_back({std::move(what), std::move(mutated), in});
     };
     const auto text = [&](std::size_t begin, std::size_t end) {
         return line.substr(begin, end - begin);
     };
-    for (const std::vector<member>& members : objects) {
+    for (const auto& [path, members] : objects) {
         for (std::size_t i = 0; i < members.size(); ++i) {
             const member& m = members[i];
             const std::string key = text(m.begin, m.key);
@@ -204,15 +223,16 @@ inline std::vector<record_mutation> json_mutations(std::string_view document) {
                                                  : m.begin;
             const std::size_t cut_end =
                 i + 1 < members.size() ? members[i + 1].begin : m.end;
-            add("dropped " + key, cut_begin, cut_end - cut_begin, "");
-            add("duplicated " + key, m.begin, 0, whole + ",");
-            add("\"foo\":1 before " + key, m.begin, 0, "\"foo\":1,");
+            add("dropped " + key, cut_begin, cut_end - cut_begin, "", path);
+            add("duplicated " + key, m.begin, 0, whole + ",", path);
+            add("\"foo\":1 before " + key, m.begin, 0, "\"foo\":1,", path);
             if (i + 1 < members.size()) {
                 const member& next = members[i + 1];
                 add("swapped " + key + " and " + text(next.begin, next.key),
                     m.begin, next.end - m.begin,
                     text(next.begin, next.end) + text(m.end, next.begin) +
-                        whole);
+                        whole,
+                    path);
             }
         }
     }
@@ -236,40 +256,31 @@ inline std::vector<record_mutation> json_mutations(std::string_view document) {
 }
 
 /// The json_mutations of `document` that `read(text, error)` accepts,
-/// leaving out those that only move a member whose key is in `data_keys`:
-/// in an object keyed by data (metric names, series names, trace args)
-/// such a move leaves another document the writer renders.  A drop always
-/// does; a duplicate or a swap does only where the keys need not ascend
-/// (`ascending` false).
+/// leaving out those that only move a member of an object keyed by data
+/// (metric names, series names, trace args), named by its path in
+/// `data_objects`: there such a move leaves another document the writer
+/// renders.  A drop always does; a duplicate or a swap does only where
+/// the keys need not ascend (`ascending` false).
 template <typename Read>
 std::vector<std::string> accepted_mutations(
     std::string_view document, Read read,
-    const std::set<std::string>& data_keys, bool ascending) {
+    const std::set<std::vector<std::string>>& data_objects, bool ascending) {
     std::vector<std::string> accepted;
     std::string error;
-    for (const auto& [what, mutated] : json_mutations(document)) {
-        if (!read(mutated, error).has_value()) {
+    for (const json_mutation& mutation : json_mutations(document)) {
+        if (!read(mutation.line, error).has_value()) {
             continue;
         }
-        const std::size_t quote = what.find('"');
+        const std::string& what = mutation.what;
         const bool moved =
             what.starts_with("dropped ") ||
             (!ascending && (what.starts_with("duplicated ") ||
                             what.starts_with("swapped ")));
-        const std::string key =
-            quote == std::string::npos
-                ? std::string()
-                : what.substr(quote, what.find('"', quote + 1) + 1 - quote);
-        if (!moved || !data_keys.contains(key)) {
+        if (!moved || !data_objects.contains(mutation.in)) {
             accepted.push_back(what);
         }
     }
     return accepted;
-}
-
-/// `name` as a member key: in quotes.
-inline std::string quoted(std::string_view name) {
-    return '"' + std::string(name) + '"';
 }
 
 } // namespace gb::test

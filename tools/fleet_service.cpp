@@ -82,6 +82,7 @@
 #include "fleet/service.hpp"
 #include "harness/chaos/chaos.hpp"
 #include "harness/fault_injection.hpp"
+#include "harness/publish.hpp"
 #include "harness/status.hpp"
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
@@ -378,20 +379,20 @@ int run_serve(int argc, char** argv) {
     if (!service.publish_state()) {
         return fail("cannot write " + *state_path);
     }
-    if (trace_path && !publish_artifact("fleet_service", *trace_path,
-                                        write_chrome_trace(trace))) {
-        return exit_usage;
+    if (trace_path &&
+        !publish_atomic(*trace_path, write_chrome_trace(trace))) {
+        return fail("cannot write " + *trace_path);
     }
     if (metrics_path &&
-        !publish_artifact("fleet_service", *metrics_path,
-                          write_metrics_json(metrics.snapshot()))) {
-        return exit_usage;
+        !publish_atomic(*metrics_path,
+                        write_metrics_json(metrics.snapshot()))) {
+        return fail("cannot write " + *metrics_path);
     }
     if (prom_path) {
         std::ostringstream prom;
         write_prometheus_text(prom, metrics);
-        if (!publish_artifact("fleet_service", *prom_path, prom.str())) {
-            return exit_usage;
+        if (!publish_atomic(*prom_path, prom.str())) {
+            return fail("cannot write " + *prom_path);
         }
     }
     if (timeline_path) {

@@ -196,6 +196,10 @@ int render_timeline_artifact(const std::string& path) {
                   << " max=" << series.max << " last=" << series.last
                   << "  [" << sparkline(series.samples) << "]\n";
     }
+    if (timeline->truncated_tail) {
+        std::cout << "alerts: not read (truncated tail)\n";
+        return exit_ok;
+    }
     std::cout << "alerts: " << timeline->alert_rules << " rules, "
               << timeline->firing.size() << " firing, "
               << timeline->events.size() << " events\n";
@@ -247,6 +251,13 @@ int run_alerts(int argc, char** argv) {
     const auto timeline = load_timeline_file(argv[2], error);
     if (!timeline) {
         return fail(error);
+    }
+    if (timeline->truncated_tail) {
+        // A torn artifact lost its alert section and maybe some series:
+        // no verdict from it can be clean.
+        return fail(std::string(argv[2]) +
+                    ": timeline ends in a truncated tail (still being "
+                    "written?)");
     }
     if (rules_path) {
         // Re-run the stateless evaluator over the artifact's series: the
